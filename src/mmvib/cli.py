@@ -28,7 +28,7 @@ from .radar_sim import (
 )
 from .signal_core import AudioBuffer, zscore_normalize
 from .synth import SynthesisConfig, build_dataset, item_seed, synthesize_mmvib
-from .vib_extract import extract_vibration, range_fft, select_target_bin
+from .vib_extract import extract_vibration, locate_target, trace_from_phase
 
 SEED_ENV_VAR = "MMVIB_SEED"
 
@@ -176,13 +176,7 @@ def load_config(path=None) -> PipelineConfig:
     except ValueError as exc:
         raise ValueError(f"config section [material]: {exc}") from None
 
-    seed = parse("run", "seed", lambda s: int(float(s)), 0)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got '{env_seed}'") from None
+    seed = _resolve_seed(parse("run", "seed", lambda s: int(float(s)), 0))
 
     try:
         return PipelineConfig(
@@ -244,8 +238,8 @@ def cmd_extract(capture_in, wav_out, preprocess: bool = True) -> int:
     """Recover the vibration trace from a capture and write it as float32 WAV."""
     try:
         capture = load_capture(capture_in)
-        target = select_target_bin(range_fft(capture))
-        trace = extract_vibration(capture, preprocess=preprocess)
+        target, phase = locate_target(capture)
+        trace = trace_from_phase(phase, capture.config, preprocess)
         write_wav(wav_out, AudioBuffer(trace.displacement, trace.sample_rate))
         sidecar = {
             "capture": str(capture_in),
@@ -318,6 +312,9 @@ def cmd_score(manifest_in, report_out) -> int:
     pairs = []
     succeeded = 0
     for row in rows:
+        if not isinstance(row, dict):
+            pairs.append({"error": f"manifest row is not a JSON object: {json.dumps(row)}"})
+            continue
         entry = {"ref_path": row.get("ref_path"), "deg_path": row.get("deg_path")}
         try:
             ref = read_wav(row["ref_path"])
@@ -332,7 +329,7 @@ def cmd_score(manifest_in, report_out) -> int:
             )
             entry.update(report.to_dict())
             succeeded += 1
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             entry["error"] = str(exc)
         pairs.append(entry)
 

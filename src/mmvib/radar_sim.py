@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_core import AudioBuffer, unwrap_phase
+from .signal_core import AudioBuffer
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -308,19 +308,6 @@ def simulate_if_frames(
     return IFCapture(frames, cfg, [])
 
 
-def _clean_phase_std(capture: IFCapture) -> float:
-    """Population std of the unwrapped target-bin phase before any injection."""
-    flat = capture.flat_chirps()
-    spectrum = np.fft.fft(flat, axis=1)[:, : capture.config.adc_samples_per_chirp // 2 + 1]
-    mean_mag = np.abs(spectrum).mean(axis=0)
-    mean_mag[0] = 0.0
-    if np.max(mean_mag) <= 0.0:
-        raise ValueError("no target")
-    target = int(np.argmax(mean_mag))
-    phase = unwrap_phase(np.angle(spectrum[:, target]))
-    return float(phase.std())
-
-
 def inject_artifacts(
     capture: IFCapture,
     beginning_magnitude_sigma: float,
@@ -329,20 +316,24 @@ def inject_artifacts(
 ) -> IFCapture:
     """Stamp capture-start and frame-start phase spikes onto a copy of the capture.
 
-    Magnitudes are multiples of the clean extracted-phase standard deviation,
-    measured by a dry extraction pass. A spike rotates every sample of the
-    affected chirp, so it lands directly on the extracted phase series. Each
-    spike gets a small seeded magnitude jitter and is recorded in the artifact
-    log. With both magnitudes zero the capture is returned untouched.
+    Magnitudes are multiples of the standard deviation of the clean capture's
+    target-bin phase, as found by the extraction core. A spike rotates every
+    sample of the affected chirp, so it lands directly on the extracted phase
+    series. Each spike gets a small seeded magnitude jitter and is recorded in
+    the artifact log. With both magnitudes zero the capture is returned
+    untouched.
     """
     if beginning_magnitude_sigma < 0 or periodic_magnitude_sigma < 0:
         raise ValueError("artifact magnitudes must be >= 0")
+    if beginning_magnitude_sigma == 0 and periodic_magnitude_sigma == 0:
+        return IFCapture(capture.frames.copy(), capture.config, [])
+
+    # vib_extract imports this module, so the extraction core is imported here
+    from .vib_extract import locate_target
+
+    sigma = float(locate_target(capture)[1].std())
     frames = capture.frames.copy()
     log: list[ArtifactEvent] = []
-    if beginning_magnitude_sigma == 0 and periodic_magnitude_sigma == 0:
-        return IFCapture(frames, capture.config, log)
-
-    sigma = _clean_phase_std(capture)
     rng = np.random.default_rng(seed)
 
     def stamp(kind: str, frame: int, sigma_multiple: float) -> None:
@@ -413,8 +404,11 @@ def load_capture(path) -> IFCapture:
     sidecar = _sidecar_path(path)
     if sidecar.exists():
         with open(sidecar, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        log = [ArtifactEvent.from_dict(d) for d in data.get("artifact_log", [])]
+            try:
+                data = json.load(fh)
+                log = [ArtifactEvent.from_dict(d) for d in data.get("artifact_log", [])]
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed capture sidecar {sidecar}: {exc!r}") from None
     return IFCapture(frames.copy(), cfg, log)
 
 

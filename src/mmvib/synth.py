@@ -150,12 +150,15 @@ def _read_input_manifest(path) -> list[str]:
     """Accept bare-path lines or JSON-lines rows carrying clean_path."""
     entries: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("{"):
-                entries.append(str(json.loads(line)["clean_path"]))
-            else:
+            if not line.startswith("{"):
                 entries.append(line)
+                continue
+            try:
+                entries.append(str(json.loads(line)["clean_path"]))
+            except (ValueError, KeyError):
+                raise ValueError(f"{path} line {line_no}: no JSON clean_path field") from None
     return entries

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radar_sim import IFCapture, VibrationTrace, range_resolution
+from .radar_sim import ChirpConfig, IFCapture, VibrationTrace, range_resolution
 from .signal_core import unwrap_phase
 
 # Beginning-outlier guard: one frame at the default chirp count.
@@ -15,7 +15,7 @@ DEFAULT_GUARD_WINDOW = 256
 # Local-mean window for frame-start spikes: this many samples per side.
 # The immediate neighbors track speech-band content far better than a wide
 # average, which low-passes the replacement and smears energy across bands.
-DEFAULT_NEIGHBOR_HALFWIDTH = 1
+NEIGHBOR_HALFWIDTH = 1
 
 OUTLIER_SIGMA_THRESHOLD = 3.0
 
@@ -94,38 +94,46 @@ def phase_to_displacement(
     return wavelength * phi / (4.0 * np.pi)
 
 
-def _replace_beginning_outlier(x: np.ndarray, guard_window: int) -> np.ndarray:
-    """3-sigma rule over the first guard_window samples, stats from the rest."""
+def remove_beginning_outlier(
+    trace: VibrationTrace, guard_window: int = DEFAULT_GUARD_WINDOW
+) -> VibrationTrace:
+    """Replace capture-start spikes breaking the 3-sigma rule with the global mean.
+
+    The rule covers the first guard_window samples; statistics come from the
+    rest, so the spike cannot mask itself.
+    """
+    x = trace.displacement
     if x.size < 3:
         raise ValueError(f"trace too short for outlier statistics, got {x.size} samples")
     guard = int(min(max(guard_window, 0), x.size - 2))
     out = x.copy()
-    if guard == 0:
-        return out
-    tail = x[guard:]
-    mean = tail.mean()
-    sigma = tail.std()
-    head = out[:guard]
-    head[np.abs(head - mean) > OUTLIER_SIGMA_THRESHOLD * sigma] = mean
-    return out
+    if guard > 0:
+        tail = x[guard:]
+        mean = tail.mean()
+        sigma = tail.std()
+        head = out[:guard]
+        head[np.abs(head - mean) > OUTLIER_SIGMA_THRESHOLD * sigma] = mean
+    return VibrationTrace(out, trace.sample_rate)
 
 
-def _replace_periodic_outliers(
-    x: np.ndarray, chirps_per_frame: int, neighbor_halfwidth: int
-) -> np.ndarray:
-    """Replace outlying frame-start samples with the mean of non-start neighbors.
+def remove_periodic_outliers(trace: VibrationTrace, chirps_per_frame: int) -> VibrationTrace:
+    """Clean frame-boundary spikes using the 3-sigma rule against local means.
 
     A frame-start sample is an outlier when it sits more than 3 sigma from its
     local neighbor mean, where sigma comes from the same residual measured at
     every non-start position. Spikes stamped on frame boundaries tower over
     that residual; smooth signal at a boundary never trips it.
+
+    Outliers are replaced by the mean of a symmetric window of non-start
+    neighbors. The window shrinks at trace boundaries and never fails; a
+    sample with no usable neighbors, and any sample consistent with its
+    neighborhood, is left alone.
     """
     if chirps_per_frame < 2:
         raise ValueError(f"chirps_per_frame must be >= 2, got {chirps_per_frame}")
-    if neighbor_halfwidth < 1:
-        raise ValueError(f"neighbor_halfwidth must be >= 1, got {neighbor_halfwidth}")
+    x = trace.displacement
     n = x.size
-    hw = neighbor_halfwidth
+    hw = NEIGHBOR_HALFWIDTH
     is_start = np.zeros(n, dtype=bool)
     is_start[::chirps_per_frame] = True
     valid = (~is_start).astype(np.float64)
@@ -174,56 +182,38 @@ def _replace_periodic_outliers(
                 predicted = x[a] + (x[b] - x[a]) * (s - a) / (b - a)
         if abs(x[s] - predicted) > threshold:
             out[s] = replacement
-    return out
+    return VibrationTrace(out, trace.sample_rate)
 
 
-def remove_beginning_outlier(
-    trace: VibrationTrace, guard_window: int = DEFAULT_GUARD_WINDOW
-) -> VibrationTrace:
-    """Replace capture-start spikes breaking the 3-sigma rule with the global mean.
+def locate_target(capture: IFCapture) -> tuple[int, np.ndarray]:
+    """Strongest range bin of the capture and its unwrapped per-chirp phase.
 
-    Statistics exclude the guard window so the spike cannot mask itself.
-    """
-    cleaned = _replace_beginning_outlier(trace.displacement, guard_window)
-    return VibrationTrace(cleaned, trace.sample_rate)
-
-
-def remove_periodic_outliers(
-    trace: VibrationTrace,
-    chirps_per_frame: int,
-    neighbor_halfwidth: int = DEFAULT_NEIGHBOR_HALFWIDTH,
-) -> VibrationTrace:
-    """Clean frame-boundary spikes using the 3-sigma rule against local means.
-
-    Frame-start samples breaking the rule are replaced by the mean of a
-    symmetric window of non-start neighbors. The window shrinks at trace
-    boundaries and never fails; a sample with no usable neighbors, and any
-    sample consistent with its neighborhood, is left alone.
-    """
-    cleaned = _replace_periodic_outliers(trace.displacement, chirps_per_frame, neighbor_halfwidth)
-    return VibrationTrace(cleaned, trace.sample_rate)
-
-
-def extract_vibration(
-    capture: IFCapture,
-    preprocess: bool = True,
-    guard_window: int | None = None,
-    neighbor_halfwidth: int = DEFAULT_NEIGHBOR_HALFWIDTH,
-) -> VibrationTrace:
-    """Full recovery pipeline from capture to zero-mean displacement trace.
-
-    Range-FFT, strongest-bin selection, phase unwrapping, optional two-stage
-    outlier cleanup, then phase-to-displacement conversion. Output sample rate
-    is the chirp rate (chirps_per_frame / frame_period).
+    The one place that decides which bin carries the vibration; the range FFT
+    runs once per call.
     """
     profile = range_fft(capture)
     target = select_target_bin(profile)
-    phase = extract_phase_series(profile, target)
+    return target, extract_phase_series(profile, target)
+
+
+def trace_from_phase(
+    phase: np.ndarray, config: ChirpConfig, preprocess: bool = True
+) -> VibrationTrace:
+    """Optional two-stage outlier cleanup, then zero-mean displacement.
+
+    The output sample rate is the chirp rate (chirps_per_frame / frame_period).
+    """
+    rate = config.effective_sampling_rate
     if preprocess:
-        guard = capture.config.chirps_per_frame if guard_window is None else guard_window
-        phase = _replace_beginning_outlier(phase, guard)
-        phase = _replace_periodic_outliers(
-            phase, capture.config.chirps_per_frame, neighbor_halfwidth
-        )
-    displacement = phase_to_displacement(phase, capture.config.wavelength)
-    return VibrationTrace(displacement, capture.config.effective_sampling_rate)
+        cleaned = remove_beginning_outlier(VibrationTrace(phase, rate), config.chirps_per_frame)
+        phase = remove_periodic_outliers(cleaned, config.chirps_per_frame).displacement
+    return VibrationTrace(phase_to_displacement(phase, config.wavelength), rate)
+
+
+def extract_vibration(capture: IFCapture, preprocess: bool = True) -> VibrationTrace:
+    """Full recovery pipeline from capture to zero-mean displacement trace.
+
+    Range-FFT, strongest-bin selection, phase unwrapping, optional two-stage
+    outlier cleanup, then phase-to-displacement conversion.
+    """
+    return trace_from_phase(locate_target(capture)[1], capture.config, preprocess)

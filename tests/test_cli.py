@@ -2,11 +2,13 @@
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from mmvib import load_capture, read_wav, write_wav
+import mmvib.vib_extract
+from mmvib import AudioBuffer, extract_vibration, load_capture, locate_target, read_wav, write_wav
 from mmvib.cli import SWEEP_PARAMETERS, load_config, main
 from speechgen import make_speech_clip
 
@@ -66,6 +68,15 @@ class TestLoadConfig:
         monkeypatch.setenv("MMVIB_SEED", "pi")
         with pytest.raises(ValueError, match="MMVIB_SEED must be an integer"):
             load_config(None)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--audio", "in.wav", "--out", "cap.bin"],
+        ["synth", "--manifest", "in.txt", "--out-dir", "ds", "--seed", "3"],
+    ])
+    def test_bad_env_seed_exits_2(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("MMVIB_SEED", "pi")
+        assert main(argv) == 2
+        assert "MMVIB_SEED must be an integer, got 'pi'" in capsys.readouterr().err
 
     def test_material_override_fields(self, tmp_path):
         p = tmp_path / "cfg.ini"
@@ -153,6 +164,47 @@ class TestExtract:
         bad.write_bytes(b"NOTACAP!" + b"\x00" * 64)
         assert main(["extract", "--capture", str(bad), "--out", str(tmp_path / "x.wav")]) != 0
 
+    @pytest.mark.parametrize("text", ['{"artifact_log": [{}]}', "[1, 2]"])
+    def test_malformed_sidecar_one_line_error(self, capture_path, tmp_path, capsys, text):
+        sidecar = tmp_path / "cap.bin.artifacts.json"
+        sidecar.write_text(text)
+        capsys.readouterr()
+        assert main(["extract", "--capture", str(capture_path),
+                     "--out", str(tmp_path / "x.wav")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(sidecar) in err
+
+    def test_matches_library_pipeline(self, capture_path, tmp_path):
+        wav_out = tmp_path / "rec.wav"
+        assert main(["extract", "--capture", str(capture_path), "--out", str(wav_out)]) == 0
+        capture = load_capture(capture_path)
+        trace = extract_vibration(capture)
+        lib_out = tmp_path / "lib.wav"
+        write_wav(lib_out, AudioBuffer(trace.displacement, trace.sample_rate))
+        assert wav_out.read_bytes() == lib_out.read_bytes()
+        sidecar = json.loads((tmp_path / "rec.wav.json").read_text())
+        assert sidecar["target_bin"] == locate_target(capture)[0]
+
+    def test_range_fft_runs_once_per_command(self, tmp_path, monkeypatch):
+        calls = []
+        original = mmvib.vib_extract.range_fft
+
+        def counting(capture):
+            calls.append(capture.n_frames)
+            return original(capture)
+
+        # rebind every module-level reference, so a second import of it is counted too
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mmvib") and vars(module).get("range_fft") is original:
+                monkeypatch.setattr(module, "range_fft", counting)
+        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
+        cap = tmp_path / "cap.bin"
+        assert main(["simulate", "--audio", str(wav), "--out", str(cap)]) == 0
+        assert len(calls) == 1
+        assert main(["extract", "--capture", str(cap), "--out", str(tmp_path / "x.wav")]) == 0
+        assert len(calls) == 2
+
 
 class TestSynth:
     def test_smoke(self, tmp_path):
@@ -169,6 +221,18 @@ class TestSynth:
         rows = [json.loads(l) for l in (out_dir / "manifest.jsonl").read_text().splitlines()]
         assert len(rows) == 2
         assert rows[0]["alpha"] == 0.5
+
+    def test_json_row_without_clean_path(self, tmp_path, capsys):
+        wav = tmp_path / "c.wav"
+        write_wav(wav, make_speech_clip(0, duration=0.5))
+        manifest = tmp_path / "in.jsonl"
+        manifest.write_text(json.dumps({"clean_path": str(wav)}) + "\n"
+                            + json.dumps({"path": str(wav)}) + "\n")
+        assert main(["synth", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "ds")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{manifest} line 2" in err
 
 
 class TestScore:
@@ -231,6 +295,20 @@ class TestScore:
         assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert any("error" in p for p in report["pairs"])
+
+    def test_malformed_rows_are_pair_errors(self, tmp_path):
+        wav = tmp_path / "x.wav"
+        write_wav(wav, make_speech_clip(3, duration=1.0))
+        manifest = tmp_path / "pairs.jsonl"
+        rows = [[1], {"ref_path": 5, "deg_path": str(wav)},
+                {"ref_path": str(wav), "deg_path": str(wav)}]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        report_path = tmp_path / "report.json"
+        assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 0
+        pairs = json.loads(report_path.read_text())["pairs"]
+        assert "not a JSON object" in pairs[0]["error"]
+        assert "error" in pairs[1]
+        assert "error" not in pairs[2]
 
     def test_all_fail_nonzero(self, tmp_path):
         manifest = tmp_path / "pairs.jsonl"

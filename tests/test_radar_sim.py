@@ -14,6 +14,7 @@ from mmvib import (
     forced_response_amplitude,
     inject_artifacts,
     load_capture,
+    locate_target,
     max_unambiguous_range,
     range_resolution,
     save_capture,
@@ -237,6 +238,15 @@ class TestArtifacts:
         dirty_spec = np.abs(np.fft.rfft(dirty.displacement))
         gain_db = 20 * np.log10(dirty_spec[comb].max() / clean_spec[comb].max())
         assert gain_db > 20.0
+
+    def test_magnitudes_are_multiples_of_clean_phase_std(self, chirp_cfg):
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.32)
+        out = inject_artifacts(cap, 10.0, 6.0, seed=7)
+        sigma = locate_target(cap)[1].std()
+        rng = np.random.default_rng(7)
+        multiples = [10.0] + [6.0] * cap.n_frames
+        expected = [m * sigma * rng.uniform(0.75, 1.25) for m in multiples]
+        assert [e.magnitude_rad for e in out.artifact_log] == expected
 
     def test_input_capture_unmodified(self, chirp_cfg):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
