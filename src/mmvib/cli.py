@@ -8,7 +8,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ import numpy as np
 from .audio_io import low_pass, read_wav, resample, write_wav
 from .metrics import score_pair
 from .radar_sim import (
+    DEFAULT_NOISE_FLOOR_DB,
     ChirpConfig,
     IFCapture,
     SurfaceMaterial,
@@ -27,7 +28,16 @@ from .radar_sim import (
     displacement_from_audio,
 )
 from .signal_core import AudioBuffer, zscore_normalize
-from .synth import SynthesisConfig, build_dataset, item_seed, synthesize_mmvib
+from .synth import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    DEFAULT_SAMPLE_RATE,
+    DEFAULT_SEED,
+    SynthesisConfig,
+    build_dataset,
+    item_seed,
+    synthesize_mmvib,
+)
 from .vib_extract import extract_vibration, locate_target, trace_from_phase
 
 SEED_ENV_VAR = "MMVIB_SEED"
@@ -62,14 +72,14 @@ class PipelineConfig:
     chirp: ChirpConfig = field(default_factory=ChirpConfig)
     material: SurfaceMaterial = field(default_factory=lambda: MATERIAL_PRESETS["pet"])
     range_m: float = 1.5
-    noise_floor_db: float = -60.0
+    noise_floor_db: float = DEFAULT_NOISE_FLOOR_DB
     force_scale: float = 0.5
     beginning_sigma: float = 10.0
     periodic_sigma: float = 6.0
-    alpha: float = 1.0
-    beta: float = 0.3
-    synth_sample_rate: float = 8000.0
-    seed: int = 0
+    alpha: float = DEFAULT_ALPHA
+    beta: float = DEFAULT_BETA
+    synth_sample_rate: float = DEFAULT_SAMPLE_RATE
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.range_m) or self.range_m <= 0:
@@ -86,27 +96,19 @@ class PipelineConfig:
             raise ValueError(f"synth_sample_rate must be positive, got {self.synth_sample_rate}")
 
 
-_CHIRP_KEYS = (
-    "carrier_freq",
-    "slope",
-    "chirp_duration",
-    "adc_samples_per_chirp",
-    "chirps_per_frame",
-    "frame_period",
-)
-_MATERIAL_KEYS = ("preset", "mass", "stiffness", "damping", "reflectivity")
-_SCENE_KEYS = ("range_m", "noise_floor_db", "force_scale")
-_ARTIFACT_KEYS = ("beginning_sigma", "periodic_sigma")
-_SYNTH_KEYS = ("alpha", "beta", "sample_rate")
-_RUN_KEYS = ("seed",)
+# INI sections and their keys. [chirp] and [material] hold the fields of
+# ChirpConfig and SurfaceMaterial, and [material] preset picks the material
+# they override; every other key names a PipelineConfig field.
 _SECTIONS = {
-    "chirp": _CHIRP_KEYS,
-    "material": _MATERIAL_KEYS,
-    "scene": _SCENE_KEYS,
-    "artifacts": _ARTIFACT_KEYS,
-    "synthesis": _SYNTH_KEYS,
-    "run": _RUN_KEYS,
+    "chirp": tuple(f.name for f in fields(ChirpConfig)),
+    "material": ("preset", *(f.name for f in fields(SurfaceMaterial))),
+    "scene": ("range_m", "noise_floor_db", "force_scale"),
+    "artifacts": ("beginning_sigma", "periodic_sigma"),
+    "synthesis": ("alpha", "beta", "sample_rate"),
+    "run": ("seed",),
 }
+# The one key whose field has another name.
+_FIELD_OF_KEY = {"sample_rate": "synth_sample_rate"}
 
 
 def load_config(path=None) -> PipelineConfig:
@@ -129,71 +131,48 @@ def load_config(path=None) -> PipelineConfig:
                     raise ValueError(f"config field [{section}] {key} is not recognized")
                 values[section][key] = raw
 
-    def parse(section: str, key: str, cast, default):
-        raw = values[section].get(key)
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ValueError(f"config field [{section}] {key}: {exc}") from None
-
-    chirp_defaults = ChirpConfig()
-    chirp_kwargs = {
-        "carrier_freq": parse("chirp", "carrier_freq", float, chirp_defaults.carrier_freq),
-        "slope": parse("chirp", "slope", float, chirp_defaults.slope),
-        "chirp_duration": parse("chirp", "chirp_duration", float, chirp_defaults.chirp_duration),
-        "adc_samples_per_chirp": parse(
-            "chirp", "adc_samples_per_chirp", lambda s: int(float(s)),
-            chirp_defaults.adc_samples_per_chirp,
-        ),
-        "chirps_per_frame": parse(
-            "chirp", "chirps_per_frame", lambda s: int(float(s)),
-            chirp_defaults.chirps_per_frame,
-        ),
-        "frame_period": parse("chirp", "frame_period", float, chirp_defaults.frame_period),
-    }
-    try:
-        chirp = ChirpConfig(**chirp_kwargs)
-    except ValueError as exc:
-        raise ValueError(f"config section [chirp]: {exc}") from None
-
-    preset = values["material"].get("preset", "pet")
-    if preset not in MATERIAL_PRESETS:
+    defaults = PipelineConfig()
+    preset = values["material"].pop("preset", None)
+    if preset is not None and preset not in MATERIAL_PRESETS:
         raise ValueError(
             f"config field [material] preset: unknown preset '{preset}', "
             f"valid: {', '.join(sorted(MATERIAL_PRESETS))}"
         )
-    base = MATERIAL_PRESETS[preset]
-    material_kwargs = {
-        "mass": parse("material", "mass", float, base.mass),
-        "stiffness": parse("material", "stiffness", float, base.stiffness),
-        "damping": parse("material", "damping", float, base.damping),
-        "reflectivity": parse("material", "reflectivity", float, base.reflectivity),
+    nested = {
+        "chirp": defaults.chirp,
+        "material": defaults.material if preset is None else MATERIAL_PRESETS[preset],
     }
+    overrides = {}
+    for section, raw in values.items():
+        parsed = _parse_section(section, raw, nested.get(section, defaults))
+        if section not in nested:
+            overrides.update(parsed)
+            continue
+        try:
+            overrides[section] = replace(nested[section], **parsed)
+        except ValueError as exc:
+            raise ValueError(f"config section [{section}]: {exc}") from None
+    overrides["seed"] = _resolve_seed(overrides.get("seed", defaults.seed))
     try:
-        material = SurfaceMaterial(**material_kwargs)
-    except ValueError as exc:
-        raise ValueError(f"config section [material]: {exc}") from None
-
-    seed = _resolve_seed(parse("run", "seed", lambda s: int(float(s)), 0))
-
-    try:
-        return PipelineConfig(
-            chirp=chirp,
-            material=material,
-            range_m=parse("scene", "range_m", float, 1.5),
-            noise_floor_db=parse("scene", "noise_floor_db", float, -60.0),
-            force_scale=parse("scene", "force_scale", float, 0.5),
-            beginning_sigma=parse("artifacts", "beginning_sigma", float, 10.0),
-            periodic_sigma=parse("artifacts", "periodic_sigma", float, 6.0),
-            alpha=parse("synthesis", "alpha", float, 1.0),
-            beta=parse("synthesis", "beta", float, 0.3),
-            synth_sample_rate=parse("synthesis", "sample_rate", float, 8000.0),
-            seed=seed,
-        )
+        return replace(defaults, **overrides)
     except ValueError as exc:
         raise ValueError(f"config: {exc}") from None
+
+
+def _parse_section(section: str, raw: dict[str, str], defaults) -> dict:
+    """Field values of one INI section, each cast to the type of its default.
+
+    Integer fields take any float spelling and truncate it ("2.56e2" -> 256).
+    """
+    parsed = {}
+    for key, text in raw.items():
+        name = _FIELD_OF_KEY.get(key, key)
+        try:
+            number = float(text)
+            parsed[name] = int(number) if isinstance(getattr(defaults, name), int) else number
+        except ValueError as exc:
+            raise ValueError(f"config field [{section}] {key}: {exc}") from None
+    return parsed
 
 
 def _simulate_capture(config: PipelineConfig, audio: AudioBuffer, seed_key) -> IFCapture:
@@ -263,10 +242,10 @@ def cmd_extract(capture_in, wav_out, preprocess: bool = True) -> int:
 def cmd_synth(
     manifest_in,
     out_dir,
-    alpha: float = 1.0,
-    beta: float = 0.3,
-    seed: int = 0,
-    sample_rate: float = 8000.0,
+    alpha: float = DEFAULT_ALPHA,
+    beta: float = DEFAULT_BETA,
+    seed: int = DEFAULT_SEED,
+    sample_rate: float = DEFAULT_SAMPLE_RATE,
     jitter: bool = False,
 ) -> int:
     """Build a clean/degraded dataset from a manifest of WAV paths."""
@@ -358,14 +337,6 @@ def _sweep_variant(config: PipelineConfig, parameter: str, value) -> PipelineCon
             chirp_duration=duty * config.chirp.frame_period / cpf,
         )
         return replace(config, chirp=chirp)
-    if parameter == "range_m":
-        return replace(config, range_m=float(value))
-    if parameter == "noise_floor_db":
-        return replace(config, noise_floor_db=float(value))
-    if parameter == "alpha":
-        return replace(config, alpha=float(value))
-    if parameter == "beta":
-        return replace(config, beta=float(value))
     if parameter == "material":
         name = str(value)
         if name not in MATERIAL_PRESETS:
@@ -373,7 +344,8 @@ def _sweep_variant(config: PipelineConfig, parameter: str, value) -> PipelineCon
                 f"unknown material preset '{name}', valid: {', '.join(sorted(MATERIAL_PRESETS))}"
             )
         return replace(config, material=MATERIAL_PRESETS[name])
-    raise ValueError(f"unknown parameter '{parameter}'")
+    # range_m, noise_floor_db, alpha and beta: one scalar field each
+    return replace(config, **{parameter: float(value)})
 
 
 def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuffer, index: int) -> dict:
@@ -496,10 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     syn = sub.add_parser("synth", help="build a degraded dataset from clean WAVs")
     syn.add_argument("--manifest", required=True, help="input manifest of WAV paths")
     syn.add_argument("--out-dir", required=True, help="output dataset directory")
-    syn.add_argument("--alpha", type=float, default=1.0, help="purple-noise gain")
-    syn.add_argument("--beta", type=float, default=0.3, help="Gaussian-noise gain")
-    syn.add_argument("--seed", type=int, default=0, help="root seed")
-    syn.add_argument("--sample-rate", type=float, default=8000.0, help="output rate in Hz")
+    syn.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="purple-noise gain")
+    syn.add_argument("--beta", type=float, default=DEFAULT_BETA, help="Gaussian-noise gain")
+    syn.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root seed")
+    syn.add_argument(
+        "--sample-rate", type=float, default=DEFAULT_SAMPLE_RATE, help="output rate in Hz"
+    )
     syn.add_argument("--jitter", action="store_true", help="randomize per-item gains")
 
     sco = sub.add_parser("score", help="score reference/degraded pairs")

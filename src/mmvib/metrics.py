@@ -8,7 +8,7 @@ ordering, and gain-invariance properties are the stable contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,7 +19,6 @@ from .signal_core import (
     AudioBuffer,
     Spectrogram,
     frame_signal,
-    hann_window,
     mel_filterbank,
     mel_loss_configs,
     mel_spectrogram,
@@ -76,15 +75,7 @@ class MetricsReport:
             raise ValueError(f"reported stoi must lie in [0, 1], got {self.stoi}")
 
     def to_dict(self) -> dict:
-        return {
-            "fwsegsnr": self.fwsegsnr,
-            "stoi": self.stoi,
-            "mcd": self.mcd,
-            "mel_loss": self.mel_loss,
-            "mag_l1": self.mag_l1,
-            "wer": self.wer,
-            "cer": self.cer,
-        }
+        return asdict(self)
 
 
 def _truncate_pair(ref: AudioBuffer, deg: AudioBuffer) -> tuple[np.ndarray, np.ndarray, float]:
@@ -101,10 +92,9 @@ def _frame_params(fs: float) -> tuple[int, int]:
 
 
 def _framed_magnitudes(x: np.ndarray, fs: float) -> tuple[np.ndarray, int]:
+    """Magnitude STFT frames [n_frames, bins] at the 25 ms / 10 ms framing."""
     window_len, hop = _frame_params(fs)
-    frames = frame_signal(x, window_len, hop)
-    windowed = frames * hann_window(window_len)[None, :]
-    return np.abs(np.fft.rfft(windowed, axis=1)), window_len
+    return stft(AudioBuffer(x, fs), window_len, hop).magnitude().values.T, window_len
 
 
 def fwsegsnr(ref: AudioBuffer, deg: AudioBuffer) -> float:

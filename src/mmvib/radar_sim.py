@@ -7,8 +7,9 @@ modulates the phase of the intermediate-frequency beat signal chirp by chirp.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ DEFAULT_FRAME_PERIOD_S = 0.032
 DEFAULT_CHIRPS_PER_FRAME = 256
 DEFAULT_CHIRP_DURATION_S = 0.9 * DEFAULT_FRAME_PERIOD_S / DEFAULT_CHIRPS_PER_FRAME
 DEFAULT_SLOPE_HZ_PER_S = MAX_BANDWIDTH_HZ / DEFAULT_CHIRP_DURATION_S
+
+# Receiver noise power relative to unit echo amplitude.
+DEFAULT_NOISE_FLOOR_DB = -60.0
 
 _CAPTURE_MAGIC = b"MMVIBCP1"
 _CAPTURE_HEADER = struct.Struct("<8sddddIIII")
@@ -138,12 +142,7 @@ class ArtifactEvent:
     magnitude_rad: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "frame": self.frame,
-            "chirp": self.chirp,
-            "magnitude_rad": self.magnitude_rad,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArtifactEvent":
@@ -248,7 +247,7 @@ def simulate_if_frames(
     vibration: VibrationTrace,
     range_m: float,
     reflectivity: float = 1.0,
-    noise_floor_db: float = -60.0,
+    noise_floor_db: float = DEFAULT_NOISE_FLOOR_DB,
     seed=0,
 ) -> IFCapture:
     """Synthesize the IF capture of a reflector at range_m with the given vibration.
@@ -377,29 +376,34 @@ def save_capture(capture: IFCapture, path, seed: int | None = None) -> None:
 
 
 def load_capture(path) -> IFCapture:
-    """Read a capture container written by save_capture."""
+    """Read a capture container written by save_capture.
+
+    The header's frame count is checked against the file size before the
+    body is read, so a short, over-long or mislabelled file is rejected
+    without reading its body.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _CAPTURE_HEADER.size:
-        raise ValueError("truncated capture file")
-    magic, carrier, slope, duration, period, adc, cpf, n_frames, _ = _CAPTURE_HEADER.unpack_from(raw)
-    if magic != _CAPTURE_MAGIC:
-        raise ValueError("not a capture file: bad magic")
-    cfg = ChirpConfig(
-        carrier_freq=carrier,
-        slope=slope,
-        chirp_duration=duration,
-        adc_samples_per_chirp=int(adc),
-        chirps_per_frame=int(cpf),
-        frame_period=period,
-    )
-    count = int(n_frames) * cfg.chirps_per_frame * cfg.adc_samples_per_chirp
-    body = raw[_CAPTURE_HEADER.size :]
-    if len(body) != count * 8:
-        raise ValueError("truncated capture file")
-    frames = np.frombuffer(body, dtype=np.complex64).reshape(
-        int(n_frames), cfg.chirps_per_frame, cfg.adc_samples_per_chirp
-    )
+    with open(path, "rb") as fh:
+        header = fh.read(_CAPTURE_HEADER.size)
+        if len(header) < _CAPTURE_HEADER.size:
+            raise ValueError("truncated capture file")
+        magic, carrier, slope, duration, period, adc, cpf, n_frames, _ = _CAPTURE_HEADER.unpack(header)
+        if magic != _CAPTURE_MAGIC:
+            raise ValueError("not a capture file: bad magic")
+        cfg = ChirpConfig(
+            carrier_freq=carrier,
+            slope=slope,
+            chirp_duration=duration,
+            adc_samples_per_chirp=int(adc),
+            chirps_per_frame=int(cpf),
+            frame_period=period,
+        )
+        count = int(n_frames) * cfg.chirps_per_frame * cfg.adc_samples_per_chirp
+        if os.fstat(fh.fileno()).st_size != _CAPTURE_HEADER.size + count * 8:
+            raise ValueError("truncated capture file")
+        frames = np.fromfile(fh, dtype=np.complex64, count=count).reshape(
+            int(n_frames), cfg.chirps_per_frame, cfg.adc_samples_per_chirp
+        )
     log: list[ArtifactEvent] = []
     sidecar = _sidecar_path(path)
     if sidecar.exists():
@@ -409,7 +413,7 @@ def load_capture(path) -> IFCapture:
                 log = [ArtifactEvent.from_dict(d) for d in data.get("artifact_log", [])]
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed capture sidecar {sidecar}: {exc!r}") from None
-    return IFCapture(frames.copy(), cfg, log)
+    return IFCapture(frames, cfg, log)
 
 
 def _sidecar_path(path: Path) -> Path:

@@ -14,6 +14,7 @@ from .signal_core import AudioBuffer, zscore_normalize
 DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.3
 DEFAULT_SAMPLE_RATE = 8000.0
+DEFAULT_SEED = 0
 
 # Per-item alpha/beta jitter span when randomized intensities are requested.
 JITTER_SPAN = 0.5
@@ -25,7 +26,7 @@ class SynthesisConfig:
 
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:

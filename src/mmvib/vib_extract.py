@@ -12,11 +12,6 @@ from .signal_core import unwrap_phase
 # Beginning-outlier guard: one frame at the default chirp count.
 DEFAULT_GUARD_WINDOW = 256
 
-# Local-mean window for frame-start spikes: this many samples per side.
-# The immediate neighbors track speech-band content far better than a wide
-# average, which low-passes the replacement and smears energy across bands.
-NEIGHBOR_HALFWIDTH = 1
-
 OUTLIER_SIGMA_THRESHOLD = 3.0
 
 
@@ -119,69 +114,52 @@ def remove_beginning_outlier(
 def remove_periodic_outliers(trace: VibrationTrace, chirps_per_frame: int) -> VibrationTrace:
     """Clean frame-boundary spikes using the 3-sigma rule against local means.
 
-    A frame-start sample is an outlier when it sits more than 3 sigma from its
-    local neighbor mean, where sigma comes from the same residual measured at
-    every non-start position. Spikes stamped on frame boundaries tower over
-    that residual; smooth signal at a boundary never trips it.
+    A frame-start sample is an outlier when it sits more than 3 sigma from
+    the mean of its neighbors at i-1 and i+1, where sigma is the spread of
+    the same residual over the interior non-start samples (a neighbor that is
+    itself a frame start does not count). Spikes stamped on frame boundaries
+    tower over that residual; smooth signal at a boundary never trips it.
 
-    Outliers are replaced by the mean of a symmetric window of non-start
-    neighbors. The window shrinks at trace boundaries and never fails; a
-    sample with no usable neighbors, and any sample consistent with its
-    neighborhood, is left alone.
+    Outliers are replaced by their neighbor mean. A start at either end of
+    the trace has one neighbor: it is tested against the line through that
+    neighbor and the next non-start sample beyond it, and replaced by the
+    neighbor.
     """
     if chirps_per_frame < 2:
         raise ValueError(f"chirps_per_frame must be >= 2, got {chirps_per_frame}")
     x = trace.displacement
     n = x.size
-    hw = NEIGHBOR_HALFWIDTH
-    is_start = np.zeros(n, dtype=bool)
-    is_start[::chirps_per_frame] = True
-    valid = (~is_start).astype(np.float64)
-    kernel = np.ones(2 * hw + 1)
-    # windowed sums over non-start neighbors, center sample excluded
-    win_count = np.convolve(valid, kernel, mode="same") - valid
-    win_sum = np.convolve(x * valid, kernel, mode="same") - x * valid
-    local_mean = np.divide(
-        win_sum, win_count, out=np.zeros(n), where=win_count > 0
-    )
-    # residual spread: interior non-start samples with symmetric windows
-    reference = (win_count > 0) & ~is_start
-    reference[:hw] = False
-    reference[n - hw :] = False
-    residual = x - local_mean
-    sigma = float(residual[reference].std()) if np.any(reference) else 0.0
-    threshold = OUTLIER_SIGMA_THRESHOLD * sigma
+    if n < 3:
+        raise ValueError(f"trace too short for outlier statistics, got {n} samples")
+    is_start = np.arange(n) % chirps_per_frame == 0
 
-    def next_non_start(after: int, step: int) -> int | None:
-        i = after + step
-        while 0 <= i < n:
-            if not is_start[i]:
-                return i
-            i += step
-        return None
+    # Only the immediate neighbors: they track speech-band content far better
+    # than a wide average, which low-passes the replacement.
+    inner = np.flatnonzero(~is_start[1:-1]) + 1
+    left = ~is_start[inner - 1]
+    right = ~is_start[inner + 1]
+    count = left.astype(np.int64) + right
+    has_neighbor = count > 0
+    neighbor_sum = np.where(left, x[inner - 1], 0.0) + np.where(right, x[inner + 1], 0.0)
+    residual = x[inner[has_neighbor]] - neighbor_sum[has_neighbor] / count[has_neighbor]
+    threshold = OUTLIER_SIGMA_THRESHOLD * (float(residual.std()) if residual.size else 0.0)
 
     out = x.copy()
-    for s in range(0, n, chirps_per_frame):
-        left = [i for i in range(s - 1, max(s - hw, 0) - 1, -1) if not is_start[i]]
-        right = [i for i in range(s + 1, min(s + hw, n - 1) + 1) if not is_start[i]]
-        neighbors = left + right
-        if not neighbors:
-            continue
-        replacement = x[neighbors].mean()
-        if left and right:
-            predicted = replacement
-        else:
-            # trace edge: extrapolate a local line so the residual stays
-            # comparable to the symmetric-window statistic
-            side = left or right
-            a = side[0]
-            b = next_non_start(a, 1 if a > s else -1)
-            if b is None:
-                predicted = x[a]
-            else:
-                predicted = x[a] + (x[b] - x[a]) * (s - a) / (b - a)
+    starts = np.arange(chirps_per_frame, n - 1, chirps_per_frame)
+    mean = (x[starts - 1] + x[starts + 1]) / 2
+    hit = np.abs(x[starts] - mean) > threshold
+    out[starts[hit]] = mean[hit]
+
+    # an end start extrapolates a line, so its residual stays comparable to
+    # the two-sided statistic
+    ends = [(0, 1), (n - 1, -1)] if is_start[-1] else [(0, 1)]
+    for s, step in ends:
+        a, b = s + step, s + 2 * step
+        if 0 <= b < n and is_start[b]:
+            b += step
+        predicted = x[a] + (x[b] - x[a]) * (s - a) / (b - a) if 0 <= b < n else x[a]
         if abs(x[s] - predicted) > threshold:
-            out[s] = replacement
+            out[s] = x[a]
     return VibrationTrace(out, trace.sample_rate)
 
 

@@ -154,3 +154,45 @@ def psd_halfband_ratio(x: np.ndarray, fs: float = 1.0) -> float:
     low = pxx[band & (freqs < mid)].mean()
     high = pxx[band & (freqs >= mid)].mean()
     return float(high / low)
+
+
+def oracle_remove_periodic_outliers(x, chirps_per_frame: int) -> np.ndarray:
+    """Frame-start 3-sigma cleanup, one sample at a time.
+
+    Each interior non-start sample contributes its residual against the mean
+    of its non-start neighbors at i-1 and i+1; sigma is the population
+    standard deviation of those residuals. An interior start more than
+    3 sigma from its neighbor mean is replaced by that mean. A start at a
+    trace end is compared with the line through the two nearest non-start
+    samples on its side and replaced by the nearer one.
+    """
+    n = len(x)
+    is_start = [i % chirps_per_frame == 0 for i in range(n)]
+    residuals = []
+    for i in range(1, n - 1):
+        if is_start[i]:
+            continue
+        neighbors = [x[j] for j in (i - 1, i + 1) if not is_start[j]]
+        if neighbors:
+            residuals.append(x[i] - sum(neighbors) / len(neighbors))
+    threshold = 3.0 * (float(np.std(residuals)) if residuals else 0.0)
+    out = np.array(x, dtype=float)
+    for s in range(0, n, chirps_per_frame):
+        if 0 < s < n - 1:
+            predicted = replacement = (x[s - 1] + x[s + 1]) / 2
+        else:
+            step = 1 if s == 0 else -1
+            side = []
+            j = s + step
+            while 0 <= j < n and len(side) < 2:
+                if not is_start[j]:
+                    side.append(j)
+                j += step
+            a = side[0]
+            replacement = predicted = x[a]
+            if len(side) == 2:
+                b = side[1]
+                predicted = x[a] + (x[b] - x[a]) * (s - a) / (b - a)
+        if abs(x[s] - predicted) > threshold:
+            out[s] = replacement
+    return out

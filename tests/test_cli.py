@@ -1,15 +1,20 @@
 """Command-line surface: config parsing and the five subcommands."""
 
+import copy
 import csv
 import json
+import re
 import sys
+from dataclasses import fields, is_dataclass
+from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmvib.vib_extract
 from mmvib import AudioBuffer, extract_vibration, load_capture, locate_target, read_wav, write_wav
-from mmvib.cli import SWEEP_PARAMETERS, load_config, main
+from mmvib.cli import MATERIAL_PRESETS, SWEEP_PARAMETERS, load_config, main
 from speechgen import make_speech_clip
 
 
@@ -57,8 +62,69 @@ class TestLoadConfig:
     def test_bad_value_has_field_context(self, tmp_path):
         p = tmp_path / "cfg.ini"
         p.write_text("[scene]\nrange_m = close\n")
-        with pytest.raises(ValueError, match="range_m"):
+        message = "config field [scene] range_m: could not convert string to float: 'close'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_config(p)
+
+    # Every accepted key, set to a valid non-default value, and where it lands.
+    @pytest.mark.parametrize("section, key, text, attribute, value", [
+        ("chirp", "carrier_freq", "61e9", "chirp.carrier_freq", 61e9),
+        ("chirp", "slope", "3e13", "chirp.slope", 3e13),
+        ("chirp", "chirp_duration", "1e-4", "chirp.chirp_duration", 1e-4),
+        ("chirp", "adc_samples_per_chirp", "128.0", "chirp.adc_samples_per_chirp", 128),
+        ("chirp", "chirps_per_frame", "200", "chirp.chirps_per_frame", 200),
+        ("chirp", "frame_period", "0.04", "chirp.frame_period", 0.04),
+        ("material", "preset", "tinfoil", "material", MATERIAL_PRESETS["tinfoil"]),
+        ("material", "mass", "1e-4", "material.mass", 1e-4),
+        ("material", "stiffness", "5e4", "material.stiffness", 5e4),
+        ("material", "damping", "1.5", "material.damping", 1.5),
+        ("material", "reflectivity", "0.5", "material.reflectivity", 0.5),
+        ("scene", "range_m", "2", "range_m", 2.0),
+        ("scene", "noise_floor_db", "-40", "noise_floor_db", -40.0),
+        ("scene", "force_scale", "0.25", "force_scale", 0.25),
+        ("artifacts", "beginning_sigma", "0", "beginning_sigma", 0.0),
+        ("artifacts", "periodic_sigma", "3", "periodic_sigma", 3.0),
+        ("synthesis", "alpha", "0.5", "alpha", 0.5),
+        ("synthesis", "beta", "0.1", "beta", 0.1),
+        ("synthesis", "sample_rate", "16000", "synth_sample_rate", 16000.0),
+        ("run", "seed", "7.9", "seed", 7),
+    ])
+    def test_each_key_sets_its_field(self, section, key, text, attribute, value, tmp_path,
+                                     monkeypatch):
+        monkeypatch.delenv("MMVIB_SEED", raising=False)
+        p = tmp_path / "cfg.ini"
+        p.write_text(f"[{section}]\n{key} = {text}\n")
+        expected = copy.deepcopy(load_config(None))
+        *path, name = attribute.split(".")
+        owner = expected
+        for part in path:
+            owner = getattr(owner, part)
+        assert getattr(owner, name) != value
+        setattr(owner, name, value)
+        cfg = load_config(p)
+        assert cfg == expected
+        assert type(attrgetter(attribute)(cfg)) is type(value)
+
+    def test_readme_block_lists_the_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MMVIB_SEED", raising=False)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        p = tmp_path / "readme.ini"
+        p.write_text(block)
+
+        def leaves(obj, prefix=""):
+            if is_dataclass(obj):
+                for f in fields(obj):
+                    yield from leaves(getattr(obj, f.name), f"{prefix}{f.name}.")
+            else:
+                yield prefix.rstrip("."), obj
+
+        documented = dict(leaves(load_config(p)))
+        defaults = dict(leaves(load_config(None)))
+        assert documented.keys() == defaults.keys()
+        for name, value in defaults.items():
+            # the default chirp duration, 0.9 * 0.032 / 256, is one ulp off 112.5e-6
+            assert documented[name] == pytest.approx(value, rel=1e-12), name
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MMVIB_SEED", "123")

@@ -1,5 +1,8 @@
 """Chirp geometry, the forced-vibration surface model, IF simulation, and artifacts."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -285,6 +288,33 @@ class TestCaptureIO:
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(ValueError, match="truncated"):
             load_capture(path)
+
+    def test_over_long_body(self, chirp_cfg, tmp_path):
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+        path = tmp_path / "cap.bin"
+        save_capture(cap, path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(ValueError, match="truncated"):
+            load_capture(path)
+
+    def test_header_claiming_more_frames_allocates_nothing(self, chirp_cfg, tmp_path):
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+        path = tmp_path / "cap.bin"
+        save_capture(cap, path)
+        data = bytearray(path.read_bytes())
+        # n_frames is the third uint32 after the magic and four float64
+        struct.pack_into("<I", data, 8 + 4 * 8 + 2 * 4, 2**32 - 1)
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                load_capture(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the body was never read: far less than one copy of the file
+        assert peak < len(data) // 8
 
     def test_capture_shape_validation(self, chirp_cfg):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_tone_capture, make_tone_trace
 from mmvib import (
@@ -20,6 +22,7 @@ from mmvib import (
     select_target_bin,
     simulate_if_frames,
 )
+from oracles import oracle_remove_periodic_outliers
 
 
 def synthetic_capture(cfg: ChirpConfig, phases: np.ndarray, beat_bin: int = 20) -> IFCapture:
@@ -186,6 +189,36 @@ class TestPeriodicOutliers:
     def test_small_frame_size_validated(self):
         with pytest.raises(ValueError):
             remove_periodic_outliers(VibrationTrace(np.zeros(16), 8000.0), 1)
+
+    def test_too_short(self):
+        with pytest.raises(ValueError, match="too short"):
+            remove_periodic_outliers(VibrationTrace(np.zeros(2), 8000.0), 256)
+
+    def test_end_starts_use_their_one_neighbor(self):
+        # ramp with spikes on the three frame starts 0, 4 and 8
+        x = np.arange(9.0)
+        x[[0, 4, 8]] += [5.0, 5.0, -5.0]
+        out = remove_periodic_outliers(VibrationTrace(x, 8000.0), 4).displacement
+        np.testing.assert_array_equal(out[[0, 4, 8]], [x[1], (x[3] + x[5]) / 2, x[7]])
+        clean = np.arange(9.0)
+        ramp = remove_periodic_outliers(VibrationTrace(clean, 8000.0), 4).displacement
+        np.testing.assert_array_equal(ramp, clean)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, data):
+        cpf = data.draw(st.integers(2, 9), label="chirps_per_frame")
+        # the second form ends the trace on a frame start
+        n = data.draw(
+            st.one_of(st.integers(3, 60), st.integers(1, 8).map(lambda k: k * cpf + 1)),
+            label="n",
+        )
+        value = st.one_of(
+            st.floats(-1e3, 1e3, allow_nan=False), st.integers(-3, 3).map(float)
+        )
+        x = np.array(data.draw(st.lists(value, min_size=n, max_size=n), label="x"))
+        out = remove_periodic_outliers(VibrationTrace(x, 8000.0), cpf).displacement
+        np.testing.assert_array_equal(out, oracle_remove_periodic_outliers(x, cpf))
 
 
 class TestExtractVibration:
