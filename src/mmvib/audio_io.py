@@ -16,6 +16,8 @@ _INT_SCALES = {
     np.dtype(np.int32): 2.0**31,
 }
 
+LOW_PASS_TAPS = 127
+
 
 def read_wav(path) -> AudioBuffer:
     """Read a mono WAV file into float64 samples in [-1, 1] for integer formats."""
@@ -47,10 +49,10 @@ def resample(audio: AudioBuffer, target_rate: float) -> AudioBuffer:
     return AudioBuffer(out, target_rate)
 
 
-def low_pass(audio: AudioBuffer, cutoff_hz: float, taps: int = 127) -> AudioBuffer:
+def low_pass(audio: AudioBuffer, cutoff_hz: float) -> AudioBuffer:
     """Zero-phase FIR low-pass; a cutoff at or above Nyquist is a no-op."""
     nyquist = audio.sample_rate / 2.0
     if cutoff_hz >= nyquist:
         return AudioBuffer(audio.samples.copy(), audio.sample_rate)
-    coeffs = firwin(taps, cutoff_hz, fs=audio.sample_rate)
+    coeffs = firwin(LOW_PASS_TAPS, cutoff_hz, fs=audio.sample_rate)
     return AudioBuffer(filtfilt(coeffs, [1.0], audio.samples), audio.sample_rate)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import low_pass, read_wav, resample, write_wav
-from .metrics import score_pair
+from .metrics import REQUIRED_METRICS, MetricsReport, score_pair
 from .radar_sim import (
     DEFAULT_NOISE_FLOOR_DB,
     ChirpConfig,
@@ -70,7 +70,7 @@ class PipelineConfig:
     """Validated end-to-end settings for the command-line pipeline."""
 
     chirp: ChirpConfig = field(default_factory=ChirpConfig)
-    material: SurfaceMaterial = field(default_factory=lambda: MATERIAL_PRESETS["pet"])
+    material: SurfaceMaterial = MATERIAL_PRESETS["pet"]
     range_m: float = 1.5
     noise_floor_db: float = DEFAULT_NOISE_FLOOR_DB
     force_scale: float = 0.5
@@ -120,9 +120,14 @@ def load_config(path=None) -> PipelineConfig:
     """
     values: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     if path is not None:
-        parser = configparser.ConfigParser()
+        # interpolation off: a '%' in a value is reported as a bad number
+        parser = configparser.ConfigParser(interpolation=None)
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:
+                # the parser's message names the file but can span lines
+                raise ValueError(f"config: {' '.join(str(exc).split())}") from None
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ValueError(f"config section [{section}] is not recognized")
@@ -170,7 +175,7 @@ def _parse_section(section: str, raw: dict[str, str], defaults) -> dict:
         try:
             number = float(text)
             parsed[name] = int(number) if isinstance(getattr(defaults, name), int) else number
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"config field [{section}] {key}: {exc}") from None
     return parsed
 
@@ -260,9 +265,8 @@ def cmd_synth(
 
 
 def _aggregate(pairs: list[dict]) -> dict:
-    metric_keys = ("fwsegsnr", "stoi", "mcd", "mel_loss", "mag_l1", "wer", "cer")
     summary = {}
-    for key in metric_keys:
+    for key in (f.name for f in fields(MetricsReport)):
         values = [row[key] for row in pairs if row.get(key) is not None]
         if values:
             arr = np.asarray(values, dtype=float)
@@ -385,11 +389,7 @@ _SWEEP_CSV_COLUMNS = (
     "value",
     "range_resolution_m",
     "sampling_rate_hz",
-    "fwsegsnr",
-    "stoi",
-    "mcd",
-    "mel_loss",
-    "mag_l1",
+    *REQUIRED_METRICS,
 )
 
 

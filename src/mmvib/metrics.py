@@ -8,7 +8,7 @@ ordering, and gain-invariance properties are the stable contract.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -16,11 +16,11 @@ from scipy.fft import dct
 
 from .audio_io import resample
 from .signal_core import (
+    MEL_LOSS_BANDS,
+    MEL_LOSS_WINDOWS,
     AudioBuffer,
-    Spectrogram,
     frame_signal,
     mel_filterbank,
-    mel_loss_configs,
     mel_spectrogram,
     stft,
 )
@@ -68,7 +68,7 @@ class MetricsReport:
     cer: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("fwsegsnr", "stoi", "mcd", "mel_loss", "mag_l1"):
+        for name in REQUIRED_METRICS:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} is not finite")
         if not 0.0 <= self.stoi <= 1.0:
@@ -76,6 +76,10 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# The metrics every report carries, in report order.
+REQUIRED_METRICS = tuple(f.name for f in fields(MetricsReport) if f.default is MISSING)
 
 
 def _truncate_pair(ref: AudioBuffer, deg: AudioBuffer) -> tuple[np.ndarray, np.ndarray, float]:
@@ -94,7 +98,7 @@ def _frame_params(fs: float) -> tuple[int, int]:
 def _framed_magnitudes(x: np.ndarray, fs: float) -> tuple[np.ndarray, int]:
     """Magnitude STFT frames [n_frames, bins] at the 25 ms / 10 ms framing."""
     window_len, hop = _frame_params(fs)
-    return stft(AudioBuffer(x, fs), window_len, hop).magnitude().values.T, window_len
+    return np.abs(stft(AudioBuffer(x, fs), window_len, hop)).T, window_len
 
 
 def fwsegsnr(ref: AudioBuffer, deg: AudioBuffer) -> float:
@@ -204,20 +208,18 @@ def mel_loss(ref: AudioBuffer, deg: AudioBuffer) -> float:
     ref_buf = AudioBuffer(x, fs)
     deg_buf = AudioBuffer(y, fs)
     total = 0.0
-    for cfg in mel_loss_configs():
-        ref_mel = np.log(np.maximum(mel_spectrogram(ref_buf, cfg), MEL_LOG_FLOOR))
-        deg_mel = np.log(np.maximum(mel_spectrogram(deg_buf, cfg), MEL_LOG_FLOOR))
+    for n_mels, window_len in zip(MEL_LOSS_BANDS, MEL_LOSS_WINDOWS):
+        ref_mel = np.log(np.maximum(mel_spectrogram(ref_buf, n_mels, window_len), MEL_LOG_FLOOR))
+        deg_mel = np.log(np.maximum(mel_spectrogram(deg_buf, n_mels, window_len), MEL_LOG_FLOOR))
         total += float(np.abs(ref_mel - deg_mel).mean())
     return total
 
 
-def mag_l1(ref_spec: Spectrogram, deg_spec: Spectrogram) -> float:
-    """Mean absolute difference between magnitude spectrograms."""
-    if ref_spec.values.shape != deg_spec.values.shape:
-        raise ValueError(
-            f"shape mismatch: {ref_spec.values.shape} vs {deg_spec.values.shape}"
-        )
-    return float(np.abs(np.abs(ref_spec.values) - np.abs(deg_spec.values)).mean())
+def mag_l1(ref_spec: np.ndarray, deg_spec: np.ndarray) -> float:
+    """Mean absolute difference between the magnitudes of two spectrograms."""
+    if ref_spec.shape != deg_spec.shape:
+        raise ValueError(f"shape mismatch: {ref_spec.shape} vs {deg_spec.shape}")
+    return float(np.abs(np.abs(ref_spec) - np.abs(deg_spec)).mean())
 
 
 def _as_words(text) -> list[str]:
@@ -259,7 +261,7 @@ def wer_cer(ref_text, hyp_text) -> tuple[float, float]:
     return wer, cer
 
 
-# Spectrogram settings for the report's magnitude-L1 column.
+# STFT settings for the report's magnitude-L1 column.
 REPORT_SPEC_WINDOW = 256
 REPORT_SPEC_HOP = 64
 
@@ -284,8 +286,8 @@ def score_pair(
         mcd=mcd(ref_buf, deg_buf),
         mel_loss=mel_loss(ref_buf, deg_buf),
         mag_l1=mag_l1(
-            stft(ref_buf, REPORT_SPEC_WINDOW, REPORT_SPEC_HOP).magnitude(),
-            stft(deg_buf, REPORT_SPEC_WINDOW, REPORT_SPEC_HOP).magnitude(),
+            stft(ref_buf, REPORT_SPEC_WINDOW, REPORT_SPEC_HOP),
+            stft(deg_buf, REPORT_SPEC_WINDOW, REPORT_SPEC_HOP),
         ),
         wer=wer,
         cer=cer,

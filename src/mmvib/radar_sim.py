@@ -87,7 +87,7 @@ class ChirpConfig:
         return self.adc_samples_per_chirp / self.chirp_duration
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceMaterial:
     """Lumped spring-mass-damper model of the sounding surface."""
 

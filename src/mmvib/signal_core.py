@@ -50,80 +50,6 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
 
-@dataclass
-class Spectrogram:
-    """STFT output: values laid out [freq_bins, time_frames]."""
-
-    values: np.ndarray
-    window_len: int
-    hop: int
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        if self.values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {self.values.shape}")
-        expected = self.window_len // 2 + 1
-        if self.values.shape[0] != expected:
-            raise ValueError(
-                f"freq_bins {self.values.shape[0]} inconsistent with window_len "
-                f"{self.window_len} (expected {expected})"
-            )
-        if self.hop < 1:
-            raise ValueError(f"hop must be >= 1, got {self.hop}")
-        if not np.isrealobj(self.values):
-            return
-        if self.values.size and (np.any(self.values < 0) or not np.all(np.isfinite(self.values))):
-            raise ValueError("magnitude spectrogram must be finite and non-negative")
-
-    @property
-    def freq_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def time_frames(self) -> int:
-        return self.values.shape[1]
-
-    def magnitude(self) -> "Spectrogram":
-        """Return the magnitude form of this spectrogram."""
-        return Spectrogram(np.abs(self.values), self.window_len, self.hop, self.sample_rate)
-
-
-@dataclass
-class MelConfig:
-    """Mel filterbank analysis settings."""
-
-    n_mels: int
-    window_len: int
-    hop: int
-    fmin: float = 0.0
-    fmax: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_mels < 1:
-            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
-        if self.window_len < 2:
-            raise ValueError(f"window_len must be >= 2, got {self.window_len}")
-        if self.hop < 1:
-            raise ValueError(f"hop must be >= 1, got {self.hop}")
-        if self.fmin < 0:
-            raise ValueError(f"fmin must be >= 0, got {self.fmin}")
-        if self.fmax is not None and self.fmax <= self.fmin:
-            raise ValueError(f"fmax {self.fmax} must exceed fmin {self.fmin}")
-
-    @classmethod
-    def default(cls, n_mels: int, window_len: int) -> "MelConfig":
-        """Build a config with the standard hop of a quarter window."""
-        return cls(n_mels=n_mels, window_len=window_len, hop=max(1, window_len // 4))
-
-
-def mel_loss_configs() -> tuple[MelConfig, ...]:
-    """The fixed multi-resolution family used by the spectral loss."""
-    return tuple(
-        MelConfig.default(n, w) for n, w in zip(MEL_LOSS_BANDS, MEL_LOSS_WINDOWS)
-    )
-
-
 def hann_window(window_len: int) -> np.ndarray:
     """Periodic Hann window."""
     n = np.arange(window_len)
@@ -144,35 +70,31 @@ def frame_signal(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     return x[idx]
 
 
-def stft(audio: AudioBuffer, window_len: int, hop: int) -> Spectrogram:
+def stft(audio: AudioBuffer, window_len: int, hop: int) -> np.ndarray:
     """Short-time Fourier transform with a periodic Hann window.
 
-    Frames are laid at multiples of hop with no padding, so
-    time_frames = floor((len - window_len) / hop) + 1.
+    Returns complex values laid out [window_len // 2 + 1, frames]. Frames are
+    laid at multiples of hop with no padding, so
+    frames = floor((len - window_len) / hop) + 1.
     """
     frames = frame_signal(audio.samples, window_len, hop)
     windowed = frames * hann_window(window_len)[None, :]
-    spec = np.fft.rfft(windowed, axis=1).T
-    return Spectrogram(spec, window_len, hop, audio.sample_rate)
+    return np.fft.rfft(windowed, axis=1).T
 
 
 def mel_filterbank(
-    n_mels: int,
-    window_len: int,
-    sample_rate: float,
-    fmin: float = 0.0,
-    fmax: float | None = None,
+    n_mels: int, window_len: int, sample_rate: float, fmin: float = 0.0
 ) -> np.ndarray:
-    """Triangular mel filterbank, [n_mels, window_len // 2 + 1], peak weight 1."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
+    """Triangular mel filterbank from fmin to Nyquist, [n_mels, window_len // 2 + 1].
+
+    Each filter peaks at weight 1.
+    """
+    fmax = sample_rate / 2.0
     n_bins = window_len // 2 + 1
     if n_mels > n_bins:
         raise ValueError("over-resolved filterbank")
-    if not 0 <= fmin < fmax <= sample_rate / 2.0 + 1e-9:
-        raise ValueError(
-            f"band edges must satisfy 0 <= fmin < fmax <= nyquist, got [{fmin}, {fmax}]"
-        )
+    if not 0 <= fmin < fmax:
+        raise ValueError(f"band edges must satisfy 0 <= fmin < nyquist, got [{fmin}, {fmax}]")
     mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     freqs = np.arange(n_bins) * (sample_rate / window_len)
@@ -184,11 +106,10 @@ def mel_filterbank(
     return np.clip(np.minimum(rise, fall), 0.0, None)
 
 
-def mel_spectrogram(audio: AudioBuffer, cfg: MelConfig) -> np.ndarray:
-    """Mel-band magnitude spectrogram, [n_mels, time_frames]."""
-    spec = stft(audio, cfg.window_len, cfg.hop)
-    bank = mel_filterbank(cfg.n_mels, cfg.window_len, audio.sample_rate, cfg.fmin, cfg.fmax)
-    return bank @ np.abs(spec.values)
+def mel_spectrogram(audio: AudioBuffer, n_mels: int, window_len: int) -> np.ndarray:
+    """Mel-band magnitude spectrogram, [n_mels, frames], at a hop of window_len // 4."""
+    spec = stft(audio, window_len, window_len // 4)
+    return mel_filterbank(n_mels, window_len, audio.sample_rate) @ np.abs(spec)
 
 
 def zscore_normalize(audio: AudioBuffer) -> AudioBuffer:

@@ -2,96 +2,69 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .radar_sim import ChirpConfig, IFCapture, VibrationTrace, range_resolution
+from .radar_sim import ChirpConfig, IFCapture, VibrationTrace
 from .signal_core import unwrap_phase
-
-# Beginning-outlier guard: one frame at the default chirp count.
-DEFAULT_GUARD_WINDOW = 256
 
 OUTLIER_SIGMA_THRESHOLD = 3.0
 
 
-@dataclass
-class RangeProfile:
-    """Per-chirp one-sided range spectra: bins laid out [range_bins, total_chirps]."""
-
-    bins: np.ndarray
-    bin_size_m: float
-
-    def __post_init__(self) -> None:
-        self.bins = np.asarray(self.bins, dtype=np.complex128)
-        if self.bins.ndim != 2:
-            raise ValueError(f"bins must be 2-D, got shape {self.bins.shape}")
-        if not np.isfinite(self.bin_size_m) or self.bin_size_m <= 0:
-            raise ValueError(f"bin_size_m must be positive, got {self.bin_size_m}")
-
-    @property
-    def range_bins(self) -> int:
-        return self.bins.shape[0]
-
-    @property
-    def total_chirps(self) -> int:
-        return self.bins.shape[1]
-
-
-def range_fft(capture: IFCapture) -> RangeProfile:
+def range_fft(capture: IFCapture) -> np.ndarray:
     """FFT each chirp along fast time, keeping the positive-frequency half.
 
-    Chirp order is preserved across frames (frame-major flattening), so column
-    c of the result is chirp c of the capture.
+    Returns complex128 bins laid out [range_bins, total_chirps]: chirp order
+    is preserved across frames (frame-major flattening), so column c is chirp
+    c of the capture. One frame is transformed at a time, so beyond the
+    result only one frame's spectrum is held.
     """
     if capture.n_frames == 0:
         raise ValueError("empty capture")
-    flat = capture.flat_chirps()
-    n = capture.config.adc_samples_per_chirp
-    spectrum = np.fft.fft(flat, axis=1)[:, : n // 2 + 1]
-    return RangeProfile(spectrum.T, range_resolution(capture.config))
+    chirps = capture.config.chirps_per_frame
+    range_bins = capture.config.adc_samples_per_chirp // 2 + 1
+    out = np.empty((capture.total_chirps, range_bins), dtype=np.complex128)
+    for index, frame in enumerate(capture.frames):
+        out[index * chirps : (index + 1) * chirps] = np.fft.fft(frame, axis=1)[:, :range_bins]
+    return out.T
 
 
-def select_target_bin(profile: RangeProfile) -> int:
+def select_target_bin(profile: np.ndarray) -> int:
     """Index of the strongest range bin by mean magnitude, DC excluded.
 
+    The profile is laid out [range_bins, chirps], as range_fft returns it.
     Ties break toward the lower index.
     """
-    if profile.bins.size == 0:
+    if profile.size == 0:
         raise ValueError("no target")
-    mean_mag = np.abs(profile.bins).mean(axis=1)
+    mean_mag = np.abs(profile).mean(axis=1)
     mean_mag[0] = 0.0
     if np.max(mean_mag) <= 0.0:
         raise ValueError("no target")
     return int(np.argmax(mean_mag))
 
 
-def extract_phase_series(profile: RangeProfile, bin_index: int) -> np.ndarray:
+def extract_phase_series(profile: np.ndarray, bin_index: int) -> np.ndarray:
     """Unwrapped per-chirp phase of one range bin, radians at the chirp rate."""
-    if not 0 <= bin_index < profile.range_bins:
-        raise ValueError(f"bin index {bin_index} outside [0, {profile.range_bins})")
-    return unwrap_phase(np.angle(profile.bins[bin_index]))
+    if not 0 <= bin_index < profile.shape[0]:
+        raise ValueError(f"bin index {bin_index} outside [0, {profile.shape[0]})")
+    return unwrap_phase(np.angle(profile[bin_index]))
 
 
-def phase_to_displacement(
-    delta_phi: np.ndarray, wavelength: float, remove_mean: bool = True
-) -> np.ndarray:
-    """Convert phase variation to displacement: d = wavelength * phi / (4 pi).
+def phase_to_displacement(delta_phi: np.ndarray, wavelength: float) -> np.ndarray:
+    """Convert phase variation to zero-mean displacement: d = wavelength * phi / (4 pi).
 
-    The pipeline removes the series mean first, since the absolute range
-    offset carries no vibration; pass remove_mean=False for the raw identity.
+    The series mean is removed first, since the absolute range offset carries
+    no vibration.
     """
     if not np.isfinite(wavelength) or wavelength <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
     phi = np.asarray(delta_phi, dtype=np.float64)
-    if remove_mean and phi.size:
+    if phi.size:
         phi = phi - phi.mean()
     return wavelength * phi / (4.0 * np.pi)
 
 
-def remove_beginning_outlier(
-    trace: VibrationTrace, guard_window: int = DEFAULT_GUARD_WINDOW
-) -> VibrationTrace:
+def remove_beginning_outlier(trace: VibrationTrace, guard_window: int) -> VibrationTrace:
     """Replace capture-start spikes breaking the 3-sigma rule with the global mean.
 
     The rule covers the first guard_window samples; statistics come from the

@@ -1,11 +1,10 @@
 """Command-line surface: config parsing and the five subcommands."""
 
-import copy
 import csv
 import json
 import re
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import pytest
 
 import mmvib.vib_extract
 from mmvib import AudioBuffer, extract_vibration, load_capture, locate_target, read_wav, write_wav
-from mmvib.cli import MATERIAL_PRESETS, SWEEP_PARAMETERS, load_config, main
+from mmvib.cli import MATERIAL_PRESETS, SWEEP_PARAMETERS, PipelineConfig, load_config, main
 from speechgen import make_speech_clip
 
 
@@ -66,6 +65,25 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_config(p)
 
+    # INI inputs the parser or the int cast rejects; each message names the
+    # file or the key at fault.
+    @pytest.mark.parametrize("text, named", [
+        ("[chirp]\nchirps_per_frame = 1e400\n", "[chirp] chirps_per_frame"),
+        ("[chirp]\nchirps_per_frame = 3\nchirps_per_frame = 4\n", "'chirps_per_frame'"),
+        ("chirps_per_frame = 3\n", "cfg.ini"),
+        ("[scene]\n[scene]\n", "cfg.ini"),
+        ("[scene]\nrange_m\n", "cfg.ini"),
+        ("[scene]\nrange_m = 5%\n", "[scene] range_m"),
+    ], ids=["overflow", "duplicate_key", "no_header", "duplicate_section", "no_value", "percent"])
+    def test_malformed_file_exits_2_with_one_line(self, text, named, tmp_path, capsys):
+        p = tmp_path / "cfg.ini"
+        p.write_text(text)
+        assert main(["simulate", "--config", str(p), "--audio", "in.wav", "--out", "c.bin"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+        assert named in err
+
     # Every accepted key, set to a valid non-default value, and where it lands.
     @pytest.mark.parametrize("section, key, text, attribute, value", [
         ("chirp", "carrier_freq", "61e9", "chirp.carrier_freq", 61e9),
@@ -94,13 +112,13 @@ class TestLoadConfig:
         monkeypatch.delenv("MMVIB_SEED", raising=False)
         p = tmp_path / "cfg.ini"
         p.write_text(f"[{section}]\n{key} = {text}\n")
-        expected = copy.deepcopy(load_config(None))
+        defaults = load_config(None)
         *path, name = attribute.split(".")
-        owner = expected
-        for part in path:
-            owner = getattr(owner, part)
+        owner = attrgetter(*path)(defaults) if path else defaults
         assert getattr(owner, name) != value
-        setattr(owner, name, value)
+        expected = replace(owner, **{name: value})
+        if path:
+            expected = replace(defaults, **{path[0]: expected})
         cfg = load_config(p)
         assert cfg == expected
         assert type(attrgetter(attribute)(cfg)) is type(value)
@@ -150,6 +168,14 @@ class TestLoadConfig:
         cfg = load_config(p)
         assert cfg.material.mass == pytest.approx(1e-4)
         assert cfg.material.stiffness == pytest.approx(5e4)
+
+    def test_material_presets_are_shared_read_only(self):
+        # a default config holds the preset object itself
+        mass = MATERIAL_PRESETS["pet"].mass
+        with pytest.raises(FrozenInstanceError):
+            PipelineConfig().material.mass = 1.0
+        assert MATERIAL_PRESETS["pet"].mass == mass
+        assert load_config(None).material.mass == mass
 
 
 class TestSimulate:

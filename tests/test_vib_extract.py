@@ -1,5 +1,7 @@
 """Range-FFT profiling, target selection, phase recovery, and outlier cleanup."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from conftest import make_tone_capture, make_tone_trace
 from mmvib import (
     ChirpConfig,
     IFCapture,
-    RangeProfile,
     VibrationTrace,
     extract_phase_series,
     extract_vibration,
@@ -40,19 +41,16 @@ class TestRangeFft:
     def test_target_bin_forty(self, chirp_cfg):
         bin_size = range_resolution(chirp_cfg)
         cap = make_tone_capture(chirp_cfg, 500.0, range_m=40 * bin_size, duration_s=0.096)
-        profile = range_fft(cap)
-        mean_mag = np.abs(profile.bins).mean(axis=1)
+        mean_mag = np.abs(range_fft(cap)).mean(axis=1)
         assert int(mean_mag.argmax()) == 40
-        assert profile.bin_size_m == pytest.approx(bin_size)
 
     def test_profile_shape(self, chirp_cfg):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        profile = range_fft(cap)
-        assert profile.bins.shape == (129, cap.total_chirps)
+        assert range_fft(cap).shape == (129, cap.total_chirps)
 
     def test_zero_capture_zero_profile(self, chirp_cfg):
         cap = IFCapture(np.zeros((2, 256, 256), dtype=np.complex64), chirp_cfg)
-        assert np.all(range_fft(cap).bins == 0)
+        assert np.all(range_fft(cap) == 0)
 
     def test_global_rotation_invariant_magnitude(self, chirp_cfg):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
@@ -60,8 +58,27 @@ class TestRangeFft:
             (cap.frames * np.exp(0.7j)).astype(np.complex64), chirp_cfg
         )
         np.testing.assert_allclose(
-            np.abs(range_fft(rotated).bins), np.abs(range_fft(cap).bins), rtol=1e-4
+            np.abs(range_fft(rotated)), np.abs(range_fft(cap)), rtol=1e-4
         )
+
+    def test_matches_whole_capture_fft(self, chirp_cfg):
+        # frame by frame gives exactly the one-call FFT of every chirp
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096, noise_floor_db=-20.0)
+        reference = np.fft.fft(cap.flat_chirps(), axis=1)[:, :129].T.astype(np.complex128)
+        np.testing.assert_array_equal(range_fft(cap), reference)
+
+    def test_peak_memory_near_one_capture(self, chirp_cfg):
+        # the complex128 half spectrum is as large as the complex64 capture;
+        # one frame at a time adds only one frame's spectrum on top of it
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.512)
+        tracemalloc.start()
+        try:
+            profile = range_fft(cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.shape == (129, cap.total_chirps)
+        assert peak < 1.5 * cap.frames.nbytes
 
 
 class TestSelectTargetBin:
@@ -74,17 +91,17 @@ class TestSelectTargetBin:
         bins = np.zeros((32, 4), dtype=complex)
         bins[10] = 1.0
         bins[20] = 1.0
-        assert select_target_bin(RangeProfile(bins, 0.0375)) == 10
+        assert select_target_bin(bins) == 10
 
     def test_dc_excluded(self):
         bins = np.zeros((32, 4), dtype=complex)
         bins[0] = 100.0
         bins[7] = 1.0
-        assert select_target_bin(RangeProfile(bins, 0.0375)) == 7
+        assert select_target_bin(bins) == 7
 
     def test_no_target(self):
         with pytest.raises(ValueError, match="no target"):
-            select_target_bin(RangeProfile(np.zeros((32, 4), dtype=complex), 0.0375))
+            select_target_bin(np.zeros((32, 4), dtype=complex))
 
 
 class TestPhaseSeries:
@@ -112,8 +129,10 @@ class TestPhaseSeries:
 
 class TestPhaseToDisplacement:
     def test_formula_identity(self):
-        out = phase_to_displacement(np.array([4.0 * np.pi]), 5e-3, remove_mean=False)
-        assert out[0] == pytest.approx(5e-3)
+        # the mean shifts every sample alike, so a difference of two samples
+        # follows d = wavelength * phi / (4 pi) exactly
+        out = phase_to_displacement(np.array([0.0, 4.0 * np.pi]), 5e-3)
+        assert out[1] - out[0] == pytest.approx(5e-3)
 
     def test_zero_phase(self):
         assert np.all(phase_to_displacement(np.zeros(8), 5e-3) == 0)
@@ -156,7 +175,7 @@ class TestBeginningOutlier:
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            remove_beginning_outlier(VibrationTrace(np.zeros(2), 8000.0))
+            remove_beginning_outlier(VibrationTrace(np.zeros(2), 8000.0), 256)
 
 
 class TestPeriodicOutliers:
