@@ -120,8 +120,10 @@ def load_config(path=None) -> PipelineConfig:
     """
     values: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     if path is not None:
-        # interpolation off: a '%' in a value is reported as a bad number
-        parser = configparser.ConfigParser(interpolation=None)
+        # interpolation off: a '%' in a value is reported as a bad number.
+        # No section header can hold a newline, so the parser's defaults
+        # section is unreachable and [DEFAULT] is checked like any section.
+        parser = configparser.ConfigParser(interpolation=None, default_section="\n")
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 parser.read_file(fh)
@@ -194,11 +196,9 @@ def _simulate_capture(config: PipelineConfig, audio: AudioBuffer, seed_key) -> I
         noise_floor_db=config.noise_floor_db,
         seed=sim_seed,
     )
-    if config.beginning_sigma > 0 or config.periodic_sigma > 0:
-        capture = inject_artifacts(
-            capture, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
-        )
-    return capture
+    return inject_artifacts(
+        capture, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
+    )
 
 
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> int:

@@ -313,32 +313,34 @@ def inject_artifacts(
     periodic_magnitude_sigma: float,
     seed=0,
 ) -> IFCapture:
-    """Stamp capture-start and frame-start phase spikes onto a copy of the capture.
+    """Stamp capture-start and frame-start phase spikes onto the capture, in place.
 
     Magnitudes are multiples of the standard deviation of the clean capture's
-    target-bin phase, as found by the extraction core. A spike rotates every
-    sample of the affected chirp, so it lands directly on the extracted phase
-    series. Each spike gets a small seeded magnitude jitter and is recorded in
-    the artifact log. With both magnitudes zero the capture is returned
-    untouched.
+    target-bin phase, as found by the extraction core before any stamping. A
+    spike rotates every sample of chirp 0 of the affected frame, so it lands
+    directly on the extracted phase series; no other sample changes. Each
+    spike gets a small seeded magnitude jitter and is recorded in the artifact
+    log, which replaces the capture's log. Returns the same capture object, so
+    a caller that needs the clean capture afterwards passes a copy. With both
+    magnitudes zero no sample changes and the log is emptied.
     """
     if beginning_magnitude_sigma < 0 or periodic_magnitude_sigma < 0:
         raise ValueError("artifact magnitudes must be >= 0")
+    log: list[ArtifactEvent] = []
     if beginning_magnitude_sigma == 0 and periodic_magnitude_sigma == 0:
-        return IFCapture(capture.frames.copy(), capture.config, [])
+        capture.artifact_log = log
+        return capture
 
     # vib_extract imports this module, so the extraction core is imported here
     from .vib_extract import locate_target
 
     sigma = float(locate_target(capture)[1].std())
-    frames = capture.frames.copy()
-    log: list[ArtifactEvent] = []
     rng = np.random.default_rng(seed)
 
     def stamp(kind: str, frame: int, sigma_multiple: float) -> None:
         jitter = rng.uniform(0.75, 1.25)
         theta = sigma_multiple * sigma * jitter
-        frames[frame, 0, :] *= np.exp(1j * theta).astype(np.complex64)
+        capture.frames[frame, 0, :] *= np.exp(1j * theta).astype(np.complex64)
         log.append(ArtifactEvent(kind, frame, 0, float(theta)))
 
     if beginning_magnitude_sigma > 0:
@@ -346,7 +348,8 @@ def inject_artifacts(
     if periodic_magnitude_sigma > 0:
         for f in range(capture.n_frames):
             stamp("periodic", f, periodic_magnitude_sigma)
-    return IFCapture(frames, capture.config, log)
+    capture.artifact_log = log
+    return capture
 
 
 def save_capture(capture: IFCapture, path, seed: int | None = None) -> None:
@@ -365,7 +368,7 @@ def save_capture(capture: IFCapture, path, seed: int | None = None) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(capture.frames, dtype=np.complex64).tobytes())
+        capture.frames.tofile(fh)
     sidecar = {
         "seed": seed,
         "artifact_log": [event.to_dict() for event in capture.artifact_log],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,12 +83,14 @@ def stft(audio: AudioBuffer, window_len: int, hop: int) -> np.ndarray:
     return np.fft.rfft(windowed, axis=1).T
 
 
+@functools.lru_cache(maxsize=64)
 def mel_filterbank(
     n_mels: int, window_len: int, sample_rate: float, fmin: float = 0.0
 ) -> np.ndarray:
     """Triangular mel filterbank from fmin to Nyquist, [n_mels, window_len // 2 + 1].
 
-    Each filter peaks at weight 1.
+    Each filter peaks at weight 1. Banks are cached per argument tuple and
+    every caller shares one read-only array.
     """
     fmax = sample_rate / 2.0
     n_bins = window_len // 2 + 1
@@ -103,7 +106,9 @@ def mel_filterbank(
     hi = hz_pts[2:, None]
     rise = (freqs[None, :] - lo) / np.maximum(ctr - lo, 1e-12)
     fall = (hi - freqs[None, :]) / np.maximum(hi - ctr, 1e-12)
-    return np.clip(np.minimum(rise, fall), 0.0, None)
+    bank = np.clip(np.minimum(rise, fall), 0.0, None)
+    bank.flags.writeable = False
+    return bank
 
 
 def mel_spectrogram(audio: AudioBuffer, n_mels: int, window_len: int) -> np.ndarray:

@@ -17,6 +17,9 @@ def range_fft(capture: IFCapture) -> np.ndarray:
     is preserved across frames (frame-major flattening), so column c is chirp
     c of the capture. One frame is transformed at a time, so beyond the
     result only one frame's spectrum is held.
+
+    This is the reference definition of the range profile; locate_target,
+    which the pipeline runs, reads the target bin without building it.
     """
     if capture.n_frames == 0:
         raise ValueError("empty capture")
@@ -36,11 +39,15 @@ def select_target_bin(profile: np.ndarray) -> int:
     """
     if profile.size == 0:
         raise ValueError("no target")
-    mean_mag = np.abs(profile).mean(axis=1)
-    mean_mag[0] = 0.0
-    if np.max(mean_mag) <= 0.0:
+    return _strongest_bin(np.abs(profile).mean(axis=1))
+
+
+def _strongest_bin(strength: np.ndarray) -> int:
+    """Index of the largest per-bin strength with DC excluded; ties break low."""
+    rest = strength[1:]
+    if rest.size == 0 or np.max(rest) <= 0.0:
         raise ValueError("no target")
-    return int(np.argmax(mean_mag))
+    return int(np.argmax(rest)) + 1
 
 
 def extract_phase_series(profile: np.ndarray, bin_index: int) -> np.ndarray:
@@ -139,12 +146,26 @@ def remove_periodic_outliers(trace: VibrationTrace, chirps_per_frame: int) -> Vi
 def locate_target(capture: IFCapture) -> tuple[int, np.ndarray]:
     """Strongest range bin of the capture and its unwrapped per-chirp phase.
 
-    The one place that decides which bin carries the vibration; the range FFT
-    runs once per call.
+    The one place that decides which bin carries the vibration. The bin
+    search streams the capture one frame at a time, summing each bin's
+    magnitude; only the winning bin is then demodulated, with a single-bin
+    DFT (a dot product of every chirp with one complex exponential). Beyond
+    the capture it holds one frame's spectrum and one sample per chirp. It
+    picks the bin select_target_bin picks on range_fft's profile, and the
+    phase of extract_phase_series up to float32 rounding.
     """
-    profile = range_fft(capture)
-    target = select_target_bin(profile)
-    return target, extract_phase_series(profile, target)
+    if capture.n_frames == 0:
+        raise ValueError("empty capture")
+    adc = capture.config.adc_samples_per_chirp
+    range_bins = adc // 2 + 1
+    strength = np.zeros(range_bins)
+    for frame in capture.frames:
+        spectrum = np.fft.fft(frame, axis=1)[:, :range_bins]
+        strength += np.abs(spectrum).sum(axis=0, dtype=np.float32)
+    target = _strongest_bin(strength)
+    kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
+    column = (capture.frames @ kernel).reshape(-1).astype(np.complex128)
+    return target, unwrap_phase(np.angle(column))
 
 
 def trace_from_phase(

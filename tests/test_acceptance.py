@@ -32,6 +32,7 @@ from speechgen import make_speech_clip
 from mmvib import (
     AudioBuffer,
     ChirpConfig,
+    IFCapture,
     SurfaceMaterial,
     SynthesisConfig,
     extract_vibration,
@@ -129,7 +130,8 @@ def test_criterion_03_preprocessing_efficacy():
     t0 = time.perf_counter()
     cfg = ChirpConfig()
     clean_capture = make_tone_capture(cfg, 500.0, duration_s=0.96, seed=3)
-    art_capture = inject_artifacts(clean_capture, 10.0, 6.0, seed=4)
+    # artifacts are stamped in place; the clean capture is scored below too
+    art_capture = inject_artifacts(IFCapture(clean_capture.frames.copy(), cfg), 10.0, 6.0, seed=4)
 
     raw = extract_vibration(art_capture, preprocess=False)
     cleaned = extract_vibration(art_capture, preprocess=True)

@@ -84,6 +84,21 @@ class TestLoadConfig:
         assert "Traceback" not in err
         assert named in err
 
+    # An INI [DEFAULT] section is a section like any other, with or without
+    # others beside it.
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 3\n",
+        "[DEFAULT]\nseed = 3\n[chirp]\nchirps_per_frame = 256\n",
+    ], ids=["alone", "with_chirp"])
+    def test_default_section_exits_2_with_one_line(self, text, tmp_path, capsys):
+        p = tmp_path / "cfg.ini"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="^config section \\[DEFAULT\\] is not recognized$"):
+            load_config(p)
+        assert main(["simulate", "--config", str(p), "--audio", "in.wav", "--out", "c.bin"]) == 2
+        err = capsys.readouterr().err
+        assert err == "simulate failed: config section [DEFAULT] is not recognized\n"
+
     # Every accepted key, set to a valid non-default value, and where it lands.
     @pytest.mark.parametrize("section, key, text, attribute, value", [
         ("chirp", "carrier_freq", "61e9", "chirp.carrier_freq", 61e9),
@@ -278,24 +293,36 @@ class TestExtract:
         sidecar = json.loads((tmp_path / "rec.wav.json").read_text())
         assert sidecar["target_bin"] == locate_target(capture)[0]
 
-    def test_range_fft_runs_once_per_command(self, tmp_path, monkeypatch):
-        calls = []
-        original = mmvib.vib_extract.range_fft
+    def test_locate_target_runs_once_per_command(self, tmp_path, monkeypatch):
+        located = []
+        profiled = []
+        originals = {
+            "locate_target": (mmvib.vib_extract.locate_target, located),
+            "range_fft": (mmvib.vib_extract.range_fft, profiled),
+        }
 
-        def counting(capture):
-            calls.append(capture.n_frames)
-            return original(capture)
+        def counting(original, calls):
+            def counted(capture):
+                calls.append(capture.n_frames)
+                return original(capture)
 
-        # rebind every module-level reference, so a second import of it is counted too
+            return counted
+
+        # rebind every module-level reference, so a second import of one is counted too
         for name, module in list(sys.modules.items()):
-            if name.startswith("mmvib") and vars(module).get("range_fft") is original:
-                monkeypatch.setattr(module, "range_fft", counting)
+            if not name.startswith("mmvib"):
+                continue
+            for attr, (original, calls) in originals.items():
+                if vars(module).get(attr) is original:
+                    monkeypatch.setattr(module, attr, counting(original, calls))
         wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
         cap = tmp_path / "cap.bin"
         assert main(["simulate", "--audio", str(wav), "--out", str(cap)]) == 0
-        assert len(calls) == 1
+        assert len(located) == 1
         assert main(["extract", "--capture", str(cap), "--out", str(tmp_path / "x.wav")]) == 0
-        assert len(calls) == 2
+        assert len(located) == 2
+        # the full range profile stays off the pipeline
+        assert profiled == []
 
 
 class TestSynth:

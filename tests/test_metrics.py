@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmvib.metrics
+import mmvib.signal_core
 from mmvib import (
     AudioBuffer,
     SynthesisConfig,
     fwsegsnr,
     mag_l1,
     mcd,
+    mel_filterbank,
     mel_loss,
     score_pair,
     stft,
@@ -238,3 +241,21 @@ class TestScorePair:
         clip = make_speech_clip(21)
         d = score_pair(clip, clip).to_dict()
         assert set(d) == {"fwsegsnr", "stoi", "mcd", "mel_loss", "mag_l1", "wer", "cer"}
+
+    def test_filterbanks_built_once_across_calls(self, monkeypatch):
+        clip = make_speech_clip(2, duration=1.0)
+        deg = degrade(clip, 0.1, 0.05, seed=2)
+        mel_filterbank.cache_clear()
+        first = score_pair(clip, deg)
+        built = mel_filterbank.cache_info()
+        second = score_pair(clip, deg)
+        again = mel_filterbank.cache_info()
+        # each distinct bank is built once; every call of the second pair hits
+        assert built.misses == built.currsize > 0
+        assert again.misses == built.misses
+        assert again.hits - built.hits == built.hits + built.misses
+        assert second == first
+        # the same report with every bank built afresh
+        for module in (mmvib.signal_core, mmvib.metrics):
+            monkeypatch.setattr(module, "mel_filterbank", mel_filterbank.__wrapped__)
+        assert score_pair(clip, deg) == first

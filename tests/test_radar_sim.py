@@ -231,7 +231,7 @@ class TestArtifacts:
         from mmvib import extract_vibration
 
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.96, noise_floor_db=-80.0)
-        spiked = inject_artifacts(cap, 0.0, 6.0, seed=1)
+        spiked = inject_artifacts(IFCapture(cap.frames.copy(), chirp_cfg), 0.0, 6.0, seed=1)
         clean = extract_vibration(cap, preprocess=False)
         dirty = extract_vibration(spiked, preprocess=False)
         # frame rate 31.25 Hz -> bin spacing 30 in a 7680-sample transform
@@ -244,18 +244,37 @@ class TestArtifacts:
 
     def test_magnitudes_are_multiples_of_clean_phase_std(self, chirp_cfg):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.32)
-        out = inject_artifacts(cap, 10.0, 6.0, seed=7)
         sigma = locate_target(cap)[1].std()
+        out = inject_artifacts(cap, 10.0, 6.0, seed=7)
         rng = np.random.default_rng(7)
         multiples = [10.0] + [6.0] * cap.n_frames
         expected = [m * sigma * rng.uniform(0.75, 1.25) for m in multiples]
         assert [e.magnitude_rad for e in out.artifact_log] == expected
 
-    def test_input_capture_unmodified(self, chirp_cfg):
+    def test_stamps_in_place(self, chirp_cfg):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        before = cap.frames.copy()
-        inject_artifacts(cap, 10.0, 6.0, seed=0)
-        assert np.array_equal(cap.frames, before)
+        frames = cap.frames
+        before = frames.copy()
+        out = inject_artifacts(cap, 10.0, 6.0, seed=0)
+        assert out is cap and out.frames is frames
+        changed = np.argwhere(np.any(frames != before, axis=2))
+        assert {tuple(fc) for fc in changed} == {(f, 0) for f in range(cap.n_frames)}
+        expected = before.copy()
+        for event in out.artifact_log:
+            expected[event.frame, event.chirp] *= np.exp(1j * event.magnitude_rad).astype(np.complex64)
+        assert np.array_equal(frames, expected)
+
+    def test_peak_memory_below_a_tenth_of_the_capture(self, chirp_cfg):
+        # stamping in place holds no second capture
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=2.048)
+        assert cap.n_frames >= 32
+        tracemalloc.start()
+        try:
+            inject_artifacts(cap, 10.0, 6.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * cap.frames.nbytes
 
 
 class TestCaptureIO:
@@ -270,6 +289,27 @@ class TestCaptureIO:
         assert [e.to_dict() for e in loaded.artifact_log] == [
             e.to_dict() for e in cap.artifact_log
         ]
+
+    def test_save_writes_header_then_frames(self, chirp_cfg, tmp_path):
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+        path = tmp_path / "cap.bin"
+        save_capture(cap, path)
+        data = path.read_bytes()
+        assert data[:8] == b"MMVIBCP1"
+        assert data[-cap.frames.nbytes:] == cap.frames.tobytes()
+        assert len(data) == 8 + 4 * 8 + 4 * 4 + cap.frames.nbytes
+
+    def test_save_peak_memory_below_a_tenth_of_the_capture(self, chirp_cfg, tmp_path):
+        # the frames go to the file as they are, with no bytes copy
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=2.048)
+        assert cap.n_frames >= 32
+        tracemalloc.start()
+        try:
+            save_capture(cap, tmp_path / "cap.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * cap.frames.nbytes
 
     def test_corrupt_magic(self, chirp_cfg, tmp_path):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)

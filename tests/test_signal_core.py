@@ -163,6 +163,13 @@ class TestMel:
         assert np.all(bank >= 0)
         assert bank.max() <= 1.0 + 1e-12
 
+    def test_filterbank_shared_read_only(self):
+        bank = mel_filterbank(26, 256, 8000.0)
+        assert mel_filterbank(26, 256, 8000.0) is bank
+        np.testing.assert_array_equal(bank, mel_filterbank.__wrapped__(26, 256, 8000.0))
+        with pytest.raises(ValueError, match="read-only"):
+            bank[0, 0] = 2.0
+
     def test_over_resolved(self):
         with pytest.raises(ValueError, match="over-resolved filterbank"):
             mel_filterbank(200, 64, 8000.0)

@@ -1,6 +1,7 @@
 """Range-FFT profiling, target selection, phase recovery, and outlier cleanup."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,18 +13,24 @@ from mmvib import (
     ChirpConfig,
     IFCapture,
     VibrationTrace,
+    displacement_from_audio,
     extract_phase_series,
     extract_vibration,
     inject_artifacts,
+    locate_target,
     phase_to_displacement,
     range_fft,
     range_resolution,
     remove_beginning_outlier,
     remove_periodic_outliers,
+    resample,
     select_target_bin,
     simulate_if_frames,
+    zscore_normalize,
 )
+from mmvib.cli import PipelineConfig
 from oracles import oracle_remove_periodic_outliers
+from speechgen import make_speech_clip
 
 
 def synthetic_capture(cfg: ChirpConfig, phases: np.ndarray, beat_bin: int = 20) -> IFCapture:
@@ -125,6 +132,76 @@ class TestPhaseSeries:
         profile = range_fft(cap)
         with pytest.raises(ValueError):
             extract_phase_series(profile, 500)
+
+
+def frame_scaled_config(chirps_per_frame: int) -> ChirpConfig:
+    """Default waveform at another chirp count, duty cycle kept (as the sweep does)."""
+    base = ChirpConfig()
+    duty = base.chirps_per_frame * base.chirp_duration / base.frame_period
+    return replace(
+        base,
+        chirps_per_frame=chirps_per_frame,
+        chirp_duration=duty * base.frame_period / chirps_per_frame,
+    )
+
+
+def reference_target(capture: IFCapture) -> tuple[int, np.ndarray]:
+    """Target bin and phase by way of the full range profile."""
+    profile = range_fft(capture)
+    target = select_target_bin(profile)
+    return target, extract_phase_series(profile, target)
+
+
+# float32 sums and a complex64 dot product against the complex128 profile
+LOCATE_PHASE_ATOL = 1e-6
+
+
+class TestLocateTarget:
+    @pytest.mark.parametrize("chirps_per_frame", [256, 512, 1024])
+    def test_tone_matches_reference(self, chirps_per_frame):
+        cfg = frame_scaled_config(chirps_per_frame)
+        cap = make_tone_capture(cfg, 500.0, duration_s=0.192, noise_floor_db=-40.0)
+        target, phase = locate_target(cap)
+        want_bin, want_phase = reference_target(cap)
+        assert target == want_bin
+        assert phase.dtype == np.float64 and phase.shape == want_phase.shape
+        assert np.abs(phase - want_phase).max() <= LOCATE_PHASE_ATOL
+
+    def test_speech_capture_matches_reference(self):
+        # the simulate command's scene at defaults, without artifacts
+        config = PipelineConfig()
+        rate = config.chirp.effective_sampling_rate
+        forcing = zscore_normalize(resample(make_speech_clip(5, duration=3.0), rate))
+        vib = displacement_from_audio(forcing, config.material, config.force_scale)
+        cap = simulate_if_frames(
+            config.chirp, vib, config.range_m, reflectivity=config.material.reflectivity, seed=5
+        )
+        target, phase = locate_target(cap)
+        want_bin, want_phase = reference_target(cap)
+        assert target == want_bin
+        assert np.abs(phase - want_phase).max() <= LOCATE_PHASE_ATOL
+
+    def test_empty_capture(self, chirp_cfg):
+        cap = IFCapture(np.zeros((0, 256, 256), dtype=np.complex64), chirp_cfg)
+        with pytest.raises(ValueError, match="empty capture"):
+            locate_target(cap)
+
+    def test_dc_only_is_no_target(self, chirp_cfg):
+        cap = IFCapture(np.ones((1, 256, 256), dtype=np.complex64), chirp_cfg)
+        with pytest.raises(ValueError, match="no target"):
+            locate_target(cap)
+
+    def test_peak_memory_below_a_tenth_of_the_capture(self, chirp_cfg):
+        # one frame's spectrum and one sample per chirp, never a profile
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=2.048)
+        assert cap.n_frames >= 32
+        tracemalloc.start()
+        try:
+            locate_target(cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * cap.frames.nbytes
 
 
 class TestPhaseToDisplacement:
