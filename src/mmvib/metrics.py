@@ -12,7 +12,6 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 from .audio_io import resample
 from .signal_core import (
@@ -39,6 +38,12 @@ MCD_COEFFS = 13
 # Floor on mel energies before the log. Kept tiny so that pure gain changes
 # never cross it and break the c0-only scaling property.
 MCD_LOG_FLOOR = 1e-30
+# orthonormal DCT-II over the MCD bands, as scipy.fft.dct(norm="ortho"): row k
+# is the k-th basis cosine, so cepstra = log_energies @ _MCD_DCT.T
+_MCD_DCT = np.sqrt(2.0 / MCD_BANDS) * np.cos(
+    np.pi * np.outer(np.arange(MCD_BANDS), np.arange(MCD_BANDS) + 0.5) / MCD_BANDS
+)
+_MCD_DCT[0] = np.sqrt(1.0 / MCD_BANDS)
 
 MEL_LOG_FLOOR = 1e-5
 
@@ -190,8 +195,7 @@ def _mfcc(x: np.ndarray, fs: float) -> np.ndarray:
     mag, window_len = _framed_magnitudes(x, fs)
     bank = mel_filterbank(MCD_BANDS, window_len, fs)
     energies = np.maximum((mag**2) @ bank.T, MCD_LOG_FLOOR)
-    cepstra = dct(np.log(energies), type=2, norm="ortho", axis=1)
-    return cepstra[:, 1 : MCD_COEFFS + 1]
+    return np.log(energies) @ _MCD_DCT[1 : MCD_COEFFS + 1].T
 
 
 def mcd(ref: AudioBuffer, deg: AudioBuffer) -> float:

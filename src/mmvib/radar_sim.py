@@ -184,10 +184,6 @@ class IFCapture:
     def total_chirps(self) -> int:
         return self.frames.shape[0] * self.frames.shape[1]
 
-    def flat_chirps(self) -> np.ndarray:
-        """All chirps in capture order, [total_chirps, adc_samples]."""
-        return self.frames.reshape(self.total_chirps, self.config.adc_samples_per_chirp)
-
 
 def range_resolution(cfg: ChirpConfig) -> float:
     """Range bin size in meters: c / (2 * swept bandwidth)."""
@@ -389,10 +385,10 @@ def load_capture(path) -> IFCapture:
     with open(path, "rb") as fh:
         header = fh.read(_CAPTURE_HEADER.size)
         if len(header) < _CAPTURE_HEADER.size:
-            raise ValueError("truncated capture file")
+            raise ValueError(f"truncated capture file: {path}")
         magic, carrier, slope, duration, period, adc, cpf, n_frames, _ = _CAPTURE_HEADER.unpack(header)
         if magic != _CAPTURE_MAGIC:
-            raise ValueError("not a capture file: bad magic")
+            raise ValueError(f"not a capture file, bad magic: {path}")
         cfg = ChirpConfig(
             carrier_freq=carrier,
             slope=slope,
@@ -403,7 +399,7 @@ def load_capture(path) -> IFCapture:
         )
         count = int(n_frames) * cfg.chirps_per_frame * cfg.adc_samples_per_chirp
         if os.fstat(fh.fileno()).st_size != _CAPTURE_HEADER.size + count * 8:
-            raise ValueError("truncated capture file")
+            raise ValueError(f"truncated capture file: {path}")
         frames = np.fromfile(fh, dtype=np.complex64, count=count).reshape(
             int(n_frames), cfg.chirps_per_frame, cfg.adc_samples_per_chirp
         )

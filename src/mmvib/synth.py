@@ -138,7 +138,7 @@ def build_dataset(
             }
         )
     if failures == len(entries):
-        raise RuntimeError("all manifest entries failed")
+        raise RuntimeError(f"all manifest entries failed, first: {rows[0]['error']}")
 
     manifest_out = out_dir / "manifest.jsonl"
     with open(manifest_out, "w", encoding="utf-8") as fh:

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from operator import attrgetter
@@ -14,6 +16,7 @@ import pytest
 import mmvib.vib_extract
 from mmvib import AudioBuffer, extract_vibration, load_capture, locate_target, read_wav, write_wav
 from mmvib.cli import MATERIAL_PRESETS, SWEEP_PARAMETERS, PipelineConfig, load_config, main
+from oracles import riff_chunk, riff_wav, wav_fmt
 from speechgen import make_speech_clip
 
 
@@ -435,6 +438,74 @@ class TestScore:
             "ref_path": str(tmp_path / "a.wav"), "deg_path": str(tmp_path / "b.wav")}) + "\n")
         assert main(["score", "--manifest", str(manifest),
                      "--report", str(tmp_path / "r.json")]) != 0
+
+
+_SILENT_DATA = riff_chunk(b"data", b"\0" * 64)
+# case -> malformed file bytes, given the bytes of a good float32 file
+_MALFORMED_WAVS = {
+    "truncated_header": lambda good: good[:30],
+    "truncated_data": lambda good: good[:-3],
+    "not_riff": lambda good: b"OggS" + good[4:],
+    "no_fmt_chunk": lambda good: riff_wav(_SILENT_DATA),
+    "no_data_chunk": lambda good: riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16))),
+    "adpcm_tag": lambda good: riff_wav(riff_chunk(b"fmt ", wav_fmt(2, 16)), _SILENT_DATA),
+    "pcm_12_bit": lambda good: riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 12)), _SILENT_DATA),
+    "float_16_bit": lambda good: riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 16)), _SILENT_DATA),
+}
+
+
+@pytest.fixture(params=sorted(_MALFORMED_WAVS))
+def malformed_wav(request, tmp_path):
+    good = make_tone_wav(tmp_path / "good.wav", duration=0.5).read_bytes()
+    path = tmp_path / f"{request.param}.wav"
+    path.write_bytes(_MALFORMED_WAVS[request.param](good))
+    return path
+
+
+class TestMalformedWav:
+    def test_simulate_one_line_naming_the_file(self, malformed_wav, tmp_path, capsys):
+        assert main(["simulate", "--audio", str(malformed_wav),
+                     "--out", str(tmp_path / "cap.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(malformed_wav) in err
+        assert "Traceback" not in err
+
+    def test_score_row_gets_an_error(self, malformed_wav, tmp_path):
+        good = make_tone_wav(tmp_path / "ref.wav", duration=1.0)
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in (
+            {"ref_path": str(good), "deg_path": str(good)},
+            {"ref_path": str(good), "deg_path": str(malformed_wav)},
+        )))
+        report_path = tmp_path / "report.json"
+        assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 0
+        pairs = json.loads(report_path.read_text())["pairs"]
+        assert "error" not in pairs[0]
+        assert str(malformed_wav) in pairs[1]["error"]
+
+    def test_synth_exits_1_naming_the_file(self, malformed_wav, tmp_path, capsys):
+        manifest = tmp_path / "in.txt"
+        manifest.write_text(f"{malformed_wav}\n")
+        assert main(["synth", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "ds")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(malformed_wav) in err
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-side oracle only; every CLI call pays for what mmvib imports
+    src = Path(mmvib.vib_extract.__file__).resolve().parents[1]
+    code = "import sys, mmvib, mmvib.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 """Chirp geometry, the forced-vibration surface model, IF simulation, and artifacts."""
 
+import re
 import struct
 import tracemalloc
 
@@ -144,7 +145,7 @@ class TestSimulate:
     def test_static_target_constant_phase(self, chirp_cfg):
         vib = VibrationTrace(np.zeros(512), chirp_cfg.effective_sampling_rate)
         cap = simulate_if_frames(chirp_cfg, vib, 1.5, noise_floor_db=-120.0, seed=0)
-        spectra = np.fft.fft(cap.flat_chirps(), axis=1)
+        spectra = np.fft.fft(cap.frames.reshape(-1, chirp_cfg.adc_samples_per_chirp), axis=1)
         bins = np.abs(spectra[:, : chirp_cfg.adc_samples_per_chirp // 2 + 1])
         target = int(bins.mean(axis=0).argmax())
         phases = unwrap_phase(np.angle(spectra[:, target]))
@@ -162,7 +163,7 @@ class TestSimulate:
 
         def peak_bin(range_m):
             cap = simulate_if_frames(chirp_cfg, vib, range_m, noise_floor_db=-120.0, seed=0)
-            spec = np.abs(np.fft.fft(cap.flat_chirps(), axis=1))
+            spec = np.abs(np.fft.fft(cap.frames.reshape(-1, chirp_cfg.adc_samples_per_chirp), axis=1))
             half = spec[:, : chirp_cfg.adc_samples_per_chirp // 2 + 1]
             return int(half.mean(axis=0).argmax())
 
@@ -318,7 +319,7 @@ class TestCaptureIO:
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="bad magic"):
+        with pytest.raises(ValueError, match=f"bad magic: {re.escape(str(path))}$"):
             load_capture(path)
 
     def test_truncated_body(self, chirp_cfg, tmp_path):
@@ -326,7 +327,7 @@ class TestCaptureIO:
         path = tmp_path / "cap.bin"
         save_capture(cap, path)
         path.write_bytes(path.read_bytes()[:-100])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match=f"truncated capture file: {re.escape(str(path))}$"):
             load_capture(path)
 
     def test_over_long_body(self, chirp_cfg, tmp_path):
@@ -335,7 +336,7 @@ class TestCaptureIO:
         save_capture(cap, path)
         with open(path, "ab") as fh:
             fh.write(b"\0" * 8)
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match=f"truncated capture file: {re.escape(str(path))}$"):
             load_capture(path)
 
     def test_header_claiming_more_frames_allocates_nothing(self, chirp_cfg, tmp_path):
@@ -348,7 +349,7 @@ class TestCaptureIO:
         path.write_bytes(bytes(data))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="truncated"):
+            with pytest.raises(ValueError, match=f"truncated capture file: {re.escape(str(path))}$"):
                 load_capture(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
