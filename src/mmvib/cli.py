@@ -17,15 +17,18 @@ from .audio_io import low_pass, read_wav, resample, write_wav
 from .metrics import REQUIRED_METRICS, MetricsReport, score_pair
 from .radar_sim import (
     DEFAULT_NOISE_FLOOR_DB,
+    CaptureFile,
     ChirpConfig,
     IFCapture,
     SurfaceMaterial,
-    inject_artifacts,
-    load_capture,
-    range_resolution,
-    save_capture,
-    simulate_if_frames,
     displacement_from_audio,
+    inject_artifacts,
+    iter_if_frames,
+    range_resolution,
+    simulate_if_frames,
+    stamp_capture_file,
+    write_artifact_sidecar,
+    write_capture_frames,
 )
 from .signal_core import AudioBuffer, zscore_normalize
 from .synth import (
@@ -182,13 +185,18 @@ def _parse_section(section: str, raw: dict[str, str], defaults) -> dict:
     return parsed
 
 
-def _simulate_capture(config: PipelineConfig, audio: AudioBuffer, seed_key) -> IFCapture:
-    """Shared simulate path: resample, z-score, force the surface, capture, inject."""
+def _simulated(config: PipelineConfig, audio: AudioBuffer, seed_key, simulate):
+    """Shared simulate path: resample, z-score, force the surface, simulate.
+
+    simulate is simulate_if_frames or iter_if_frames, which take the same
+    arguments. Returns its result and the artifact seed, both spawned from
+    seed_key.
+    """
     rate = config.chirp.effective_sampling_rate
     forcing = zscore_normalize(resample(audio, rate))
     vibration = displacement_from_audio(forcing, config.material, config.force_scale)
     sim_seed, artifact_seed = np.random.SeedSequence(seed_key).spawn(2)
-    capture = simulate_if_frames(
+    simulated = simulate(
         config.chirp,
         vibration,
         config.range_m,
@@ -196,32 +204,51 @@ def _simulate_capture(config: PipelineConfig, audio: AudioBuffer, seed_key) -> I
         noise_floor_db=config.noise_floor_db,
         seed=sim_seed,
     )
+    return simulated, artifact_seed
+
+
+def _simulate_capture(config: PipelineConfig, audio: AudioBuffer, seed_key) -> IFCapture:
+    """The capture cmd_simulate writes, made in memory: simulate, then inject."""
+    capture, artifact_seed = _simulated(config, audio, seed_key, simulate_if_frames)
     return inject_artifacts(
         capture, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
     )
 
 
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> int:
-    """Simulate an IF capture from a WAV forcing signal and write the container."""
+    """Simulate an IF capture from a WAV forcing signal and write the container.
+
+    The capture is written one frame at a time as it is simulated, and the
+    artifacts are stamped into the file, so no whole capture is ever held.
+    The bytes equal save_capture(_simulate_capture(...)).
+    """
     try:
         audio = read_wav(audio_in)
         if len(audio) == 0:
             raise ValueError("audio is empty")
-        capture = _simulate_capture(config, audio, config.seed)
-        save_capture(capture, capture_out, seed=config.seed)
+        frames, artifact_seed = _simulated(config, audio, config.seed, iter_if_frames)
+        n_frames = write_capture_frames(capture_out, config.chirp, frames)
+        log = stamp_capture_file(
+            capture_out, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
+        )
+        write_artifact_sidecar(capture_out, log, seed=config.seed)
     except (OSError, ValueError) as exc:
         print(f"simulate failed: {exc}", file=sys.stderr)
         return 1
     print(f"range resolution: {range_resolution(config.chirp):.6f} m")
     print(f"vibration sampling rate: {config.chirp.effective_sampling_rate:.1f} Hz")
-    print(f"wrote {capture.n_frames} frames to {capture_out}")
+    print(f"wrote {n_frames} frames to {capture_out}")
     return 0
 
 
 def cmd_extract(capture_in, wav_out, preprocess: bool = True) -> int:
-    """Recover the vibration trace from a capture and write it as float32 WAV."""
+    """Recover the vibration trace from a capture and write it as float32 WAV.
+
+    The container is read one frame at a time; its artifact sidecar is not
+    read.
+    """
     try:
-        capture = load_capture(capture_in)
+        capture = CaptureFile(capture_in)
         target, phase = locate_target(capture)
         trace = trace_from_phase(phase, capture.config, preprocess)
         write_wav(wav_out, AudioBuffer(trace.displacement, trace.sample_rate))

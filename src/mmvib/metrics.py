@@ -239,17 +239,25 @@ def _as_chars(text) -> list[str]:
 
 
 def _edit_distance(a: list[str], b: list[str]) -> int:
-    """Levenshtein distance with unit costs, rolling single row."""
-    if len(a) < len(b):
+    """Levenshtein distance with unit costs, one numpy row per symbol of the shorter list.
+
+    Each row is first min(above + 1, diagonal + cost); insertions are then
+    folded in along the row with a running minimum of row[k] - k, plus j.
+    """
+    if len(a) > len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, sym_a in enumerate(a, start=1):
-        current = [i]
-        for j, sym_b in enumerate(b, start=1):
-            cost = 0 if sym_a == sym_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[len(b)]
+    ids: dict[str, int] = {}
+    a_ids = [ids.setdefault(sym, len(ids)) for sym in a]
+    b_ids = np.array([ids.setdefault(sym, len(ids)) for sym in b], dtype=np.int64)
+    j = np.arange(len(b) + 1)
+    row = j.copy()
+    for i, sym in enumerate(a_ids, start=1):
+        cost = b_ids != sym
+        step = np.empty_like(row)
+        step[0] = i
+        np.minimum(row[1:] + 1, row[:-1] + cost, out=step[1:])
+        row = np.minimum.accumulate(step - j) + j
+    return int(row[-1])
 
 
 def wer_cer(ref_text, hyp_text) -> tuple[float, float]:

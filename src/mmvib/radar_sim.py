@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -176,6 +177,10 @@ class IFCapture:
                 f"frame axis 2 is {samples}, config says {self.config.adc_samples_per_chirp}"
             )
 
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """The frames in order, as CaptureFile yields them from a container."""
+        return iter(self.frames)
+
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
@@ -238,15 +243,15 @@ def displacement_from_audio(
     return VibrationTrace(displacement, audio.sample_rate)
 
 
-def simulate_if_frames(
+def iter_if_frames(
     cfg: ChirpConfig,
     vibration: VibrationTrace,
     range_m: float,
     reflectivity: float = 1.0,
     noise_floor_db: float = DEFAULT_NOISE_FLOOR_DB,
     seed=0,
-) -> IFCapture:
-    """Synthesize the IF capture of a reflector at range_m with the given vibration.
+) -> Iterator[np.ndarray]:
+    """The IF capture of a reflector at range_m, one complex64 frame at a time.
 
     Parameters
     ----------
@@ -259,7 +264,9 @@ def simulate_if_frames(
 
     The per-chirp beat tone sits at f = 2 * slope * range / c and carries phase
     4 * pi * (range + displacement) / wavelength. Trailing samples that do not
-    fill a whole frame are dropped.
+    fill a whole frame are dropped. The scene is checked on the call; each
+    [chirps_per_frame, adc_samples_per_chirp] frame is made, with its own
+    noise draws, only when the iterator reaches it.
     """
     if len(vibration) == 0:
         raise ValueError("empty vibration trace")
@@ -290,17 +297,74 @@ def simulate_if_frames(
     fast_time = np.arange(cfg.adc_samples_per_chirp) / cfg.adc_sample_rate
     beat = np.exp(2j * np.pi * beat_freq * fast_time)
     noise_sigma = 10.0 ** (noise_floor_db / 20.0)
-
     cpf = cfg.chirps_per_frame
     adc = cfg.adc_samples_per_chirp
-    frames = np.empty((n_frames, cpf, adc), dtype=np.complex64)
-    for f in range(n_frames):
-        d = vibration.displacement[f * cpf : (f + 1) * cpf]
-        phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
-        chirps = reflectivity * np.exp(1j * phase)[:, None] * beat[None, :]
-        noise = rng.standard_normal((cpf, adc)) + 1j * rng.standard_normal((cpf, adc))
-        frames[f] = chirps + (noise_sigma / np.sqrt(2.0)) * noise
-    return IFCapture(frames, cfg, [])
+
+    def frames() -> Iterator[np.ndarray]:
+        for f in range(n_frames):
+            d = vibration.displacement[f * cpf : (f + 1) * cpf]
+            phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
+            chirps = reflectivity * np.exp(1j * phase)[:, None] * beat[None, :]
+            noise = rng.standard_normal((cpf, adc)) + 1j * rng.standard_normal((cpf, adc))
+            yield (chirps + (noise_sigma / np.sqrt(2.0)) * noise).astype(np.complex64)
+
+    return frames()
+
+
+def simulate_if_frames(
+    cfg: ChirpConfig,
+    vibration: VibrationTrace,
+    range_m: float,
+    reflectivity: float = 1.0,
+    noise_floor_db: float = DEFAULT_NOISE_FLOOR_DB,
+    seed=0,
+) -> IFCapture:
+    """Synthesize the IF capture of a reflector at range_m with the given vibration.
+
+    The frames of iter_if_frames, with the same arguments, held in one array.
+    """
+    frames = iter_if_frames(cfg, vibration, range_m, reflectivity, noise_floor_db, seed)
+    return IFCapture(_collect(frames, len(vibration) // cfg.chirps_per_frame, cfg), cfg, [])
+
+
+def _collect(frames: Iterable[np.ndarray], n_frames: int, cfg: ChirpConfig) -> np.ndarray:
+    """Copy a stream of n_frames frames into one [n_frames, chirps, adc] complex64 array."""
+    out = np.empty((n_frames, cfg.chirps_per_frame, cfg.adc_samples_per_chirp), dtype=np.complex64)
+    for index, frame in enumerate(frames):
+        out[index] = frame
+    return out
+
+
+def _artifact_log(
+    capture, beginning_magnitude_sigma: float, periodic_magnitude_sigma: float, seed
+) -> list[ArtifactEvent]:
+    """The spikes to stamp on a clean capture: which chirp rows and by what angle.
+
+    capture is anything locate_target reads. The clean phase sigma is found
+    only when some magnitude is non-zero.
+    """
+    if beginning_magnitude_sigma < 0 or periodic_magnitude_sigma < 0:
+        raise ValueError("artifact magnitudes must be >= 0")
+    if beginning_magnitude_sigma == 0 and periodic_magnitude_sigma == 0:
+        return []
+
+    # vib_extract imports this module, so the extraction core is imported here
+    from .vib_extract import locate_target
+
+    sigma = float(locate_target(capture)[1].std())
+    rng = np.random.default_rng(seed)
+    plan = [("beginning", 0, beginning_magnitude_sigma)] if beginning_magnitude_sigma > 0 else []
+    if periodic_magnitude_sigma > 0:
+        plan += [("periodic", f, periodic_magnitude_sigma) for f in range(capture.n_frames)]
+    # one jitter draw per spike, in log order
+    return [
+        ArtifactEvent(kind, frame, 0, float(multiple * sigma * rng.uniform(0.75, 1.25)))
+        for kind, frame, multiple in plan
+    ]
+
+
+def _rotation(event: ArtifactEvent) -> np.complex64:
+    return np.exp(1j * event.magnitude_rad).astype(np.complex64)
 
 
 def inject_artifacts(
@@ -320,91 +384,145 @@ def inject_artifacts(
     a caller that needs the clean capture afterwards passes a copy. With both
     magnitudes zero no sample changes and the log is emptied.
     """
-    if beginning_magnitude_sigma < 0 or periodic_magnitude_sigma < 0:
-        raise ValueError("artifact magnitudes must be >= 0")
-    log: list[ArtifactEvent] = []
-    if beginning_magnitude_sigma == 0 and periodic_magnitude_sigma == 0:
-        capture.artifact_log = log
-        return capture
-
-    # vib_extract imports this module, so the extraction core is imported here
-    from .vib_extract import locate_target
-
-    sigma = float(locate_target(capture)[1].std())
-    rng = np.random.default_rng(seed)
-
-    def stamp(kind: str, frame: int, sigma_multiple: float) -> None:
-        jitter = rng.uniform(0.75, 1.25)
-        theta = sigma_multiple * sigma * jitter
-        capture.frames[frame, 0, :] *= np.exp(1j * theta).astype(np.complex64)
-        log.append(ArtifactEvent(kind, frame, 0, float(theta)))
-
-    if beginning_magnitude_sigma > 0:
-        stamp("beginning", 0, beginning_magnitude_sigma)
-    if periodic_magnitude_sigma > 0:
-        for f in range(capture.n_frames):
-            stamp("periodic", f, periodic_magnitude_sigma)
+    log = _artifact_log(capture, beginning_magnitude_sigma, periodic_magnitude_sigma, seed)
+    for event in log:
+        capture.frames[event.frame, event.chirp, :] *= _rotation(event)
     capture.artifact_log = log
     return capture
 
 
-def save_capture(capture: IFCapture, path, seed: int | None = None) -> None:
-    """Write the binary capture container and its artifact-log JSON sidecar."""
-    path = Path(path)
-    header = _CAPTURE_HEADER.pack(
-        _CAPTURE_MAGIC,
-        capture.config.carrier_freq,
-        capture.config.slope,
-        capture.config.chirp_duration,
-        capture.config.frame_period,
-        capture.config.adc_samples_per_chirp,
-        capture.config.chirps_per_frame,
-        capture.n_frames,
-        0,
-    )
+def stamp_capture_file(
+    path, beginning_magnitude_sigma: float, periodic_magnitude_sigma: float, seed=0
+) -> list[ArtifactEvent]:
+    """inject_artifacts on a capture container, in place; returns the artifact log.
+
+    The clean sigma comes from one streamed pass over the file. Each spike is
+    then a seek, read, multiply and write of one chirp row, so the file ends
+    up byte for byte as save_capture would write the stamped capture. The
+    sidecar is left to the caller.
+    """
+    capture = CaptureFile(path)
+    log = _artifact_log(capture, beginning_magnitude_sigma, periodic_magnitude_sigma, seed)
+    cfg = capture.config
+    row = np.empty(cfg.adc_samples_per_chirp, dtype=np.complex64)
+    with open(capture.path, "r+b") as fh:
+        for event in log:
+            offset = _CAPTURE_HEADER.size + (event.frame * cfg.chirps_per_frame + event.chirp) * row.nbytes
+            fh.seek(offset)
+            if fh.readinto(row) != row.nbytes:
+                raise ValueError(f"truncated capture file: {capture.path}")
+            row *= _rotation(event)
+            fh.seek(offset)
+            fh.write(row)
+    return log
+
+
+def write_capture_frames(path, config: ChirpConfig, frames: Iterable[np.ndarray]) -> int:
+    """Write a capture container's header and body, one frame at a time.
+
+    Each frame is a complex64 [chirps_per_frame, adc_samples_per_chirp]
+    array, written as soon as it arrives; the header's frame count is filled
+    in at the end. Returns the number of frames written.
+    """
     with open(path, "wb") as fh:
-        fh.write(header)
-        capture.frames.tofile(fh)
-    sidecar = {
-        "seed": seed,
-        "artifact_log": [event.to_dict() for event in capture.artifact_log],
-    }
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
+        fh.write(_capture_header(config, 0))
+        n_frames = 0
+        for frame in frames:
+            fh.write(np.ascontiguousarray(frame))
+            n_frames += 1
+        fh.seek(0)
+        fh.write(_capture_header(config, n_frames))
+    return n_frames
+
+
+def write_artifact_sidecar(path, artifact_log: list[ArtifactEvent], seed: int | None = None) -> None:
+    """Write the artifact-log JSON sidecar next to a capture container."""
+    sidecar = {"seed": seed, "artifact_log": [event.to_dict() for event in artifact_log]}
+    with open(_sidecar_path(Path(path)), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
 
 
-def load_capture(path) -> IFCapture:
-    """Read a capture container written by save_capture.
+def save_capture(capture: IFCapture, path, seed: int | None = None) -> None:
+    """Write the binary capture container and its artifact-log JSON sidecar."""
+    write_capture_frames(path, capture.config, capture.frames)
+    write_artifact_sidecar(path, capture.artifact_log, seed)
 
-    The header's frame count is checked against the file size before the
-    body is read, so a short, over-long or mislabelled file is rejected
-    without reading its body.
+
+def _capture_header(config: ChirpConfig, n_frames: int) -> bytes:
+    return _CAPTURE_HEADER.pack(
+        _CAPTURE_MAGIC,
+        config.carrier_freq,
+        config.slope,
+        config.chirp_duration,
+        config.frame_period,
+        config.adc_samples_per_chirp,
+        config.chirps_per_frame,
+        n_frames,
+        0,
+    )
+
+
+class CaptureFile:
+    """A capture container read one frame at a time; the sidecar is not read.
+
+    Opening reads the header and checks the magic and the frame count against
+    the file size, so a short, over-long or mislabelled file is rejected
+    before any of its body is read. Each iteration reopens the file and
+    yields its frames in order, every one read into the same complex64
+    [chirps_per_frame, adc_samples_per_chirp] buffer: a frame is valid until
+    the next is read, so a caller that keeps one copies it. A file cut short
+    after opening ends the iteration with a ValueError.
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(_CAPTURE_HEADER.size)
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        with open(self.path, "rb") as fh:
+            header = fh.read(_CAPTURE_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
         if len(header) < _CAPTURE_HEADER.size:
-            raise ValueError(f"truncated capture file: {path}")
+            raise ValueError(f"truncated capture file: {self.path}")
         magic, carrier, slope, duration, period, adc, cpf, n_frames, _ = _CAPTURE_HEADER.unpack(header)
         if magic != _CAPTURE_MAGIC:
-            raise ValueError(f"not a capture file, bad magic: {path}")
-        cfg = ChirpConfig(
-            carrier_freq=carrier,
-            slope=slope,
-            chirp_duration=duration,
-            adc_samples_per_chirp=int(adc),
-            chirps_per_frame=int(cpf),
-            frame_period=period,
+            raise ValueError(f"not a capture file, bad magic: {self.path}")
+        try:
+            self.config = ChirpConfig(
+                carrier_freq=carrier,
+                slope=slope,
+                chirp_duration=duration,
+                adc_samples_per_chirp=int(adc),
+                chirps_per_frame=int(cpf),
+                frame_period=period,
+            )
+        except ValueError as exc:
+            raise ValueError(f"bad capture header, {exc}: {self.path}") from None
+        self.n_frames = int(n_frames)
+        if size != _CAPTURE_HEADER.size + self.n_frames * int(cpf) * int(adc) * 8:
+            raise ValueError(f"truncated capture file: {self.path}")
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        frame = np.empty(
+            (self.config.chirps_per_frame, self.config.adc_samples_per_chirp), dtype=np.complex64
         )
-        count = int(n_frames) * cfg.chirps_per_frame * cfg.adc_samples_per_chirp
-        if os.fstat(fh.fileno()).st_size != _CAPTURE_HEADER.size + count * 8:
-            raise ValueError(f"truncated capture file: {path}")
-        frames = np.fromfile(fh, dtype=np.complex64, count=count).reshape(
-            int(n_frames), cfg.chirps_per_frame, cfg.adc_samples_per_chirp
-        )
+        with open(self.path, "rb") as fh:
+            fh.seek(_CAPTURE_HEADER.size)
+            for _ in range(self.n_frames):
+                if fh.readinto(frame) != frame.nbytes:
+                    raise ValueError(f"truncated capture file: {self.path}")
+                yield frame
+
+
+def load_capture(path) -> IFCapture:
+    """Read a capture container written by save_capture, with its artifact log.
+
+    The container is read through CaptureFile, so its checks come before the
+    capture is allocated. A sidecar that exists but does not parse is a
+    ValueError naming it.
+    """
+    reader = CaptureFile(path)
+    frames = _collect(reader, reader.n_frames, reader.config)
     log: list[ArtifactEvent] = []
-    sidecar = _sidecar_path(path)
+    sidecar = _sidecar_path(reader.path)
     if sidecar.exists():
         with open(sidecar, "r", encoding="utf-8") as fh:
             try:
@@ -412,7 +530,7 @@ def load_capture(path) -> IFCapture:
                 log = [ArtifactEvent.from_dict(d) for d in data.get("artifact_log", [])]
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed capture sidecar {sidecar}: {exc!r}") from None
-    return IFCapture(frames, cfg, log)
+    return IFCapture(frames, reader.config, log)
 
 
 def _sidecar_path(path: Path) -> Path:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 import numpy as np
 
 from .radar_sim import ChirpConfig, IFCapture, VibrationTrace
@@ -143,29 +145,56 @@ def remove_periodic_outliers(trace: VibrationTrace, chirps_per_frame: int) -> Vi
     return VibrationTrace(out, trace.sample_rate)
 
 
-def locate_target(capture: IFCapture) -> tuple[int, np.ndarray]:
+def _frame_strengths(frames: Iterable[np.ndarray], config: ChirpConfig) -> Iterator[np.ndarray]:
+    """Each frame's per-bin magnitude sum over its chirps, float32, DC to Nyquist.
+
+    Equal bit for bit to np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0,
+    dtype=np.float32): numpy's complex64 FFT is its complex128 FFT rounded to
+    complex64, which is the path taken here. Every step writes into buffers
+    made once, since the FFT's own scratch would otherwise be mapped and
+    unmapped on every frame. The array yielded is one of those buffers.
+    """
+    chirps, adc = config.chirps_per_frame, config.adc_samples_per_chirp
+    range_bins = adc // 2 + 1
+    wide = np.empty((chirps, adc), dtype=np.complex128)
+    spectrum = np.empty_like(wide)
+    half = np.empty((chirps, range_bins), dtype=np.complex64)
+    magnitude = np.empty((chirps, range_bins), dtype=np.float32)
+    strength = np.empty(range_bins, dtype=np.float32)
+    for frame in frames:
+        np.copyto(wide, frame)
+        np.fft.fft(wide, axis=1, out=spectrum)
+        np.copyto(half, spectrum[:, :range_bins])
+        np.abs(half, out=magnitude)
+        yield magnitude.sum(axis=0, dtype=np.float32, out=strength)
+
+
+def locate_target(capture) -> tuple[int, np.ndarray]:
     """Strongest range bin of the capture and its unwrapped per-chirp phase.
 
-    The one place that decides which bin carries the vibration. The bin
-    search streams the capture one frame at a time, summing each bin's
-    magnitude; only the winning bin is then demodulated, with a single-bin
-    DFT (a dot product of every chirp with one complex exponential). Beyond
-    the capture it holds one frame's spectrum and one sample per chirp. It
-    picks the bin select_target_bin picks on range_fft's profile, and the
-    phase of extract_phase_series up to float32 rounding.
+    The one place that decides which bin carries the vibration. capture is
+    an IFCapture or a CaptureFile: anything with config, n_frames and
+    iteration over its frames, which happens twice. The first pass is the
+    bin search, summing each bin's magnitude frame by frame; the second
+    demodulates only the winning bin, with a single-bin DFT (a dot product of
+    every chirp with one complex exponential). Beyond the frames it holds
+    one frame's spectrum and one sample per chirp. It picks the bin
+    select_target_bin picks on range_fft's profile, and the phase of
+    extract_phase_series up to float32 rounding.
     """
     if capture.n_frames == 0:
         raise ValueError("empty capture")
-    adc = capture.config.adc_samples_per_chirp
-    range_bins = adc // 2 + 1
-    strength = np.zeros(range_bins)
-    for frame in capture.frames:
-        spectrum = np.fft.fft(frame, axis=1)[:, :range_bins]
-        strength += np.abs(spectrum).sum(axis=0, dtype=np.float32)
+    config = capture.config
+    strength = np.zeros(config.adc_samples_per_chirp // 2 + 1)
+    for frame_strength in _frame_strengths(capture, config):
+        strength += frame_strength
     target = _strongest_bin(strength)
+    adc = config.adc_samples_per_chirp
     kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
-    column = (capture.frames @ kernel).reshape(-1).astype(np.complex128)
-    return target, unwrap_phase(np.angle(column))
+    column = np.empty((capture.n_frames, config.chirps_per_frame), dtype=np.complex64)
+    for index, frame in enumerate(capture):
+        np.matmul(frame, kernel, out=column[index])
+    return target, unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
 
 
 def trace_from_phase(

@@ -32,6 +32,23 @@ def naive_edit_distance(a, b) -> int:
     return table[m][n]
 
 
+def rolling_edit_distance(a, b) -> int:
+    """Levenshtein distance with unit costs, one rolling row of Python ints.
+
+    The loop metrics._edit_distance ran before its numpy row recurrence.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, sym_a in enumerate(a, start=1):
+        current = [i]
+        for j, sym_b in enumerate(b, start=1):
+            cost = 0 if sym_a == sym_b else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[len(b)]
+
+
 def oracle_wer_cer(ref_text: str, hyp_text: str) -> tuple[float, float]:
     ref_words = ref_text.split()
     if not ref_words:

@@ -22,7 +22,13 @@ from mmvib import (
     wer_cer,
     zscore_normalize,
 )
-from oracles import oracle_fwsegsnr, oracle_mcd, oracle_wer_cer
+from oracles import (
+    naive_edit_distance,
+    oracle_fwsegsnr,
+    oracle_mcd,
+    oracle_wer_cer,
+    rolling_edit_distance,
+)
 from speechgen import make_dense_clip, make_speech_clip
 
 
@@ -213,6 +219,19 @@ class TestWerCer:
         exp_wer, exp_cer = oracle_wer_cer(ref_text, hyp_text)
         assert wer == pytest.approx(exp_wer)
         assert cer == pytest.approx(exp_cer)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abcd"), max_size=20),
+        st.lists(st.sampled_from("abcde"), max_size=20),
+    )
+    def test_edit_distance_equals_the_loop(self, a, b):
+        # exact integers, empty lists included, in either argument order
+        want = rolling_edit_distance(a, b)
+        assert mmvib.metrics._edit_distance(a, b) == want
+        assert mmvib.metrics._edit_distance(b, a) == want
+        assert naive_edit_distance(a, b) == want
 
 
 class TestScorePair:

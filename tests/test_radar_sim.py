@@ -10,6 +10,7 @@ import pytest
 from conftest import make_tone_capture, make_tone_trace
 from mmvib import (
     AudioBuffer,
+    CaptureFile,
     ChirpConfig,
     IFCapture,
     SurfaceMaterial,
@@ -17,6 +18,7 @@ from mmvib import (
     displacement_from_audio,
     forced_response_amplitude,
     inject_artifacts,
+    iter_if_frames,
     load_capture,
     locate_target,
     max_unambiguous_range,
@@ -25,8 +27,22 @@ from mmvib import (
     simulate_if_frames,
     unwrap_phase,
 )
+from mmvib.cli import main
+from mmvib.radar_sim import stamp_capture_file
 
 SPEED_OF_LIGHT = 299792458.0
+
+
+def assert_rejected(path, message, tmp_path, capsys):
+    """load_capture raises, and mmvib extract exits 1 with one line, both ending in message."""
+    pattern = f"{re.escape(message)}$"
+    with pytest.raises(ValueError, match=pattern):
+        load_capture(path)
+    capsys.readouterr()
+    assert main(["extract", "--capture", str(path), "--out", str(tmp_path / "x.wav")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert re.search(pattern, err.rstrip("\n"))
 
 
 class TestChirpConfig:
@@ -204,6 +220,20 @@ class TestSimulate:
         ratio = np.abs(half.frames).mean() / np.abs(full.frames).mean()
         assert ratio == pytest.approx(0.5, rel=1e-5)
 
+    def test_frame_stream_checks_the_scene_on_the_call(self, chirp_cfg):
+        vib = VibrationTrace(np.zeros(256), 44100.0)
+        with pytest.raises(ValueError, match="sampled at"):
+            iter_if_frames(chirp_cfg, vib, 1.5, seed=0)
+
+    def test_frame_stream_yields_the_frames_of_the_array(self, chirp_cfg):
+        # 800 chirps: three whole frames, the trailing 32 chirps dropped
+        vib = make_tone_trace(chirp_cfg, 500.0, duration_s=0.1)
+        frames = list(iter_if_frames(chirp_cfg, vib, 1.5, seed=7))
+        cap = simulate_if_frames(chirp_cfg, vib, 1.5, seed=7)
+        assert len(frames) == cap.n_frames == 3
+        assert all(frame.dtype == np.complex64 for frame in frames)
+        assert np.stack(frames).tobytes() == cap.frames.tobytes()
+
 
 class TestArtifacts:
     def test_zero_magnitudes_noop(self, chirp_cfg):
@@ -265,6 +295,17 @@ class TestArtifacts:
             expected[event.frame, event.chirp] *= np.exp(1j * event.magnitude_rad).astype(np.complex64)
         assert np.array_equal(frames, expected)
 
+    @pytest.mark.parametrize("sigmas", [(10.0, 6.0), (10.0, 0.0), (0.0, 6.0), (0.0, 0.0)])
+    def test_file_stamping_equals_inject_artifacts(self, chirp_cfg, tmp_path, sigmas):
+        clean = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+        path = tmp_path / "cap.bin"
+        save_capture(clean, path)
+        log = stamp_capture_file(path, *sigmas, seed=3)
+        stamped = inject_artifacts(clean, *sigmas, seed=3)
+        save_capture(stamped, tmp_path / "ref.bin")
+        assert path.read_bytes() == (tmp_path / "ref.bin").read_bytes()
+        assert [e.to_dict() for e in log] == [e.to_dict() for e in stamped.artifact_log]
+
     def test_peak_memory_below_a_tenth_of_the_capture(self, chirp_cfg):
         # stamping in place holds no second capture
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=2.048)
@@ -312,34 +353,33 @@ class TestCaptureIO:
             tracemalloc.stop()
         assert peak < 0.1 * cap.frames.nbytes
 
-    def test_corrupt_magic(self, chirp_cfg, tmp_path):
+    # The malformed containers below are checked through both readers:
+    # load_capture and the streamed CaptureFile behind mmvib extract.
+    def test_corrupt_magic(self, chirp_cfg, tmp_path, capsys):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
         path = tmp_path / "cap.bin"
         save_capture(cap, path)
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=f"bad magic: {re.escape(str(path))}$"):
-            load_capture(path)
+        assert_rejected(path, f"bad magic: {path}", tmp_path, capsys)
 
-    def test_truncated_body(self, chirp_cfg, tmp_path):
+    def test_truncated_body(self, chirp_cfg, tmp_path, capsys):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
         path = tmp_path / "cap.bin"
         save_capture(cap, path)
         path.write_bytes(path.read_bytes()[:-100])
-        with pytest.raises(ValueError, match=f"truncated capture file: {re.escape(str(path))}$"):
-            load_capture(path)
+        assert_rejected(path, f"truncated capture file: {path}", tmp_path, capsys)
 
-    def test_over_long_body(self, chirp_cfg, tmp_path):
+    def test_over_long_body(self, chirp_cfg, tmp_path, capsys):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
         path = tmp_path / "cap.bin"
         save_capture(cap, path)
         with open(path, "ab") as fh:
             fh.write(b"\0" * 8)
-        with pytest.raises(ValueError, match=f"truncated capture file: {re.escape(str(path))}$"):
-            load_capture(path)
+        assert_rejected(path, f"truncated capture file: {path}", tmp_path, capsys)
 
-    def test_header_claiming_more_frames_allocates_nothing(self, chirp_cfg, tmp_path):
+    def test_header_claiming_more_frames_allocates_nothing(self, chirp_cfg, tmp_path, capsys):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
         path = tmp_path / "cap.bin"
         save_capture(cap, path)
@@ -349,13 +389,61 @@ class TestCaptureIO:
         path.write_bytes(bytes(data))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"truncated capture file: {re.escape(str(path))}$"):
-                load_capture(path)
+            assert_rejected(path, f"truncated capture file: {path}", tmp_path, capsys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the body was never read: far less than one copy of the file
         assert peak < len(data) // 8
+
+    def test_header_with_an_invalid_chirp_config(self, chirp_cfg, tmp_path, capsys):
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+        path = tmp_path / "cap.bin"
+        save_capture(cap, path)
+        data = bytearray(path.read_bytes())
+        # chirps_per_frame is the second uint32 after the magic and four float64
+        struct.pack_into("<I", data, 8 + 4 * 8 + 4, 0)
+        path.write_bytes(bytes(data))
+        message = f"bad capture header, chirps_per_frame must be a positive integer, got 0: {path}"
+        assert_rejected(path, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize("text", ['{"artifact_log": [{}]}', "[1, 2]"])
+    def test_malformed_sidecar_one_line_error(self, chirp_cfg, tmp_path, text):
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+        path = tmp_path / "cap.bin"
+        save_capture(cap, path)
+        sidecar = tmp_path / "cap.bin.artifacts.json"
+        sidecar.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            load_capture(path)
+        message = str(caught.value)
+        assert message.count("\n") == 0
+        assert str(sidecar) in message
+
+    def test_capture_file_reads_the_frames_of_load_capture(self, chirp_cfg, tmp_path):
+        cap = inject_artifacts(make_tone_capture(chirp_cfg, 500.0, duration_s=0.096), 10.0, 6.0)
+        path = tmp_path / "cap.bin"
+        save_capture(cap, path)
+        # the streamed reader never opens the sidecar
+        (tmp_path / "cap.bin.artifacts.json").write_text("[1, 2]")
+        reader = CaptureFile(path)
+        assert reader.config == cap.config and reader.n_frames == cap.n_frames
+        for _ in range(2):
+            frames = [frame.copy() for frame in reader]
+            assert np.array_equal(np.stack(frames), cap.frames)
+
+    def test_capture_file_short_read(self, chirp_cfg, tmp_path):
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+        path = tmp_path / "cap.bin"
+        save_capture(cap, path)
+        reader = CaptureFile(path)
+        # cut after the header was checked, mid-way through the last frame
+        path.write_bytes(path.read_bytes()[:-100])
+        frames = iter(reader)
+        for _ in range(cap.n_frames - 1):
+            next(frames)
+        with pytest.raises(ValueError, match=f"truncated capture file: {re.escape(str(path))}$"):
+            next(frames)
 
     def test_capture_shape_validation(self, chirp_cfg):
         with pytest.raises(ValueError):

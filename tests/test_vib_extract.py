@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_tone_capture, make_tone_trace
 from mmvib import (
+    CaptureFile,
     ChirpConfig,
     IFCapture,
     VibrationTrace,
@@ -17,6 +18,7 @@ from mmvib import (
     extract_phase_series,
     extract_vibration,
     inject_artifacts,
+    load_capture,
     locate_target,
     phase_to_displacement,
     range_fft,
@@ -24,11 +26,14 @@ from mmvib import (
     remove_beginning_outlier,
     remove_periodic_outliers,
     resample,
+    save_capture,
     select_target_bin,
     simulate_if_frames,
+    unwrap_phase,
     zscore_normalize,
 )
 from mmvib.cli import PipelineConfig
+from mmvib.vib_extract import _frame_strengths
 from oracles import oracle_remove_periodic_outliers
 from speechgen import make_speech_clip
 
@@ -181,6 +186,44 @@ class TestLocateTarget:
         want_bin, want_phase = reference_target(cap)
         assert target == want_bin
         assert np.abs(phase - want_phase).max() <= LOCATE_PHASE_ATOL
+
+    @pytest.mark.parametrize("chirps_per_frame", [256, 512])
+    def test_frame_strengths_equal_the_complex64_fft(self, chirps_per_frame):
+        cfg = frame_scaled_config(chirps_per_frame)
+        cap = make_tone_capture(cfg, 500.0, duration_s=0.192, noise_floor_db=-40.0)
+        bins = cfg.adc_samples_per_chirp // 2 + 1
+        strengths = [s.copy() for s in _frame_strengths(cap, cfg)]
+        assert len(strengths) == cap.n_frames
+        for frame, strength in zip(cap.frames, strengths):
+            want = np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0, dtype=np.float32)
+            assert strength.dtype == np.float32
+            assert strength.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chirps_per_frame", [256, 512, 1024])
+    def test_demodulation_equals_the_whole_capture_matvec(self, chirps_per_frame):
+        # frame by frame, the single-bin DFT gives the bytes of one matvec over the capture
+        cfg = frame_scaled_config(chirps_per_frame)
+        cap = make_tone_capture(cfg, 500.0, duration_s=0.192, noise_floor_db=-40.0)
+        target, phase = locate_target(cap)
+        adc = cfg.adc_samples_per_chirp
+        kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
+        column = (cap.frames @ kernel).reshape(-1).astype(np.complex128)
+        assert phase.tobytes() == unwrap_phase(np.angle(column)).tobytes()
+
+    def test_capture_file_equals_the_loaded_capture(self, tmp_path):
+        config = PipelineConfig()
+        rate = config.chirp.effective_sampling_rate
+        forcing = zscore_normalize(resample(make_speech_clip(6, duration=1.0), rate))
+        vib = displacement_from_audio(forcing, config.material, config.force_scale)
+        cap = simulate_if_frames(
+            config.chirp, vib, config.range_m, reflectivity=config.material.reflectivity, seed=6
+        )
+        path = tmp_path / "cap.bin"
+        save_capture(inject_artifacts(cap, 10.0, 6.0, seed=6), path)
+        target, phase = locate_target(CaptureFile(path))
+        want_bin, want_phase = locate_target(load_capture(path))
+        assert target == want_bin
+        assert phase.tobytes() == want_phase.tobytes()
 
     def test_empty_capture(self, chirp_cfg):
         cap = IFCapture(np.zeros((0, 256, 256), dtype=np.complex64), chirp_cfg)
