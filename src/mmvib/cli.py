@@ -301,6 +301,32 @@ def _aggregate(pairs: list[dict]) -> dict:
     return summary
 
 
+def _read_pair_manifest(path) -> list:
+    """The JSON value of every non-blank manifest line.
+
+    A line that does not parse, or nests too deeply for the parser, is a
+    ValueError naming the file and line.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(json.loads(line))
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path} line {line_no}: {exc}") from None
+    return rows
+
+
+def _transcript(row: dict, key: str):
+    """A row's transcript: absent, a string, or a list of words."""
+    text = row.get(key)
+    if text is not None and not isinstance(text, (str, list)):
+        raise ValueError(f"{key} must be a string or a list of words, got {type(text).__name__}")
+    return text
+
+
 def cmd_score(manifest_in, report_out) -> int:
     """Score every pair in a JSON-lines manifest and write a JSON report.
 
@@ -310,8 +336,7 @@ def cmd_score(manifest_in, report_out) -> int:
     recorded with an error; the command fails only when every pair fails.
     """
     try:
-        with open(manifest_in, "r", encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
+        rows = _read_pair_manifest(manifest_in)
     except (OSError, ValueError) as exc:
         print(f"score failed: {exc}", file=sys.stderr)
         return 1
@@ -327,16 +352,13 @@ def cmd_score(manifest_in, report_out) -> int:
             continue
         entry = {"ref_path": row.get("ref_path"), "deg_path": row.get("deg_path")}
         try:
+            ref_text = _transcript(row, "ref_text")
+            hyp_text = _transcript(row, "hyp_text")
             ref = read_wav(row["ref_path"])
             deg = read_wav(row["deg_path"])
             if abs(ref.sample_rate - deg.sample_rate) > 1e-9:
                 deg = resample(deg, ref.sample_rate)
-            report = score_pair(
-                zscore_normalize(ref),
-                zscore_normalize(deg),
-                row.get("ref_text"),
-                row.get("hyp_text"),
-            )
+            report = score_pair(zscore_normalize(ref), zscore_normalize(deg), ref_text, hyp_text)
             entry.update(report.to_dict())
             succeeded += 1
         except (OSError, ValueError, KeyError, TypeError) as exc:

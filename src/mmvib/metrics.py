@@ -20,7 +20,6 @@ from .signal_core import (
     AudioBuffer,
     frame_signal,
     mel_filterbank,
-    mel_spectrogram,
     stft,
 )
 
@@ -100,10 +99,14 @@ def _frame_params(fs: float) -> tuple[int, int]:
     return int(round(FRAME_SECONDS * fs)), int(round(HOP_SECONDS * fs))
 
 
-def _framed_magnitudes(x: np.ndarray, fs: float) -> tuple[np.ndarray, int]:
+def _magnitudes(x: np.ndarray, fs: float, window_len: int, hop: int) -> np.ndarray:
+    """STFT magnitudes [window_len // 2 + 1, frames] of samples x at rate fs."""
+    return np.abs(stft(AudioBuffer(x, fs), window_len, hop))
+
+
+def _framed_magnitudes(x: np.ndarray, fs: float) -> np.ndarray:
     """Magnitude STFT frames [n_frames, bins] at the 25 ms / 10 ms framing."""
-    window_len, hop = _frame_params(fs)
-    return np.abs(stft(AudioBuffer(x, fs), window_len, hop)).T, window_len
+    return _magnitudes(x, fs, *_frame_params(fs)).T
 
 
 def fwsegsnr(ref: AudioBuffer, deg: AudioBuffer) -> float:
@@ -114,9 +117,12 @@ def fwsegsnr(ref: AudioBuffer, deg: AudioBuffer) -> float:
     weighted SNR is clamped to [-10, 35] dB and averaged over frames.
     """
     x, y, fs = _truncate_pair(ref, deg)
-    ref_mag, window_len = _framed_magnitudes(x, fs)
-    deg_mag, _ = _framed_magnitudes(y, fs)
-    bank = mel_filterbank(FWSEG_BANDS, window_len, fs, fmin=FWSEG_FMIN_HZ)
+    return _fwsegsnr(_framed_magnitudes(x, fs), _framed_magnitudes(y, fs), fs)
+
+
+def _fwsegsnr(ref_mag: np.ndarray, deg_mag: np.ndarray, fs: float) -> float:
+    """fwsegsnr from the 25 ms / 10 ms magnitude frames of both signals."""
+    bank = mel_filterbank(FWSEG_BANDS, _frame_params(fs)[0], fs, fmin=FWSEG_FMIN_HZ)
     ref_band = ref_mag @ bank.T
     deg_band = deg_mag @ bank.T
     weights = ref_band**FWSEG_WEIGHT_EXPONENT
@@ -190,10 +196,9 @@ def stoi(ref: AudioBuffer, deg: AudioBuffer) -> float:
     return float(corr[informative].mean())
 
 
-def _mfcc(x: np.ndarray, fs: float) -> np.ndarray:
-    """MFCC frames [n_frames, MCD_COEFFS], energy coefficient excluded."""
-    mag, window_len = _framed_magnitudes(x, fs)
-    bank = mel_filterbank(MCD_BANDS, window_len, fs)
+def _mfcc(mag: np.ndarray, fs: float) -> np.ndarray:
+    """MFCC frames [n_frames, MCD_COEFFS] from 25 ms / 10 ms magnitude frames, energy excluded."""
+    bank = mel_filterbank(MCD_BANDS, _frame_params(fs)[0], fs)
     energies = np.maximum((mag**2) @ bank.T, MCD_LOG_FLOOR)
     return np.log(energies) @ _MCD_DCT[1 : MCD_COEFFS + 1].T
 
@@ -201,7 +206,12 @@ def _mfcc(x: np.ndarray, fs: float) -> np.ndarray:
 def mcd(ref: AudioBuffer, deg: AudioBuffer) -> float:
     """Mel-cepstral distortion over index-aligned frames, energy term excluded."""
     x, y, fs = _truncate_pair(ref, deg)
-    diff = _mfcc(x, fs) - _mfcc(y, fs)
+    return _mcd(_framed_magnitudes(x, fs), _framed_magnitudes(y, fs), fs)
+
+
+def _mcd(ref_mag: np.ndarray, deg_mag: np.ndarray, fs: float) -> float:
+    """mcd from the 25 ms / 10 ms magnitude frames of both signals."""
+    diff = _mfcc(ref_mag, fs) - _mfcc(deg_mag, fs)
     per_frame = (10.0 / np.log(10.0)) * np.sqrt(2.0 * (diff**2).sum(axis=1))
     return float(per_frame.mean())
 
@@ -209,21 +219,39 @@ def mcd(ref: AudioBuffer, deg: AudioBuffer) -> float:
 def mel_loss(ref: AudioBuffer, deg: AudioBuffer) -> float:
     """Sum over the seven-resolution mel family of mean |log-mel| differences."""
     x, y, fs = _truncate_pair(ref, deg)
-    ref_buf = AudioBuffer(x, fs)
-    deg_buf = AudioBuffer(y, fs)
+    return _mel_loss(x, y, fs)[0]
+
+
+def _mel_loss(x: np.ndarray, y: np.ndarray, fs: float, keep_window: int | None = None):
+    """mel_loss of two equal-length signals, one resolution at a time.
+
+    Also returns the (ref, deg) STFT magnitudes of the resolution whose
+    window is keep_window, or None; the others are dropped as soon as they
+    are summed.
+    """
     total = 0.0
+    kept = None
     for n_mels, window_len in zip(MEL_LOSS_BANDS, MEL_LOSS_WINDOWS):
-        ref_mel = np.log(np.maximum(mel_spectrogram(ref_buf, n_mels, window_len), MEL_LOG_FLOOR))
-        deg_mel = np.log(np.maximum(mel_spectrogram(deg_buf, n_mels, window_len), MEL_LOG_FLOOR))
+        ref_mag = _magnitudes(x, fs, window_len, window_len // 4)
+        deg_mag = _magnitudes(y, fs, window_len, window_len // 4)
+        bank = mel_filterbank(n_mels, window_len, fs)
+        ref_mel = np.log(np.maximum(bank @ ref_mag, MEL_LOG_FLOOR))
+        deg_mel = np.log(np.maximum(bank @ deg_mag, MEL_LOG_FLOOR))
         total += float(np.abs(ref_mel - deg_mel).mean())
-    return total
+        if window_len == keep_window:
+            kept = ref_mag, deg_mag
+    return total, kept
 
 
 def mag_l1(ref_spec: np.ndarray, deg_spec: np.ndarray) -> float:
     """Mean absolute difference between the magnitudes of two spectrograms."""
     if ref_spec.shape != deg_spec.shape:
         raise ValueError(f"shape mismatch: {ref_spec.shape} vs {deg_spec.shape}")
-    return float(np.abs(np.abs(ref_spec) - np.abs(deg_spec)).mean())
+    return _mag_l1(np.abs(ref_spec), np.abs(deg_spec))
+
+
+def _mag_l1(ref_mag: np.ndarray, deg_mag: np.ndarray) -> float:
+    return float(np.abs(ref_mag - deg_mag).mean())
 
 
 def _as_words(text) -> list[str]:
@@ -273,9 +301,10 @@ def wer_cer(ref_text, hyp_text) -> tuple[float, float]:
     return wer, cer
 
 
-# STFT settings for the report's magnitude-L1 column.
+# STFT settings for the report's magnitude-L1 column: one of the mel-loss
+# resolutions, so score_pair reuses its spectra.
 REPORT_SPEC_WINDOW = 256
-REPORT_SPEC_HOP = 64
+REPORT_SPEC_HOP = REPORT_SPEC_WINDOW // 4
 
 
 def score_pair(
@@ -284,23 +313,28 @@ def score_pair(
     ref_text: str | None = None,
     hyp_text: str | None = None,
 ) -> MetricsReport:
-    """Compute the full metric suite for one aligned reference/degraded pair."""
+    """Compute the full metric suite for one aligned reference/degraded pair.
+
+    Each spectrum is computed once per signal: the 25 ms / 10 ms magnitudes
+    serve fwsegsnr and mcd, and mel_loss's REPORT_SPEC_WINDOW resolution
+    serves mag_l1. The values equal those of the public metric functions.
+    """
     x, y, fs = _truncate_pair(ref, deg)
-    ref_buf = AudioBuffer(x, fs)
-    deg_buf = AudioBuffer(y, fs)
-    raw_stoi = stoi(ref_buf, deg_buf)
+    raw_stoi = stoi(AudioBuffer(x, fs), AudioBuffer(y, fs))
     wer = cer = None
     if ref_text is not None and hyp_text is not None:
         wer, cer = wer_cer(ref_text, hyp_text)
+    ref_mag = _framed_magnitudes(x, fs)
+    deg_mag = _framed_magnitudes(y, fs)
+    fwseg = _fwsegsnr(ref_mag, deg_mag, fs)
+    mcd_db = _mcd(ref_mag, deg_mag, fs)
+    mel, (ref_spec, deg_spec) = _mel_loss(x, y, fs, keep_window=REPORT_SPEC_WINDOW)
     return MetricsReport(
-        fwsegsnr=fwsegsnr(ref_buf, deg_buf),
+        fwsegsnr=fwseg,
         stoi=float(np.clip(raw_stoi, 0.0, 1.0)),
-        mcd=mcd(ref_buf, deg_buf),
-        mel_loss=mel_loss(ref_buf, deg_buf),
-        mag_l1=mag_l1(
-            stft(ref_buf, REPORT_SPEC_WINDOW, REPORT_SPEC_HOP),
-            stft(deg_buf, REPORT_SPEC_WINDOW, REPORT_SPEC_HOP),
-        ),
+        mcd=mcd_db,
+        mel_loss=mel,
+        mag_l1=_mag_l1(ref_spec, deg_spec),
         wer=wer,
         cer=cer,
     )

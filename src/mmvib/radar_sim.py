@@ -528,7 +528,7 @@ def load_capture(path) -> IFCapture:
             try:
                 data = json.load(fh)
                 log = [ArtifactEvent.from_dict(d) for d in data.get("artifact_log", [])]
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"malformed capture sidecar {sidecar}: {exc!r}") from None
     return IFCapture(frames, reader.config, log)
 

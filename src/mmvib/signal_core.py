@@ -6,6 +6,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # HTK mel scale constants.
 MEL_SCALE = 2595.0
@@ -58,7 +59,11 @@ def hann_window(window_len: int) -> np.ndarray:
 
 
 def frame_signal(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
-    """Slice x into [n_frames, window_len] rows; trailing partial samples are dropped."""
+    """Slice x into [n_frames, window_len] rows; trailing partial samples are dropped.
+
+    The rows are a read-only strided view of x, one every hop samples, so no
+    sample is copied.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected 1-D signal, got shape {x.shape}")
@@ -66,9 +71,7 @@ def frame_signal(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
         raise ValueError("window_len and hop must be >= 1")
     if x.size < window_len:
         raise ValueError("input too short")
-    n_frames = (x.size - window_len) // hop + 1
-    idx = np.arange(window_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    return sliding_window_view(x, window_len)[::hop]
 
 
 def stft(audio: AudioBuffer, window_len: int, hop: int) -> np.ndarray:

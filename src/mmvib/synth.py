@@ -160,6 +160,6 @@ def _read_input_manifest(path) -> list[str]:
                 continue
             try:
                 entries.append(str(json.loads(line)["clean_path"]))
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, RecursionError):
                 raise ValueError(f"{path} line {line_no}: no JSON clean_path field") from None
     return entries

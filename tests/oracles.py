@@ -49,6 +49,17 @@ def rolling_edit_distance(a, b) -> int:
     return previous[len(b)]
 
 
+def gather_frame_signal(x, window_len: int, hop: int) -> np.ndarray:
+    """[n_frames, window_len] rows of x gathered with an index array.
+
+    The copy signal_core.frame_signal made before it returned a strided view.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_frames = (x.size - window_len) // hop + 1
+    idx = np.arange(window_len)[None, :] + hop * np.arange(n_frames)[:, None]
+    return x[idx]
+
+
 def oracle_wer_cer(ref_text: str, hyp_text: str) -> tuple[float, float]:
     ref_words = ref_text.split()
     if not ref_words:

@@ -1,6 +1,8 @@
 """Command-line surface: config parsing and the five subcommands."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mmvib.vib_extract
 from mmvib import (
@@ -424,6 +428,79 @@ class TestSynth:
         assert err.count("\n") == 1
         assert f"{manifest} line 2" in err
 
+    def test_deeply_nested_json_row(self, tmp_path, capsys):
+        manifest = tmp_path / "in.jsonl"
+        manifest.write_text('{"clean_path": ' + "[" * 100_000 + "\n")
+        assert main(["synth", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "ds")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{manifest} line 1" in err
+        assert "Traceback" not in err
+
+
+# Garbling applied to a score manifest: inserts, overwrites and cuts of bytes
+# that matter to JSON, and runs of openers, some deep enough to exhaust the
+# parser's recursion.
+_POSITION = st.integers(min_value=0)
+_CHUNK = st.one_of(
+    st.sampled_from([b"[", b"{", b"]", b"}", b'"', b",", b":", b"\n", b"\\", b"\xff"]),
+    st.binary(min_size=1, max_size=6),
+)
+_GARBLING = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["insert", "overwrite"]), _POSITION, _CHUNK, st.just(1)),
+        st.tuples(st.just("cut"), _POSITION, st.just(b""), st.integers(1, 400)),
+        st.tuples(
+            st.just("nest"),
+            st.just(0) | _POSITION,
+            st.sampled_from([b"[", b'{"a": ']),
+            st.sampled_from([3, 900, 100_000]),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+# Any JSON value, to stand in for one key of a manifest row.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _garble(data: bytes, edits) -> bytes:
+    for op, pos, chunk, count in edits:
+        pos %= len(data) + 1
+        if op == "insert":
+            data = data[:pos] + chunk + data[pos:]
+        elif op == "overwrite":
+            data = data[:pos] + chunk + data[pos + len(chunk):]
+        elif op == "cut":
+            data = data[:pos] + data[pos + count:]
+        else:
+            data = data[:pos] + chunk * count + data[pos:]
+    return data
+
+
+def _run_score(manifest: Path, report: Path) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["score", "--manifest", str(manifest), "--report", str(report)])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def score_rows(tmp_path_factory):
+    """A directory and two valid manifest rows over a 1 s tone, one with transcripts."""
+    root = tmp_path_factory.mktemp("score_fuzz")
+    wav = str(make_tone_wav(root / "tone.wav", duration=1.0))
+    rows = [
+        {"ref_path": wav, "deg_path": wav, "ref_text": "a b c", "hyp_text": "a x c"},
+        {"ref_path": wav, "deg_path": wav},
+    ]
+    return root, rows
+
 
 class TestScore:
     def test_identity_pairs_zero_mcd(self, tmp_path):
@@ -499,6 +576,64 @@ class TestScore:
         assert "not a JSON object" in pairs[0]["error"]
         assert "error" in pairs[1]
         assert "error" not in pairs[2]
+
+    def test_deeply_nested_manifest_line(self, tmp_path, capsys):
+        wav = make_tone_wav(tmp_path / "x.wav", duration=1.0)
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_text(json.dumps({"ref_path": str(wav), "deg_path": str(wav)}) + "\n"
+                            + "[" * 100_000 + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{manifest} line 2" in err
+        assert "Traceback" not in err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("key", ["ref_text", "hyp_text"])
+    @pytest.mark.parametrize("value", [5, 2.5, True, {"words": "a b"}])
+    def test_non_text_transcript_is_a_row_error(self, tmp_path, key, value):
+        wav = make_tone_wav(tmp_path / "x.wav", duration=1.0)
+        row = {"ref_path": str(wav), "deg_path": str(wav), "ref_text": "a b", "hyp_text": "a b"}
+        row[key] = value
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_text(json.dumps({"ref_path": str(wav), "deg_path": str(wav)}) + "\n"
+                            + json.dumps(row) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 0
+        pairs = json.loads(report_path.read_text())["pairs"]
+        assert "error" not in pairs[0]
+        assert pairs[1]["error"].startswith(f"{key} must be a string or a list of words")
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(edits=_GARBLING)
+    def test_garbled_manifest_fuzz(self, score_rows, edits):
+        root, rows = score_rows
+        manifest = root / "garbled.jsonl"
+        good = "".join(json.dumps(r) + "\n" for r in rows).encode()
+        manifest.write_bytes(_garble(good, edits))
+        code, err = _run_score(manifest, root / "report.json")
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        assert err.count("\n") <= 1
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        key=st.sampled_from(["ref_path", "deg_path", "ref_text", "hyp_text"]),
+        value=_JSON_VALUES,
+    )
+    def test_any_json_value_in_a_row_fuzz(self, score_rows, key, value):
+        root, rows = score_rows
+        bad = dict(rows[0], **{key: value})
+        manifest = root / "values.jsonl"
+        manifest.write_text(json.dumps(bad) + "\n" + json.dumps(rows[1]) + "\n")
+        report = root / "report.json"
+        code, err = _run_score(manifest, report)
+        assert (code, err) == (0, "")
+        pairs = json.loads(report.read_text())["pairs"]
+        assert "error" not in pairs[1]
+        if key.endswith("_text") and not isinstance(value, (str, list, type(None))):
+            assert pairs[0]["error"].startswith(f"{key} must be")
 
     def test_all_fail_nonzero(self, tmp_path):
         manifest = tmp_path / "pairs.jsonl"

@@ -1,5 +1,8 @@
 """Quality metrics: identities, orderings, error handling, and oracle checks."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,3 +281,116 @@ class TestScorePair:
         for module in (mmvib.signal_core, mmvib.metrics):
             monkeypatch.setattr(module, "mel_filterbank", mel_filterbank.__wrapped__)
         assert score_pair(clip, deg) == first
+
+
+def _scored_pairs():
+    """(ref, deg, ref_text, hyp_text) at 8 and 16 kHz, of unequal lengths."""
+    a = zscore_normalize(make_speech_clip(31, duration=1.5))
+    a_deg = degrade(a, 0.3, 0.1, seed=32)
+    b = zscore_normalize(make_speech_clip(33, duration=1.2, rate=16000.0))
+    b_deg = degrade(b, 0.5, 0.2, seed=34)
+    return {
+        "8k_texts": (
+            a,
+            AudioBuffer(a_deg.samples[:-333], a_deg.sample_rate),
+            "the quick brown fox",
+            "the quick brown box",
+        ),
+        "16k": (AudioBuffer(b.samples[:-517], b.sample_rate), b_deg, None, None),
+    }
+
+
+# score_pair on _scored_pairs() before the pair's spectra were shared
+_RECORDED_REPORTS = {
+    "8k_texts": {
+        "fwsegsnr": 4.205169787853072,
+        "stoi": 0.9705363319579883,
+        "mcd": 56.443138134917106,
+        "mel_loss": 9.948887020441068,
+        "mag_l1": 2.1641781148709813,
+        "wer": 0.25,
+        "cer": 0.05263157894736842,
+    },
+    "16k": {
+        "fwsegsnr": -2.412739388568625,
+        "stoi": 0.9719329985195694,
+        "mcd": 67.37270451037108,
+        "mel_loss": 14.837429327067717,
+        "mag_l1": 4.023286345608391,
+        "wer": None,
+        "cer": None,
+    },
+}
+
+
+class TestSharedSpectra:
+    @pytest.mark.parametrize("name", sorted(_RECORDED_REPORTS))
+    @pytest.mark.parametrize("texts", [True, False])
+    def test_equals_the_public_metrics(self, name, texts):
+        ref, deg, ref_text, hyp_text = _scored_pairs()[name]
+        if not texts:
+            ref_text = hyp_text = None
+        elif ref_text is None:
+            ref_text, hyp_text = "a b c", "a x c"
+        n = min(len(ref), len(deg))
+        ref_spec = stft(AudioBuffer(ref.samples[:n], ref.sample_rate),
+                        mmvib.metrics.REPORT_SPEC_WINDOW, mmvib.metrics.REPORT_SPEC_HOP)
+        deg_spec = stft(AudioBuffer(deg.samples[:n], deg.sample_rate),
+                        mmvib.metrics.REPORT_SPEC_WINDOW, mmvib.metrics.REPORT_SPEC_HOP)
+        want = {
+            "fwsegsnr": fwsegsnr(ref, deg),
+            "stoi": float(np.clip(stoi(ref, deg), 0.0, 1.0)),
+            "mcd": mcd(ref, deg),
+            "mel_loss": mel_loss(ref, deg),
+            "mag_l1": mag_l1(ref_spec, deg_spec),
+            "wer": None,
+            "cer": None,
+        }
+        if texts:
+            want["wer"], want["cer"] = wer_cer(ref_text, hyp_text)
+        # exact: the shared spectra are the ones each metric computes alone
+        assert score_pair(ref, deg, ref_text, hyp_text).to_dict() == want
+
+    @pytest.mark.parametrize("name", sorted(_RECORDED_REPORTS))
+    def test_matches_the_recorded_reports(self, name):
+        report = score_pair(*_scored_pairs()[name]).to_dict()
+        recorded = _RECORDED_REPORTS[name]
+        assert report.keys() == recorded.keys()
+        for key, value in recorded.items():
+            if value is None:
+                assert report[key] is None
+            else:
+                assert report[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+    def test_each_framing_runs_once_per_signal(self, monkeypatch):
+        ref, deg, _, _ = _scored_pairs()["8k_texts"]
+        framings = Counter()
+        original = mmvib.metrics.stft
+
+        def counted(audio, window_len, hop):
+            framings[window_len, hop] += 1
+            return original(audio, window_len, hop)
+
+        monkeypatch.setattr(mmvib.metrics, "stft", counted)
+        score_pair(ref, deg)
+        want = {(200, 80): 2}
+        want.update({(w, w // 4): 2 for w in mmvib.signal_core.MEL_LOSS_WINDOWS})
+        assert dict(framings) == want
+
+    def test_peak_memory_on_a_long_pair(self):
+        # 15 s at 8 kHz; before the spectra were shared the traced peak was
+        # 25.8 MB, and holding all seven mel resolutions at once adds ~27 MB
+        clip = make_speech_clip(40, duration=15.0)
+        ref = zscore_normalize(clip)
+        deg = degrade(clip, 0.4, 0.2, seed=41)
+        mel_filterbank.cache_clear()
+        score_pair(ref, deg)  # build the cached filterbanks outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            score_pair(ref, deg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 25.8e6

@@ -407,7 +407,10 @@ class TestCaptureIO:
         message = f"bad capture header, chirps_per_frame must be a positive integer, got 0: {path}"
         assert_rejected(path, message, tmp_path, capsys)
 
-    @pytest.mark.parametrize("text", ['{"artifact_log": [{}]}', "[1, 2]"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"artifact_log": [{}]}', "[1, 2]", pytest.param("[" * 100_000, id="deeply_nested")],
+    )
     def test_malformed_sidecar_one_line_error(self, chirp_cfg, tmp_path, text):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
         path = tmp_path / "cap.bin"

@@ -21,6 +21,7 @@ from mmvib.signal_core import (
     frame_signal,
     hann_window,
 )
+from oracles import gather_frame_signal
 
 
 class TestZscore:
@@ -154,6 +155,25 @@ class TestFrameSignal:
 
     def test_trailing_samples_dropped(self):
         assert frame_signal(np.arange(21.0), 8, 4).shape == (4, 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_equals_the_gather_and_is_read_only(self, window_len, hop, extra):
+        # hop > window_len included: rows then skip samples
+        x = np.random.default_rng(window_len * 1000 + hop).standard_normal(window_len + extra)
+        frames = frame_signal(x, window_len, hop)
+        want = gather_frame_signal(x, window_len, hop)
+        assert frames.shape == want.shape
+        np.testing.assert_array_equal(frames, want)
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0, 0] = 1.0
+        # stft's windowed rows are unchanged bit for bit, not just close
+        window = hann_window(window_len)
+        assert (frames * window).tobytes() == (want * window).tobytes()
 
 
 class TestMel:
