@@ -291,10 +291,10 @@ def _edit_distance(a: list[str], b: list[str]) -> int:
 def wer_cer(ref_text, hyp_text) -> tuple[float, float]:
     """Word and character error rates from edit distance over the reference length."""
     ref_words = _as_words(ref_text)
-    if not ref_words:
+    ref_chars = _as_chars(ref_text)
+    if not ref_words or not ref_chars:
         raise ValueError("empty reference")
     hyp_words = _as_words(hyp_text)
-    ref_chars = _as_chars(ref_text)
     hyp_chars = _as_chars(hyp_text)
     wer = _edit_distance(ref_words, hyp_words) / len(ref_words)
     cer = _edit_distance(ref_chars, hyp_chars) / len(ref_chars)

@@ -206,6 +206,10 @@ class TestWerCer:
         with pytest.raises(ValueError, match="empty reference"):
             wer_cer("", "something")
 
+    def test_reference_of_empty_tokens_rejected(self):
+        with pytest.raises(ValueError, match="empty reference"):
+            wer_cer([""], "something")
+
     def test_token_lists_accepted(self):
         wer, _ = wer_cer(["hello", "world"], ["hello", "there"])
         assert wer == 0.5
