@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -39,9 +40,10 @@ from .synth import (
     SynthesisConfig,
     build_dataset,
     item_seed,
+    manifest_lines,
     synthesize_mmvib,
 )
-from .vib_extract import extract_vibration, locate_target, trace_from_phase
+from .vib_extract import BinSearch, extract_vibration, locate_target, trace_from_phase
 
 SEED_ENV_VAR = "MMVIB_SEED"
 
@@ -215,21 +217,33 @@ def _simulate_capture(config: PipelineConfig, audio: AudioBuffer, seed_key) -> I
     )
 
 
+def _searched(frames, search: BinSearch):
+    """The frames, each added to the bin search as it passes."""
+    for frame in frames:
+        search.add(frame)
+        yield frame
+
+
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> int:
     """Simulate an IF capture from a WAV forcing signal and write the container.
 
-    The capture is written one frame at a time as it is simulated, and the
-    artifacts are stamped into the file, so no whole capture is ever held.
-    The bytes equal save_capture(_simulate_capture(...)).
+    The capture is written one frame at a time as it is simulated, and each
+    frame is added to the bin search on its way to the file. The artifacts
+    are then stamped into the file, whose clean sigma needs only the target
+    bin demodulated, so no whole capture is ever held. The bytes equal
+    save_capture(_simulate_capture(...)).
     """
     try:
         audio = read_wav(audio_in)
         if len(audio) == 0:
             raise ValueError("audio is empty")
         frames, artifact_seed = _simulated(config, audio, config.seed, iter_if_frames)
-        n_frames = write_capture_frames(capture_out, config.chirp, frames)
+        search = BinSearch(config.chirp)
+        with closing(frames):
+            n_frames = write_capture_frames(capture_out, config.chirp, _searched(frames, search))
+        target = search.target(capture_out)
         log = stamp_capture_file(
-            capture_out, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
+            capture_out, target, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
         )
         write_artifact_sidecar(capture_out, log, seed=config.seed)
     except (OSError, ValueError) as exc:
@@ -304,18 +318,17 @@ def _aggregate(pairs: list[dict]) -> dict:
 def _read_pair_manifest(path) -> list:
     """The JSON value of every non-blank manifest line.
 
-    A line that does not parse, or nests too deeply for the parser, is a
-    ValueError naming the file and line.
+    A line that is not UTF-8, does not parse, or nests too deeply for the
+    parser, is a ValueError naming the file and line.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{path} line {line_no}: {exc}") from None
+    for line_no, line in manifest_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rows.append(json.loads(line))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path} line {line_no}: {exc}") from None
     return rows
 
 

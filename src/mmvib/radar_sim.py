@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -265,8 +266,13 @@ def iter_if_frames(
     The per-chirp beat tone sits at f = 2 * slope * range / c and carries phase
     4 * pi * (range + displacement) / wavelength. Trailing samples that do not
     fill a whole frame are dropped. The scene is checked on the call; each
-    [chirps_per_frame, adc_samples_per_chirp] frame is made, with its own
-    noise draws, only when the iterator reaches it.
+    [chirps_per_frame, adc_samples_per_chirp] frame is made only when the
+    iterator reaches it. From the first frame on, one background thread
+    draws the noise from the one seeded generator, in frame order and at
+    most two frames ahead; numpy lets it draw while the caller works on the
+    frames before. An error in a draw is raised here, and closing or
+    dropping the iterator stops the thread, so the frames equal those of a
+    single thread.
     """
     if len(vibration) == 0:
         raise ValueError("empty vibration trace")
@@ -300,13 +306,29 @@ def iter_if_frames(
     cpf = cfg.chirps_per_frame
     adc = cfg.adc_samples_per_chirp
 
+    def draw() -> tuple[np.ndarray, np.ndarray]:
+        return rng.standard_normal((cpf, adc)), rng.standard_normal((cpf, adc))
+
     def frames() -> Iterator[np.ndarray]:
-        for f in range(n_frames):
-            d = vibration.displacement[f * cpf : (f + 1) * cpf]
-            phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
-            chirps = reflectivity * np.exp(1j * phase)[:, None] * beat[None, :]
-            noise = rng.standard_normal((cpf, adc)) + 1j * rng.standard_normal((cpf, adc))
-            yield (chirps + (noise_sigma / np.sqrt(2.0)) * noise).astype(np.complex64)
+        # imported here: concurrent.futures loads logging, which would add to
+        # the start-up of every command, not only the ones that simulate
+        from concurrent.futures import ThreadPoolExecutor
+
+        # one worker runs the draws in the order they are submitted
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mmvib-noise")
+        try:
+            draws = deque(pool.submit(draw) for _ in range(min(2, n_frames)))
+            for f in range(n_frames):
+                real, imag = draws.popleft().result()
+                if f + 2 < n_frames:
+                    draws.append(pool.submit(draw))
+                d = vibration.displacement[f * cpf : (f + 1) * cpf]
+                phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
+                chirps = reflectivity * np.exp(1j * phase)[:, None] * beat[None, :]
+                noise = real + 1j * imag
+                yield (chirps + (noise_sigma / np.sqrt(2.0)) * noise).astype(np.complex64)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     return frames()
 
@@ -336,12 +358,17 @@ def _collect(frames: Iterable[np.ndarray], n_frames: int, cfg: ChirpConfig) -> n
 
 
 def _artifact_log(
-    capture, beginning_magnitude_sigma: float, periodic_magnitude_sigma: float, seed
+    capture,
+    beginning_magnitude_sigma: float,
+    periodic_magnitude_sigma: float,
+    seed,
+    target: int | None = None,
 ) -> list[ArtifactEvent]:
     """The spikes to stamp on a clean capture: which chirp rows and by what angle.
 
     capture is anything locate_target reads. The clean phase sigma is found
-    only when some magnitude is non-zero.
+    only when some magnitude is non-zero, from the target bin when it is
+    given and by locate_target otherwise.
     """
     if beginning_magnitude_sigma < 0 or periodic_magnitude_sigma < 0:
         raise ValueError("artifact magnitudes must be >= 0")
@@ -349,9 +376,10 @@ def _artifact_log(
         return []
 
     # vib_extract imports this module, so the extraction core is imported here
-    from .vib_extract import locate_target
+    from .vib_extract import demodulate_bin, locate_target
 
-    sigma = float(locate_target(capture)[1].std())
+    phase = locate_target(capture)[1] if target is None else demodulate_bin(capture, target)
+    sigma = float(phase.std())
     rng = np.random.default_rng(seed)
     plan = [("beginning", 0, beginning_magnitude_sigma)] if beginning_magnitude_sigma > 0 else []
     if periodic_magnitude_sigma > 0:
@@ -392,17 +420,18 @@ def inject_artifacts(
 
 
 def stamp_capture_file(
-    path, beginning_magnitude_sigma: float, periodic_magnitude_sigma: float, seed=0
+    path, target: int, beginning_magnitude_sigma: float, periodic_magnitude_sigma: float, seed=0
 ) -> list[ArtifactEvent]:
     """inject_artifacts on a capture container, in place; returns the artifact log.
 
-    The clean sigma comes from one streamed pass over the file. Each spike is
-    then a seek, read, multiply and write of one chirp row, so the file ends
-    up byte for byte as save_capture would write the stamped capture. The
-    sidecar is left to the caller.
+    target is the container's target bin, as locate_target finds it. The
+    clean sigma comes from demodulating that bin in one streamed pass over
+    the file. Each spike is then a seek, read, multiply and write of one
+    chirp row, so the file ends up byte for byte as save_capture would write
+    the stamped capture. The sidecar is left to the caller.
     """
     capture = CaptureFile(path)
-    log = _artifact_log(capture, beginning_magnitude_sigma, periodic_magnitude_sigma, seed)
+    log = _artifact_log(capture, beginning_magnitude_sigma, periodic_magnitude_sigma, seed, target)
     cfg = capture.config
     row = np.empty(cfg.adc_samples_per_chirp, dtype=np.complex64)
     with open(capture.path, "r+b") as fh:

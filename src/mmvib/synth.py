@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,19 +148,33 @@ def build_dataset(
     return manifest_out
 
 
+def manifest_lines(path) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 text file, numbered from 1, as open() splits it.
+
+    Each line is checked on its own, so a line that is not UTF-8 is a
+    ValueError naming the file and line.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path} line {line_no}: {exc}") from None
+            yield line_no, line
+
+
 def _read_input_manifest(path) -> list[str]:
     """Accept bare-path lines or JSON-lines rows carrying clean_path."""
     entries: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if not line.startswith("{"):
-                entries.append(line)
-                continue
-            try:
-                entries.append(str(json.loads(line)["clean_path"]))
-            except (ValueError, KeyError, RecursionError):
-                raise ValueError(f"{path} line {line_no}: no JSON clean_path field") from None
+    for line_no, line in manifest_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        if not line.startswith("{"):
+            entries.append(line)
+            continue
+        try:
+            entries.append(str(json.loads(line)["clean_path"]))
+        except (ValueError, KeyError, RecursionError):
+            raise ValueError(f"{path} line {line_no}: no JSON clean_path field") from None
     return entries

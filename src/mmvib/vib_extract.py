@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
 import numpy as np
 
 from .radar_sim import ChirpConfig, IFCapture, VibrationTrace
@@ -145,28 +143,59 @@ def remove_periodic_outliers(trace: VibrationTrace, chirps_per_frame: int) -> Vi
     return VibrationTrace(out, trace.sample_rate)
 
 
-def _frame_strengths(frames: Iterable[np.ndarray], config: ChirpConfig) -> Iterator[np.ndarray]:
-    """Each frame's per-bin magnitude sum over its chirps, float32, DC to Nyquist.
+class BinSearch:
+    """The bin search of locate_target, fed one frame at a time.
 
-    Equal bit for bit to np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0,
+    add sums each range bin's magnitude over one frame's chirps in float32,
+    equal bit for bit to np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0,
     dtype=np.float32): numpy's complex64 FFT is its complex128 FFT rounded to
-    complex64, which is the path taken here. Every step writes into buffers
-    made once, since the FFT's own scratch would otherwise be mapped and
-    unmapped on every frame. The array yielded is one of those buffers.
+    complex64, which is the path taken here. The frame sums are added into
+    the float64 strength, DC to Nyquist. Every step writes into buffers made
+    once, since the FFT's own scratch would otherwise be mapped and unmapped
+    on every frame. Frames too large or not finite leave a strength that is
+    not finite, which target reports as one error, without numpy warnings.
     """
-    chirps, adc = config.chirps_per_frame, config.adc_samples_per_chirp
-    range_bins = adc // 2 + 1
-    wide = np.empty((chirps, adc), dtype=np.complex128)
-    spectrum = np.empty_like(wide)
-    half = np.empty((chirps, range_bins), dtype=np.complex64)
-    magnitude = np.empty((chirps, range_bins), dtype=np.float32)
-    strength = np.empty(range_bins, dtype=np.float32)
-    for frame in frames:
-        np.copyto(wide, frame)
-        np.fft.fft(wide, axis=1, out=spectrum)
-        np.copyto(half, spectrum[:, :range_bins])
-        np.abs(half, out=magnitude)
-        yield magnitude.sum(axis=0, dtype=np.float32, out=strength)
+
+    def __init__(self, config: ChirpConfig) -> None:
+        chirps, adc = config.chirps_per_frame, config.adc_samples_per_chirp
+        self._bins = adc // 2 + 1
+        self._wide = np.empty((chirps, adc), dtype=np.complex128)
+        self._spectrum = np.empty_like(self._wide)
+        self._half = np.empty((chirps, self._bins), dtype=np.complex64)
+        self._magnitude = np.empty((chirps, self._bins), dtype=np.float32)
+        self._frame_strength = np.empty(self._bins, dtype=np.float32)
+        self.strength = np.zeros(self._bins)
+
+    def add(self, frame: np.ndarray) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.copyto(self._wide, frame)
+            np.fft.fft(self._wide, axis=1, out=self._spectrum)
+            np.copyto(self._half, self._spectrum[:, : self._bins])
+            np.abs(self._half, out=self._magnitude)
+            self._magnitude.sum(axis=0, dtype=np.float32, out=self._frame_strength)
+        self.strength += self._frame_strength
+
+    def target(self, source) -> int:
+        """The strongest bin so far, DC excluded; source names the capture in errors."""
+        if not np.isfinite(self.strength).all():
+            raise ValueError(f"capture samples are not finite or too large: {source}")
+        return _strongest_bin(self.strength)
+
+
+def demodulate_bin(capture, target: int) -> np.ndarray:
+    """Unwrapped per-chirp phase of one range bin of the capture.
+
+    A single-bin DFT: the dot product of every chirp with one complex
+    exponential, frame by frame, so beyond the frames it holds one sample
+    per chirp.
+    """
+    config = capture.config
+    adc = config.adc_samples_per_chirp
+    kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
+    column = np.empty((capture.n_frames, config.chirps_per_frame), dtype=np.complex64)
+    for index, frame in enumerate(capture):
+        np.matmul(frame, kernel, out=column[index])
+    return unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
 
 
 def locate_target(capture) -> tuple[int, np.ndarray]:
@@ -174,27 +203,20 @@ def locate_target(capture) -> tuple[int, np.ndarray]:
 
     The one place that decides which bin carries the vibration. capture is
     an IFCapture or a CaptureFile: anything with config, n_frames and
-    iteration over its frames, which happens twice. The first pass is the
-    bin search, summing each bin's magnitude frame by frame; the second
-    demodulates only the winning bin, with a single-bin DFT (a dot product of
-    every chirp with one complex exponential). Beyond the frames it holds
-    one frame's spectrum and one sample per chirp. It picks the bin
+    iteration over its frames, which happens twice: a BinSearch pass, then
+    demodulate_bin on the winning bin. Beyond the frames it holds one
+    frame's spectrum and one sample per chirp. It picks the bin
     select_target_bin picks on range_fft's profile, and the phase of
     extract_phase_series up to float32 rounding.
     """
     if capture.n_frames == 0:
         raise ValueError("empty capture")
-    config = capture.config
-    strength = np.zeros(config.adc_samples_per_chirp // 2 + 1)
-    for frame_strength in _frame_strengths(capture, config):
-        strength += frame_strength
-    target = _strongest_bin(strength)
-    adc = config.adc_samples_per_chirp
-    kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
-    column = np.empty((capture.n_frames, config.chirps_per_frame), dtype=np.complex64)
-    for index, frame in enumerate(capture):
-        np.matmul(frame, kernel, out=column[index])
-    return target, unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
+    search = BinSearch(capture.config)
+    for frame in capture:
+        search.add(frame)
+    target = search.target(getattr(capture, "path", "in-memory capture"))
+    del search  # its frame buffers, before the demodulation allocates
+    return target, demodulate_bin(capture, target)
 
 
 def trace_from_phase(

@@ -6,8 +6,10 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import threading
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -20,11 +22,14 @@ from hypothesis import strategies as st
 import mmvib.vib_extract
 from mmvib import (
     AudioBuffer,
+    ChirpConfig,
+    VibrationTrace,
     extract_vibration,
     load_capture,
     locate_target,
     read_wav,
     save_capture,
+    simulate_if_frames,
     write_wav,
 )
 from mmvib.cli import (
@@ -37,6 +42,7 @@ from mmvib.cli import (
     load_config,
     main,
 )
+from mmvib.vib_extract import BinSearch
 from oracles import riff_chunk, riff_wav, wav_fmt
 from speechgen import make_speech_clip
 
@@ -269,6 +275,18 @@ class TestSimulate:
         sidecar = Path(f"{streamed}.artifacts.json").read_text()
         assert sidecar == Path(f"{in_memory}.artifacts.json").read_text()
 
+    def test_write_failing_mid_stream_stops_the_noise_thread(self, tmp_path, monkeypatch, capsys):
+        def failing_write(path, config, frames):
+            next(iter(frames))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(mmvib.cli, "write_capture_frames", failing_write)
+        wav = make_tone_wav(tmp_path / "tone.wav", duration=1.0)
+        before = threading.active_count()
+        assert main(["simulate", "--audio", str(wav), "--out", str(tmp_path / "c.bin")]) == 1
+        assert threading.active_count() == before
+        assert capsys.readouterr().err == "simulate failed: disk full\n"
+
     def test_peak_memory_a_fraction_of_the_capture(self, tmp_path):
         # simulate and extract in a fresh interpreter, whose own peak RSS is
         # VmHWM; ru_maxrss would carry this process's peak across exec
@@ -300,6 +318,54 @@ class TestSimulate:
         capture_bytes = capture.stat().st_size
         assert capture_bytes > 150 * 2**20
         assert grown < capture_bytes / 4
+
+
+# Garbling applied to a small capture container: header fields set to values
+# a reader must reject or survive, and inserts, overwrites and cuts of bytes
+# anywhere, some of them float32 samples that are huge, infinite or NaN. The
+# header is the magic, four float64 and four uint32.
+_HEADER_FIELDS = st.one_of(
+    st.tuples(
+        st.just("overwrite"),
+        st.sampled_from([8, 16, 24, 32]),
+        st.sampled_from([0.0, -1.0, 1e-300, 1e300, float("inf"), float("nan")]).map(
+            lambda x: struct.pack("<d", x)
+        ),
+        st.just(1),
+    ),
+    st.tuples(
+        st.just("overwrite"),
+        st.sampled_from([40, 44, 48, 52]),
+        st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1]).map(lambda n: struct.pack("<I", n)),
+        st.just(1),
+    ),
+)
+_CONTAINER_GARBLING = st.lists(
+    st.one_of(
+        _HEADER_FIELDS,
+        st.tuples(
+            st.sampled_from(["insert", "overwrite"]),
+            st.integers(min_value=0),
+            st.binary(min_size=1, max_size=8)
+            | st.sampled_from([3.0e38, float("inf"), float("nan")]).map(lambda x: struct.pack("<f", x)),
+            st.just(1),
+        ),
+        st.tuples(st.just("cut"), st.integers(min_value=0), st.just(b""), st.integers(1, 400)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def small_capture(tmp_path_factory):
+    """A directory and the bytes of a three-frame capture of 8 chirps of 16 samples."""
+    root = tmp_path_factory.mktemp("capture_fuzz")
+    cfg = replace(ChirpConfig(), adc_samples_per_chirp=16, chirps_per_frame=8)
+    rate = cfg.effective_sampling_rate
+    vib = VibrationTrace(1e-6 * np.sin(2 * np.pi * 40.0 * np.arange(24) / rate), rate)
+    save_capture(simulate_if_frames(cfg, vib, 0.2, seed=0), root / "good.bin")
+    return root, (root / "good.bin").read_bytes()
 
 
 class TestExtract:
@@ -368,7 +434,32 @@ class TestExtract:
         sidecar = json.loads((tmp_path / "rec.wav.json").read_text())
         assert sidecar["target_bin"] == locate_target(capture)[0]
 
-    def test_locate_target_runs_once_per_command(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_names_the_capture(self, capture_path, tmp_path, capsys, value):
+        data = bytearray(capture_path.read_bytes())
+        # the real part of the last sample of the last chirp
+        struct.pack_into("<f", data, len(data) - 8, value)
+        capture_path.write_bytes(bytes(data))
+        assert main(["extract", "--capture", str(capture_path),
+                     "--out", str(tmp_path / "x.wav")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"extract failed: capture samples are not finite or too large: {capture_path}\n"
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(edits=_CONTAINER_GARBLING)
+    def test_garbled_container_fuzz(self, small_capture, edits):
+        root, good = small_capture
+        capture = root / "garbled.bin"
+        capture.write_bytes(_garble(good, edits))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["extract", "--capture", str(capture), "--out", str(root / "x.wav")])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("\n") <= 1
+
+    def test_bin_search_runs_once_per_command(self, tmp_path, monkeypatch):
+        searches = []
         located = []
         profiled = []
         originals = {
@@ -383,6 +474,11 @@ class TestExtract:
 
             return counted
 
+        class CountedSearch(BinSearch):
+            def __init__(self, config):
+                searches.append(config)
+                super().__init__(config)
+
         # rebind every module-level reference, so a second import of one is counted too
         for name, module in list(sys.modules.items()):
             if not name.startswith("mmvib"):
@@ -390,12 +486,17 @@ class TestExtract:
             for attr, (original, calls) in originals.items():
                 if vars(module).get(attr) is original:
                     monkeypatch.setattr(module, attr, counting(original, calls))
+            if vars(module).get("BinSearch") is BinSearch:
+                monkeypatch.setattr(module, "BinSearch", CountedSearch)
         wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
         cap = tmp_path / "cap.bin"
+        # simulate searches the frames as it writes them, and only demodulates the file
         assert main(["simulate", "--audio", str(wav), "--out", str(cap)]) == 0
-        assert len(located) == 1
+        assert len(searches) == 1
+        assert located == []
         assert main(["extract", "--capture", str(cap), "--out", str(tmp_path / "x.wav")]) == 0
-        assert len(located) == 2
+        assert len(searches) == 2
+        assert len(located) == 1
         # the full range profile stays off the pipeline
         assert profiled == []
 
@@ -437,6 +538,15 @@ class TestSynth:
         assert err.count("\n") == 1
         assert f"{manifest} line 1" in err
         assert "Traceback" not in err
+
+    def test_non_utf8_manifest_line(self, tmp_path, capsys):
+        manifest = tmp_path / "in.txt"
+        manifest.write_bytes(b"clip.wav\n\xff{}\n")
+        assert main(["synth", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "ds")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"synth failed: {manifest} line 2: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
 
 
 # Garbling applied to a score manifest: inserts, overwrites and cuts of bytes
@@ -588,6 +698,19 @@ class TestScore:
         assert err.count("\n") == 1
         assert f"{manifest} line 2" in err
         assert "Traceback" not in err
+        assert not report_path.exists()
+
+    def test_non_utf8_manifest_line(self, tmp_path, capsys):
+        wav = make_tone_wav(tmp_path / "x.wav", duration=1.0)
+        manifest = tmp_path / "pairs.jsonl"
+        # the bad byte sits past the first line, in the same read buffer
+        manifest.write_bytes(json.dumps({"ref_path": str(wav), "deg_path": str(wav)}).encode()
+                             + b"\n\xff{}\n")
+        report_path = tmp_path / "report.json"
+        assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"score failed: {manifest} line 2: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
         assert not report_path.exists()
 
     @pytest.mark.parametrize("key", ["ref_text", "hyp_text"])

@@ -1,8 +1,11 @@
 """Chirp geometry, the forced-vibration surface model, IF simulation, and artifacts."""
 
+import hashlib
 import re
 import struct
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,6 +237,66 @@ class TestSimulate:
         assert all(frame.dtype == np.complex64 for frame in frames)
         assert np.stack(frames).tobytes() == cap.frames.tobytes()
 
+    # SHA-256 of the frames iter_if_frames yielded when it drew its noise on
+    # the calling thread: a 500 Hz tone for 0.096 s, three frames, range 1.5 m
+    FRAME_DIGESTS = {
+        (256, 0): "2533753db9a6397400b3ee21f6f5b812492c290ebde501206cb2fd7765ae8079",
+        (256, 7): "aa08488fa0631cc2cd91756c3778be3629c38275ee9087f39068dd4d52c09062",
+        (512, 0): "9086c5b36b87e9dff80eef754eb4c08e9359527ebedc10d22ae2b67fc266bf0d",
+        (512, 7): "926c37bc174d8670bab7a68a2df48efb58b5ac1c98edc1bdb781a173481aaed0",
+    }
+
+    @pytest.mark.parametrize("chirps_per_frame, seed", sorted(FRAME_DIGESTS))
+    def test_frame_stream_bytes_are_pinned(self, chirp_cfg, chirps_per_frame, seed):
+        cfg = replace(
+            chirp_cfg,
+            chirps_per_frame=chirps_per_frame,
+            chirp_duration=chirp_cfg.chirp_duration * 256 / chirps_per_frame,
+        )
+        vib = make_tone_trace(cfg, 500.0, duration_s=0.096)
+        digest = hashlib.sha256()
+        n_frames = 0
+        for frame in iter_if_frames(cfg, vib, 1.5, seed=seed):
+            digest.update(frame.tobytes())
+            n_frames += 1
+        assert n_frames == 3
+        assert digest.hexdigest() == self.FRAME_DIGESTS[chirps_per_frame, seed]
+
+    @pytest.mark.parametrize("stop", ["close", "drop"])
+    def test_frame_stream_stops_its_noise_thread(self, chirp_cfg, stop):
+        vib = make_tone_trace(chirp_cfg, 500.0, duration_s=0.32)
+        before = threading.active_count()
+        frames = iter_if_frames(chirp_cfg, vib, 1.5, seed=0)
+        # the thread starts with the first frame, not on the call
+        assert threading.active_count() == before
+        next(frames)
+        assert threading.active_count() == before + 1
+        if stop == "close":
+            frames.close()
+        else:
+            del frames
+        assert threading.active_count() == before
+
+    def test_frame_stream_raises_a_draw_error(self, chirp_cfg):
+        class FailingGenerator(np.random.Generator):
+            """Fails on its third draw: the real part of the second frame's noise."""
+
+            draws = 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.draws += 1
+                if self.draws == 3:
+                    raise RuntimeError("draw failed")
+                return super().standard_normal(*args, **kwargs)
+
+        vib = make_tone_trace(chirp_cfg, 500.0, duration_s=0.32)
+        before = threading.active_count()
+        frames = iter_if_frames(chirp_cfg, vib, 1.5, seed=FailingGenerator(np.random.PCG64(0)))
+        next(frames)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            next(frames)
+        assert threading.active_count() == before
+
 
 class TestArtifacts:
     def test_zero_magnitudes_noop(self, chirp_cfg):
@@ -300,7 +363,7 @@ class TestArtifacts:
         clean = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
         path = tmp_path / "cap.bin"
         save_capture(clean, path)
-        log = stamp_capture_file(path, *sigmas, seed=3)
+        log = stamp_capture_file(path, locate_target(clean)[0], *sigmas, seed=3)
         stamped = inject_artifacts(clean, *sigmas, seed=3)
         save_capture(stamped, tmp_path / "ref.bin")
         assert path.read_bytes() == (tmp_path / "ref.bin").read_bytes()

@@ -33,7 +33,7 @@ from mmvib import (
     zscore_normalize,
 )
 from mmvib.cli import PipelineConfig
-from mmvib.vib_extract import _frame_strengths
+from mmvib.vib_extract import BinSearch
 from oracles import oracle_remove_periodic_outliers
 from speechgen import make_speech_clip
 
@@ -192,12 +192,19 @@ class TestLocateTarget:
         cfg = frame_scaled_config(chirps_per_frame)
         cap = make_tone_capture(cfg, 500.0, duration_s=0.192, noise_floor_db=-40.0)
         bins = cfg.adc_samples_per_chirp // 2 + 1
-        strengths = [s.copy() for s in _frame_strengths(cap, cfg)]
-        assert len(strengths) == cap.n_frames
-        for frame, strength in zip(cap.frames, strengths):
+        total = np.zeros(bins)
+        for frame in cap.frames:
+            # a fresh search holds one frame's float32 sums, exactly, in float64
+            search = BinSearch(cfg)
+            search.add(frame)
             want = np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0, dtype=np.float32)
-            assert strength.dtype == np.float32
-            assert strength.tobytes() == want.tobytes()
+            assert search.strength.dtype == np.float64
+            assert search.strength.astype(np.float32).tobytes() == want.tobytes()
+            total += want
+        search = BinSearch(cfg)
+        for frame in cap:
+            search.add(frame)
+        assert search.strength.tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("chirps_per_frame", [256, 512, 1024])
     def test_demodulation_equals_the_whole_capture_matvec(self, chirps_per_frame):
