@@ -20,13 +20,10 @@ from .radar_sim import (
     DEFAULT_NOISE_FLOOR_DB,
     CaptureFile,
     ChirpConfig,
-    IFCapture,
     SurfaceMaterial,
     displacement_from_audio,
-    inject_artifacts,
     iter_if_frames,
     range_resolution,
-    simulate_if_frames,
     stamp_capture_file,
     write_artifact_sidecar,
     write_capture_frames,
@@ -43,7 +40,7 @@ from .synth import (
     manifest_lines,
     synthesize_mmvib,
 )
-from .vib_extract import BinSearch, extract_vibration, locate_target, trace_from_phase
+from .vib_extract import BinSearch, locate_target, trace_from_phase
 
 SEED_ENV_VAR = "MMVIB_SEED"
 
@@ -187,36 +184,6 @@ def _parse_section(section: str, raw: dict[str, str], defaults) -> dict:
     return parsed
 
 
-def _simulated(config: PipelineConfig, audio: AudioBuffer, seed_key, simulate):
-    """Shared simulate path: resample, z-score, force the surface, simulate.
-
-    simulate is simulate_if_frames or iter_if_frames, which take the same
-    arguments. Returns its result and the artifact seed, both spawned from
-    seed_key.
-    """
-    rate = config.chirp.effective_sampling_rate
-    forcing = zscore_normalize(resample(audio, rate))
-    vibration = displacement_from_audio(forcing, config.material, config.force_scale)
-    sim_seed, artifact_seed = np.random.SeedSequence(seed_key).spawn(2)
-    simulated = simulate(
-        config.chirp,
-        vibration,
-        config.range_m,
-        reflectivity=config.material.reflectivity,
-        noise_floor_db=config.noise_floor_db,
-        seed=sim_seed,
-    )
-    return simulated, artifact_seed
-
-
-def _simulate_capture(config: PipelineConfig, audio: AudioBuffer, seed_key) -> IFCapture:
-    """The capture cmd_simulate writes, made in memory: simulate, then inject."""
-    capture, artifact_seed = _simulated(config, audio, seed_key, simulate_if_frames)
-    return inject_artifacts(
-        capture, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
-    )
-
-
 def _searched(frames, search: BinSearch):
     """The frames, each added to the bin search as it passes."""
     for frame in frames:
@@ -224,27 +191,47 @@ def _searched(frames, search: BinSearch):
         yield frame
 
 
+def _write_capture(config: PipelineConfig, forcing: AudioBuffer, seed_key, path):
+    """Write the capture of the surface that forcing drives, one frame at a time.
+
+    forcing is the audio resampled to the chirp rate and z-scored. Each frame
+    is added to the bin search on its way to the file, then the artifacts are
+    stamped in place, so no whole capture is held. Both seeds are spawned
+    from seed_key. Returns the frame count and the artifact log; the sidecar
+    is left to the caller.
+    """
+    vibration = displacement_from_audio(forcing, config.material, config.force_scale)
+    sim_seed, artifact_seed = np.random.SeedSequence(seed_key).spawn(2)
+    frames = iter_if_frames(
+        config.chirp,
+        vibration,
+        config.range_m,
+        reflectivity=config.material.reflectivity,
+        noise_floor_db=config.noise_floor_db,
+        seed=sim_seed,
+    )
+    search = BinSearch(config.chirp)
+    with closing(frames):
+        n_frames = write_capture_frames(path, config.chirp, _searched(frames, search))
+    log = stamp_capture_file(
+        path, search.target(path), config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
+    )
+    return n_frames, log
+
+
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> int:
     """Simulate an IF capture from a WAV forcing signal and write the container.
 
-    The capture is written one frame at a time as it is simulated, and each
-    frame is added to the bin search on its way to the file. The artifacts
-    are then stamped into the file, whose clean sigma needs only the target
-    bin demodulated, so no whole capture is ever held. The bytes equal
-    save_capture(_simulate_capture(...)).
+    The container is written frame by frame and stamped in place; it and its
+    artifact sidecar equal, byte for byte, what save_capture writes for the
+    library's in-memory capture.
     """
     try:
         audio = read_wav(audio_in)
         if len(audio) == 0:
             raise ValueError("audio is empty")
-        frames, artifact_seed = _simulated(config, audio, config.seed, iter_if_frames)
-        search = BinSearch(config.chirp)
-        with closing(frames):
-            n_frames = write_capture_frames(capture_out, config.chirp, _searched(frames, search))
-        target = search.target(capture_out)
-        log = stamp_capture_file(
-            capture_out, target, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
-        )
+        forcing = zscore_normalize(resample(audio, config.chirp.effective_sampling_rate))
+        n_frames, log = _write_capture(config, forcing, config.seed, capture_out)
         write_artifact_sidecar(capture_out, log, seed=config.seed)
     except (OSError, ValueError) as exc:
         print(f"simulate failed: {exc}", file=sys.stderr)
@@ -392,6 +379,8 @@ def cmd_score(manifest_in, report_out) -> int:
 def _sweep_variant(config: PipelineConfig, parameter: str, value) -> PipelineConfig:
     if parameter == "chirps_per_frame":
         cpf = int(float(value))
+        if cpf < 1:
+            raise ValueError(f"chirps_per_frame must be a positive integer, got {value}")
         duty = (
             config.chirp.chirps_per_frame
             * config.chirp.chirp_duration
@@ -426,10 +415,17 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         report = score_pair(zscore_normalize(reference), degraded)
         rate = variant.synth_sample_rate
     else:
-        capture = _simulate_capture(variant, audio, (variant.seed, index))
-        trace = extract_vibration(capture)
+        # imported here: only sweep needs it, and it adds to every command's start-up
+        import tempfile
+
         rate = variant.chirp.effective_sampling_rate
         forcing = zscore_normalize(resample(audio, rate))
+        with tempfile.TemporaryDirectory() as workdir:
+            path = Path(workdir) / "capture.bin"
+            _write_capture(variant, forcing, (variant.seed, index), path)
+            capture = CaptureFile(path)
+            phase = locate_target(capture)[1]
+        trace = trace_from_phase(phase, capture.config)
         reference = low_pass(forcing, REFERENCE_BAND_HZ)
         n = min(len(trace), len(reference))
         report = score_pair(
@@ -474,13 +470,17 @@ def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_o
         return 2
     try:
         audio = read_wav(audio_in)
-        rows = [
-            _sweep_point(config, parameter, value, audio, index)
-            for index, value in enumerate(values)
-        ]
     except (OSError, ValueError) as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
+    rows = []
+    for index, value in enumerate(values):
+        try:
+            rows.append(_sweep_point(config, parameter, value, audio, index))
+        except (OSError, ValueError, OverflowError) as exc:
+            # a capture error names its temporary file, which is gone by now
+            print(f"sweep failed: {parameter}={value}: {exc}", file=sys.stderr)
+            return 1
 
     report_path = Path(report_out)
     with open(report_path, "w", encoding="utf-8") as fh:

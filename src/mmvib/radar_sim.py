@@ -32,6 +32,9 @@ DEFAULT_SLOPE_HZ_PER_S = MAX_BANDWIDTH_HZ / DEFAULT_CHIRP_DURATION_S
 
 # Receiver noise power relative to unit echo amplitude.
 DEFAULT_NOISE_FLOOR_DB = -60.0
+# A noise floor at or above this puts the noise sigma past the largest
+# complex64 component.
+_MAX_NOISE_FLOOR_DB = 20.0 * float(np.log10(np.finfo(np.float32).max))
 
 _CAPTURE_MAGIC = b"MMVIBCP1"
 _CAPTURE_HEADER = struct.Struct("<8sddddIIII")
@@ -53,6 +56,10 @@ class ChirpConfig:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if not np.isfinite(self.wavelength):
+            raise ValueError(
+                f"carrier_freq {self.carrier_freq} gives a wavelength that is not finite"
+            )
         for name in ("adc_samples_per_chirp", "chirps_per_frame"):
             value = getattr(self, name)
             if int(value) != value or value < 1:
@@ -287,6 +294,11 @@ def iter_if_frames(
         raise ValueError("range aliasing")
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
+    if not noise_floor_db < _MAX_NOISE_FLOOR_DB:
+        raise ValueError(
+            f"noise_floor_db must be below {_MAX_NOISE_FLOOR_DB:.1f}, "
+            f"the complex64 range, got {noise_floor_db}"
+        )
     quarter_wave = cfg.wavelength / 4.0
     peak = float(np.max(np.abs(vibration.displacement)))
     if peak >= quarter_wave:
@@ -326,7 +338,10 @@ def iter_if_frames(
                 phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
                 chirps = reflectivity * np.exp(1j * phase)[:, None] * beat[None, :]
                 noise = real + 1j * imag
-                yield (chirps + (noise_sigma / np.sqrt(2.0)) * noise).astype(np.complex64)
+                # a noise tail past complex64 becomes inf, which the bin search reports
+                with np.errstate(over="ignore"):
+                    frame = (chirps + (noise_sigma / np.sqrt(2.0)) * noise).astype(np.complex64)
+                yield frame
         finally:
             pool.shutdown(cancel_futures=True)
 

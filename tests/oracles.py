@@ -1,7 +1,9 @@
 """Independent direct-definition implementations used to cross-check the package.
 
 Everything here is written from the documented conventions with plain loops
-and explicit formulas, deliberately sharing no code with mmvib.
+and explicit formulas, deliberately sharing no code with mmvib. The one
+exception is in_memory_capture, which composes mmvib's public in-memory
+capture path as the reference for the streamed commands.
 """
 
 from __future__ import annotations
@@ -225,6 +227,38 @@ def oracle_remove_periodic_outliers(x, chirps_per_frame: int) -> np.ndarray:
         if abs(x[s] - predicted) > threshold:
             out[s] = replacement
     return out
+
+
+def in_memory_capture(config, audio, seed_key):
+    """The capture the simulate command writes for config, built whole in memory.
+
+    The audio is resampled to the chirp rate and z-scored, drives the
+    surface, is simulated frame by frame into one array by
+    simulate_if_frames, and then inject_artifacts stamps it. The simulation
+    and artifact seeds are spawned from seed_key, as the command spawns them.
+    """
+    from mmvib import (
+        displacement_from_audio,
+        inject_artifacts,
+        resample,
+        simulate_if_frames,
+        zscore_normalize,
+    )
+
+    forcing = zscore_normalize(resample(audio, config.chirp.effective_sampling_rate))
+    vibration = displacement_from_audio(forcing, config.material, config.force_scale)
+    sim_seed, artifact_seed = np.random.SeedSequence(seed_key).spawn(2)
+    capture = simulate_if_frames(
+        config.chirp,
+        vibration,
+        config.range_m,
+        reflectivity=config.material.reflectivity,
+        noise_floor_db=config.noise_floor_db,
+        seed=sim_seed,
+    )
+    return inject_artifacts(
+        capture, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
+    )
 
 
 def riff_chunk(chunk_id: bytes, body: bytes) -> bytes:

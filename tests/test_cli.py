@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from operator import attrgetter
@@ -19,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mmvib.cli
+import mmvib.radar_sim
 import mmvib.vib_extract
 from mmvib import (
     AudioBuffer,
@@ -27,23 +30,28 @@ from mmvib import (
     extract_vibration,
     load_capture,
     locate_target,
+    low_pass,
     read_wav,
+    resample,
     save_capture,
+    score_pair,
     simulate_if_frames,
     write_wav,
+    zscore_normalize,
 )
 from mmvib.cli import (
     MATERIAL_PRESETS,
+    REFERENCE_BAND_HZ,
     SWEEP_PARAMETERS,
     PipelineConfig,
-    _simulate_capture,
     _sweep_variant,
     cmd_simulate,
     load_config,
     main,
 )
+from mmvib.metrics import REQUIRED_METRICS
 from mmvib.vib_extract import BinSearch
-from oracles import riff_chunk, riff_wav, wav_fmt
+from oracles import in_memory_capture, riff_chunk, riff_wav, wav_fmt
 from speechgen import make_speech_clip
 
 
@@ -104,7 +112,9 @@ class TestLoadConfig:
         ("[scene]\n[scene]\n", "cfg.ini"),
         ("[scene]\nrange_m\n", "cfg.ini"),
         ("[scene]\nrange_m = 5%\n", "[scene] range_m"),
-    ], ids=["overflow", "duplicate_key", "no_header", "duplicate_section", "no_value", "percent"])
+        ("[chirp]\ncarrier_freq = 1e-300\n", "[chirp]"),
+    ], ids=["overflow", "duplicate_key", "no_header", "duplicate_section", "no_value", "percent",
+            "infinite_wavelength"])
     def test_malformed_file_exits_2_with_one_line(self, text, named, tmp_path, capsys):
         p = tmp_path / "cfg.ini"
         p.write_text(text)
@@ -267,13 +277,27 @@ class TestSimulate:
         )
         streamed, in_memory = tmp_path / "streamed.bin", tmp_path / "in_memory.bin"
         assert cmd_simulate(config, wav, streamed) == 0
-        capture = _simulate_capture(config, read_wav(wav), config.seed)
+        capture = in_memory_capture(config, read_wav(wav), config.seed)
         assert capture.config.chirps_per_frame == chirps_per_frame
         assert len(capture.artifact_log) == (capture.n_frames + 1 if sigmas[0] else 0)
         save_capture(capture, in_memory, seed=config.seed)
         assert streamed.read_bytes() == in_memory.read_bytes()
         sidecar = Path(f"{streamed}.artifacts.json").read_text()
         assert sidecar == Path(f"{in_memory}.artifacts.json").read_text()
+
+    @pytest.mark.parametrize("noise_floor_db", ["1000", "10000"])
+    def test_noise_floor_past_complex64_exits_1_with_one_line(self, noise_floor_db, tmp_path,
+                                                              capsys):
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[scene]\nnoise_floor_db = {noise_floor_db}\n")
+        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
+        assert main(["simulate", "--config", str(config), "--audio", str(wav),
+                     "--out", str(tmp_path / "c.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "simulate failed: noise_floor_db must be below 770.6, the complex64 range, "
+            f"got {float(noise_floor_db)}\n"
+        )
 
     def test_write_failing_mid_stream_stops_the_noise_thread(self, tmp_path, monkeypatch, capsys):
         def failing_write(path, config, frames):
@@ -461,16 +485,18 @@ class TestExtract:
     def test_bin_search_runs_once_per_command(self, tmp_path, monkeypatch):
         searches = []
         located = []
-        profiled = []
+        in_memory = []
         originals = {
             "locate_target": (mmvib.vib_extract.locate_target, located),
-            "range_fft": (mmvib.vib_extract.range_fft, profiled),
+            "range_fft": (mmvib.vib_extract.range_fft, in_memory),
+            "simulate_if_frames": (mmvib.radar_sim.simulate_if_frames, in_memory),
+            "inject_artifacts": (mmvib.radar_sim.inject_artifacts, in_memory),
         }
 
         def counting(original, calls):
-            def counted(capture):
-                calls.append(capture.n_frames)
-                return original(capture)
+            def counted(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
 
             return counted
 
@@ -497,8 +523,13 @@ class TestExtract:
         assert main(["extract", "--capture", str(cap), "--out", str(tmp_path / "x.wav")]) == 0
         assert len(searches) == 2
         assert len(located) == 1
-        # the full range profile stays off the pipeline
-        assert profiled == []
+        # sweep does both for each radar value, on a container it writes as simulate does
+        assert main(["sweep", "--param", "range_m", "--values", "1.0,1.5", "--audio", str(wav),
+                     "--report", str(tmp_path / "sweep.json")]) == 0
+        assert len(searches) == 6
+        assert len(located) == 3
+        # the full range profile and the in-memory capture stay off the pipeline
+        assert in_memory == []
 
 
 class TestSynth:
@@ -881,6 +912,113 @@ class TestSweep:
         report = json.loads(report_path.read_text())
         assert len(report["rows"]) == 2
         assert report["rows"][0]["mel_loss"] < report["rows"][1]["mel_loss"]
+
+    # each radar axis, at the default and at one other value
+    @pytest.mark.parametrize("parameter, values", [
+        ("chirps_per_frame", "256,512"),
+        ("range_m", "1.5,2.5"),
+        ("noise_floor_db", "-60,-30"),
+        ("material", "pet,tinfoil"),
+    ])
+    def test_radar_rows_equal_the_in_memory_capture(self, parameter, values, tmp_path):
+        wav = tmp_path / "speech.wav"
+        write_wav(wav, make_speech_clip(14, duration=1.0))
+        report_path = tmp_path / "sweep.json"
+        assert main(["sweep", "--param", parameter, f"--values={values}", "--audio", str(wav),
+                     "--report", str(report_path)]) == 0
+        rows = json.loads(report_path.read_text())["rows"]
+        audio = read_wav(wav)
+        config = PipelineConfig()
+        for index, (row, value) in enumerate(zip(rows, values.split(","), strict=True)):
+            variant = _sweep_variant(config, parameter, value)
+            trace = extract_vibration(in_memory_capture(variant, audio, (variant.seed, index)))
+            rate = variant.chirp.effective_sampling_rate
+            reference = low_pass(zscore_normalize(resample(audio, rate)), REFERENCE_BAND_HZ)
+            n = min(len(trace), len(reference))
+            report = score_pair(
+                zscore_normalize(AudioBuffer(reference.samples[:n], rate)),
+                zscore_normalize(AudioBuffer(trace.displacement[:n], rate)),
+            )
+            expected = report.to_dict()
+            assert {k: row[k] for k in REQUIRED_METRICS} == {k: expected[k] for k in REQUIRED_METRICS}
+
+    def test_temporary_directory_left_empty(self, tmp_path, monkeypatch, capsys):
+        temp_root = tmp_path / "temp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        written = []
+        real_write = mmvib.cli.write_capture_frames
+
+        def recording_write(path, config, frames):
+            written.append(Path(path))
+            return real_write(path, config, frames)
+
+        monkeypatch.setattr(mmvib.cli, "write_capture_frames", recording_write)
+        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
+        report = str(tmp_path / "sweep.json")
+        assert main(["sweep", "--param", "range_m", "--values", "1.0,1.5",
+                     "--audio", str(wav), "--report", report]) == 0
+        assert len(written) == 2 and all(path.parent.parent == temp_root for path in written)
+        assert list(temp_root.iterdir()) == []
+        # noise past complex64 fails in the bin search, after the capture is written
+        assert main(["sweep", "--param", "noise_floor_db", "--values=-60,765",
+                     "--audio", str(wav), "--report", report]) == 1
+        assert len(written) == 4
+        assert list(temp_root.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("sweep failed: noise_floor_db=765: capture samples are not finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("parameter, value, reason", [
+        ("chirps_per_frame", "0", "chirps_per_frame must be a positive integer, got 0"),
+        ("chirps_per_frame", "inf", "cannot convert float infinity to integer"),
+        ("noise_floor_db", "1000",
+         "noise_floor_db must be below 770.6, the complex64 range, got 1000.0"),
+        ("noise_floor_db", "10000",
+         "noise_floor_db must be below 770.6, the complex64 range, got 10000.0"),
+        ("material", "steel", "unknown material preset 'steel', valid: pet, tinfoil"),
+    ], ids=["zero_chirps", "infinite_chirps", "noise_floor_1000", "noise_floor_10000",
+            "unknown_material"])
+    def test_bad_value_exits_1_naming_it(self, parameter, value, reason, tmp_path, capsys):
+        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
+        report = tmp_path / "sweep.json"
+        assert main(["sweep", "--param", parameter, "--values", value, "--audio", str(wav),
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err == f"sweep failed: {parameter}={value}: {reason}\n"
+        assert not report.exists()
+
+    def test_peak_memory_a_fraction_of_the_capture(self, tmp_path):
+        # one 1024-chirp value in a fresh interpreter, whose own peak RSS is
+        # VmHWM; the capture goes to a temporary file, not to memory
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status for VmHWM")
+        wav = tmp_path / "speech.wav"
+        clip = make_speech_clip(13, duration=5.0)
+        write_wav(wav, clip)
+        code = (
+            "import sys\n"
+            "from mmvib.cli import main\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith('VmHWM:'))\n"
+            "base = hwm()\n"
+            "assert main(['sweep', '--param', 'chirps_per_frame', '--values', '1024',\n"
+            "             '--audio', sys.argv[1], '--report', sys.argv[2]]) == 0\n"
+            "print(hwm() - base)\n"
+        )
+        src = Path(mmvib.vib_extract.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(wav), str(tmp_path / "sweep.json")],
+            env={**os.environ, "PYTHONPATH": str(src), "TMPDIR": str(tmp_path)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        grown = int(result.stdout.strip().splitlines()[-1])
+        # 1024 chirps of 256 complex64 samples per 32 ms frame, at 4x the 8 kHz clip rate
+        capture_bytes = (len(clip) * 4 // 1024) * 1024 * 256 * 8
+        assert capture_bytes > 300 * 2**20
+        assert grown < capture_bytes / 4
 
 
 class TestMainDispatch:

@@ -66,6 +66,11 @@ class TestChirpConfig:
     def test_wavelength(self, chirp_cfg):
         assert chirp_cfg.wavelength == pytest.approx(SPEED_OF_LIGHT / 60e9)
 
+    def test_carrier_with_an_infinite_wavelength_rejected(self):
+        # positive and finite, but c / 1e-300 overflows
+        with pytest.raises(ValueError, match="wavelength that is not finite"):
+            ChirpConfig(carrier_freq=1e-300)
+
 
 class TestRangeGeometry:
     def test_full_bandwidth_resolution(self, chirp_cfg):
@@ -205,6 +210,19 @@ class TestSimulate:
         vib = make_tone_trace(chirp_cfg, 100.0, amplitude_m=amp)
         with pytest.raises(ValueError, match="displacement"):
             simulate_if_frames(chirp_cfg, vib, 1.5, seed=0)
+
+    @pytest.mark.parametrize("noise_floor_db", [1000.0, 10000.0, float("nan")])
+    def test_noise_floor_past_complex64_rejected(self, chirp_cfg, noise_floor_db):
+        vib = VibrationTrace(np.zeros(256), chirp_cfg.effective_sampling_rate)
+        with pytest.raises(ValueError, match="noise_floor_db must be below 770.6"):
+            iter_if_frames(chirp_cfg, vib, 1.5, noise_floor_db=noise_floor_db)
+
+    def test_noise_tail_past_complex64_is_inf_without_a_warning(self, chirp_cfg):
+        # a sigma of 1.3e38 per component: the tail of the draws overflows
+        # float32, and the bin search rejects what it leaves
+        vib = VibrationTrace(np.zeros(256), chirp_cfg.effective_sampling_rate)
+        (frame,) = iter_if_frames(chirp_cfg, vib, 1.5, noise_floor_db=765.0)
+        assert np.isinf(frame).any()
 
     def test_seed_determinism(self, chirp_cfg):
         vib = make_tone_trace(chirp_cfg, 500.0, duration_s=0.096)
@@ -468,6 +486,17 @@ class TestCaptureIO:
         struct.pack_into("<I", data, 8 + 4 * 8 + 4, 0)
         path.write_bytes(bytes(data))
         message = f"bad capture header, chirps_per_frame must be a positive integer, got 0: {path}"
+        assert_rejected(path, message, tmp_path, capsys)
+
+    def test_header_with_an_infinite_wavelength(self, chirp_cfg, tmp_path, capsys):
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+        path = tmp_path / "cap.bin"
+        save_capture(cap, path)
+        data = bytearray(path.read_bytes())
+        # carrier_freq is the first float64 after the magic
+        struct.pack_into("<d", data, 8, 1e-300)
+        path.write_bytes(bytes(data))
+        message = f"bad capture header, carrier_freq 1e-300 gives a wavelength that is not finite: {path}"
         assert_rejected(path, message, tmp_path, capsys)
 
     @pytest.mark.parametrize(
