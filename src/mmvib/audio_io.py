@@ -103,8 +103,15 @@ def read_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, audio: AudioBuffer) -> None:
-    """Write mono float32 WAV, byte for byte as `scipy.io.wavfile.write` does."""
-    samples = np.ascontiguousarray(audio.samples, dtype="<f4")
+    """Write mono float32 WAV, byte for byte as `scipy.io.wavfile.write` does.
+
+    Samples past the float32 range are a ValueError naming the file, raised
+    before it is opened.
+    """
+    with np.errstate(over="ignore"):
+        samples = np.ascontiguousarray(audio.samples, dtype="<f4")
+    if not np.isfinite(samples).all():
+        raise ValueError(f"samples exceed the float32 range: {path}")
     rate = int(round(audio.sample_rate))
     header = _FLOAT_WAV_HEADER.pack(
         b"RIFF", _FLOAT_WAV_HEADER.size - 8 + samples.nbytes, b"WAVE",
@@ -156,7 +163,13 @@ def resample(audio: AudioBuffer, target_rate: float) -> AudioBuffer:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if abs(target_rate - audio.sample_rate) < 1e-9:
         return AudioBuffer(audio.samples.copy(), audio.sample_rate)
-    ratio = Fraction(target_rate / audio.sample_rate).limit_denominator(10000)
+    quotient = target_rate / audio.sample_rate
+    ratio = Fraction(quotient).limit_denominator(10000) if np.isfinite(quotient) else Fraction(0)
+    if ratio == 0:
+        raise ValueError(
+            f"cannot resample from {audio.sample_rate} Hz to {target_rate} Hz: "
+            "the ratio of the rates is not finite or rounds to zero"
+        )
     up, down = ratio.numerator, ratio.denominator
     if up == down:
         return AudioBuffer(audio.samples.copy(), target_rate)

@@ -10,6 +10,7 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,10 @@ SWEEP_PARAMETERS = (
     "beta",
     "material",
 )
+
+# What a command raises on bad input or a failed read or write: each is one
+# line on stderr, never a traceback.
+_FAILURES = (OSError, ValueError, OverflowError, RuntimeError)
 
 # Sweep references are low-passed here before scoring; the sensing band ends
 # at half the default 8 kHz chirp rate.
@@ -132,6 +137,8 @@ def load_config(path=None) -> PipelineConfig:
             except configparser.Error as exc:
                 # the parser's message names the file but can span lines
                 raise ValueError(f"config: {' '.join(str(exc).split())}") from None
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"config {path}: {exc}") from None
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ValueError(f"config section [{section}] is not recognized")
@@ -161,7 +168,8 @@ def load_config(path=None) -> PipelineConfig:
             overrides[section] = replace(nested[section], **parsed)
         except ValueError as exc:
             raise ValueError(f"config section [{section}]: {exc}") from None
-    overrides["seed"] = _resolve_seed(overrides.get("seed", defaults.seed))
+    seed = overrides.get("seed", defaults.seed)
+    overrides["seed"] = _resolve_seed(seed, "config field [run] seed")
     try:
         return replace(defaults, **overrides)
     except ValueError as exc:
@@ -219,77 +227,55 @@ def _write_capture(config: PipelineConfig, forcing: AudioBuffer, seed_key, path)
     return n_frames, log
 
 
-def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> int:
+def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     """Simulate an IF capture from a WAV forcing signal and write the container.
 
     The container is written frame by frame and stamped in place; it and its
     artifact sidecar equal, byte for byte, what save_capture writes for the
     library's in-memory capture.
     """
-    try:
-        audio = read_wav(audio_in)
-        if len(audio) == 0:
-            raise ValueError("audio is empty")
-        forcing = zscore_normalize(resample(audio, config.chirp.effective_sampling_rate))
-        n_frames, log = _write_capture(config, forcing, config.seed, capture_out)
-        write_artifact_sidecar(capture_out, log, seed=config.seed)
-    except (OSError, ValueError) as exc:
-        print(f"simulate failed: {exc}", file=sys.stderr)
-        return 1
+    audio = read_wav(audio_in)
+    if len(audio) == 0:
+        raise ValueError("audio is empty")
+    forcing = zscore_normalize(resample(audio, config.chirp.effective_sampling_rate))
+    n_frames, log = _write_capture(config, forcing, config.seed, capture_out)
+    write_artifact_sidecar(capture_out, log, seed=config.seed)
     print(f"range resolution: {range_resolution(config.chirp):.6f} m")
     print(f"vibration sampling rate: {config.chirp.effective_sampling_rate:.1f} Hz")
     print(f"wrote {n_frames} frames to {capture_out}")
-    return 0
 
 
-def cmd_extract(capture_in, wav_out, preprocess: bool = True) -> int:
+def cmd_extract(capture_in, wav_out, preprocess: bool) -> None:
     """Recover the vibration trace from a capture and write it as float32 WAV.
 
     The container is read one frame at a time; its artifact sidecar is not
     read.
     """
-    try:
-        capture = CaptureFile(capture_in)
-        target, phase = locate_target(capture)
-        trace = trace_from_phase(phase, capture.config, preprocess)
-        write_wav(wav_out, AudioBuffer(trace.displacement, trace.sample_rate))
-        sidecar = {
-            "capture": str(capture_in),
-            "sample_rate": trace.sample_rate,
-            "samples": len(trace),
-            "target_bin": target,
-            "bin_size_m": range_resolution(capture.config),
-            "preprocess": preprocess,
-        }
-        sidecar_path = Path(wav_out).with_name(Path(wav_out).name + ".json")
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
-    except (OSError, ValueError) as exc:
-        print(f"extract failed: {exc}", file=sys.stderr)
-        return 1
+    capture = CaptureFile(capture_in)
+    target, phase = locate_target(capture)
+    trace = trace_from_phase(phase, capture.config, preprocess)
+    write_wav(wav_out, AudioBuffer(trace.displacement, trace.sample_rate))
+    sidecar = {
+        "capture": str(capture_in),
+        "sample_rate": trace.sample_rate,
+        "samples": len(trace),
+        "target_bin": target,
+        "bin_size_m": range_resolution(capture.config),
+        "preprocess": preprocess,
+    }
+    sidecar_path = Path(wav_out).with_name(Path(wav_out).name + ".json")
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=2)
+        fh.write("\n")
     print(f"extracted {len(trace)} samples at {trace.sample_rate:.1f} Hz (bin {target})")
-    return 0
 
 
-def cmd_synth(
-    manifest_in,
-    out_dir,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-    seed: int = DEFAULT_SEED,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-    jitter: bool = False,
-) -> int:
+def cmd_synth(manifest_in, out_dir, alpha: float, beta: float, seed: int, sample_rate: float,
+              jitter: bool) -> None:
     """Build a clean/degraded dataset from a manifest of WAV paths."""
-    try:
-        cfg = SynthesisConfig(alpha=alpha, beta=beta, seed=seed)
-        manifest_out = build_dataset(manifest_in, out_dir, cfg, sample_rate, jitter)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"synth failed: {exc}", file=sys.stderr)
-        return 1
+    cfg = SynthesisConfig(alpha=alpha, beta=beta, seed=seed)
+    manifest_out = build_dataset(manifest_in, out_dir, cfg, sample_rate, jitter)
     print(f"wrote {manifest_out}")
-    return 0
 
 
 def _aggregate(pairs: list[dict]) -> dict:
@@ -327,7 +313,7 @@ def _transcript(row: dict, key: str):
     return text
 
 
-def cmd_score(manifest_in, report_out) -> int:
+def cmd_score(manifest_in, report_out) -> None:
     """Score every pair in a JSON-lines manifest and write a JSON report.
 
     Both signals are z-scored before scoring so that traces on physical
@@ -335,14 +321,9 @@ def cmd_score(manifest_in, report_out) -> int:
     the degraded side resampled to the reference rate. Unreadable pairs are
     recorded with an error; the command fails only when every pair fails.
     """
-    try:
-        rows = _read_pair_manifest(manifest_in)
-    except (OSError, ValueError) as exc:
-        print(f"score failed: {exc}", file=sys.stderr)
-        return 1
+    rows = _read_pair_manifest(manifest_in)
     if not rows:
-        print("score failed: manifest lists no pairs", file=sys.stderr)
-        return 1
+        raise ValueError("manifest lists no pairs")
 
     pairs = []
     succeeded = 0
@@ -370,10 +351,8 @@ def cmd_score(manifest_in, report_out) -> int:
         json.dump(report_doc, fh, indent=2)
         fh.write("\n")
     if succeeded == 0:
-        print("score failed: all pairs failed", file=sys.stderr)
-        return 1
+        raise ValueError("all pairs failed")
     print(f"scored {succeeded}/{len(pairs)} pairs -> {report_out}")
-    return 0
 
 
 def _sweep_variant(config: PipelineConfig, parameter: str, value) -> PipelineConfig:
@@ -451,36 +430,21 @@ _SWEEP_CSV_COLUMNS = (
 )
 
 
-def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_out) -> int:
+def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_out) -> None:
     """Sweep one pipeline parameter, scoring each value against the source audio.
 
     Radar axes run simulate -> extract and score the recovered trace against
     the band-limited source; alpha/beta run the synthesis degradation instead.
     Writes a JSON report plus a CSV table next to it.
     """
-    if parameter not in SWEEP_PARAMETERS:
-        print(
-            f"unknown parameter '{parameter}'; valid: {', '.join(SWEEP_PARAMETERS)}",
-            file=sys.stderr,
-        )
-        return 2
-    values = list(values)
-    if not values:
-        print("sweep failed: empty value list", file=sys.stderr)
-        return 2
-    try:
-        audio = read_wav(audio_in)
-    except (OSError, ValueError) as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
+    audio = read_wav(audio_in)
     rows = []
     for index, value in enumerate(values):
         try:
             rows.append(_sweep_point(config, parameter, value, audio, index))
-        except (OSError, ValueError, OverflowError) as exc:
+        except _FAILURES as exc:
             # a capture error names its temporary file, which is gone by now
-            print(f"sweep failed: {parameter}={value}: {exc}", file=sys.stderr)
-            return 1
+            raise ValueError(f"{parameter}={value}: {exc}") from exc
 
     report_path = Path(report_out)
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -493,17 +457,19 @@ def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_o
         for row in rows:
             writer.writerow(row)
     print(f"swept {parameter} over {len(rows)} values -> {report_path}, {csv_path}")
-    return 0
 
 
-def _resolve_seed(cli_seed: int) -> int:
+def _resolve_seed(seed: int, source: str) -> int:
+    """MMVIB_SEED when it is set, else seed, which source names; either must be >= 0."""
     env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is None:
-        return cli_seed
-    try:
-        return int(env_seed)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got '{env_seed}'") from None
+    if env_seed is not None:
+        try:
+            seed, source = int(env_seed), SEED_ENV_VAR
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got '{env_seed}'") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,32 +517,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(args):
+    """The command args names, bound to its arguments, as a call that does the work.
+
+    The config, the seed, and sweep's --param and --values, in that order,
+    are checked here, before any work starts.
+    """
+    if args.command == "simulate":
+        return partial(cmd_simulate, load_config(args.config), args.audio, args.out)
+    if args.command == "extract":
+        return partial(cmd_extract, args.capture, args.out, not args.no_preprocess)
+    if args.command == "synth":
+        seed = _resolve_seed(args.seed, "--seed")
+        return partial(cmd_synth, args.manifest, args.out_dir, args.alpha, args.beta, seed,
+                       args.sample_rate, args.jitter)
+    if args.command == "score":
+        return partial(cmd_score, args.manifest, args.report)
+    config = load_config(args.config)
+    if args.param not in SWEEP_PARAMETERS:
+        raise ValueError(f"unknown parameter '{args.param}'; valid: {', '.join(SWEEP_PARAMETERS)}")
+    values = [v for v in args.values.split(",") if v != ""]
+    if not values:
+        raise ValueError("empty value list")
+    return partial(cmd_sweep, config, args.param, values, args.audio, args.report)
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit status.
+
+    0 is success. Bad arguments found before the work starts exit 2, and a
+    failure of the work itself exits 1; either prints one line on stderr.
+    """
     args = build_parser().parse_args(argv)
+    status = 2
     try:
-        if args.command == "simulate":
-            return cmd_simulate(load_config(args.config), args.audio, args.out)
-        if args.command == "extract":
-            return cmd_extract(args.capture, args.out, preprocess=not args.no_preprocess)
-        if args.command == "synth":
-            return cmd_synth(
-                args.manifest,
-                args.out_dir,
-                alpha=args.alpha,
-                beta=args.beta,
-                seed=_resolve_seed(args.seed),
-                sample_rate=args.sample_rate,
-                jitter=args.jitter,
-            )
-        if args.command == "score":
-            return cmd_score(args.manifest, args.report)
-        if args.command == "sweep":
-            values = [v for v in args.values.split(",") if v != ""]
-            return cmd_sweep(load_config(args.config), args.param, values, args.audio, args.report)
-    except (OSError, ValueError) as exc:
+        work = _command(args)
+        status = 1
+        work()
+    except _FAILURES as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command}")
+        return status
+    return 0
 
 
 def entrypoint() -> None:

@@ -291,7 +291,10 @@ def iter_if_frames(
     if not np.isfinite(range_m) or range_m <= 0:
         raise ValueError(f"range_m must be positive, got {range_m}")
     if range_m >= max_unambiguous_range(cfg):
-        raise ValueError("range aliasing")
+        raise ValueError(
+            f"range aliasing: range_m {range_m} is not below the "
+            f"{max_unambiguous_range(cfg):.6g} m the ADC rate resolves"
+        )
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
     if not noise_floor_db < _MAX_NOISE_FLOOR_DB:

@@ -30,8 +30,10 @@ class SynthesisConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(f"alpha and beta must be >= 0, got {self.alpha}, {self.beta}")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise ValueError(
+                f"alpha and beta must be finite and >= 0, got {self.alpha}, {self.beta}"
+            )
 
 
 def gen_gaussian_noise(n: int, seed, sample_rate: float = DEFAULT_SAMPLE_RATE) -> AudioBuffer:

@@ -5,6 +5,7 @@ it replaces: resample_poly, filtfilt over firwin, wavfile and the
 orthonormal DCT-II.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,14 @@ def test_resample_8k_to_10k_equals_scipy_exactly():
     np.testing.assert_array_equal(resample(audio, 10000.0).samples, resample_poly(audio.samples, 5, 4))
 
 
+@pytest.mark.parametrize("target_rate", (2.56e-298, 1e-300, np.inf, np.nan))
+def test_resample_rejects_a_ratio_it_cannot_represent(target_rate):
+    # the first two round to a ratio of zero, the others are not finite
+    message = f"cannot resample from 8000.0 Hz to {target_rate} Hz: "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        resample(_noise(8000.0), target_rate)
+
+
 @pytest.mark.parametrize("cutoff", (1000.0, 3400.0))
 @pytest.mark.parametrize("rate", RATES_IN)
 def test_low_pass_matches_scipy(rate, cutoff):
@@ -74,6 +83,15 @@ def test_write_wav_bytes_equal_scipy(tmp_path, rate, samples):
     write_wav(tmp_path / "ours.wav", audio)
     wavfile.write(tmp_path / "scipy.wav", int(rate), audio.samples.astype(np.float32))
     assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+@pytest.mark.parametrize("value", (3.5e38, -1e300))
+def test_write_wav_rejects_samples_past_float32(tmp_path, value):
+    path = tmp_path / "x.wav"
+    message = f"samples exceed the float32 range: {path}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_wav(path, AudioBuffer(np.array([0.0, value]), 8000.0))
+    assert not path.exists()
 
 
 _RNG = np.random.default_rng(3)

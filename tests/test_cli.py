@@ -44,6 +44,7 @@ from mmvib.cli import (
     REFERENCE_BAND_HZ,
     SWEEP_PARAMETERS,
     PipelineConfig,
+    _SECTIONS,
     _sweep_variant,
     cmd_simulate,
     load_config,
@@ -276,7 +277,7 @@ class TestSimulate:
             periodic_sigma=sigmas[1],
         )
         streamed, in_memory = tmp_path / "streamed.bin", tmp_path / "in_memory.bin"
-        assert cmd_simulate(config, wav, streamed) == 0
+        cmd_simulate(config, wav, streamed)
         capture = in_memory_capture(config, read_wav(wav), config.seed)
         assert capture.config.chirps_per_frame == chirps_per_frame
         assert len(capture.artifact_log) == (capture.n_frames + 1 if sigmas[0] else 0)
@@ -624,11 +625,16 @@ def _garble(data: bytes, edits) -> bytes:
     return data
 
 
-def _run_score(manifest: Path, report: Path) -> tuple[int, str]:
+def _run_main(argv: list[str]) -> tuple[int, str]:
+    """main's exit status and stderr; stdout is dropped."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["score", "--manifest", str(manifest), "--report", str(report)])
+        code = main(argv)
     return code, err.getvalue()
+
+
+def _run_score(manifest: Path, report: Path) -> tuple[int, str]:
+    return _run_main(["score", "--manifest", str(manifest), "--report", str(report)])
 
 
 @pytest.fixture(scope="module")
@@ -1030,3 +1036,241 @@ class TestMainDispatch:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["teleport"])
+
+
+_NO_FILE = "[Errno 2] No such file or directory"
+_UNREPRESENTABLE = "the ratio of the rates is not finite or rounds to zero"
+# Every command's exit paths: argv, MMVIB_SEED, exit status and stderr. {d}
+# is the directory of inputs and {t} a fresh output directory. extract and
+# score read no config and no seed, so their only exit 2 is argparse's usage
+# error (TestMainDispatch).
+_EXIT_PATHS = {
+    "simulate_ok": ("simulate --audio {d}/tone.wav --out {t}/c.bin", None, 0, ""),
+    "simulate_unknown_section": (
+        "simulate --config {d}/unknown.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config section [bogus] is not recognized"),
+    "simulate_negative_config_seed": (
+        "simulate --config {d}/negative_seed.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config field [run] seed must be a non-negative integer, got -1"),
+    "simulate_negative_env_seed": (
+        "simulate --audio {d}/tone.wav --out {t}/c.bin", "-3", 2,
+        "simulate failed: MMVIB_SEED must be a non-negative integer, got -3"),
+    "simulate_missing_audio": (
+        "simulate --audio {d}/nope.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FILE}: '{{d}}/nope.wav'"),
+    "simulate_chirp_rate_rounds_to_zero": (
+        "simulate --config {d}/slow_frames.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: cannot resample from 8000.0 Hz to 2.56e-298 Hz: {_UNREPRESENTABLE}"),
+    "extract_ok": ("extract --capture {d}/cap.bin --out {t}/x.wav", None, 0, ""),
+    "extract_missing_capture": (
+        "extract --capture {d}/nope.bin --out {t}/x.wav", None, 1,
+        f"extract failed: {_NO_FILE}: '{{d}}/nope.bin'"),
+    "extract_unwritable_wav": (
+        "extract --capture {d}/cap.bin --out {t}/nodir/x.wav", None, 1,
+        f"extract failed: {_NO_FILE}: '{{t}}/nodir/x.wav'"),
+    "synth_ok": ("synth --manifest {d}/clips.txt --out-dir {t}/ds --jitter", None, 0, ""),
+    "synth_negative_seed": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --seed -1", None, 2,
+        "synth failed: --seed must be a non-negative integer, got -1"),
+    "synth_negative_env_seed": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --seed 1", "-3", 2,
+        "synth failed: MMVIB_SEED must be a non-negative integer, got -3"),
+    "synth_non_integer_env_seed": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds", "pi", 2,
+        "synth failed: MMVIB_SEED must be an integer, got 'pi'"),
+    "synth_missing_manifest": (
+        "synth --manifest {d}/nope.txt --out-dir {t}/ds", None, 1,
+        f"synth failed: {_NO_FILE}: '{{d}}/nope.txt'"),
+    "synth_rate_rounds_to_zero": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=1e-300", None, 1,
+        "synth failed: all manifest entries failed, first: "
+        f"cannot resample from 8000.0 Hz to 1e-300 Hz: {_UNREPRESENTABLE}"),
+    "synth_infinite_rate": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=inf", None, 1,
+        "synth failed: all manifest entries failed, first: "
+        f"cannot resample from 8000.0 Hz to inf Hz: {_UNREPRESENTABLE}"),
+    "score_ok": ("score --manifest {d}/pairs.jsonl --report {t}/r.json", None, 0, ""),
+    "score_missing_manifest": (
+        "score --manifest {d}/nope.jsonl --report {t}/r.json", None, 1,
+        f"score failed: {_NO_FILE}: '{{d}}/nope.jsonl'"),
+    "score_no_pairs": (
+        "score --manifest {d}/empty.jsonl --report {t}/r.json", None, 1,
+        "score failed: manifest lists no pairs"),
+    "score_all_pairs_fail": (
+        "score --manifest {d}/missing_pairs.jsonl --report {t}/r.json", None, 1,
+        "score failed: all pairs failed"),
+    # exit 1, as for any other file the work cannot write
+    "score_unwritable_report": (
+        "score --manifest {d}/pairs.jsonl --report {t}/nodir/r.json", None, 1,
+        f"score failed: {_NO_FILE}: '{{t}}/nodir/r.json'"),
+    "sweep_ok": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.json", None, 0, ""),
+    # the config is checked first, then --param, then --values
+    "sweep_unknown_section": (
+        "sweep --config {d}/unknown.ini --param bogus --values=, --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2, "sweep failed: config section [bogus] is not recognized"),
+    "sweep_unknown_parameter": (
+        "sweep --param bogus --values=, --audio {d}/tone.wav --report {t}/s.json", None, 2,
+        "sweep failed: unknown parameter 'bogus'; valid: "
+        "chirps_per_frame, range_m, noise_floor_db, alpha, beta, material"),
+    "sweep_empty_values": (
+        "sweep --param range_m --values=, --audio {d}/tone.wav --report {t}/s.json", None, 2,
+        "sweep failed: empty value list"),
+    "sweep_negative_env_seed": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.json", "-3", 2,
+        "sweep failed: MMVIB_SEED must be a non-negative integer, got -3"),
+    "sweep_missing_audio": (
+        "sweep --param alpha --values 0.5 --audio {d}/nope.wav --report {t}/s.json", None, 1,
+        f"sweep failed: {_NO_FILE}: '{{d}}/nope.wav'"),
+    "sweep_bad_value": (
+        "sweep --param material --values steel --audio {d}/tone.wav --report {t}/s.json", None, 1,
+        "sweep failed: material=steel: unknown material preset 'steel', valid: pet, tinfoil"),
+    "sweep_unwritable_report": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/nodir/s.json", None,
+        1, f"sweep failed: {_NO_FILE}: '{{t}}/nodir/s.json'"),
+}
+
+
+@pytest.fixture(scope="module")
+def exit_inputs(tmp_path_factory):
+    """A directory holding the inputs the exit-path cases name."""
+    d = tmp_path_factory.mktemp("exit_inputs")
+    tone = str(make_tone_wav(d / "tone.wav", duration=1.0))
+    assert main(["simulate", "--audio", tone, "--out", str(d / "cap.bin")]) == 0
+    (d / "clips.txt").write_text(f"{tone}\n")
+    (d / "pairs.jsonl").write_text(json.dumps({"ref_path": tone, "deg_path": tone}) + "\n")
+    (d / "empty.jsonl").write_text("\n")
+    (d / "missing_pairs.jsonl").write_text(
+        json.dumps({"ref_path": str(d / "nope.wav"), "deg_path": tone}) + "\n")
+    (d / "unknown.ini").write_text("[bogus]\n")
+    (d / "negative_seed.ini").write_text("[run]\nseed = -1\n")
+    # a chirp rate of 2.56e-298 Hz
+    (d / "slow_frames.ini").write_text("[chirp]\nframe_period = 1e300\n")
+    return d
+
+
+# An INI value: any number, spelling or short text.
+_INI_VALUE = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["", "x", "1e400", "-1e400", "5%", "0x10", "nan", "-inf", "pet", "steel"]),
+    st.text(max_size=8),
+)
+# The keys that size the [frames, chirps, adc] capture stay small: no key caps
+# chirps_per_frame * adc_samples_per_chirp, and a short frame_period makes
+# many frames.
+_INI_SIZING = {
+    "chirps_per_frame": st.integers(-1, 256).map(str),
+    "adc_samples_per_chirp": st.integers(-1, 256).map(str),
+    "frame_period": st.floats(0.016, 0.128).map(repr)
+    | st.sampled_from(["0", "-1", "1e300", "inf", "nan", "x"]),
+}
+
+
+def _ini_values(section: str, key: str):
+    """Values for one INI key: mostly within 4x of its default, else anything."""
+    if key in _INI_SIZING:
+        return _INI_SIZING[key]
+    owner = {"chirp": ChirpConfig(), "material": MATERIAL_PRESETS["pet"]}.get(
+        section, PipelineConfig())
+    default = getattr(owner, {"sample_rate": "synth_sample_rate"}.get(key, key), None)
+    if not isinstance(default, (int, float)):
+        return _INI_VALUE
+    near = st.floats(0.25, 4.0).map(lambda factor: repr(default * factor))
+    return st.one_of(near, near, _INI_VALUE)
+
+
+_INI_KEYS = [(section, key) for section, keys in _SECTIONS.items() for key in keys]
+_INI_ENTRIES = st.lists(
+    st.sampled_from(_INI_KEYS + [("bogus", "seed"), ("DEFAULT", "seed"), ("run", "bogus")])
+    .flatmap(lambda pair: st.tuples(*map(st.just, pair), _ini_values(*pair))),
+    max_size=5,
+    unique_by=lambda entry: entry[:2],
+)
+_INI_TAIL = st.just(b"") | st.sampled_from([b"\xff", b"[", b"key\n", b"\x00"])
+# Lines of a synth manifest: WAV paths good, missing and malformed, JSON rows
+# with any clean_path or none, blank lines, short text and bytes not UTF-8.
+_MANIFEST_LINE = st.one_of(
+    st.just("{d}/tone.wav"),
+    st.sampled_from(["{d}/nope.wav", "{d}/bad.wav", "", "  "]),
+    st.sampled_from(["{d}/tone.wav", "{d}/bad.wav"]).map(lambda p: json.dumps({"clean_path": p})),
+    _JSON_VALUES.map(lambda v: json.dumps({"clean_path": v})),
+    _JSON_VALUES.map(lambda v: json.dumps({"path": v})),
+    st.text(max_size=10).filter(lambda t: "\n" not in t and "\r" not in t),
+    st.just("\udcff"),
+)
+# synth's rates and gains, mostly valid.
+_SYNTH_RATE = st.one_of(
+    st.sampled_from(["8000", "11025", "16000", "44100", "7999.5", "1"]),
+    st.sampled_from(["0", "-1", "1e-300", "inf", "nan"]),
+)
+_VALID_GAIN = st.sampled_from(["0", "0.3", "1"])
+_SYNTH_GAIN = st.one_of(_VALID_GAIN, _VALID_GAIN, _VALID_GAIN,
+                        st.sampled_from(["-1", "1e300", "inf", "nan"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory with a 0.1 s tone and a WAV that is not RIFF."""
+    d = tmp_path_factory.mktemp("fuzz")
+    make_tone_wav(d / "tone.wav", duration=0.1)
+    (d / "bad.wav").write_bytes(b"OggS" + bytes(40))
+    return d
+
+
+def _assert_clean_exit(code: int, err: str) -> None:
+    """An exit status of main's, with stderr empty on success and one line otherwise."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("case", sorted(_EXIT_PATHS))
+    def test_exit_paths(self, case, exit_inputs, tmp_path, monkeypatch):
+        argv, env_seed, status, message = _EXIT_PATHS[case]
+        monkeypatch.delenv("MMVIB_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("MMVIB_SEED", env_seed)
+        paths = {"d": exit_inputs, "t": tmp_path}
+        code, err = _run_main([word.format(**paths) for word in argv.split()])
+        assert code == status
+        assert err.count("\n") == (status != 0)
+        assert "Traceback" not in err
+        assert err == (message.format(**paths) + "\n" if message else "")
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(entries=_INI_ENTRIES, tail=_INI_TAIL)
+    def test_config_fuzz(self, fuzz_dir, entries, tail, monkeypatch):
+        monkeypatch.delenv("MMVIB_SEED", raising=False)
+        sections: dict[str, list[str]] = {}
+        for section, key, value in entries:
+            sections.setdefault(section, []).append(f"{key} = {value}\n")
+        text = "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+        config = fuzz_dir / "fuzz.ini"
+        config.write_bytes(text.encode("utf-8", "surrogatepass") + tail)
+        code, err = _run_main(["simulate", "--config", str(config), "--audio",
+                               str(fuzz_dir / "tone.wav"), "--out", str(fuzz_dir / "c.bin")])
+        _assert_clean_exit(code, err)
+        if code == 2:
+            assert err.startswith("simulate failed: config")
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_MANIFEST_LINE, min_size=1, max_size=4), rate=_SYNTH_RATE,
+           alpha=_SYNTH_GAIN, beta=_SYNTH_GAIN, seed=st.integers(-2, 2**70), jitter=st.booleans())
+    def test_synth_manifest_fuzz(self, fuzz_dir, lines, rate, alpha, beta, seed, jitter,
+                                 monkeypatch):
+        monkeypatch.delenv("MMVIB_SEED", raising=False)
+        manifest = fuzz_dir / "fuzz.txt"
+        text = "".join(line.replace("{d}", str(fuzz_dir)) + "\n" for line in lines)
+        manifest.write_bytes(text.encode("utf-8", "surrogateescape"))
+        argv = ["synth", "--manifest", str(manifest), "--out-dir", str(fuzz_dir / "ds"),
+                f"--sample-rate={rate}", f"--alpha={alpha}", f"--beta={beta}", f"--seed={seed}"]
+        code, err = _run_main(argv + ["--jitter"] * jitter)
+        _assert_clean_exit(code, err)
+        assert (code == 2) == (seed < 0)

@@ -115,6 +115,12 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             SynthesisConfig(alpha=-0.1)
 
+    @pytest.mark.parametrize("gains", [(np.inf, 0.3), (1.0, np.inf), (np.nan, 0.3), (1.0, np.nan)])
+    def test_non_finite_gain_rejected(self, gains):
+        # an infinite gain would make inf - inf in the mix
+        with pytest.raises(ValueError, match="^alpha and beta must be finite and >= 0, got "):
+            SynthesisConfig(*gains)
+
 
 class TestItemSeed:
     def test_deterministic_and_distinct(self):
