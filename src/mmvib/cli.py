@@ -41,7 +41,7 @@ from .synth import (
     manifest_lines,
     synthesize_mmvib,
 )
-from .vib_extract import BinSearch, locate_target, trace_from_phase
+from .vib_extract import BinSearch, demodulate_bin, locate_target, trace_from_phase
 
 SEED_ENV_VAR = "MMVIB_SEED"
 
@@ -54,9 +54,9 @@ SWEEP_PARAMETERS = (
     "material",
 )
 
-# What a command raises on bad input or a failed read or write: each is one
-# line on stderr, never a traceback.
-_FAILURES = (OSError, ValueError, OverflowError, RuntimeError)
+# What a command raises on bad input, a failed read or write, or an array
+# too large to allocate: each is one line on stderr, never a traceback.
+_FAILURES = (OSError, ValueError, OverflowError, RuntimeError, MemoryError)
 
 # Sweep references are low-passed here before scoring; the sensing band ends
 # at half the default 8 kHz chirp rate.
@@ -95,8 +95,10 @@ class PipelineConfig:
             raise ValueError(f"noise_floor_db must be finite, got {self.noise_floor_db}")
         if not np.isfinite(self.force_scale) or self.force_scale <= 0:
             raise ValueError(f"force_scale must be positive, got {self.force_scale}")
-        if self.beginning_sigma < 0 or self.periodic_sigma < 0:
-            raise ValueError("artifact magnitudes must be >= 0")
+        for name in ("beginning_sigma", "periodic_sigma"):
+            value = getattr(self, name)
+            if not np.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if self.synth_sample_rate <= 0:
@@ -205,8 +207,8 @@ def _write_capture(config: PipelineConfig, forcing: AudioBuffer, seed_key, path)
     forcing is the audio resampled to the chirp rate and z-scored. Each frame
     is added to the bin search on its way to the file, then the artifacts are
     stamped in place, so no whole capture is held. Both seeds are spawned
-    from seed_key. Returns the frame count and the artifact log; the sidecar
-    is left to the caller.
+    from seed_key. Returns the frame count, the artifact log and the target
+    bin the search found; the sidecar is left to the caller.
     """
     vibration = displacement_from_audio(forcing, config.material, config.force_scale)
     sim_seed, artifact_seed = np.random.SeedSequence(seed_key).spawn(2)
@@ -221,10 +223,11 @@ def _write_capture(config: PipelineConfig, forcing: AudioBuffer, seed_key, path)
     search = BinSearch(config.chirp)
     with closing(frames):
         n_frames = write_capture_frames(path, config.chirp, _searched(frames, search))
+    target = search.target(path)
     log = stamp_capture_file(
-        path, search.target(path), config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
+        path, target, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
     )
-    return n_frames, log
+    return n_frames, log, target
 
 
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
@@ -238,7 +241,7 @@ def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     if len(audio) == 0:
         raise ValueError("audio is empty")
     forcing = zscore_normalize(resample(audio, config.chirp.effective_sampling_rate))
-    n_frames, log = _write_capture(config, forcing, config.seed, capture_out)
+    n_frames, log, _ = _write_capture(config, forcing, config.seed, capture_out)
     write_artifact_sidecar(capture_out, log, seed=config.seed)
     print(f"range resolution: {range_resolution(config.chirp):.6f} m")
     print(f"vibration sampling rate: {config.chirp.effective_sampling_rate:.1f} Hz")
@@ -401,10 +404,10 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         forcing = zscore_normalize(resample(audio, rate))
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "capture.bin"
-            _write_capture(variant, forcing, (variant.seed, index), path)
-            capture = CaptureFile(path)
-            phase = locate_target(capture)[1]
-        trace = trace_from_phase(phase, capture.config)
+            # the bin found while writing, which extract would find again
+            target = _write_capture(variant, forcing, (variant.seed, index), path)[2]
+            phase = demodulate_bin(CaptureFile(path), target)
+        trace = trace_from_phase(phase, variant.chirp)
         reference = low_pass(forcing, REFERENCE_BAND_HZ)
         n = min(len(trace), len(reference))
         report = score_pair(
@@ -433,8 +436,9 @@ _SWEEP_CSV_COLUMNS = (
 def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_out) -> None:
     """Sweep one pipeline parameter, scoring each value against the source audio.
 
-    Radar axes run simulate -> extract and score the recovered trace against
-    the band-limited source; alpha/beta run the synthesis degradation instead.
+    Radar axes run simulate, demodulate the bin found while writing, and
+    score the recovered trace against the band-limited source; alpha/beta
+    run the synthesis degradation instead.
     Writes a JSON report plus a CSV table next to it.
     """
     audio = read_wav(audio_in)

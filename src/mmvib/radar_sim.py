@@ -189,6 +189,10 @@ class IFCapture:
         """The frames in order, as CaptureFile yields them from a container."""
         return iter(self.frames)
 
+    def iter_frames(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        """Frames start to stop - 1 in order, as CaptureFile.iter_frames reads them."""
+        return iter(self.frames[start:stop])
+
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
@@ -279,7 +283,8 @@ def iter_if_frames(
     most two frames ahead; numpy lets it draw while the caller works on the
     frames before. An error in a draw is raised here, and closing or
     dropping the iterator stops the thread, so the frames equal those of a
-    single thread.
+    single thread. The draws and the chirps are built in buffers made once;
+    each frame yielded is a new array.
     """
     if len(vibration) == 0:
         raise ValueError("empty vibration trace")
@@ -317,12 +322,18 @@ def iter_if_frames(
     beat_freq = 2.0 * cfg.slope * range_m / SPEED_OF_LIGHT
     fast_time = np.arange(cfg.adc_samples_per_chirp) / cfg.adc_sample_rate
     beat = np.exp(2j * np.pi * beat_freq * fast_time)
-    noise_sigma = 10.0 ** (noise_floor_db / 20.0)
+    noise_scale = 10.0 ** (noise_floor_db / 20.0) / np.sqrt(2.0)
     cpf = cfg.chirps_per_frame
     adc = cfg.adc_samples_per_chirp
+    # frame f's noise is drawn into slot f % 3, which frame f + 3 reuses once
+    # frame f is built
+    slots = [(np.empty((cpf, adc)), np.empty((cpf, adc))) for _ in range(min(3, n_frames))]
+    chirps = np.empty((cpf, adc), dtype=np.complex128)
 
-    def draw() -> tuple[np.ndarray, np.ndarray]:
-        return rng.standard_normal((cpf, adc)), rng.standard_normal((cpf, adc))
+    def draw(slot: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        for part in slot:
+            rng.standard_normal(out=part)
+        return slot
 
     def frames() -> Iterator[np.ndarray]:
         # imported here: concurrent.futures loads logging, which would add to
@@ -332,18 +343,22 @@ def iter_if_frames(
         # one worker runs the draws in the order they are submitted
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mmvib-noise")
         try:
-            draws = deque(pool.submit(draw) for _ in range(min(2, n_frames)))
+            draws = deque(pool.submit(draw, slots[f]) for f in range(min(2, n_frames)))
             for f in range(n_frames):
                 real, imag = draws.popleft().result()
                 if f + 2 < n_frames:
-                    draws.append(pool.submit(draw))
+                    draws.append(pool.submit(draw, slots[(f + 2) % 3]))
                 d = vibration.displacement[f * cpf : (f + 1) * cpf]
                 phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
-                chirps = reflectivity * np.exp(1j * phase)[:, None] * beat[None, :]
-                noise = real + 1j * imag
+                np.multiply((reflectivity * np.exp(1j * phase))[:, None], beat, out=chirps)
+                # the parts of the complex sum chirps + noise_scale * (real + 1j * imag)
+                real *= noise_scale
+                imag *= noise_scale
+                chirps.real += real
+                chirps.imag += imag
                 # a noise tail past complex64 becomes inf, which the bin search reports
                 with np.errstate(over="ignore"):
-                    frame = (chirps + (noise_sigma / np.sqrt(2.0)) * noise).astype(np.complex64)
+                    frame = chirps.astype(np.complex64)
                 yield frame
         finally:
             pool.shutdown(cancel_futures=True)
@@ -388,8 +403,9 @@ def _artifact_log(
     only when some magnitude is non-zero, from the target bin when it is
     given and by locate_target otherwise.
     """
-    if beginning_magnitude_sigma < 0 or periodic_magnitude_sigma < 0:
-        raise ValueError("artifact magnitudes must be >= 0")
+    magnitudes = (beginning_magnitude_sigma, periodic_magnitude_sigma)
+    if not all(np.isfinite(m) and m >= 0 for m in magnitudes):
+        raise ValueError(f"artifact magnitudes must be finite and >= 0, got {magnitudes}")
     if beginning_magnitude_sigma == 0 and periodic_magnitude_sigma == 0:
         return []
 
@@ -548,12 +564,19 @@ class CaptureFile:
             raise ValueError(f"truncated capture file: {self.path}")
 
     def __iter__(self) -> Iterator[np.ndarray]:
+        return self.iter_frames(0, self.n_frames)
+
+    def iter_frames(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        """Frames start to stop - 1 in order, read on a file handle and buffer of their own.
+
+        So several ranges can be read at once, each on its own thread.
+        """
         frame = np.empty(
             (self.config.chirps_per_frame, self.config.adc_samples_per_chirp), dtype=np.complex64
         )
         with open(self.path, "rb") as fh:
-            fh.seek(_CAPTURE_HEADER.size)
-            for _ in range(self.n_frames):
+            fh.seek(_CAPTURE_HEADER.size + start * frame.nbytes)
+            for _ in range(start, stop):
                 if fh.readinto(frame) != frame.nbytes:
                     raise ValueError(f"truncated capture file: {self.path}")
                 yield frame

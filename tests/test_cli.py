@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mmvib.cli
@@ -25,6 +26,7 @@ import mmvib.radar_sim
 import mmvib.vib_extract
 from mmvib import (
     AudioBuffer,
+    CaptureFile,
     ChirpConfig,
     VibrationTrace,
     extract_vibration,
@@ -45,6 +47,7 @@ from mmvib.cli import (
     SWEEP_PARAMETERS,
     PipelineConfig,
     _SECTIONS,
+    _sweep_point,
     _sweep_variant,
     cmd_simulate,
     load_config,
@@ -483,8 +486,9 @@ class TestExtract:
         assert "Traceback" not in err.getvalue()
         assert err.getvalue().count("\n") <= 1
 
-    def test_bin_search_runs_once_per_command(self, tmp_path, monkeypatch):
-        searches = []
+    def test_every_frame_searched_once_per_command(self, tmp_path, monkeypatch):
+        searched = []  # a digest of each frame a bin search sums, as it sums it
+        on_file = []  # a digest of each frame of each container sweep demodulates
         located = []
         in_memory = []
         originals = {
@@ -494,6 +498,10 @@ class TestExtract:
             "inject_artifacts": (mmvib.radar_sim.inject_artifacts, in_memory),
         }
 
+        def digest(frame):
+            # the artifacts rotate chirp 0 only, so the other chirps name the frame
+            return hashlib.sha256(frame[1:].tobytes()).hexdigest()
+
         def counting(original, calls):
             def counted(*args, **kwargs):
                 calls.append(original.__name__)
@@ -501,11 +509,18 @@ class TestExtract:
 
             return counted
 
-        class CountedSearch(BinSearch):
-            def __init__(self, config):
-                searches.append(config)
-                super().__init__(config)
+        original_sum_frame = BinSearch.sum_frame
 
+        def sum_frame(search, frame, out):
+            searched.append(digest(frame))
+            original_sum_frame(search, frame, out)
+
+        def demodulate_bin(capture, target):
+            on_file.extend(digest(frame) for frame in capture)
+            return mmvib.vib_extract.demodulate_bin(capture, target)
+
+        monkeypatch.setattr(BinSearch, "sum_frame", sum_frame)
+        monkeypatch.setattr(mmvib.cli, "demodulate_bin", demodulate_bin)
         # rebind every module-level reference, so a second import of one is counted too
         for name, module in list(sys.modules.items()):
             if not name.startswith("mmvib"):
@@ -513,22 +528,28 @@ class TestExtract:
             for attr, (original, calls) in originals.items():
                 if vars(module).get(attr) is original:
                     monkeypatch.setattr(module, attr, counting(original, calls))
-            if vars(module).get("BinSearch") is BinSearch:
-                monkeypatch.setattr(module, "BinSearch", CountedSearch)
         wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
         cap = tmp_path / "cap.bin"
+
+        def frames_of(path):
+            return sorted(digest(frame) for frame in CaptureFile(path))
+
         # simulate searches the frames as it writes them, and only demodulates the file
         assert main(["simulate", "--audio", str(wav), "--out", str(cap)]) == 0
-        assert len(searches) == 1
+        assert len(frames_of(cap)) == 15
+        assert sorted(searched) == frames_of(cap)
         assert located == []
+        searched.clear()
         assert main(["extract", "--capture", str(cap), "--out", str(tmp_path / "x.wav")]) == 0
-        assert len(searches) == 2
-        assert len(located) == 1
-        # sweep does both for each radar value, on a container it writes as simulate does
+        assert sorted(searched) == frames_of(cap)
+        assert located == ["locate_target"]
+        searched.clear()
+        # sweep demodulates, for each radar value, the bin found while writing its container
         assert main(["sweep", "--param", "range_m", "--values", "1.0,1.5", "--audio", str(wav),
                      "--report", str(tmp_path / "sweep.json")]) == 0
-        assert len(searches) == 6
-        assert len(located) == 3
+        assert len(on_file) == 30
+        assert sorted(searched) == sorted(on_file)
+        assert located == ["locate_target"]
         # the full range profile and the in-memory capture stay off the pipeline
         assert in_memory == []
 
@@ -948,6 +969,43 @@ class TestSweep:
             expected = report.to_dict()
             assert {k: row[k] for k in REQUIRED_METRICS} == {k: expected[k] for k in REQUIRED_METRICS}
 
+    # SHA-256 of a chirps_per_frame 256,512 sweep's report and table as a
+    # sweep that searched each container twice wrote them: searching once
+    # must not change a byte
+    PINNED_SWEEP = {
+        "sweep.json": "c3ee63ec37631db4db347c16f9d178156c734ede8a2a06d99ade68d8105c88ed",
+        "sweep.csv": "bcfee72322e79514c0604155c6fe1d6cbcc3044a020c20ad1ce1da11e9d92593",
+    }
+
+    def test_chirps_per_frame_sweep_bytes_are_pinned(self, tmp_path):
+        wav = tmp_path / "speech.wav"
+        write_wav(wav, make_speech_clip(5, duration=1.0, rate=8000.0))
+        assert main(["sweep", "--param", "chirps_per_frame", "--values", "256,512",
+                     "--audio", str(wav), "--report", str(tmp_path / "sweep.json")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PINNED_SWEEP}
+        assert digests == self.PINNED_SWEEP
+
+    @pytest.mark.parametrize("parameter, value", [
+        ("chirps_per_frame", "256"),
+        ("chirps_per_frame", "512"),
+        ("chirps_per_frame", "1024"),
+        ("material", "tinfoil"),
+    ])
+    def test_demodulated_bin_is_the_one_extract_finds(self, parameter, value, monkeypatch):
+        # the bin found while writing, against a fresh search of the stamped container
+        bins = []
+
+        def demodulate_bin(capture, target):
+            bins.append((target, locate_target(CaptureFile(capture.path))[0]))
+            return mmvib.vib_extract.demodulate_bin(capture, target)
+
+        monkeypatch.setattr(mmvib.cli, "demodulate_bin", demodulate_bin)
+        audio = make_speech_clip(15, duration=1.0, rate=8000.0)
+        _sweep_point(PipelineConfig(), parameter, value, audio, 0)
+        assert len(bins) == 1
+        assert bins[0][0] == bins[0][1]
+
     def test_temporary_directory_left_empty(self, tmp_path, monkeypatch, capsys):
         temp_root = tmp_path / "temp"
         temp_root.mkdir()
@@ -1061,6 +1119,12 @@ _EXIT_PATHS = {
     "simulate_chirp_rate_rounds_to_zero": (
         "simulate --config {d}/slow_frames.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
         f"simulate failed: cannot resample from 8000.0 Hz to 2.56e-298 Hz: {_UNREPRESENTABLE}"),
+    "simulate_infinite_artifact_magnitude": (
+        "simulate --config {d}/infinite_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: beginning_sigma must be finite and >= 0, got inf"),
+    "simulate_nan_artifact_magnitude": (
+        "simulate --config {d}/nan_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: periodic_sigma must be finite and >= 0, got nan"),
     "extract_ok": ("extract --capture {d}/cap.bin --out {t}/x.wav", None, 0, ""),
     "extract_missing_capture": (
         "extract --capture {d}/nope.bin --out {t}/x.wav", None, 1,
@@ -1146,6 +1210,8 @@ def exit_inputs(tmp_path_factory):
     (d / "negative_seed.ini").write_text("[run]\nseed = -1\n")
     # a chirp rate of 2.56e-298 Hz
     (d / "slow_frames.ini").write_text("[chirp]\nframe_period = 1e300\n")
+    (d / "infinite_sigma.ini").write_text("[artifacts]\nbeginning_sigma = 1e400\n")
+    (d / "nan_sigma.ini").write_text("[artifacts]\nperiodic_sigma = nan\n")
     return d
 
 
@@ -1242,9 +1308,22 @@ class TestExitStatus:
         assert "Traceback" not in err
         assert err == (message.format(**paths) + "\n" if message else "")
 
+    def test_output_too_large_to_allocate_is_one_line(self, tmp_path):
+        # 0.2 s at 1e20 Hz: numpy refuses the array before allocating any of it
+        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.2)
+        manifest = tmp_path / "clips.txt"
+        manifest.write_text(f"{wav}\n")
+        code, err = _run_main(["synth", "--manifest", str(manifest),
+                               "--out-dir", str(tmp_path / "ds"), "--sample-rate", "1e20"])
+        assert code == 1
+        assert re.fullmatch(r"synth failed: Unable to allocate .+ for an array with shape .+\n", err)
+
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
     @given(entries=_INI_ENTRIES, tail=_INI_TAIL)
+    # artifact magnitudes that read as inf and nan
+    @example(entries=[("artifacts", "beginning_sigma", "1e400")], tail=b"")
+    @example(entries=[("artifacts", "periodic_sigma", "nan")], tail=b"")
     def test_config_fuzz(self, fuzz_dir, entries, tail, monkeypatch):
         monkeypatch.delenv("MMVIB_SEED", raising=False)
         sections: dict[str, list[str]] = {}
