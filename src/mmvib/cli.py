@@ -404,7 +404,7 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         forcing = zscore_normalize(resample(audio, rate))
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "capture.bin"
-            # the bin found while writing, which extract would find again
+            # the bin found before stamping; extract searches the stamped container
             target = _write_capture(variant, forcing, (variant.seed, index), path)[2]
             phase = demodulate_bin(CaptureFile(path), target)
         trace = trace_from_phase(phase, variant.chirp)

@@ -14,6 +14,11 @@ OUTLIER_SIGMA_THRESHOLD = 3.0
 # Chirps a BinSearch transforms at a time.
 _SEARCH_ROWS = 64
 
+# Most threads locate_target's bin search runs on. Each holds a BinSearch's
+# buffers, so a fixed cap keeps the search's memory the same on any machine;
+# two ranges were measured faster than one on two CPUs, more were not tried.
+_SEARCH_THREADS = 2
+
 
 def range_fft(capture: IFCapture) -> np.ndarray:
     """FFT each chirp along fast time, keeping the positive-frequency half.
@@ -213,10 +218,10 @@ def _cpu_count() -> int:
 def _capture_strength(capture) -> np.ndarray:
     """The float64 strength a BinSearch fed every frame of the capture in order ends with.
 
-    The frames are split into one contiguous range per CPU. Each range is
-    searched on its own thread, the first on the calling one, with a
-    BinSearch of its own, into its rows of one float32 [n_frames, bins]
-    array. The rows are then added in frame order, as add adds them, so the
+    The frames are split into one contiguous range per CPU, at most
+    _SEARCH_THREADS ranges. Each range is searched on its own thread, the
+    first on the calling one, with a BinSearch of its own, into its rows of
+    one float32 [n_frames, bins] array. The rows are then added in frame order, as add adds them, so the
     strength is the same bit for bit. Every thread has ended when this
     returns or raises.
     """
@@ -224,7 +229,7 @@ def _capture_strength(capture) -> np.ndarray:
     from concurrent.futures import ThreadPoolExecutor
 
     n_frames, config = capture.n_frames, capture.config
-    workers = min(_cpu_count(), n_frames)
+    workers = min(_cpu_count(), _SEARCH_THREADS, n_frames)
     bounds = [n_frames * i // workers for i in range(workers + 1)]
     sums = np.empty((n_frames, config.adc_samples_per_chirp // 2 + 1), dtype=np.float32)
 
@@ -264,12 +269,12 @@ def locate_target(capture) -> tuple[int, np.ndarray]:
     The one place that decides which bin carries the vibration. capture is
     an IFCapture or a CaptureFile: anything with config, n_frames,
     iteration over its frames and iter_frames(start, stop). The frames are
-    read twice: a bin search split across the CPUs, then demodulate_bin on
-    the winning bin. Beyond the frames it holds one frame's spectrum per
-    CPU, one row of bin sums per frame and one sample per chirp. It picks
-    the bin that one BinSearch fed every frame picks, which is the bin
-    select_target_bin picks on range_fft's profile, and the phase of
-    extract_phase_series up to float32 rounding.
+    read twice: a bin search split across up to _SEARCH_THREADS CPUs, then
+    demodulate_bin on the winning bin. Beyond the frames it holds one
+    frame's spectrum per search thread, one row of bin sums per frame and
+    one sample per chirp. It picks the bin that one BinSearch fed every
+    frame picks, which is the bin select_target_bin picks on range_fft's
+    profile, and the phase of extract_phase_series up to float32 rounding.
     """
     if capture.n_frames == 0:
         raise ValueError("empty capture")

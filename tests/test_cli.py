@@ -991,9 +991,14 @@ class TestSweep:
         ("chirps_per_frame", "512"),
         ("chirps_per_frame", "1024"),
         ("material", "tinfoil"),
+        ("range_m", "3.7"),
+        # noise swamps the target: the two strongest bins differ by about 0.2 %
+        ("noise_floor_db", "40"),
     ])
     def test_demodulated_bin_is_the_one_extract_finds(self, parameter, value, monkeypatch):
-        # the bin found while writing, against a fresh search of the stamped container
+        # the bin found before stamping, against a fresh search of the stamped
+        # container; stamping rounds chirp 0 of each frame, which could move a
+        # bin tied to rounding
         bins = []
 
         def demodulate_bin(capture, target):

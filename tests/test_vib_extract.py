@@ -280,22 +280,21 @@ def _split_captures(tmp_path, n_frames: int, spread: bool = False):
 
 
 class TestSplitSearch:
-    """locate_target's bin search, split into one range of frames per CPU."""
+    """locate_target's bin search, split into one range of frames per CPU, at most two."""
 
-    @pytest.fixture(params=[None, 3], ids=["cpus", "3cpus"])
+    @pytest.fixture(params=[None, 16], ids=["cpus", "16cpus"])
     def cpus(self, request, monkeypatch):
-        """The CPUs the search splits across: this process's, or three."""
+        """The ranges the search splits into, on this process's CPUs or on sixteen."""
         if request.param is not None:
             monkeypatch.setattr(mmvib.vib_extract, "_cpu_count", lambda: request.param)
-        return mmvib.vib_extract._cpu_count()
+        return min(mmvib.vib_extract._cpu_count(), mmvib.vib_extract._SEARCH_THREADS)
 
     @pytest.mark.parametrize("n_frames", [1, 2, 3, "odd"])
     @pytest.mark.parametrize("source", ["memory", "file"])
-    @pytest.mark.parametrize("spread", [False, True], ids=["tone", "spread"])
-    def test_equals_one_sequential_search(self, tmp_path, cpus, n_frames, source, spread):
+    def test_equals_one_sequential_search(self, tmp_path, cpus, n_frames, source):
         if n_frames == "odd":
             n_frames = 2 * cpus + 1
-        cap, reader = _split_captures(tmp_path, n_frames, spread)
+        cap, reader = _split_captures(tmp_path, n_frames, spread=True)
         search = BinSearch(cap.config)
         for frame in cap.frames:
             search.add(frame)
@@ -309,13 +308,13 @@ class TestSplitSearch:
         assert target == search.target("sequential")
         assert phase.tobytes() == demodulate_bin(cap, target).tobytes()
 
-    def test_more_threads_than_cpus_switching_often(self, tmp_path, monkeypatch):
+    def test_threads_switching_often(self, tmp_path, monkeypatch):
         # every frame's row is written by exactly one thread, whatever the interleaving
         cap, reader = _split_captures(tmp_path, 17, spread=True)
         search = BinSearch(cap.config)
         for frame in cap.frames:
             search.add(frame)
-        monkeypatch.setattr(mmvib.vib_extract, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(mmvib.vib_extract, "_cpu_count", lambda: 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -336,6 +335,33 @@ class TestSplitSearch:
         with pytest.raises(ValueError, match=f"^truncated capture file: {re.escape(str(reader.path))}$"):
             locate_target(reader)
         assert threading.active_count() == before
+
+    def test_threads_capped_whatever_the_cpu_count(self, tmp_path, monkeypatch):
+        cap, _ = _split_captures(tmp_path, 40)
+        monkeypatch.setattr(mmvib.vib_extract, "_cpu_count", lambda: 16)
+        names = set()
+        real_sum_frame = BinSearch.sum_frame
+
+        def sum_frame(search, frame, out):
+            names.add(threading.current_thread().name)
+            return real_sum_frame(search, frame, out)
+
+        monkeypatch.setattr(BinSearch, "sum_frame", sum_frame)
+        mmvib.vib_extract._capture_strength(cap)
+        assert len(names) == mmvib.vib_extract._SEARCH_THREADS
+
+    def test_peak_memory_below_a_tenth_of_the_capture_on_many_cpus(self, chirp_cfg, monkeypatch):
+        # the search's buffers do not grow with the CPU count
+        monkeypatch.setattr(mmvib.vib_extract, "_cpu_count", lambda: 16)
+        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=2.048)
+        assert cap.n_frames >= 32
+        tracemalloc.start()
+        try:
+            locate_target(cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * cap.frames.nbytes
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("source", ["memory", "file"])
