@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import sys
+import tempfile
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -99,10 +100,11 @@ class PipelineConfig:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
-        if self.synth_sample_rate <= 0:
-            raise ValueError(f"synth_sample_rate must be positive, got {self.synth_sample_rate}")
+        SynthesisConfig(self.alpha, self.beta)
+        if not 0 < self.synth_sample_rate < np.inf:
+            raise ValueError(
+                f"synth_sample_rate must be finite and positive, got {self.synth_sample_rate}"
+            )
 
 
 # INI sections and their keys. [chirp] and [material] hold the fields of
@@ -397,9 +399,6 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         report = score_pair(zscore_normalize(reference), degraded)
         rate = variant.synth_sample_rate
     else:
-        # imported here: only sweep needs it, and it adds to every command's start-up
-        import tempfile
-
         rate = variant.chirp.effective_sampling_rate
         forcing = zscore_normalize(resample(audio, rate))
         with tempfile.TemporaryDirectory() as workdir:

@@ -189,10 +189,6 @@ class IFCapture:
         """The frames in order, as CaptureFile yields them from a container."""
         return iter(self.frames)
 
-    def iter_frames(self, start: int, stop: int) -> Iterator[np.ndarray]:
-        """Frames start to stop - 1 in order, as CaptureFile.iter_frames reads them."""
-        return iter(self.frames[start:stop])
-
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
@@ -564,19 +560,12 @@ class CaptureFile:
             raise ValueError(f"truncated capture file: {self.path}")
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return self.iter_frames(0, self.n_frames)
-
-    def iter_frames(self, start: int, stop: int) -> Iterator[np.ndarray]:
-        """Frames start to stop - 1 in order, read on a file handle and buffer of their own.
-
-        So several ranges can be read at once, each on its own thread.
-        """
         frame = np.empty(
             (self.config.chirps_per_frame, self.config.adc_samples_per_chirp), dtype=np.complex64
         )
         with open(self.path, "rb") as fh:
-            fh.seek(_CAPTURE_HEADER.size + start * frame.nbytes)
-            for _ in range(start, stop):
+            fh.seek(_CAPTURE_HEADER.size)
+            for _ in range(self.n_frames):
                 if fh.readinto(frame) != frame.nbytes:
                     raise ValueError(f"truncated capture file: {self.path}")
                 yield frame

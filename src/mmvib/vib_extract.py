@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .radar_sim import ChirpConfig, IFCapture, VibrationTrace
@@ -11,13 +9,9 @@ from .signal_core import unwrap_phase
 
 OUTLIER_SIGMA_THRESHOLD = 3.0
 
-# Chirps a BinSearch transforms at a time.
+# Chirps a BinSearch transforms at a time, so its complex128 scratch stays
+# [_SEARCH_ROWS, adc] whatever chirps_per_frame is.
 _SEARCH_ROWS = 64
-
-# Most threads locate_target's bin search runs on. Each holds a BinSearch's
-# buffers, so a fixed cap keeps the search's memory the same on any machine;
-# two ranges were measured faster than one on two CPUs, more were not tried.
-_SEARCH_THREADS = 2
 
 
 def range_fft(capture: IFCapture) -> np.ndarray:
@@ -156,17 +150,15 @@ def remove_periodic_outliers(trace: VibrationTrace, chirps_per_frame: int) -> Vi
 class BinSearch:
     """The bin search of locate_target, fed one frame at a time.
 
-    sum_frame sums each range bin's magnitude over one frame's chirps in
-    float32, equal bit for bit to np.abs(np.fft.fft(frame, axis=1)[:, :bins])
-    .sum(axis=0, dtype=np.float32): numpy's complex64 FFT is its complex128
-    FFT rounded to complex64, which is the path taken here. add adds those
-    frame sums into the float64 strength, DC to Nyquist. Every step writes
-    into buffers made once, since the FFT's own scratch would otherwise be
-    mapped and unmapped on every frame; so one search serves one thread.
-    The chirps are transformed _SEARCH_ROWS at a time, which keeps those
-    buffers small when each CPU has a search of its own. Frames too large
-    or not finite leave a strength that is not finite, which target reports
-    as one error, without numpy warnings.
+    add sums each range bin's magnitude over one frame's chirps in float32,
+    equal bit for bit to np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0,
+    dtype=np.float32): numpy's complex64 FFT is its complex128 FFT rounded to
+    complex64, which is the path taken here. The frame sums are added into
+    the float64 strength, DC to Nyquist. Every step writes into buffers made
+    once, since the FFT's own scratch would otherwise be mapped and unmapped
+    on every frame. The chirps are transformed _SEARCH_ROWS at a time. Frames
+    too large or not finite leave a strength that is not finite, which target
+    reports as one error, without numpy warnings.
     """
 
     def __init__(self, config: ChirpConfig) -> None:
@@ -180,8 +172,7 @@ class BinSearch:
         self._frame_strength = np.empty(self._bins, dtype=np.float32)
         self.strength = np.zeros(self._bins)
 
-    def sum_frame(self, frame: np.ndarray, out: np.ndarray) -> None:
-        """Write one frame's float32 bin sums into out, leaving the strength as it is."""
+    def add(self, frame: np.ndarray) -> None:
         rows = len(self._wide)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(frame), rows):
@@ -190,61 +181,14 @@ class BinSearch:
                 np.fft.fft(self._wide[:n], axis=1, out=self._spectrum[:n])
                 np.copyto(self._half[:n], self._spectrum[:n, : self._bins])
                 np.abs(self._half[:n], out=self._magnitude[start : start + n])
-            self._magnitude.sum(axis=0, dtype=np.float32, out=out)
-
-    def add(self, frame: np.ndarray) -> None:
-        self.sum_frame(frame, self._frame_strength)
+            self._magnitude.sum(axis=0, dtype=np.float32, out=self._frame_strength)
         self.strength += self._frame_strength
 
     def target(self, source) -> int:
         """The strongest bin so far, DC excluded; source names the capture in errors."""
-        return _searched_target(self.strength, source)
-
-
-def _searched_target(strength: np.ndarray, source) -> int:
-    if not np.isfinite(strength).all():
-        raise ValueError(f"capture samples are not finite or too large: {source}")
-    return _strongest_bin(strength)
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _capture_strength(capture) -> np.ndarray:
-    """The float64 strength a BinSearch fed every frame of the capture in order ends with.
-
-    The frames are split into one contiguous range per CPU, at most
-    _SEARCH_THREADS ranges. Each range is searched on its own thread, the
-    first on the calling one, with a BinSearch of its own, into its rows of
-    one float32 [n_frames, bins] array. The rows are then added in frame order, as add adds them, so the
-    strength is the same bit for bit. Every thread has ended when this
-    returns or raises.
-    """
-    # imported here, as in iter_if_frames: concurrent.futures loads logging
-    from concurrent.futures import ThreadPoolExecutor
-
-    n_frames, config = capture.n_frames, capture.config
-    workers = min(_cpu_count(), _SEARCH_THREADS, n_frames)
-    bounds = [n_frames * i // workers for i in range(workers + 1)]
-    sums = np.empty((n_frames, config.adc_samples_per_chirp // 2 + 1), dtype=np.float32)
-
-    def search(start: int, stop: int) -> None:
-        scratch = BinSearch(config)
-        for f, frame in enumerate(capture.iter_frames(start, stop), start):
-            scratch.sum_frame(frame, sums[f])
-
-    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mmvib-search") as pool:
-        rest = [pool.submit(search, *span) for span in zip(bounds[1:-1], bounds[2:])]
-        search(bounds[0], bounds[1])
-        for done in rest:
-            done.result()
-    # cumsum adds row after row, as strength += frame sums does
-    return np.cumsum(sums, axis=0, dtype=np.float64)[-1]
+        if not np.isfinite(self.strength).all():
+            raise ValueError(f"capture samples are not finite or too large: {source}")
+        return _strongest_bin(self.strength)
 
 
 def demodulate_bin(capture, target: int) -> np.ndarray:
@@ -267,19 +211,20 @@ def locate_target(capture) -> tuple[int, np.ndarray]:
     """Strongest range bin of the capture and its unwrapped per-chirp phase.
 
     The one place that decides which bin carries the vibration. capture is
-    an IFCapture or a CaptureFile: anything with config, n_frames,
-    iteration over its frames and iter_frames(start, stop). The frames are
-    read twice: a bin search split across up to _SEARCH_THREADS CPUs, then
-    demodulate_bin on the winning bin. Beyond the frames it holds one
-    frame's spectrum per search thread, one row of bin sums per frame and
-    one sample per chirp. It picks the bin that one BinSearch fed every
-    frame picks, which is the bin select_target_bin picks on range_fft's
-    profile, and the phase of extract_phase_series up to float32 rounding.
+    an IFCapture or a CaptureFile: anything with config, n_frames and
+    iteration over its frames, which happens twice: a BinSearch pass, then
+    demodulate_bin on the winning bin. Beyond the frames it holds about one
+    frame's bin magnitudes and one sample per chirp. It picks the bin
+    select_target_bin picks on range_fft's profile, and the phase of
+    extract_phase_series up to float32 rounding.
     """
     if capture.n_frames == 0:
         raise ValueError("empty capture")
-    source = getattr(capture, "path", "in-memory capture")
-    target = _searched_target(_capture_strength(capture), source)
+    search = BinSearch(capture.config)
+    for frame in capture:
+        search.add(frame)
+    target = search.target(getattr(capture, "path", "in-memory capture"))
+    del search  # its frame buffers, before the demodulation allocates
     return target, demodulate_bin(capture, target)
 
 

@@ -509,17 +509,17 @@ class TestExtract:
 
             return counted
 
-        original_sum_frame = BinSearch.sum_frame
+        original_add = BinSearch.add
 
-        def sum_frame(search, frame, out):
+        def add(search, frame):
             searched.append(digest(frame))
-            original_sum_frame(search, frame, out)
+            original_add(search, frame)
 
         def demodulate_bin(capture, target):
             on_file.extend(digest(frame) for frame in capture)
             return mmvib.vib_extract.demodulate_bin(capture, target)
 
-        monkeypatch.setattr(BinSearch, "sum_frame", sum_frame)
+        monkeypatch.setattr(BinSearch, "add", add)
         monkeypatch.setattr(mmvib.cli, "demodulate_bin", demodulate_bin)
         # rebind every module-level reference, so a second import of one is counted too
         for name, module in list(sys.modules.items()):
@@ -878,10 +878,15 @@ class TestMalformedWav:
         assert str(malformed_wav) in err
 
 
-def test_runtime_imports_no_scipy():
-    # scipy is a test-side oracle only; every CLI call pays for what mmvib imports
+@pytest.mark.parametrize("package", ["scipy", "concurrent.futures", "logging"])
+def test_runtime_imports_no_scipy(package):
+    # scipy is a test-side oracle only, and iter_if_frames imports concurrent.futures,
+    # which loads logging, only when it runs; every CLI call pays for what mmvib imports
     src = Path(mmvib.vib_extract.__file__).resolve().parents[1]
-    code = "import sys, mmvib, mmvib.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = (
+        "import sys, mmvib, mmvib.cli; "
+        f"print([m for m in sys.modules if (m + '.').startswith({package!r} + '.')])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -1191,6 +1196,26 @@ _EXIT_PATHS = {
     "sweep_missing_audio": (
         "sweep --param alpha --values 0.5 --audio {d}/nope.wav --report {t}/s.json", None, 1,
         f"sweep failed: {_NO_FILE}: '{{d}}/nope.wav'"),
+    # a [synthesis] value is checked when the config loads, not blamed on the swept value
+    "sweep_nan_alpha": (
+        "sweep --config {d}/nan_alpha.ini --param beta --values 0.3 --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2,
+        "sweep failed: config: alpha and beta must be finite and >= 0, got nan, 0.3"),
+    "sweep_infinite_beta": (
+        "sweep --config {d}/infinite_beta.ini --param alpha --values 0.5 --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2,
+        "sweep failed: config: alpha and beta must be finite and >= 0, got 1.0, inf"),
+    "sweep_nan_sample_rate": (
+        "sweep --config {d}/nan_rate.ini --param beta --values 0.3 --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2,
+        "sweep failed: config: synth_sample_rate must be finite and positive, got nan"),
+    "sweep_infinite_sample_rate": (
+        "sweep --config {d}/infinite_rate.ini --param beta --values 0.3 --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2,
+        "sweep failed: config: synth_sample_rate must be finite and positive, got inf"),
+    "simulate_nan_alpha": (
+        "simulate --config {d}/nan_alpha.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: alpha and beta must be finite and >= 0, got nan, 0.3"),
     "sweep_bad_value": (
         "sweep --param material --values steel --audio {d}/tone.wav --report {t}/s.json", None, 1,
         "sweep failed: material=steel: unknown material preset 'steel', valid: pet, tinfoil"),
@@ -1217,6 +1242,10 @@ def exit_inputs(tmp_path_factory):
     (d / "slow_frames.ini").write_text("[chirp]\nframe_period = 1e300\n")
     (d / "infinite_sigma.ini").write_text("[artifacts]\nbeginning_sigma = 1e400\n")
     (d / "nan_sigma.ini").write_text("[artifacts]\nperiodic_sigma = nan\n")
+    (d / "nan_alpha.ini").write_text("[synthesis]\nalpha = nan\n")
+    (d / "infinite_beta.ini").write_text("[synthesis]\nbeta = inf\n")
+    (d / "nan_rate.ini").write_text("[synthesis]\nsample_rate = nan\n")
+    (d / "infinite_rate.ini").write_text("[synthesis]\nsample_rate = inf\n")
     return d
 
 

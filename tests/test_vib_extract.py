@@ -2,8 +2,6 @@
 
 import os
 import re
-import sys
-import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -39,7 +37,7 @@ from mmvib import (
 )
 import mmvib.vib_extract
 from mmvib.cli import PipelineConfig
-from mmvib.vib_extract import BinSearch, demodulate_bin
+from mmvib.vib_extract import BinSearch
 from oracles import oracle_remove_periodic_outliers
 from speechgen import make_speech_clip
 
@@ -260,124 +258,32 @@ class TestLocateTarget:
             tracemalloc.stop()
         assert peak < 0.1 * cap.frames.nbytes
 
-
-def _split_captures(tmp_path, n_frames: int, spread: bool = False):
-    """A tone capture of n_frames frames, in memory and as a container.
-
-    With spread, each frame is scaled by its own power of ten from 1e-12 to
-    1e12, so float64 sums of the frames' float32 bin sums round, and adding
-    them in another order gives other bits.
-    """
-    cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=n_frames * 0.032,
-                            noise_floor_db=-40.0, seed=n_frames)
-    assert cap.n_frames == n_frames
-    if spread:
-        exponents = np.random.default_rng(n_frames).integers(-12, 13, n_frames)
-        cap.frames *= (10.0 ** exponents).astype(np.float32)[:, None, None]
-    path = tmp_path / "cap.bin"
-    save_capture(cap, path)
-    return cap, CaptureFile(path)
-
-
-class TestSplitSearch:
-    """locate_target's bin search, split into one range of frames per CPU, at most two."""
-
-    @pytest.fixture(params=[None, 16], ids=["cpus", "16cpus"])
-    def cpus(self, request, monkeypatch):
-        """The ranges the search splits into, on this process's CPUs or on sixteen."""
-        if request.param is not None:
-            monkeypatch.setattr(mmvib.vib_extract, "_cpu_count", lambda: request.param)
-        return min(mmvib.vib_extract._cpu_count(), mmvib.vib_extract._SEARCH_THREADS)
-
-    @pytest.mark.parametrize("n_frames", [1, 2, 3, "odd"])
-    @pytest.mark.parametrize("source", ["memory", "file"])
-    def test_equals_one_sequential_search(self, tmp_path, cpus, n_frames, source):
-        if n_frames == "odd":
-            n_frames = 2 * cpus + 1
-        cap, reader = _split_captures(tmp_path, n_frames, spread=True)
-        search = BinSearch(cap.config)
-        for frame in cap.frames:
-            search.add(frame)
-        capture = cap if source == "memory" else reader
-        before = threading.active_count()
-        strength = mmvib.vib_extract._capture_strength(capture)
-        assert threading.active_count() == before
-        assert strength.dtype == np.float64
-        assert strength.tobytes() == search.strength.tobytes()
-        target, phase = locate_target(capture)
-        assert target == search.target("sequential")
-        assert phase.tobytes() == demodulate_bin(cap, target).tobytes()
-
-    def test_threads_switching_often(self, tmp_path, monkeypatch):
-        # every frame's row is written by exactly one thread, whatever the interleaving
-        cap, reader = _split_captures(tmp_path, 17, spread=True)
-        search = BinSearch(cap.config)
-        for frame in cap.frames:
-            search.add(frame)
-        monkeypatch.setattr(mmvib.vib_extract, "_cpu_count", lambda: 16)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for capture in (cap, reader) * 3:
-                strength = mmvib.vib_extract._capture_strength(capture)
-                assert strength.tobytes() == search.strength.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_file_truncated_after_opening(self, tmp_path, cpus, monkeypatch):
-        cap, reader = _split_captures(tmp_path, 2 * cpus + 1)
-        frame_bytes = cap.frames[0].nbytes
-        # the last range ends short; the search, not the demodulation after it, raises
-        with open(reader.path, "r+b") as fh:
-            fh.truncate(os.path.getsize(reader.path) - frame_bytes - frame_bytes // 2)
-        monkeypatch.setattr(mmvib.vib_extract, "demodulate_bin", None)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match=f"^truncated capture file: {re.escape(str(reader.path))}$"):
-            locate_target(reader)
-        assert threading.active_count() == before
-
-    def test_threads_capped_whatever_the_cpu_count(self, tmp_path, monkeypatch):
-        cap, _ = _split_captures(tmp_path, 40)
-        monkeypatch.setattr(mmvib.vib_extract, "_cpu_count", lambda: 16)
-        names = set()
-        real_sum_frame = BinSearch.sum_frame
-
-        def sum_frame(search, frame, out):
-            names.add(threading.current_thread().name)
-            return real_sum_frame(search, frame, out)
-
-        monkeypatch.setattr(BinSearch, "sum_frame", sum_frame)
-        mmvib.vib_extract._capture_strength(cap)
-        assert len(names) == mmvib.vib_extract._SEARCH_THREADS
-
-    def test_peak_memory_below_a_tenth_of_the_capture_on_many_cpus(self, chirp_cfg, monkeypatch):
-        # the search's buffers do not grow with the CPU count
-        monkeypatch.setattr(mmvib.vib_extract, "_cpu_count", lambda: 16)
-        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=2.048)
-        assert cap.n_frames >= 32
-        tracemalloc.start()
-        try:
-            locate_target(cap)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * cap.frames.nbytes
-
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("source", ["memory", "file"])
-    def test_non_finite_frame_is_one_error(self, tmp_path, cpus, value, source):
-        cap, _ = _split_captures(tmp_path, 2 * cpus + 1)
+    def test_non_finite_frame_is_one_error(self, tmp_path, value, source):
+        cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.16, noise_floor_db=-40.0)
         cap.frames[-1, -1, -1] = value
         path = tmp_path / "bad.bin"
         save_capture(cap, path)
         capture, name = (cap, "in-memory capture") if source == "memory" else (CaptureFile(path), path)
-        before = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as err:
                 locate_target(capture)
         assert str(err.value) == f"capture samples are not finite or too large: {name}"
-        assert threading.active_count() == before
+
+    def test_file_truncated_after_opening(self, tmp_path, monkeypatch):
+        cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.16, noise_floor_db=-40.0)
+        path = tmp_path / "cap.bin"
+        save_capture(cap, path)
+        reader = CaptureFile(path)
+        frame_bytes = cap.frames[0].nbytes
+        # the last frames end short; the search, not the demodulation after it, raises
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - frame_bytes - frame_bytes // 2)
+        monkeypatch.setattr(mmvib.vib_extract, "demodulate_bin", None)
+        with pytest.raises(ValueError, match=f"^truncated capture file: {re.escape(str(path))}$"):
+            locate_target(reader)
 
 
 class TestPhaseToDisplacement:
