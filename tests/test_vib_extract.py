@@ -2,6 +2,7 @@
 
 import os
 import re
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -258,21 +259,40 @@ class TestLocateTarget:
             tracemalloc.stop()
         assert peak < 0.1 * cap.frames.nbytes
 
+
+class TestSplitSearch:
+    """locate_target's bin search is one pass over the frames, whatever the CPU count.
+
+    The search was once split into one range of frames per CPU; these cases
+    keep its ids and check that the CPU count the process reports changes
+    nothing: no thread is started, and a bad frame gives one error.
+    """
+
+    @pytest.fixture(params=[None, 16], ids=["cpus", "16cpus"])
+    def cpus(self, request, monkeypatch):
+        """Make the process report its own CPU count, or sixteen."""
+        if request.param is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: request.param)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                                raising=False)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("source", ["memory", "file"])
-    def test_non_finite_frame_is_one_error(self, tmp_path, value, source):
+    def test_non_finite_frame_is_one_error(self, tmp_path, cpus, value, source):
         cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.16, noise_floor_db=-40.0)
         cap.frames[-1, -1, -1] = value
         path = tmp_path / "bad.bin"
         save_capture(cap, path)
         capture, name = (cap, "in-memory capture") if source == "memory" else (CaptureFile(path), path)
+        before = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as err:
                 locate_target(capture)
         assert str(err.value) == f"capture samples are not finite or too large: {name}"
+        assert threading.active_count() == before
 
-    def test_file_truncated_after_opening(self, tmp_path, monkeypatch):
+    def test_file_truncated_after_opening(self, tmp_path, cpus, monkeypatch):
         cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.16, noise_floor_db=-40.0)
         path = tmp_path / "cap.bin"
         save_capture(cap, path)
@@ -282,8 +302,10 @@ class TestLocateTarget:
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - frame_bytes - frame_bytes // 2)
         monkeypatch.setattr(mmvib.vib_extract, "demodulate_bin", None)
+        before = threading.active_count()
         with pytest.raises(ValueError, match=f"^truncated capture file: {re.escape(str(path))}$"):
             locate_target(reader)
+        assert threading.active_count() == before
 
 
 class TestPhaseToDisplacement:
