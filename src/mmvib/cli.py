@@ -40,6 +40,7 @@ from .synth import (
     build_dataset,
     item_seed,
     manifest_lines,
+    map_rows,
     synthesize_mmvib,
 )
 from .vib_extract import BinSearch, demodulate_bin, locate_target, trace_from_phase
@@ -318,6 +319,25 @@ def _transcript(row: dict, key: str):
     return text
 
 
+def _score_row(row) -> dict:
+    """One report entry: the pair's paths and metrics, or its error."""
+    if not isinstance(row, dict):
+        return {"error": f"manifest row is not a JSON object: {json.dumps(row)}"}
+    entry = {"ref_path": row.get("ref_path"), "deg_path": row.get("deg_path")}
+    try:
+        ref_text = _transcript(row, "ref_text")
+        hyp_text = _transcript(row, "hyp_text")
+        ref = read_wav(row["ref_path"])
+        deg = read_wav(row["deg_path"])
+        if abs(ref.sample_rate - deg.sample_rate) > 1e-9:
+            deg = resample(deg, ref.sample_rate)
+        report = score_pair(zscore_normalize(ref), zscore_normalize(deg), ref_text, hyp_text)
+        entry.update(report.to_dict())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        entry["error"] = str(exc)
+    return entry
+
+
 def cmd_score(manifest_in, report_out) -> None:
     """Score every pair in a JSON-lines manifest and write a JSON report.
 
@@ -325,32 +345,14 @@ def cmd_score(manifest_in, report_out) -> None:
     scales compare against unit-scale audio. A pair whose rates differ has
     the degraded side resampled to the reference rate. Unreadable pairs are
     recorded with an error; the command fails only when every pair fails.
+    Pairs run on map_rows' threads, and the report keeps their order.
     """
     rows = _read_pair_manifest(manifest_in)
     if not rows:
         raise ValueError("manifest lists no pairs")
 
-    pairs = []
-    succeeded = 0
-    for row in rows:
-        if not isinstance(row, dict):
-            pairs.append({"error": f"manifest row is not a JSON object: {json.dumps(row)}"})
-            continue
-        entry = {"ref_path": row.get("ref_path"), "deg_path": row.get("deg_path")}
-        try:
-            ref_text = _transcript(row, "ref_text")
-            hyp_text = _transcript(row, "hyp_text")
-            ref = read_wav(row["ref_path"])
-            deg = read_wav(row["deg_path"])
-            if abs(ref.sample_rate - deg.sample_rate) > 1e-9:
-                deg = resample(deg, ref.sample_rate)
-            report = score_pair(zscore_normalize(ref), zscore_normalize(deg), ref_text, hyp_text)
-            entry.update(report.to_dict())
-            succeeded += 1
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            entry["error"] = str(exc)
-        pairs.append(entry)
-
+    pairs = map_rows(_score_row, rows)
+    succeeded = sum("error" not in entry for entry in pairs)
     report_doc = {"pairs": pairs, "aggregate": _aggregate(pairs)}
     with open(report_out, "w", encoding="utf-8") as fh:
         json.dump(report_doc, fh, indent=2)

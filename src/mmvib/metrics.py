@@ -8,6 +8,7 @@ ordering, and gain-invariance properties are the stable contract.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -18,6 +19,7 @@ from .signal_core import (
     MEL_LOSS_BANDS,
     MEL_LOSS_WINDOWS,
     AudioBuffer,
+    band_sums,
     frame_signal,
     mel_filterbank,
     stft,
@@ -122,9 +124,9 @@ def fwsegsnr(ref: AudioBuffer, deg: AudioBuffer) -> float:
 
 def _fwsegsnr(ref_mag: np.ndarray, deg_mag: np.ndarray, fs: float) -> float:
     """fwsegsnr from the 25 ms / 10 ms magnitude frames of both signals."""
-    bank = mel_filterbank(FWSEG_BANDS, _frame_params(fs)[0], fs, fmin=FWSEG_FMIN_HZ)
-    ref_band = ref_mag @ bank.T
-    deg_band = deg_mag @ bank.T
+    bank = (mel_filterbank, FWSEG_BANDS, _frame_params(fs)[0], fs, FWSEG_FMIN_HZ)
+    ref_band = band_sums(ref_mag, *bank, axis=1)
+    deg_band = band_sums(deg_mag, *bank, axis=1)
     weights = ref_band**FWSEG_WEIGHT_EXPONENT
     band_snr = 10.0 * np.log10((ref_band**2 + _EPS) / ((ref_band - deg_band) ** 2 + _EPS))
     weight_sums = weights.sum(axis=1)
@@ -135,13 +137,16 @@ def _fwsegsnr(ref_mag: np.ndarray, deg_mag: np.ndarray, fs: float) -> float:
     return float(np.clip(frame_snr, FWSEG_FLOOR_DB, FWSEG_CEIL_DB).mean())
 
 
+@functools.lru_cache(maxsize=16)
 def _third_octave_bands(n_bins: int, fs: float) -> np.ndarray:
-    """Membership matrix [STOI_BANDS, n_bins] of one-third-octave bands."""
+    """Membership matrix [STOI_BANDS, n_bins] of one-third-octave bands, cached read-only."""
     freqs = np.arange(n_bins) * (fs / STOI_NFFT)
     centers = STOI_BAND_FMIN_HZ * 2.0 ** (np.arange(STOI_BANDS) / 3.0)
     lo = centers / 2.0 ** (1.0 / 6.0)
     hi = centers * 2.0 ** (1.0 / 6.0)
-    return ((freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])).astype(float)
+    bands = ((freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])).astype(float)
+    bands.flags.writeable = False
+    return bands
 
 
 def stoi(ref: AudioBuffer, deg: AudioBuffer) -> float:
@@ -173,9 +178,9 @@ def stoi(ref: AudioBuffer, deg: AudioBuffer) -> float:
 
     x_power = np.abs(np.fft.rfft(x_frames, n=STOI_NFFT, axis=1)) ** 2
     y_power = np.abs(np.fft.rfft(y_frames, n=STOI_NFFT, axis=1)) ** 2
-    bands = _third_octave_bands(x_power.shape[1], STOI_RATE_HZ)
-    x_env = np.sqrt(x_power @ bands.T).T
-    y_env = np.sqrt(y_power @ bands.T).T
+    bands = (_third_octave_bands, x_power.shape[1], STOI_RATE_HZ)
+    x_env = np.sqrt(band_sums(x_power, *bands, axis=1)).T
+    y_env = np.sqrt(band_sums(y_power, *bands, axis=1)).T
 
     x_seg = sliding_window_view(x_env, STOI_SEGMENT_FRAMES, axis=1)
     y_seg = sliding_window_view(y_env, STOI_SEGMENT_FRAMES, axis=1)
@@ -198,9 +203,10 @@ def stoi(ref: AudioBuffer, deg: AudioBuffer) -> float:
 
 def _mfcc(mag: np.ndarray, fs: float) -> np.ndarray:
     """MFCC frames [n_frames, MCD_COEFFS] from 25 ms / 10 ms magnitude frames, energy excluded."""
-    bank = mel_filterbank(MCD_BANDS, _frame_params(fs)[0], fs)
-    energies = np.maximum((mag**2) @ bank.T, MCD_LOG_FLOOR)
-    return np.log(energies) @ _MCD_DCT[1 : MCD_COEFFS + 1].T
+    bank = (mel_filterbank, MCD_BANDS, _frame_params(fs)[0], fs)
+    energies = np.maximum(band_sums(mag**2, *bank, axis=1), MCD_LOG_FLOOR)
+    # einsum's own loops, not BLAS
+    return np.einsum("fb,cb->fc", np.log(energies), _MCD_DCT[1 : MCD_COEFFS + 1], optimize=False)
 
 
 def mcd(ref: AudioBuffer, deg: AudioBuffer) -> float:
@@ -234,9 +240,9 @@ def _mel_loss(x: np.ndarray, y: np.ndarray, fs: float, keep_window: int | None =
     for n_mels, window_len in zip(MEL_LOSS_BANDS, MEL_LOSS_WINDOWS):
         ref_mag = _magnitudes(x, fs, window_len, window_len // 4)
         deg_mag = _magnitudes(y, fs, window_len, window_len // 4)
-        bank = mel_filterbank(n_mels, window_len, fs)
-        ref_mel = np.log(np.maximum(bank @ ref_mag, MEL_LOG_FLOOR))
-        deg_mel = np.log(np.maximum(bank @ deg_mag, MEL_LOG_FLOOR))
+        bank = (mel_filterbank, n_mels, window_len, fs)
+        ref_mel = np.log(np.maximum(band_sums(ref_mag, *bank), MEL_LOG_FLOOR))
+        deg_mel = np.log(np.maximum(band_sums(deg_mag, *bank), MEL_LOG_FLOOR))
         total += float(np.abs(ref_mel - deg_mel).mean())
         if window_len == keep_window:
             kept = ref_mag, deg_mag

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,7 +96,8 @@ def build_dataset(
     rate, degraded with a seed derived from (cfg.seed, item index), and both
     the resampled clean copy and the degraded copy are written under out_dir.
     Unreadable entries are recorded in the manifest and skipped; the build
-    fails only when every entry fails.
+    fails only when every entry fails. Entries run on map_rows' threads, and
+    the manifest keeps their order.
 
     With jitter enabled, alpha and beta get a per-item uniform scale in
     [0.5, 1.5]; the values actually used are recorded in the manifest.
@@ -109,9 +111,8 @@ def build_dataset(
     clean_dir.mkdir(parents=True, exist_ok=True)
     degraded_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    failures = 0
-    for index, clean_path in enumerate(entries):
+    def build(item: tuple[int, str]) -> dict:
+        index, clean_path = item
         seed = item_seed(cfg.seed, index)
         alpha, beta = cfg.alpha, cfg.beta
         if jitter:
@@ -122,25 +123,23 @@ def build_dataset(
             clean = resample(read_wav(clean_path), sample_rate)
             degraded = synthesize_mmvib(clean, SynthesisConfig(alpha, beta, seed))
         except (OSError, ValueError) as exc:
-            failures += 1
-            rows.append({"clean_path": str(clean_path), "error": str(exc)})
-            continue
+            return {"clean_path": str(clean_path), "error": str(exc)}
         stem = f"{index:05d}_{Path(clean_path).stem}"
         clean_out = clean_dir / f"{stem}.wav"
         degraded_out = degraded_dir / f"{stem}.wav"
         write_wav(clean_out, clean)
         write_wav(degraded_out, degraded)
-        rows.append(
-            {
-                "clean_path": str(clean_out),
-                "degraded_path": str(degraded_out),
-                "seed": seed,
-                "alpha": alpha,
-                "beta": beta,
-                "sample_rate": sample_rate,
-            }
-        )
-    if failures == len(entries):
+        return {
+            "clean_path": str(clean_out),
+            "degraded_path": str(degraded_out),
+            "seed": seed,
+            "alpha": alpha,
+            "beta": beta,
+            "sample_rate": sample_rate,
+        }
+
+    rows = map_rows(build, list(enumerate(entries)))
+    if all("error" in row for row in rows):
         raise RuntimeError(f"all manifest entries failed, first: {rows[0]['error']}")
 
     manifest_out = out_dir / "manifest.jsonl"
@@ -148,6 +147,27 @@ def build_dataset(
         for row in rows:
             fh.write(json.dumps(row) + "\n")
     return manifest_out
+
+
+def map_rows(work: Callable, rows: list) -> list:
+    """work(row) for every manifest row, in row order, a thread per CPU this process may use.
+
+    The pool holds no more threads than rows. work is meant to stay out of
+    BLAS: a threaded OpenBLAS product wakes BLAS threads that spin on the
+    CPUs the pool needs. An exception from work is raised here, for the
+    first row that raised one, and the rows not yet started are dropped.
+    """
+    # imported here: concurrent.futures loads logging, which would add to
+    # the start-up of every command, not only the ones with manifests
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = max(1, min(cpus, len(rows)))
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mmvib-row") as pool:
+        return list(pool.map(work, rows))
 
 
 def manifest_lines(path) -> Iterator[tuple[int, str]]:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -974,13 +975,37 @@ class TestSweep:
             expected = report.to_dict()
             assert {k: row[k] for k in REQUIRED_METRICS} == {k: expected[k] for k in REQUIRED_METRICS}
 
-    # SHA-256 of a chirps_per_frame 256,512 sweep's report and table as a
-    # sweep that searched each container twice wrote them: searching once
-    # must not change a byte
+    # SHA-256 of a chirps_per_frame 256,512 sweep's report and table, with
+    # filterbanks applied as band sums
     PINNED_SWEEP = {
-        "sweep.json": "c3ee63ec37631db4db347c16f9d178156c734ede8a2a06d99ade68d8105c88ed",
-        "sweep.csv": "bcfee72322e79514c0604155c6fe1d6cbcc3044a020c20ad1ce1da11e9d92593",
+        "sweep.json": "b7175ee031d8cf01c8a9b2a872a252f8cfe7a05cc5a503a4103b0204af70a6b8",
+        "sweep.csv": "d08e3d471646d92944e3ab82b2fbb3502fa281d0c74ff43f3e2c77225f40587c",
     }
+    # the same sweep's rows when filterbanks were dense matrix products
+    DENSE_SWEEP_ROWS = [
+        {
+            "parameter": "chirps_per_frame",
+            "value": "256",
+            "range_resolution_m": 0.03747405725,
+            "sampling_rate_hz": 8000.0,
+            "fwsegsnr": 31.07814781784813,
+            "stoi": 0.993812214550558,
+            "mcd": 4.0416619820087885,
+            "mel_loss": 0.5020734390785585,
+            "mag_l1": 0.052866446441182206,
+        },
+        {
+            "parameter": "chirps_per_frame",
+            "value": "512",
+            "range_resolution_m": 0.0749481145,
+            "sampling_rate_hz": 16000.0,
+            "fwsegsnr": 30.749017151564544,
+            "stoi": 0.9994052482630357,
+            "mcd": 229.8227049367045,
+            "mel_loss": 11.434885132375657,
+            "mag_l1": 0.043168704262931686,
+        },
+    ]
 
     def test_chirps_per_frame_sweep_bytes_are_pinned(self, tmp_path):
         wav = tmp_path / "speech.wav"
@@ -990,6 +1015,14 @@ class TestSweep:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.PINNED_SWEEP}
         assert digests == self.PINNED_SWEEP
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert [row.keys() for row in rows] == [row.keys() for row in self.DENSE_SWEEP_ROWS]
+        for row, dense in zip(rows, self.DENSE_SWEEP_ROWS):
+            for key, value in dense.items():
+                if key in REQUIRED_METRICS:
+                    assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+                else:
+                    assert row[key] == value, key
 
     @pytest.mark.parametrize("parameter, value", [
         ("chirps_per_frame", "256"),
@@ -1093,6 +1126,135 @@ class TestSweep:
         capture_bytes = (len(clip) * 4 // 1024) * 1024 * 256 * 8
         assert capture_bytes > 300 * 2**20
         assert grown < capture_bytes / 4
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count both os calls report to this process."""
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    return set_cpus
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every thread pool started while the test runs."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    return sizes
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRowPool:
+    @pytest.fixture(scope="class")
+    def clips(self, tmp_path_factory):
+        """Four 1 s clean clips, one at 16 kHz, and a truncated WAV."""
+        root = tmp_path_factory.mktemp("row_pool")
+        paths = []
+        for i in range(4):
+            path = root / f"clip{i}.wav"
+            write_wav(path, make_speech_clip(20 + i, duration=1.0,
+                                             rate=16000.0 if i == 2 else 8000.0))
+            paths.append(str(path))
+        broken = root / "broken.wav"
+        broken.write_bytes(Path(paths[0]).read_bytes()[:30])
+        return root, paths, str(broken)
+
+    def _pairs(self, tmp_path, clips) -> Path:
+        """A pair manifest whose rows 0, 2 and 4 fail, each in its own way."""
+        root, paths, broken = clips
+        rows = [
+            ["not", "an", "object"],
+            {"ref_path": paths[0], "deg_path": paths[1], "ref_text": "a b c", "hyp_text": "a x c"},
+            {"ref_path": paths[0], "deg_path": broken},
+            {"ref_path": paths[2], "deg_path": paths[3]},
+            {"ref_path": paths[1], "deg_path": paths[0], "ref_text": 5, "hyp_text": "a"},
+            {"ref_path": paths[3], "deg_path": paths[1]},
+        ]
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return manifest
+
+    def test_score_report_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, clips, cpus):
+        manifest = self._pairs(tmp_path, clips)
+        reports = {}
+        for n in (16, 1):
+            cpus(n)
+            reports[n] = tmp_path / f"report{n}.json"
+            assert _run_score(manifest, reports[n]) == (0, "")
+        assert reports[16].read_bytes() == reports[1].read_bytes()
+
+    def test_score_error_rows_keep_their_positions(self, tmp_path, clips, cpus):
+        _, paths, broken = clips
+        cpus(16)
+        report = tmp_path / "report.json"
+        assert _run_score(self._pairs(tmp_path, clips), report) == (0, "")
+        pairs = json.loads(report.read_text())["pairs"]
+        assert [("error" in p) for p in pairs] == [True, False, True, False, True, False]
+        assert pairs[0]["error"].startswith("manifest row is not a JSON object")
+        assert broken in pairs[2]["error"]
+        assert pairs[4]["error"].startswith("ref_text must be a string or a list of words")
+        assert [(p.get("ref_path"), p.get("deg_path")) for p in pairs[1::2]] == [
+            (paths[0], paths[1]), (paths[2], paths[3]), (paths[3], paths[1])]
+        assert pairs[1]["wer"] == pytest.approx(1.0 / 3.0)
+
+    def test_score_all_failed_still_writes_the_report(self, tmp_path, clips, cpus):
+        _, paths, broken = clips
+        cpus(16)
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in (
+            {"ref_path": broken, "deg_path": paths[0]}, [1], {"ref_path": paths[0]})))
+        report = tmp_path / "report.json"
+        assert _run_score(manifest, report) == (1, "score failed: all pairs failed\n")
+        pairs = json.loads(report.read_text())["pairs"]
+        assert len(pairs) == 3 and all("error" in p for p in pairs)
+
+    def test_synth_tree_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, clips, cpus):
+        _, paths, broken = clips
+        manifest = tmp_path / "clips.txt"
+        manifest.write_text("\n".join([paths[0], broken, *paths[1:]]) + "\n")
+        out_dir = tmp_path / "ds"
+        trees = {}
+        for n in (16, 1):
+            cpus(n)
+            assert _run_main(["synth", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                              "--seed", "7", "--jitter"]) == (0, "")
+            trees[n] = _tree(out_dir)
+            shutil.rmtree(out_dir)
+        assert trees[16] == trees[1]
+        rows = [json.loads(line) for line in trees[16]["manifest.jsonl"].decode().splitlines()]
+        assert [("error" in row) for row in rows] == [False, True, False, False, False]
+        assert rows[1]["clean_path"] == broken
+        assert [Path(row["degraded_path"]).name for row in rows if "error" not in row] == [
+            "00000_clip0.wav", "00002_clip1.wav", "00003_clip2.wav", "00004_clip3.wav"]
+
+    def test_three_rows_start_at_most_three_workers(self, tmp_path, clips, cpus, pool_sizes):
+        _, paths, _ = clips
+        cpus(16)
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("".join(json.dumps({"ref_path": p, "deg_path": p}) + "\n"
+                                 for p in paths[:3]))
+        assert _run_score(pairs, tmp_path / "report.json") == (0, "")
+        manifest = tmp_path / "clips.txt"
+        manifest.write_text("\n".join(paths[:3]) + "\n")
+        assert _run_main(["synth", "--manifest", str(manifest),
+                          "--out-dir", str(tmp_path / "ds")]) == (0, "")
+        cpus(1)
+        assert _run_score(pairs, tmp_path / "report1.json") == (0, "")
+        assert pool_sizes == [3, 3, 1]
 
 
 class TestMainDispatch:

@@ -116,6 +116,14 @@ class TestStoi:
         scores = [stoi(clip, degrade(clip, 0.0, b, seed=8)) for b in (0.1, 1.0, 3.0)]
         assert scores[0] > scores[1] > scores[2]
 
+    def test_third_octave_bands_shared_read_only(self):
+        bands = mmvib.metrics._third_octave_bands(257, 10000.0)
+        assert mmvib.metrics._third_octave_bands(257, 10000.0) is bands
+        np.testing.assert_array_equal(
+            bands, mmvib.metrics._third_octave_bands.__wrapped__(257, 10000.0))
+        with pytest.raises(ValueError, match="read-only"):
+            bands[0, 0] = 2.0
+
 
 class TestMcd:
     def test_identity_zero(self):

@@ -1,4 +1,7 @@
-"""Framing, STFT, mel filterbanks, z-scoring, and phase unwrapping."""
+"""Framing, STFT, mel filterbanks, band sums, z-scoring, and phase unwrapping."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,9 +18,21 @@ from mmvib import (
     unwrap_phase,
     zscore_normalize,
 )
+import mmvib.signal_core
+from mmvib.metrics import (
+    FWSEG_BANDS,
+    FWSEG_FMIN_HZ,
+    MCD_BANDS,
+    STOI_NFFT,
+    STOI_RATE_HZ,
+    _frame_params,
+    _third_octave_bands,
+)
 from mmvib.signal_core import (
     MEL_LOSS_BANDS,
     MEL_LOSS_WINDOWS,
+    _band_plan,
+    band_sums,
     frame_signal,
     hann_window,
 )
@@ -228,6 +243,124 @@ class TestMel:
     def test_scale_round_trip(self):
         freqs = np.array([0.0, 50.0, 700.0, 4000.0])
         np.testing.assert_allclose(mel_to_hz(hz_to_mel(freqs)), freqs, atol=1e-9)
+
+
+def _metric_banks(fs: float) -> list[tuple]:
+    """(bank function, *arguments) of every filterbank the metrics build at rate fs."""
+    window = _frame_params(fs)[0]
+    banks = [(mel_filterbank, n, w, fs) for n, w in zip(MEL_LOSS_BANDS, MEL_LOSS_WINDOWS)]
+    banks.append((mel_filterbank, FWSEG_BANDS, window, fs, FWSEG_FMIN_HZ))
+    banks.append((mel_filterbank, MCD_BANDS, window, fs))
+    banks.append((_third_octave_bands, STOI_NFFT // 2 + 1, STOI_RATE_HZ))
+    return banks
+
+
+def _spectrum(n_bins: int, n_frames: int, seed: int) -> np.ndarray:
+    """Nonnegative [bins, frames] magnitudes spread over about 40 decades."""
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.normal(0.0, 20.0, (n_bins, n_frames)))
+
+
+class TestBandSums:
+    @pytest.mark.parametrize("fs", [8000.0, 16000.0, 32000.0])
+    def test_equal_the_dense_product_on_both_layouts(self, fs):
+        for seed, (bank_of, *args) in enumerate(_metric_banks(fs)):
+            bank = bank_of(*args)
+            mag = _spectrum(bank.shape[1], 203, seed)
+            np.testing.assert_allclose(band_sums(mag, bank_of, *args), bank @ mag,
+                                       rtol=1e-12, atol=0.0, err_msg=str(args))
+            frames_first = np.ascontiguousarray(mag.T)
+            np.testing.assert_allclose(band_sums(frames_first, bank_of, *args, axis=1),
+                                       frames_first @ bank.T, rtol=1e-12, atol=0.0,
+                                       err_msg=str(args))
+
+    def test_empty_filter_gives_a_zero_row(self):
+        bank = mel_filterbank(20, 128, 32000.0)
+        empty = ~bank.any(axis=1)
+        assert empty.sum() == 1
+        out = band_sums(_spectrum(bank.shape[1], 50, 3), mel_filterbank, 20, 128, 32000.0)
+        assert np.all(out[empty] == 0.0)
+        assert np.all(out[~empty] > 0.0)
+
+    # one frame per block, partial last blocks, and one block for all frames
+    @pytest.mark.parametrize("block", [1, 40 * 13, 1 << 30])
+    def test_any_block_split_equals_the_dense_product(self, monkeypatch, block):
+        monkeypatch.setattr(mmvib.signal_core, "_BAND_BLOCK", block)
+        mag = _spectrum(129, 101, 4)
+        np.testing.assert_allclose(band_sums(mag, mel_filterbank, 40, 256, 8000.0),
+                                   mel_filterbank(40, 256, 8000.0) @ mag, rtol=1e-12, atol=0.0)
+
+    def test_plans_cached_per_bank_arguments_and_read_only(self, monkeypatch):
+        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS", {})
+        mag = _spectrum(101, 20, 5)
+        band_sums(mag, mel_filterbank, 26, 200, 8000.0)
+        band_sums(mag, mel_filterbank, 26, 200, 8000.0)
+        band_sums(mag[:, :5], mel_filterbank, 26, 200, 8000.0, 50.0)
+        plans = mmvib.signal_core._BAND_PLANS
+        assert list(plans) == [(mel_filterbank, (26, 200, 8000.0)),
+                               (mel_filterbank, (26, 200, 8000.0, 50.0))]
+        for _, index, weight in plans[mel_filterbank, (26, 200, 8000.0)]:
+            for array in (index, weight):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1
+
+    def test_threads_sharing_a_plan_cache_that_empties_often(self, monkeypatch):
+        # more threads than cores, switching often, each call missing or
+        # clearing the cache half the time: every sum must still be right
+        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS", {})
+        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS_MAX", 3)
+        banks = [(mel_filterbank, n, 256, 8000.0) for n in (5, 10, 20, 40, 80)]
+        mag = _spectrum(129, 40, 7)
+        want = [bank_of(*args) @ mag for bank_of, *args in banks]
+        wrong = []
+
+        def work(offset: int) -> None:
+            for i in range(60):
+                k = (i + offset) % len(banks)
+                got = band_sums(mag, *banks[k])
+                if not np.allclose(got, want[k], rtol=1e-12, atol=0.0):
+                    wrong.append(banks[k])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("fs", [8000.0, 16000.0, 32000.0])
+    def test_plan_groups_tile_the_filters_with_little_padding(self, fs):
+        for bank_of, *args in _metric_banks(fs):
+            bank = bank_of(*args)
+            plan = _band_plan(bank)
+            assert [g[0].start for g in plan] == [0] + [g[0].stop for g in plan[:-1]]
+            assert plan[-1][0].stop == len(bank)
+            padded = sum(index.size for _, index, _ in plan)
+            assert padded <= 1.5 * max(np.count_nonzero(bank), len(bank)), args
+            rebuilt = np.zeros_like(bank)
+            for filters, index, weight in plan:
+                rows = np.arange(filters.start, filters.stop)[:, None]
+                np.add.at(rebuilt, (np.broadcast_to(rows, index.shape), index), weight)
+            np.testing.assert_array_equal(rebuilt, bank)
+
+    def test_plan_cache_emptied_when_full(self, monkeypatch):
+        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS", {})
+        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS_MAX", 2)
+        mag = _spectrum(129, 3, 6)
+        for n_mels in (10, 20, 30):
+            band_sums(mag, mel_filterbank, n_mels, 256, 8000.0)
+        assert list(mmvib.signal_core._BAND_PLANS) == [(mel_filterbank, (30, 256, 8000.0))]
+
+    def test_mel_spectrogram_equals_the_dense_product(self):
+        audio = AudioBuffer(np.random.default_rng(6).standard_normal(4096), 16000.0)
+        dense = mel_filterbank(40, 256, 16000.0) @ np.abs(stft(audio, 256, 64))
+        np.testing.assert_allclose(mel_spectrogram(audio, 40, 256), dense, rtol=1e-12, atol=0.0)
 
 
 class TestTypes:
