@@ -164,9 +164,9 @@ def band_sums(mag: np.ndarray, bank_of, *args, axis: int = 0) -> np.ndarray:
     holds the filters in place of the bins: bank @ mag for axis 0 and
     mag @ bank.T for axis 1. Each filter covers a short run of bins, so its
     output is a weighted sum over that run, taken with einsum's own loops
-    rather than BLAS, a block of frames at a time. Sums agree with the dense
-    product within 1e-12 relative. The bank is looked up on every call; its
-    plan is built once per (bank_of, args).
+    rather than BLAS, a block of frames at a time. On a nonnegative mag the
+    sums agree with the dense product within 1e-12 relative. The bank is
+    looked up on every call; its plan is built once per (bank_of, args).
     """
     bank = bank_of(*args)
     plan = _BAND_PLANS.get((bank_of, args))
