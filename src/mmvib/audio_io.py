@@ -44,6 +44,7 @@ _WAV_DTYPES = {
 }
 # RIFF/WAVE, an 18-byte IEEE-float `fmt ` chunk, `fact`, then the `data` header
 _FLOAT_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHHH4sII4sI")
+_MAX_FLOAT_WAV_RATE = (2**32 - 1) // 4  # the header's byte rate, 4 * rate, is a uint32
 
 
 def read_wav(path) -> AudioBuffer:
@@ -105,7 +106,8 @@ def read_wav(path) -> AudioBuffer:
 def write_wav(path, audio: AudioBuffer) -> None:
     """Write mono float32 WAV, byte for byte as `scipy.io.wavfile.write` does.
 
-    Samples past the float32 range are a ValueError naming the file, raised
+    Samples past the float32 range, and a rate that rounds below 1 Hz or
+    past what the header holds, are a ValueError naming the file, raised
     before it is opened.
     """
     with np.errstate(over="ignore"):
@@ -113,6 +115,9 @@ def write_wav(path, audio: AudioBuffer) -> None:
     if not np.isfinite(samples).all():
         raise ValueError(f"samples exceed the float32 range: {path}")
     rate = int(round(audio.sample_rate))
+    if not 1 <= rate <= _MAX_FLOAT_WAV_RATE:
+        raise ValueError(f"sample rate {audio.sample_rate} Hz does not fit a WAV header "
+                         f"(1 to {_MAX_FLOAT_WAV_RATE} Hz): {path}")
     header = _FLOAT_WAV_HEADER.pack(
         b"RIFF", _FLOAT_WAV_HEADER.size - 8 + samples.nbytes, b"WAVE",
         b"fmt ", 18, _WAVE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,

@@ -260,7 +260,7 @@ def cmd_extract(capture_in, wav_out, preprocess: bool) -> None:
     capture = CaptureFile(capture_in)
     target, phase = locate_target(capture)
     trace = trace_from_phase(phase, capture.config, preprocess)
-    write_wav(wav_out, AudioBuffer(trace.displacement, trace.sample_rate))
+    write_wav(wav_out, trace)
     sidecar = {
         "capture": str(capture_in),
         "sample_rate": trace.sample_rate,
@@ -333,7 +333,7 @@ def _score_row(row) -> dict:
             deg = resample(deg, ref.sample_rate)
         report = score_pair(zscore_normalize(ref), zscore_normalize(deg), ref_text, hyp_text)
         entry.update(report.to_dict())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (*_FAILURES, KeyError, TypeError) as exc:
         entry["error"] = str(exc)
     return entry
 
@@ -343,8 +343,8 @@ def cmd_score(manifest_in, report_out) -> None:
 
     Both signals are z-scored before scoring so that traces on physical
     scales compare against unit-scale audio. A pair whose rates differ has
-    the degraded side resampled to the reference rate. Unreadable pairs are
-    recorded with an error; the command fails only when every pair fails.
+    the degraded side resampled to the reference rate. A failing pair, even
+    out of memory, gets an error entry; the command fails only if all do.
     Pairs run on map_rows' threads, and the report keeps their order.
     """
     rows = _read_pair_manifest(manifest_in)
@@ -413,7 +413,7 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         n = min(len(trace), len(reference))
         report = score_pair(
             zscore_normalize(AudioBuffer(reference.samples[:n], rate)),
-            zscore_normalize(AudioBuffer(trace.displacement[:n], rate)),
+            zscore_normalize(AudioBuffer(trace.samples[:n], rate)),
         )
     row = {
         "parameter": parameter,

@@ -121,24 +121,12 @@ class SurfaceMaterial:
         return float(np.sqrt(self.stiffness / self.mass))
 
 
-@dataclass
-class VibrationTrace:
-    """Surface displacement in meters sampled at a uniform rate."""
+class VibrationTrace(AudioBuffer):
+    """Surface displacement sampled at a uniform rate: samples are meters."""
 
-    displacement: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        self.displacement = np.asarray(self.displacement, dtype=np.float64)
-        if self.displacement.ndim != 1:
-            raise ValueError(f"displacement must be 1-D, got shape {self.displacement.shape}")
-        if not np.isfinite(self.sample_rate) or self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.displacement.size and not np.all(np.isfinite(self.displacement)):
-            raise ValueError("displacement contains non-finite values")
-
-    def __len__(self) -> int:
-        return self.displacement.size
+    @property
+    def displacement(self) -> np.ndarray:
+        return self.samples
 
 
 @dataclass
@@ -253,7 +241,7 @@ def displacement_from_audio(
 
 def iter_if_frames(
     cfg: ChirpConfig,
-    vibration: VibrationTrace,
+    vibration: AudioBuffer,
     range_m: float,
     reflectivity: float = 1.0,
     noise_floor_db: float = DEFAULT_NOISE_FLOOR_DB,
@@ -304,7 +292,7 @@ def iter_if_frames(
             f"the complex64 range, got {noise_floor_db}"
         )
     quarter_wave = cfg.wavelength / 4.0
-    peak = float(np.max(np.abs(vibration.displacement)))
+    peak = float(np.max(np.abs(vibration.samples)))
     if peak >= quarter_wave:
         raise ValueError(
             f"peak displacement {peak:.3e} m leaves the small-vibration regime "
@@ -344,7 +332,7 @@ def iter_if_frames(
                 real, imag = draws.popleft().result()
                 if f + 2 < n_frames:
                     draws.append(pool.submit(draw, slots[(f + 2) % 3]))
-                d = vibration.displacement[f * cpf : (f + 1) * cpf]
+                d = vibration.samples[f * cpf : (f + 1) * cpf]
                 phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
                 np.multiply((reflectivity * np.exp(1j * phase))[:, None], beat, out=chirps)
                 # the parts of the complex sum chirps + noise_scale * (real + 1j * imag)
@@ -364,7 +352,7 @@ def iter_if_frames(
 
 def simulate_if_frames(
     cfg: ChirpConfig,
-    vibration: VibrationTrace,
+    vibration: AudioBuffer,
     range_m: float,
     reflectivity: float = 1.0,
     noise_floor_db: float = DEFAULT_NOISE_FLOOR_DB,

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .radar_sim import ChirpConfig, IFCapture, VibrationTrace
-from .signal_core import unwrap_phase
+from .signal_core import AudioBuffer, unwrap_phase
 
 OUTLIER_SIGMA_THRESHOLD = 3.0
 
@@ -75,13 +77,13 @@ def phase_to_displacement(delta_phi: np.ndarray, wavelength: float) -> np.ndarra
     return wavelength * phi / (4.0 * np.pi)
 
 
-def remove_beginning_outlier(trace: VibrationTrace, guard_window: int) -> VibrationTrace:
+def remove_beginning_outlier(trace: AudioBuffer, guard_window: int) -> AudioBuffer:
     """Replace capture-start spikes breaking the 3-sigma rule with the global mean.
 
     The rule covers the first guard_window samples; statistics come from the
-    rest, so the spike cannot mask itself.
+    rest, so the spike cannot mask itself; the result has trace's type.
     """
-    x = trace.displacement
+    x = trace.samples
     if x.size < 3:
         raise ValueError(f"trace too short for outlier statistics, got {x.size} samples")
     guard = int(min(max(guard_window, 0), x.size - 2))
@@ -92,10 +94,10 @@ def remove_beginning_outlier(trace: VibrationTrace, guard_window: int) -> Vibrat
         sigma = tail.std()
         head = out[:guard]
         head[np.abs(head - mean) > OUTLIER_SIGMA_THRESHOLD * sigma] = mean
-    return VibrationTrace(out, trace.sample_rate)
+    return replace(trace, samples=out)
 
 
-def remove_periodic_outliers(trace: VibrationTrace, chirps_per_frame: int) -> VibrationTrace:
+def remove_periodic_outliers(trace: AudioBuffer, chirps_per_frame: int) -> AudioBuffer:
     """Clean frame-boundary spikes using the 3-sigma rule against local means.
 
     A frame-start sample is an outlier when it sits more than 3 sigma from
@@ -107,11 +109,11 @@ def remove_periodic_outliers(trace: VibrationTrace, chirps_per_frame: int) -> Vi
     Outliers are replaced by their neighbor mean. A start at either end of
     the trace has one neighbor: it is tested against the line through that
     neighbor and the next non-start sample beyond it, and replaced by the
-    neighbor.
+    neighbor. The result has trace's type.
     """
     if chirps_per_frame < 2:
         raise ValueError(f"chirps_per_frame must be >= 2, got {chirps_per_frame}")
-    x = trace.displacement
+    x = trace.samples
     n = x.size
     if n < 3:
         raise ValueError(f"trace too short for outlier statistics, got {n} samples")
@@ -144,7 +146,7 @@ def remove_periodic_outliers(trace: VibrationTrace, chirps_per_frame: int) -> Vi
         predicted = x[a] + (x[b] - x[a]) * (s - a) / (b - a) if 0 <= b < n else x[a]
         if abs(x[s] - predicted) > threshold:
             out[s] = x[a]
-    return VibrationTrace(out, trace.sample_rate)
+    return replace(trace, samples=out)
 
 
 class BinSearch:
@@ -237,8 +239,8 @@ def trace_from_phase(
     """
     rate = config.effective_sampling_rate
     if preprocess:
-        cleaned = remove_beginning_outlier(VibrationTrace(phase, rate), config.chirps_per_frame)
-        phase = remove_periodic_outliers(cleaned, config.chirps_per_frame).displacement
+        cleaned = remove_beginning_outlier(AudioBuffer(phase, rate), config.chirps_per_frame)
+        phase = remove_periodic_outliers(cleaned, config.chirps_per_frame).samples
     return VibrationTrace(phase_to_displacement(phase, config.wavelength), rate)
 
 

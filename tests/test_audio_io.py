@@ -94,6 +94,24 @@ def test_write_wav_rejects_samples_past_float32(tmp_path, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rate", (0.4, 0.5, 1073741823.5, 1.1e9))
+def test_write_wav_rejects_a_rate_the_header_cannot_hold(tmp_path, rate):
+    # the header's byte rate holds 4 * rate as a uint32; 0.5 and 1073741823.5
+    # round to 0 and 1073741824
+    path = tmp_path / "x.wav"
+    message = f"sample rate {rate} Hz does not fit a WAV header (1 to 1073741823 Hz): {path}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_wav(path, AudioBuffer(np.zeros(4), rate))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rate", (1.0, 1073741823.0))
+def test_write_wav_holds_the_extreme_rates(tmp_path, rate):
+    path = tmp_path / "x.wav"
+    write_wav(path, AudioBuffer(np.zeros(4), rate))
+    assert read_wav(path).sample_rate == rate
+
+
 _RNG = np.random.default_rng(3)
 _N = 301
 _READ_CASES = {

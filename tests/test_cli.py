@@ -732,6 +732,25 @@ class TestScore:
         report = json.loads(report_path.read_text())
         assert any("error" in p for p in report["pairs"])
 
+    def test_a_pair_out_of_memory_is_a_row_error(self, tmp_path, monkeypatch):
+        # the 16 kHz side is resampled, and that resample cannot allocate
+        ref = make_tone_wav(tmp_path / "ref.wav", duration=1.0)
+        deg = make_tone_wav(tmp_path / "deg.wav", duration=1.0, rate=16000.0)
+
+        def out_of_memory(audio, rate):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(mmvib.cli, "resample", out_of_memory)
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_text("".join(json.dumps({"ref_path": str(ref), "deg_path": str(d)}) + "\n"
+                                    for d in (deg, ref)))
+        report_path = tmp_path / "report.json"
+        assert _run_score(manifest, report_path) == (0, "")
+        pairs = json.loads(report_path.read_text())["pairs"]
+        assert pairs[0] == {"ref_path": str(ref), "deg_path": str(deg),
+                            "error": "Unable to allocate 149. GiB"}
+        assert "error" not in pairs[1] and pairs[1]["mcd"] == pytest.approx(0.0, abs=1e-9)
+
     def test_malformed_rows_are_pair_errors(self, tmp_path):
         wav = tmp_path / "x.wav"
         write_wav(wav, make_speech_clip(3, duration=1.0))
@@ -1325,6 +1344,11 @@ _EXIT_PATHS = {
         "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=inf", None, 1,
         "synth failed: all manifest entries failed, first: "
         f"cannot resample from 8000.0 Hz to inf Hz: {_UNREPRESENTABLE}"),
+    # a valid 1.1 GHz clip whose rate the float WAV header cannot hold
+    "synth_rate_past_the_wav_header": (
+        "synth --manifest {d}/ghz_clips.txt --out-dir {t}/ds --sample-rate 1.1e9", None, 1,
+        "synth failed: sample rate 1100000000.0 Hz does not fit a WAV header "
+        "(1 to 1073741823 Hz): {t}/ds/clean/00000_ghz.wav"),
     "score_ok": ("score --manifest {d}/pairs.jsonl --report {t}/r.json", None, 0, ""),
     "score_missing_manifest": (
         "score --manifest {d}/nope.jsonl --report {t}/r.json", None, 1,
@@ -1394,6 +1418,10 @@ def exit_inputs(tmp_path_factory):
     tone = str(make_tone_wav(d / "tone.wav", duration=1.0))
     assert main(["simulate", "--audio", tone, "--out", str(d / "cap.bin")]) == 0
     (d / "clips.txt").write_text(f"{tone}\n")
+    ghz = np.round(0.4 * 2**15 * np.sin(np.arange(400) / 5.0)).astype("<i2").tobytes()
+    (d / "ghz.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, rate=1_100_000_000)),
+                                         riff_chunk(b"data", ghz)))
+    (d / "ghz_clips.txt").write_text(f"{d / 'ghz.wav'}\n")
     (d / "pairs.jsonl").write_text(json.dumps({"ref_path": tone, "deg_path": tone}) + "\n")
     (d / "empty.jsonl").write_text("\n")
     (d / "missing_pairs.jsonl").write_text(
