@@ -18,11 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .signal_core import AudioBuffer
 
-_INT_SCALES = {
-    np.dtype(np.int16): 2.0**15,
-    np.dtype(np.int32): 2.0**31,
-}
-
 LOW_PASS_TAPS = 127
 # zero crossings of resample's anti-aliasing sinc on each side of its peak;
 # the half length is this times max(up, down), as in scipy's resample_poly
@@ -33,14 +28,15 @@ _WAVE_FLOAT = 3
 _WAVE_EXTENSIBLE = 0xFFFE
 # the last 12 bytes of a KSDATAFORMAT_SUBTYPE GUID; its first 4 hold the tag
 _SUBTYPE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-# (format tag, bits per sample) -> sample dtype; 24-bit is widened to int32
-_WAV_DTYPES = {
-    (_WAVE_PCM, 8): np.dtype(np.uint8),
-    (_WAVE_PCM, 16): np.dtype("<i2"),
-    (_WAVE_PCM, 24): np.dtype("<i4"),
-    (_WAVE_PCM, 32): np.dtype("<i4"),
-    (_WAVE_FLOAT, 32): np.dtype("<f4"),
-    (_WAVE_FLOAT, 64): np.dtype("<f8"),
+# (format tag, bits per sample) -> (sample dtype, offset, scale): sample x
+# reads as (x - offset) / scale; 24-bit is widened to int32
+_WAV_FORMATS = {
+    (_WAVE_PCM, 8): (np.dtype(np.uint8), 128.0, 128.0),
+    (_WAVE_PCM, 16): (np.dtype("<i2"), 0.0, 2.0**15),
+    (_WAVE_PCM, 24): (np.dtype("<i4"), 0.0, 2.0**31),
+    (_WAVE_PCM, 32): (np.dtype("<i4"), 0.0, 2.0**31),
+    (_WAVE_FLOAT, 32): (np.dtype("<f4"), 0.0, 1.0),
+    (_WAVE_FLOAT, 64): (np.dtype("<f8"), 0.0, 1.0),
 }
 # RIFF/WAVE, an 18-byte IEEE-float `fmt ` chunk, `fact`, then the `data` header
 _FLOAT_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHHH4sII4sI")
@@ -79,9 +75,10 @@ def read_wav(path) -> AudioBuffer:
         tag = struct.unpack_from("<I", fmt, 24)[0]
     if channels != 1:
         raise ValueError(f"expected mono WAV, got {channels} channels: {path}")
-    dtype = _WAV_DTYPES.get((tag, bits))
-    if dtype is None or block_align * 8 != bits:
+    layout = _WAV_FORMATS.get((tag, bits))
+    if layout is None or block_align * 8 != bits:
         raise ValueError(f"unsupported WAV format (tag {tag:#x}, {bits}-bit): {path}")
+    dtype, offset, scale = layout
     body = chunks[b"data"]
     width = bits // 8
     body = np.frombuffer(body[: len(body) - len(body) % width], dtype=np.uint8)
@@ -90,15 +87,8 @@ def read_wav(path) -> AudioBuffer:
         widened[:, 1:] = body.reshape(-1, 3)
         body = widened
     data = body.view(dtype).reshape(-1)
-
-    if data.dtype in _INT_SCALES:
-        samples = data.astype(np.float64) / _INT_SCALES[data.dtype]
-    elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
-    else:
-        samples = data.astype(np.float64)
     try:
-        return AudioBuffer(samples, float(rate))
+        return AudioBuffer((data.astype(np.float64) - offset) / scale, float(rate))
     except ValueError as exc:
         raise ValueError(f"{exc}: {path}") from None
 

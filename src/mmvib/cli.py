@@ -32,6 +32,7 @@ from .radar_sim import (
 )
 from .signal_core import AudioBuffer, zscore_normalize
 from .synth import (
+    _FAILURES,
     DEFAULT_ALPHA,
     DEFAULT_BETA,
     DEFAULT_SAMPLE_RATE,
@@ -55,10 +56,6 @@ SWEEP_PARAMETERS = (
     "beta",
     "material",
 )
-
-# What a command raises on bad input, a failed read or write, or an array
-# too large to allocate: each is one line on stderr, never a traceback.
-_FAILURES = (OSError, ValueError, OverflowError, RuntimeError, MemoryError)
 
 # Sweep references are low-passed here before scoring; the sensing band ends
 # at half the default 8 kHz chirp rate.
@@ -270,9 +267,7 @@ def cmd_extract(capture_in, wav_out, preprocess: bool) -> None:
         "preprocess": preprocess,
     }
     sidecar_path = Path(wav_out).with_name(Path(wav_out).name + ".json")
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     print(f"extracted {len(trace)} samples at {trace.sample_rate:.1f} Hz (bin {target})")
 
 
@@ -354,9 +349,7 @@ def cmd_score(manifest_in, report_out) -> None:
     pairs = map_rows(_score_row, rows)
     succeeded = sum("error" not in entry for entry in pairs)
     report_doc = {"pairs": pairs, "aggregate": _aggregate(pairs)}
-    with open(report_out, "w", encoding="utf-8") as fh:
-        json.dump(report_doc, fh, indent=2)
-        fh.write("\n")
+    Path(report_out).write_text(json.dumps(report_doc, indent=2) + "\n", encoding="utf-8")
     if succeeded == 0:
         raise ValueError("all pairs failed")
     print(f"scored {succeeded}/{len(pairs)} pairs -> {report_out}")
@@ -392,29 +385,27 @@ def _sweep_variant(config: PipelineConfig, parameter: str, value) -> PipelineCon
 def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuffer, index: int) -> dict:
     variant = _sweep_variant(config, parameter, value)
     if parameter in ("alpha", "beta"):
-        clean = zscore_normalize(resample(audio, variant.synth_sample_rate))
+        rate = variant.synth_sample_rate
+        reference = zscore_normalize(resample(audio, rate))
         synth_cfg = SynthesisConfig(
             alpha=variant.alpha, beta=variant.beta, seed=item_seed(variant.seed, index)
         )
-        degraded = zscore_normalize(synthesize_mmvib(clean, synth_cfg))
-        reference = low_pass(clean, REFERENCE_BAND_HZ)
-        report = score_pair(zscore_normalize(reference), degraded)
-        rate = variant.synth_sample_rate
+        degraded = synthesize_mmvib(reference, synth_cfg)
     else:
         rate = variant.chirp.effective_sampling_rate
-        forcing = zscore_normalize(resample(audio, rate))
+        reference = zscore_normalize(resample(audio, rate))
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "capture.bin"
             # the bin found before stamping; extract searches the stamped container
-            target = _write_capture(variant, forcing, (variant.seed, index), path)[2]
+            target = _write_capture(variant, reference, (variant.seed, index), path)[2]
             phase = demodulate_bin(CaptureFile(path), target)
-        trace = trace_from_phase(phase, variant.chirp)
-        reference = low_pass(forcing, REFERENCE_BAND_HZ)
-        n = min(len(trace), len(reference))
-        report = score_pair(
-            zscore_normalize(AudioBuffer(reference.samples[:n], rate)),
-            zscore_normalize(AudioBuffer(trace.samples[:n], rate)),
-        )
+        degraded = trace_from_phase(phase, variant.chirp)
+    reference = low_pass(reference, REFERENCE_BAND_HZ)
+    n = min(len(degraded), len(reference))
+    report = score_pair(
+        zscore_normalize(AudioBuffer(reference.samples[:n], rate)),
+        zscore_normalize(AudioBuffer(degraded.samples[:n], rate)),
+    )
     row = {
         "parameter": parameter,
         "value": value,
@@ -452,15 +443,13 @@ def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_o
             raise ValueError(f"{parameter}={value}: {exc}") from exc
 
     report_path = Path(report_out)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump({"parameter": parameter, "rows": rows}, fh, indent=2)
-        fh.write("\n")
+    report_doc = {"parameter": parameter, "rows": rows}
+    report_path.write_text(json.dumps(report_doc, indent=2) + "\n", encoding="utf-8")
     csv_path = report_path.with_suffix(".csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_SWEEP_CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     print(f"swept {parameter} over {len(rows)} values -> {report_path}, {csv_path}")
 
 

@@ -202,18 +202,19 @@ def forced_response_amplitude(material: SurfaceMaterial, force: float, omega) ->
     X(w) = F / sqrt((k - m w^2)^2 + (c w)^2) for drive frequency w in rad/s.
     """
     w = np.asarray(omega, dtype=np.float64)
-    denom = _response_denominator(material, w)
-    if np.any(denom == 0.0):
-        raise ValueError("unbounded resonance")
-    out = force / denom
+    out = force / _response_denominator(material, w)
     return float(out) if np.isscalar(omega) else out
 
 
 def _response_denominator(material: SurfaceMaterial, w: np.ndarray) -> np.ndarray:
+    """F / X(w) per unit force; a drive frequency where it is 0 is a ValueError."""
     k = material.stiffness
     m = material.mass
     c = material.damping
-    return np.sqrt((k - m * w * w) ** 2 + (c * w) ** 2)
+    denom = np.sqrt((k - m * w * w) ** 2 + (c * w) ** 2)
+    if np.any(denom == 0.0):
+        raise ValueError("unbounded resonance")
+    return denom
 
 
 def displacement_from_audio(
@@ -233,8 +234,6 @@ def displacement_from_audio(
     spectrum = np.fft.rfft(audio.samples)
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / audio.sample_rate)
     denom = _response_denominator(material, omega)
-    if np.any(denom == 0.0):
-        raise ValueError("unbounded resonance")
     displacement = np.fft.irfft(spectrum * (force_scale / denom), n=n)
     return VibrationTrace(displacement, audio.sample_rate)
 
@@ -485,9 +484,7 @@ def write_capture_frames(path, config: ChirpConfig, frames: Iterable[np.ndarray]
 def write_artifact_sidecar(path, artifact_log: list[ArtifactEvent], seed: int | None = None) -> None:
     """Write the artifact-log JSON sidecar next to a capture container."""
     sidecar = {"seed": seed, "artifact_log": [event.to_dict() for event in artifact_log]}
-    with open(_sidecar_path(Path(path)), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    _sidecar_path(Path(path)).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
 
 
 def save_capture(capture: IFCapture, path, seed: int | None = None) -> None:

@@ -119,22 +119,20 @@ _BAND_BLOCK = 1 << 17
 # A group of band_sums filters ends before a filter this many times as wide
 # as the group's first, so padding to the group's widest filter stays small.
 _BAND_GROUP_WIDTH = 1.5
-# band_sums' plans, keyed as the banks are, by bank function and arguments,
-# and emptied once they reach the size of mel_filterbank's cache. Threads
-# that miss the same plan at once each build it; setdefault keeps one.
-_BAND_PLANS: dict[tuple, list] = {}
-_BAND_PLANS_MAX = 64
 
 
-def _band_plan(bank: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-    """The filters of bank in groups of neighbours of similar width.
+@functools.lru_cache(maxsize=64)
+def _band_plan(bank_of, args: tuple) -> tuple[int, list[tuple[slice, np.ndarray, np.ndarray]]]:
+    """The filter count of bank_of(*args), and its filters in groups of neighbours of similar width.
 
     Each group is (filters, index, weight) for the filters bank[filters]:
     row f of index lists the bins from the first to the last nonzero weight
     of its filter, padded to the group's widest filter with bin 0 at weight 0,
     and row f of weight holds the filter's weights on those bins. An empty
-    filter is all padding. The arrays are read-only.
+    filter is all padding. The arrays are read-only, and plans are cached per
+    (bank_of, args) as the banks are.
     """
+    bank = bank_of(*args)
     nonzero = bank != 0
     has_bins = nonzero.any(axis=1)
     starts = np.where(has_bins, nonzero.argmax(axis=1), 0)
@@ -154,7 +152,7 @@ def _band_plan(bank: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
         weight.flags.writeable = False
         plan.append((filters, index, weight))
         first = end
-    return plan
+    return len(bank), plan
 
 
 def band_sums(mag: np.ndarray, bank_of, *args, axis: int = 0) -> np.ndarray:
@@ -165,17 +163,11 @@ def band_sums(mag: np.ndarray, bank_of, *args, axis: int = 0) -> np.ndarray:
     mag @ bank.T for axis 1. Each filter covers a short run of bins, so its
     output is a weighted sum over that run, taken with einsum's own loops
     rather than BLAS, a block of frames at a time. On a nonnegative mag the
-    sums agree with the dense product within 1e-12 relative. The bank is
-    looked up on every call; its plan is built once per (bank_of, args).
+    sums agree with the dense product within 1e-12 relative.
     """
-    bank = bank_of(*args)
-    plan = _BAND_PLANS.get((bank_of, args))
-    if plan is None:
-        if len(_BAND_PLANS) >= _BAND_PLANS_MAX:
-            _BAND_PLANS.clear()
-        plan = _BAND_PLANS.setdefault((bank_of, args), _band_plan(bank))
+    n_filters, plan = _band_plan(bank_of, args)
     bins = np.moveaxis(mag, axis, 0)
-    out = np.empty((bank.shape[0], bins.shape[1]))
+    out = np.empty((n_filters, bins.shape[1]))
     for filters, index, weight in plan:
         step = max(1, _BAND_BLOCK // index.size)
         for start in range(0, bins.shape[1], step):

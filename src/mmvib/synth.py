@@ -119,16 +119,16 @@ def build_dataset(
             jrng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
             alpha *= jrng.uniform(1.0 - JITTER_SPAN, 1.0 + JITTER_SPAN)
             beta *= jrng.uniform(1.0 - JITTER_SPAN, 1.0 + JITTER_SPAN)
-        try:
-            clean = resample(read_wav(clean_path), sample_rate)
-            degraded = synthesize_mmvib(clean, SynthesisConfig(alpha, beta, seed))
-        except (OSError, ValueError) as exc:
-            return {"clean_path": str(clean_path), "error": str(exc)}
         stem = f"{index:05d}_{Path(clean_path).stem}"
         clean_out = clean_dir / f"{stem}.wav"
         degraded_out = degraded_dir / f"{stem}.wav"
-        write_wav(clean_out, clean)
-        write_wav(degraded_out, degraded)
+        try:
+            clean = resample(read_wav(clean_path), sample_rate)
+            degraded = synthesize_mmvib(clean, SynthesisConfig(alpha, beta, seed))
+            write_wav(clean_out, clean)
+            write_wav(degraded_out, degraded)
+        except _FAILURES as exc:
+            return {"clean_path": str(clean_path), "error": str(exc)}
         return {
             "clean_path": str(clean_out),
             "degraded_path": str(degraded_out),
@@ -147,6 +147,11 @@ def build_dataset(
         for row in rows:
             fh.write(json.dumps(row) + "\n")
     return manifest_out
+
+
+# What a manifest row or a command raises on bad input, a failed read or write, or
+# an array too large to allocate: an error row for a row, one stderr line for a command.
+_FAILURES = (OSError, ValueError, OverflowError, RuntimeError, MemoryError)
 
 
 def map_rows(work: Callable, rows: list) -> list:

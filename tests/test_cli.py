@@ -1276,6 +1276,62 @@ class TestRowPool:
         assert pool_sizes == [3, 3, 1]
 
 
+class TestOutputBytes:
+    """Every file the five commands write, pinned by SHA-256.
+
+    The digests were recorded with numpy 2.4.6; another numpy may draw noise
+    or round sums differently. Every path is relative to the test's own
+    directory, so no output depends on where it runs.
+    """
+
+    DIGESTS = {
+        "cap.bin": "8377a613aaa73615a8173f96574f6a4a8caa12424a7db957a24ee31bef5d3329",
+        "cap.bin.artifacts.json": "1736c87bc32c2410d96cb797e07b6faeb0c189b466a811a2c3f3e1933c33b3f1",
+        "clips.txt": "c97bfc7b853c833de5ea6da63b1e8ce08168a6bde469b981a4f4b9f49733964f",
+        "ds/clean/00000_speech8k.wav": "b83eb9b125d7832804f7fcb6cd77002f14be60746bd4f3ff0604119c50a315d4",
+        "ds/clean/00001_speech16k.wav": "5ee127d9a03a85508b825f0e508532661ddf28d36610d808abb1175672ccb319",
+        "ds/degraded/00000_speech8k.wav": "58563e3498c85fdd7beab1df14d7a2b8bfcfe6492100adef3a1f839304aebdce",
+        "ds/degraded/00001_speech16k.wav": "2d9a80a9eea1d0b6da914e413cda832f22bc75866672b77653429f5fc59d6dc2",
+        "ds/manifest.jsonl": "45b155abd82aaf3263f936ade4ce6c7ab78cebfede26901c62aa8bda9184aaab",
+        "pairs.jsonl": "e0a8e8160e6265ccfd403865063878a193aa42258b2b1630127d398c067579a2",
+        "raw.wav": "dcdb8bcf06db7b22d405fedbb60dbff07bc737c7a72d599695696dc8518bcf2a",
+        "raw.wav.json": "e4f9397da4a98a5c219300992ddf59a4579d116ea06c61ac66fc5ca3cecadb80",
+        "report.json": "48074a2ec90e4bfe5f0605b756727f3931d0c543de1b8fb55def28e9b8505743",
+        "speech16k.wav": "d065f82968d99fdefd488f2f361d1524a812a36d8db1f1831b86ccbe4283aa06",
+        "speech8k.wav": "b83eb9b125d7832804f7fcb6cd77002f14be60746bd4f3ff0604119c50a315d4",
+        "sweep.csv": "89af3a8b4e6d9af2369547d84eed34143e2e1a6231237fd4721aefd5bc30d5f6",
+        "sweep.json": "8d20399b1c76b2d795bdef37fed55dfeaf53336c39d2ddd130a6359646cf152d",
+        "trace.wav": "ae37e70c1e92743c0daa93ddf3ce14014c4aa0c3345f79251d13c464d02e5f20",
+        "trace.wav.json": "c3dfab239af419cea2ab372e746ce086d00a2c956b888694e6dd9ff42cf24ca9",
+    }
+
+    def test_every_command_output_is_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MMVIB_SEED", raising=False)
+        write_wav("speech8k.wav", make_speech_clip(31, duration=1.0, rate=8000.0))
+        write_wav("speech16k.wav", make_speech_clip(32, duration=0.75, rate=16000.0))
+        Path("clips.txt").write_text("speech8k.wav\nspeech16k.wav\n")
+        pairs = [
+            {"ref_path": "ds/clean/00000_speech8k.wav", "deg_path": "ds/degraded/00000_speech8k.wav",
+             "ref_text": "the cat sat", "hyp_text": "the hat sat"},
+            {"ref_path": "speech16k.wav", "deg_path": "ds/degraded/00001_speech16k.wav"},
+            {"ref_path": "speech8k.wav", "deg_path": "trace.wav",
+             "ref_text": ["a", "b"], "hyp_text": ["a"]},
+        ]
+        Path("pairs.jsonl").write_text("".join(json.dumps(row) + "\n" for row in pairs))
+        for argv in (
+            "simulate --audio speech8k.wav --out cap.bin",
+            "extract --capture cap.bin --out trace.wav",
+            "extract --capture cap.bin --out raw.wav --no-preprocess",
+            "sweep --param alpha --values 0.5,1.5 --audio speech16k.wav --report sweep.json",
+            "synth --manifest clips.txt --out-dir ds --seed 4 --jitter",
+            "score --manifest pairs.jsonl --report report.json",
+        ):
+            assert _run_main(argv.split()) == (0, ""), argv
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in _tree(tmp_path).items()}
+        assert digests == self.DIGESTS
+
+
 class TestMainDispatch:
     def test_no_args_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -1347,8 +1403,8 @@ _EXIT_PATHS = {
     # a valid 1.1 GHz clip whose rate the float WAV header cannot hold
     "synth_rate_past_the_wav_header": (
         "synth --manifest {d}/ghz_clips.txt --out-dir {t}/ds --sample-rate 1.1e9", None, 1,
-        "synth failed: sample rate 1100000000.0 Hz does not fit a WAV header "
-        "(1 to 1073741823 Hz): {t}/ds/clean/00000_ghz.wav"),
+        "synth failed: all manifest entries failed, first: sample rate 1100000000.0 Hz does "
+        "not fit a WAV header (1 to 1073741823 Hz): {t}/ds/clean/00000_ghz.wav"),
     "score_ok": ("score --manifest {d}/pairs.jsonl --report {t}/r.json", None, 0, ""),
     "score_missing_manifest": (
         "score --manifest {d}/nope.jsonl --report {t}/r.json", None, 1,
@@ -1540,7 +1596,8 @@ class TestExitStatus:
         code, err = _run_main(["synth", "--manifest", str(manifest),
                                "--out-dir", str(tmp_path / "ds"), "--sample-rate", "1e20"])
         assert code == 1
-        assert re.fullmatch(r"synth failed: Unable to allocate .+ for an array with shape .+\n", err)
+        assert re.fullmatch(r"synth failed: all manifest entries failed, first: "
+                            r"Unable to allocate .+ for an array with shape .+\n", err)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])

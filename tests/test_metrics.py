@@ -25,6 +25,7 @@ from mmvib import (
     wer_cer,
     zscore_normalize,
 )
+from mmvib.signal_core import _band_plan
 from oracles import (
     naive_edit_distance,
     oracle_fwsegsnr,
@@ -279,15 +280,20 @@ class TestScorePair:
     def test_filterbanks_built_once_across_calls(self, monkeypatch):
         clip = make_speech_clip(2, duration=1.0)
         deg = degrade(clip, 0.1, 0.05, seed=2)
+        _band_plan.cache_clear()
         mel_filterbank.cache_clear()
         first = score_pair(clip, deg)
-        built = mel_filterbank.cache_info()
+        built = _band_plan.cache_info()
+        banks = mel_filterbank.cache_info()
         second = score_pair(clip, deg)
-        again = mel_filterbank.cache_info()
-        # each distinct bank is built once; every call of the second pair hits
+        again = _band_plan.cache_info()
+        # each distinct plan is built once; every call of the second pair hits
         assert built.misses == built.currsize > 0
         assert again.misses == built.misses
         assert again.hits - built.hits == built.hits + built.misses
+        # each mel bank is built once, for its plan, and not looked up again
+        assert banks.misses == banks.currsize > 0
+        assert mel_filterbank.cache_info() == banks
         assert second == first
         # the same report with every bank built afresh
         for module in (mmvib.signal_core, mmvib.metrics):

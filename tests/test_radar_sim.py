@@ -131,6 +131,21 @@ class TestForcedResponse:
 
 
 class TestDisplacementFromAudio:
+    def test_undamped_resonance_on_a_bin_rejected_by_both_callers(self):
+        # bin 5 of a 64-sample clip at 8 kHz, its frequency computed as
+        # displacement_from_audio computes it, and k - m w^2 exactly 0 there
+        rate, n = 8000.0, 64
+        omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / rate)[5]
+        mat = SurfaceMaterial(mass=1.0, stiffness=omega * omega, damping=0.0, reflectivity=1.0)
+        audio = AudioBuffer(np.sin(np.arange(n)), rate)
+        with pytest.raises(ValueError, match="^unbounded resonance$"):
+            displacement_from_audio(audio, mat, 1.0)
+        with pytest.raises(ValueError, match="^unbounded resonance$"):
+            forced_response_amplitude(mat, 1.0, omega)
+        # one ulp of stiffness off the bin, the response is large but bounded
+        off = replace(mat, stiffness=np.nextafter(omega * omega, np.inf))
+        assert np.isfinite(displacement_from_audio(audio, off, 1.0).samples).all()
+
     def test_resonant_tone_dominates(self):
         mat = SurfaceMaterial(mass=1e-4, stiffness=1e-4 * (2 * np.pi * 500.0) ** 2,
                               damping=0.01, reflectivity=1.0)

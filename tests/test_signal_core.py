@@ -290,33 +290,36 @@ class TestBandSums:
         np.testing.assert_allclose(band_sums(mag, mel_filterbank, 40, 256, 8000.0),
                                    mel_filterbank(40, 256, 8000.0) @ mag, rtol=1e-12, atol=0.0)
 
-    def test_plans_cached_per_bank_arguments_and_read_only(self, monkeypatch):
-        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS", {})
+    def test_plans_cached_per_bank_arguments_and_read_only(self):
+        _band_plan.cache_clear()
         mag = _spectrum(101, 20, 5)
         band_sums(mag, mel_filterbank, 26, 200, 8000.0)
         band_sums(mag, mel_filterbank, 26, 200, 8000.0)
         band_sums(mag[:, :5], mel_filterbank, 26, 200, 8000.0, 50.0)
-        plans = mmvib.signal_core._BAND_PLANS
-        assert list(plans) == [(mel_filterbank, (26, 200, 8000.0)),
-                               (mel_filterbank, (26, 200, 8000.0, 50.0))]
-        for _, index, weight in plans[mel_filterbank, (26, 200, 8000.0)]:
+        # one build for each of the two argument tuples, and a hit after
+        info = _band_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        n_filters, plan = _band_plan(mel_filterbank, (26, 200, 8000.0))
+        assert _band_plan.cache_info().hits == 2
+        assert n_filters == 26
+        for _, index, weight in plan:
             for array in (index, weight):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1
 
-    def test_threads_sharing_a_plan_cache_that_empties_often(self, monkeypatch):
-        # more threads than cores, switching often, each call missing or
-        # clearing the cache half the time: every sum must still be right
-        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS", {})
-        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS_MAX", 3)
-        banks = [(mel_filterbank, n, 256, 8000.0) for n in (5, 10, 20, 40, 80)]
+    def test_threads_sharing_a_plan_cache_that_empties_often(self):
+        # more threads than cores, switching often, over more banks than the
+        # cache holds, so plans are evicted and rebuilt while other threads
+        # read them: every sum must still be right
+        _band_plan.cache_clear()
+        banks = [(mel_filterbank, n, 256, 8000.0) for n in range(5, 85)]
         mag = _spectrum(129, 40, 7)
         want = [bank_of(*args) @ mag for bank_of, *args in banks]
         wrong = []
 
         def work(offset: int) -> None:
-            for i in range(60):
-                k = (i + offset) % len(banks)
+            for i in range(len(banks)):
+                k = (i + 10 * offset) % len(banks)
                 got = band_sums(mag, *banks[k])
                 if not np.allclose(got, want[k], rtol=1e-12, atol=0.0):
                     wrong.append(banks[k])
@@ -333,12 +336,16 @@ class TestBandSums:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+        info = _band_plan.cache_info()
+        assert info.misses > len(banks)
+        assert info.currsize <= info.maxsize == 64
 
     @pytest.mark.parametrize("fs", [8000.0, 16000.0, 32000.0])
     def test_plan_groups_tile_the_filters_with_little_padding(self, fs):
         for bank_of, *args in _metric_banks(fs):
             bank = bank_of(*args)
-            plan = _band_plan(bank)
+            n_filters, plan = _band_plan(bank_of, tuple(args))
+            assert n_filters == len(bank)
             assert [g[0].start for g in plan] == [0] + [g[0].stop for g in plan[:-1]]
             assert plan[-1][0].stop == len(bank)
             padded = sum(index.size for _, index, _ in plan)
@@ -349,13 +356,19 @@ class TestBandSums:
                 np.add.at(rebuilt, (np.broadcast_to(rows, index.shape), index), weight)
             np.testing.assert_array_equal(rebuilt, bank)
 
-    def test_plan_cache_emptied_when_full(self, monkeypatch):
-        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS", {})
-        monkeypatch.setattr(mmvib.signal_core, "_BAND_PLANS_MAX", 2)
+    def test_plan_cache_emptied_when_full(self):
+        # a full cache of 64 plans drops the least recently used one
+        _band_plan.cache_clear()
         mag = _spectrum(129, 3, 6)
-        for n_mels in (10, 20, 30):
+        for n_mels in range(1, 67):
             band_sums(mag, mel_filterbank, n_mels, 256, 8000.0)
-        assert list(mmvib.signal_core._BAND_PLANS) == [(mel_filterbank, (30, 256, 8000.0))]
+        info = _band_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (66, 0, 64)
+        band_sums(mag, mel_filterbank, 66, 256, 8000.0)
+        band_sums(mag, mel_filterbank, 3, 256, 8000.0)
+        band_sums(mag, mel_filterbank, 1, 256, 8000.0)
+        info = _band_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (67, 2, 64)
 
     def test_mel_spectrogram_equals_the_dense_product(self):
         audio = AudioBuffer(np.random.default_rng(6).standard_normal(4096), 16000.0)

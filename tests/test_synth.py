@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import mmvib.synth
 from mmvib import (
     AudioBuffer,
     SynthesisConfig,
@@ -185,6 +186,40 @@ class TestBuildDataset:
         assert len(rows) == 4
         assert "error" in rows[1]
         assert sum("error" not in r for r in rows) == 3
+
+    @pytest.fixture()
+    def two_clips(self, tmp_path):
+        """A manifest of two 0.5 s clips, a.wav then b.wav."""
+        for i, name in enumerate("ab"):
+            write_wav(tmp_path / f"{name}.wav", make_speech_clip(i, duration=0.5))
+        m = tmp_path / "input.txt"
+        m.write_text(f"{tmp_path / 'a.wav'}\n{tmp_path / 'b.wav'}\n")
+        return m
+
+    def test_entry_whose_write_fails_gets_an_error_row(self, two_clips, tmp_path):
+        # a directory sits where entry 1's clean copy goes
+        blocked = tmp_path / "ds" / "clean" / "00001_b.wav"
+        blocked.mkdir(parents=True)
+        out = build_dataset(two_clips, tmp_path / "ds", SynthesisConfig(seed=5))
+        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        assert rows[1] == {"clean_path": str(tmp_path / "b.wav"),
+                           "error": f"[Errno 21] Is a directory: '{blocked}'"}
+        assert read_wav(rows[0]["degraded_path"]).sample_rate == 8000.0
+        assert rows[0]["clean_path"] == str(tmp_path / "ds" / "clean" / "00000_a.wav")
+
+    def test_entry_out_of_memory_gets_an_error_row(self, two_clips, tmp_path, monkeypatch):
+        def synthesize(speech, cfg):
+            if cfg.seed == item_seed(5, 0):
+                raise MemoryError("Unable to allocate 8.00 EiB")
+            return synthesize_mmvib(speech, cfg)
+
+        monkeypatch.setattr(mmvib.synth, "synthesize_mmvib", synthesize)
+        out = build_dataset(two_clips, tmp_path / "ds", SynthesisConfig(seed=5))
+        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        assert rows[0] == {"clean_path": str(tmp_path / "a.wav"),
+                           "error": "Unable to allocate 8.00 EiB"}
+        assert read_wav(rows[1]["degraded_path"]).sample_rate == 8000.0
+        assert not (tmp_path / "ds" / "degraded" / "00000_a.wav").exists()
 
     def test_all_fail(self, tmp_path):
         m = tmp_path / "input.txt"
