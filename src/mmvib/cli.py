@@ -554,9 +554,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -60,6 +60,10 @@ STOI_CLIP_DB = -15.0
 
 _EPS = 1e-20
 
+# STFT window of the report's magnitude-L1 column: one of the mel-loss
+# resolutions, hop a quarter window, so score_pair reuses its spectra.
+REPORT_SPEC_WINDOW = 256
+
 
 @dataclass
 class MetricsReport:
@@ -228,12 +232,11 @@ def mel_loss(ref: AudioBuffer, deg: AudioBuffer) -> float:
     return _mel_loss(x, y, fs)[0]
 
 
-def _mel_loss(x: np.ndarray, y: np.ndarray, fs: float, keep_window: int | None = None):
+def _mel_loss(x: np.ndarray, y: np.ndarray, fs: float):
     """mel_loss of two equal-length signals, one resolution at a time.
 
-    Also returns the (ref, deg) STFT magnitudes of the resolution whose
-    window is keep_window, or None; the others are dropped as soon as they
-    are summed.
+    Also returns the (ref, deg) STFT magnitudes of the REPORT_SPEC_WINDOW
+    resolution; the others are dropped as soon as they are summed.
     """
     total = 0.0
     kept = None
@@ -244,7 +247,7 @@ def _mel_loss(x: np.ndarray, y: np.ndarray, fs: float, keep_window: int | None =
         ref_mel = np.log(np.maximum(band_sums(ref_mag, *bank), MEL_LOG_FLOOR))
         deg_mel = np.log(np.maximum(band_sums(deg_mag, *bank), MEL_LOG_FLOOR))
         total += float(np.abs(ref_mel - deg_mel).mean())
-        if window_len == keep_window:
+        if window_len == REPORT_SPEC_WINDOW:
             kept = ref_mag, deg_mag
     return total, kept
 
@@ -253,11 +256,7 @@ def mag_l1(ref_spec: np.ndarray, deg_spec: np.ndarray) -> float:
     """Mean absolute difference between the magnitudes of two spectrograms."""
     if ref_spec.shape != deg_spec.shape:
         raise ValueError(f"shape mismatch: {ref_spec.shape} vs {deg_spec.shape}")
-    return _mag_l1(np.abs(ref_spec), np.abs(deg_spec))
-
-
-def _mag_l1(ref_mag: np.ndarray, deg_mag: np.ndarray) -> float:
-    return float(np.abs(ref_mag - deg_mag).mean())
+    return float(np.abs(np.abs(ref_spec) - np.abs(deg_spec)).mean())
 
 
 def _as_words(text) -> list[str]:
@@ -307,12 +306,6 @@ def wer_cer(ref_text, hyp_text) -> tuple[float, float]:
     return wer, cer
 
 
-# STFT settings for the report's magnitude-L1 column: one of the mel-loss
-# resolutions, so score_pair reuses its spectra.
-REPORT_SPEC_WINDOW = 256
-REPORT_SPEC_HOP = REPORT_SPEC_WINDOW // 4
-
-
 def score_pair(
     ref: AudioBuffer,
     deg: AudioBuffer,
@@ -326,7 +319,7 @@ def score_pair(
     serves mag_l1. The values equal those of the public metric functions.
     """
     x, y, fs = _truncate_pair(ref, deg)
-    raw_stoi = stoi(AudioBuffer(x, fs), AudioBuffer(y, fs))
+    raw_stoi = stoi(ref, deg)
     wer = cer = None
     if ref_text is not None and hyp_text is not None:
         wer, cer = wer_cer(ref_text, hyp_text)
@@ -334,13 +327,13 @@ def score_pair(
     deg_mag = _framed_magnitudes(y, fs)
     fwseg = _fwsegsnr(ref_mag, deg_mag, fs)
     mcd_db = _mcd(ref_mag, deg_mag, fs)
-    mel, (ref_spec, deg_spec) = _mel_loss(x, y, fs, keep_window=REPORT_SPEC_WINDOW)
+    mel, (ref_spec, deg_spec) = _mel_loss(x, y, fs)
     return MetricsReport(
         fwsegsnr=fwseg,
         stoi=float(np.clip(raw_stoi, 0.0, 1.0)),
         mcd=mcd_db,
         mel_loss=mel,
-        mag_l1=_mag_l1(ref_spec, deg_spec),
+        mag_l1=mag_l1(ref_spec, deg_spec),
         wer=wer,
         cer=cer,
     )

@@ -115,11 +115,6 @@ class SurfaceMaterial:
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity must lie in [0, 1], got {self.reflectivity}")
 
-    @property
-    def natural_frequency(self) -> float:
-        """Undamped natural frequency in rad/s."""
-        return float(np.sqrt(self.stiffness / self.mass))
-
 
 class VibrationTrace(AudioBuffer):
     """Surface displacement sampled at a uniform rate: samples are meters."""
@@ -180,10 +175,6 @@ class IFCapture:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def total_chirps(self) -> int:
-        return self.frames.shape[0] * self.frames.shape[1]
 
 
 def range_resolution(cfg: ChirpConfig) -> float:
@@ -489,7 +480,7 @@ def write_artifact_sidecar(path, artifact_log: list[ArtifactEvent], seed: int | 
 
 def save_capture(capture: IFCapture, path, seed: int | None = None) -> None:
     """Write the binary capture container and its artifact-log JSON sidecar."""
-    write_capture_frames(path, capture.config, capture.frames)
+    write_capture_frames(path, capture.config, capture)
     write_artifact_sidecar(path, capture.artifact_log, seed)
 
 

@@ -47,10 +47,6 @@ class AudioBuffer:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def hann_window(window_len: int) -> np.ndarray:
     """Periodic Hann window."""

@@ -95,9 +95,9 @@ def build_dataset(
     JSON object with a clean_path field. Each clip is resampled to the target
     rate, degraded with a seed derived from (cfg.seed, item index), and both
     the resampled clean copy and the degraded copy are written under out_dir.
-    Unreadable entries are recorded in the manifest and skipped; the build
-    fails only when every entry fails. Entries run on map_rows' threads, and
-    the manifest keeps their order.
+    A failing entry is an error row in the manifest, and the clean copy it
+    wrote, if any, is removed; the build fails only when every entry fails.
+    Entries run on map_rows' threads, and the manifest keeps their order.
 
     With jitter enabled, alpha and beta get a per-item uniform scale in
     [0.5, 1.5]; the values actually used are recorded in the manifest.
@@ -122,12 +122,16 @@ def build_dataset(
         stem = f"{index:05d}_{Path(clean_path).stem}"
         clean_out = clean_dir / f"{stem}.wav"
         degraded_out = degraded_dir / f"{stem}.wav"
+        written = None
         try:
             clean = resample(read_wav(clean_path), sample_rate)
             degraded = synthesize_mmvib(clean, SynthesisConfig(alpha, beta, seed))
             write_wav(clean_out, clean)
+            written = clean_out
             write_wav(degraded_out, degraded)
         except _FAILURES as exc:
+            if written is not None:
+                written.unlink(missing_ok=True)
             return {"clean_path": str(clean_path), "error": str(exc)}
         return {
             "clean_path": str(clean_out),

@@ -1,4 +1,4 @@
-"""Vibration recovery from IF captures: Range-FFT, phase extraction, outlier cleanup."""
+"""Vibration recovery from IF captures: target-bin search, phase extraction, outlier cleanup."""
 
 from __future__ import annotations
 
@@ -16,13 +16,14 @@ OUTLIER_SIGMA_THRESHOLD = 3.0
 _SEARCH_ROWS = 64
 
 
-def range_fft(capture: IFCapture) -> np.ndarray:
+def range_fft(capture) -> np.ndarray:
     """FFT each chirp along fast time, keeping the positive-frequency half.
 
-    Returns complex128 bins laid out [range_bins, total_chirps]: chirp order
-    is preserved across frames (frame-major flattening), so column c is chirp
-    c of the capture. One frame is transformed at a time, so beyond the
-    result only one frame's spectrum is held.
+    capture is anything locate_target reads. Returns complex128 bins laid
+    out [range_bins, n_frames * chirps_per_frame]: chirp order is preserved
+    across frames (frame-major flattening), so column c is chirp c of the
+    capture. One frame is transformed at a time, so beyond the result only
+    one frame's spectrum is held.
 
     This is the reference definition of the range profile; locate_target,
     which the pipeline runs, reads the target bin without building it.
@@ -31,8 +32,8 @@ def range_fft(capture: IFCapture) -> np.ndarray:
         raise ValueError("empty capture")
     chirps = capture.config.chirps_per_frame
     range_bins = capture.config.adc_samples_per_chirp // 2 + 1
-    out = np.empty((capture.total_chirps, range_bins), dtype=np.complex128)
-    for index, frame in enumerate(capture.frames):
+    out = np.empty((capture.n_frames * chirps, range_bins), dtype=np.complex128)
+    for index, frame in enumerate(capture):
         out[index * chirps : (index + 1) * chirps] = np.fft.fft(frame, axis=1)[:, :range_bins]
     return out.T
 
@@ -247,7 +248,7 @@ def trace_from_phase(
 def extract_vibration(capture: IFCapture, preprocess: bool = True) -> VibrationTrace:
     """Full recovery pipeline from capture to zero-mean displacement trace.
 
-    Range-FFT, strongest-bin selection, phase unwrapping, optional two-stage
-    outlier cleanup, then phase-to-displacement conversion.
+    locate_target's strongest bin and its unwrapped phase, then optional
+    two-stage outlier cleanup and phase-to-displacement conversion.
     """
     return trace_from_phase(locate_target(capture)[1], capture.config, preprocess)

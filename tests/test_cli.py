@@ -1331,6 +1331,78 @@ class TestOutputBytes:
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in _tree(tmp_path).items()}
         assert digests == self.DIGESTS
 
+    # (values, sweep.json, sweep.csv) per axis, swept over one 1 s 8 kHz clip
+    SWEEP_DIGESTS = {
+        "material": (
+            "pet,tinfoil",
+            "b2e3b5569732c03355476c1e59f7a688802a2b43bf660288822cc92dcda8a50f",
+            "caa6e9745f9c04f3abaccb8a9a8c56859093991703237fa0314b0af19518b8ac",
+        ),
+        "range_m": (
+            "1.0,3.7",
+            "d46f40662dffe6cda95f2ba536fca958b5d1f8b6e44143000dc7868d7a2d43bd",
+            "2a6a91bf3b6d3cb8517c0a1258c166fac0f8caf09dc4e9207b6a85a75653c416",
+        ),
+        "noise_floor_db": (
+            "-60,-20",
+            "25f43fd70d668f7e808a2ab7b956e3b250153ba38d03ef6837b8a5a8f371d283",
+            "2b679ff208c1c7dfb6425ec33a22858ca1c69e7dc672b3e5fdf31eda10dbdfe9",
+        ),
+        "beta": (
+            "0.1,0.6",
+            "e8ad9e034e4a80633d14c97a378fb8a12d73f8d65d97b0a1b8813fe77c66e8a6",
+            "9faa94359183fc32a9d8965777cab43f89f48540a1781be42bb843f569b1139d",
+        ),
+        "chirps_per_frame": (
+            "256,512",
+            "bfb05c46556ab832dbb2f9154562219c527dac48413b7b2f0976ec080b2a833c",
+            "a2fb6895467bb117bce1ee1fe191500ca518589a20fa8d77ea9877c7d11deee6",
+        ),
+    }
+
+    @pytest.mark.parametrize("parameter", sorted(SWEEP_DIGESTS))
+    def test_every_sweep_axis_output_is_pinned(self, parameter, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MMVIB_SEED", raising=False)
+        values, *expected = self.SWEEP_DIGESTS[parameter]
+        write_wav("speech.wav", make_speech_clip(33, duration=1.0, rate=8000.0))
+        argv = ["sweep", "--param", parameter, f"--values={values}", "--audio", "speech.wav",
+                "--report", "sweep.json"]
+        assert _run_main(argv) == (0, "")
+        assert [hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                for name in ("sweep.json", "sweep.csv")] == expected
+
+    DIGESTS_44K = {
+        "clips.txt": "884a5b865feeff57afb29b2748e7723397620461a2653264e1d493ae7a5d5c62",
+        "ds/clean/00000_speech44k.wav": "7b6e6681717a37a8b8ec3a597fb5ed62bb16200428e80f4199029e0f7f2ef6e6",
+        "ds/degraded/00000_speech44k.wav": "aff580c7a59b75adfeaf37f69d92fa5eaa5cf3c277ea856b9405bc65247c435f",
+        "ds/manifest.jsonl": "13d7624ccdc4e55002d0bf8fc7f4e30eff3167c5badbd972b26792c7f934c4a8",
+        "pairs.jsonl": "046ab48d1c71773785e8151dfa6895e3757a29e5506ac3518a3169eaba18ba18",
+        "report.json": "99ae21264d5eda3c20611aa50d8c948018e715ae3dbd3308a6eb15f98313ff5e",
+        "speech44k.wav": "003416658df8ccbaed6386ab7b82c0e5262bcf6b8b214097239f87f0b13a2d72",
+    }
+
+    def test_a_44k_clip_through_synth_and_score_is_pinned(self, tmp_path, monkeypatch):
+        # the 8 kHz pair, and the 44.1 kHz source against its degraded copy,
+        # which score resamples up to 44.1 kHz
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MMVIB_SEED", raising=False)
+        write_wav("speech44k.wav", make_speech_clip(34, duration=1.0, rate=44100.0))
+        Path("clips.txt").write_text("speech44k.wav\n")
+        pairs = [
+            {"ref_path": "ds/clean/00000_speech44k.wav",
+             "deg_path": "ds/degraded/00000_speech44k.wav"},
+            {"ref_path": "speech44k.wav", "deg_path": "ds/degraded/00000_speech44k.wav"},
+        ]
+        Path("pairs.jsonl").write_text("".join(json.dumps(row) + "\n" for row in pairs))
+        for argv in (
+            "synth --manifest clips.txt --out-dir ds --seed 6 --jitter",
+            "score --manifest pairs.jsonl --report report.json",
+        ):
+            assert _run_main(argv.split()) == (0, ""), argv
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in _tree(tmp_path).items()}
+        assert digests == self.DIGESTS_44K
+
 
 class TestMainDispatch:
     def test_no_args_usage_error(self):

@@ -351,10 +351,9 @@ class TestSharedSpectra:
         elif ref_text is None:
             ref_text, hyp_text = "a b c", "a x c"
         n = min(len(ref), len(deg))
-        ref_spec = stft(AudioBuffer(ref.samples[:n], ref.sample_rate),
-                        mmvib.metrics.REPORT_SPEC_WINDOW, mmvib.metrics.REPORT_SPEC_HOP)
-        deg_spec = stft(AudioBuffer(deg.samples[:n], deg.sample_rate),
-                        mmvib.metrics.REPORT_SPEC_WINDOW, mmvib.metrics.REPORT_SPEC_HOP)
+        window = mmvib.metrics.REPORT_SPEC_WINDOW
+        ref_spec = stft(AudioBuffer(ref.samples[:n], ref.sample_rate), window, window // 4)
+        deg_spec = stft(AudioBuffer(deg.samples[:n], deg.sample_rate), window, window // 4)
         want = {
             "fwsegsnr": fwsegsnr(ref, deg),
             "stoi": float(np.clip(stoi(ref, deg), 0.0, 1.0)),

@@ -117,10 +117,6 @@ class TestForcedResponse:
         with pytest.raises(ValueError, match="unbounded resonance"):
             forced_response_amplitude(mat, 1.0, 2.0)
 
-    def test_natural_frequency(self):
-        mat = SurfaceMaterial(mass=0.25, stiffness=9.0, damping=0.1, reflectivity=1.0)
-        assert mat.natural_frequency == pytest.approx(6.0)
-
     def test_material_validation(self):
         with pytest.raises(ValueError):
             SurfaceMaterial(mass=0.0, stiffness=1.0, damping=0.1, reflectivity=1.0)

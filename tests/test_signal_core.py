@@ -386,4 +386,3 @@ class TestTypes:
             AudioBuffer([0.0], -1.0)
         buf = AudioBuffer([0.0, 1.0], 8000.0)
         assert len(buf) == 2
-        assert buf.duration == pytest.approx(2 / 8000.0)

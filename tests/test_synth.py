@@ -18,6 +18,7 @@ from mmvib import (
     write_wav,
     zscore_normalize,
 )
+from mmvib.cli import main
 from oracles import psd_halfband_ratio, psd_slope_db_per_decade
 from speechgen import make_speech_clip
 
@@ -206,6 +207,22 @@ class TestBuildDataset:
                            "error": f"[Errno 21] Is a directory: '{blocked}'"}
         assert read_wav(rows[0]["degraded_path"]).sample_rate == 8000.0
         assert rows[0]["clean_path"] == str(tmp_path / "ds" / "clean" / "00000_a.wav")
+
+    def test_entry_whose_degraded_write_fails_leaves_no_clean_copy(self, two_clips, tmp_path,
+                                                                   capsys):
+        # a directory sits where entry 1's degraded copy goes, so its clean
+        # copy is written first and the entry fails after it
+        blocked = tmp_path / "ds" / "degraded" / "00001_b.wav"
+        blocked.mkdir(parents=True)
+        assert main(["synth", "--manifest", str(two_clips), "--out-dir", str(tmp_path / "ds"),
+                     "--seed", "5"]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [json.loads(l) for l in (tmp_path / "ds" / "manifest.jsonl").read_text().splitlines()]
+        assert rows[1] == {"clean_path": str(tmp_path / "b.wav"),
+                           "error": f"[Errno 21] Is a directory: '{blocked}'"}
+        named = {row["clean_path"] for row in rows if "error" not in row}
+        assert {str(p) for p in (tmp_path / "ds" / "clean").iterdir()} == named
+        assert blocked.is_dir()
 
     def test_entry_out_of_memory_gets_an_error_row(self, two_clips, tmp_path, monkeypatch):
         def synthesize(speech, cfg):

@@ -1,4 +1,4 @@
-"""Range-FFT profiling, target selection, phase recovery, and outlier cleanup."""
+"""Range profiling, target selection, phase recovery, and outlier cleanup."""
 
 import os
 import re
@@ -63,7 +63,7 @@ class TestRangeFft:
 
     def test_profile_shape(self, chirp_cfg):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        assert range_fft(cap).shape == (129, cap.total_chirps)
+        assert range_fft(cap).shape == (129, cap.n_frames * chirp_cfg.chirps_per_frame)
 
     def test_zero_capture_zero_profile(self, chirp_cfg):
         cap = IFCapture(np.zeros((2, 256, 256), dtype=np.complex64), chirp_cfg)
@@ -85,6 +85,17 @@ class TestRangeFft:
         reference = np.fft.fft(chirps, axis=1)[:, :129].T.astype(np.complex128)
         np.testing.assert_array_equal(range_fft(cap), reference)
 
+    def test_capture_file_equals_the_loaded_capture(self, chirp_cfg, tmp_path):
+        # a container read frame by frame gives the profile of the capture
+        # loaded whole, in value and dtype
+        path = tmp_path / "cap.bin"
+        save_capture(inject_artifacts(make_tone_capture(chirp_cfg, 500.0, duration_s=0.096,
+                                                        noise_floor_db=-20.0), 8.0, 8.0), path)
+        streamed = range_fft(CaptureFile(path))
+        loaded = range_fft(load_capture(path))
+        assert streamed.dtype == loaded.dtype == np.complex128
+        np.testing.assert_array_equal(streamed, loaded)
+
     def test_peak_memory_near_one_capture(self, chirp_cfg):
         # the complex128 half spectrum is as large as the complex64 capture;
         # one frame at a time adds only one frame's spectrum on top of it
@@ -95,7 +106,7 @@ class TestRangeFft:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert profile.shape == (129, cap.total_chirps)
+        assert profile.shape == (129, cap.n_frames * chirp_cfg.chirps_per_frame)
         assert peak < 1.5 * cap.frames.nbytes
 
 
