@@ -237,10 +237,12 @@ def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     artifact sidecar equal, byte for byte, what save_capture writes for the
     library's in-memory capture.
     """
-    audio = read_wav(audio_in)
-    if len(audio) == 0:
-        raise ValueError("audio is empty")
-    forcing = zscore_normalize(resample(audio, config.chirp.effective_sampling_rate))
+    audio = resample(read_wav(audio_in), config.chirp.effective_sampling_rate)
+    # what zscore_normalize and the frame count would reject, blamed on the file
+    if len(audio) < config.chirp.chirps_per_frame or not 0 < audio.samples.std() < np.inf:
+        raise ValueError(f"audio must fill one frame ({config.chirp.chirps_per_frame} samples at "
+                         f"the chirp rate) and have a finite, non-zero spread: {audio_in}")
+    forcing = zscore_normalize(audio)
     n_frames, log, _ = _write_capture(config, forcing, config.seed, capture_out)
     write_artifact_sidecar(capture_out, log, seed=config.seed)
     print(f"range resolution: {range_resolution(config.chirp):.6f} m")
@@ -323,9 +325,7 @@ def _score_row(row) -> dict:
         ref_text = _transcript(row, "ref_text")
         hyp_text = _transcript(row, "hyp_text")
         ref = read_wav(row["ref_path"])
-        deg = read_wav(row["deg_path"])
-        if abs(ref.sample_rate - deg.sample_rate) > 1e-9:
-            deg = resample(deg, ref.sample_rate)
+        deg = resample(read_wav(row["deg_path"]), ref.sample_rate)
         report = score_pair(zscore_normalize(ref), zscore_normalize(deg), ref_text, hyp_text)
         entry.update(report.to_dict())
     except (*_FAILURES, KeyError, TypeError) as exc:
@@ -344,7 +344,7 @@ def cmd_score(manifest_in, report_out) -> None:
     """
     rows = _read_pair_manifest(manifest_in)
     if not rows:
-        raise ValueError("manifest lists no pairs")
+        raise ValueError(f"manifest lists no pairs: {manifest_in}")
 
     pairs = map_rows(_score_row, rows)
     succeeded = sum("error" not in entry for entry in pairs)
@@ -384,16 +384,15 @@ def _sweep_variant(config: PipelineConfig, parameter: str, value) -> PipelineCon
 
 def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuffer, index: int) -> dict:
     variant = _sweep_variant(config, parameter, value)
-    if parameter in ("alpha", "beta"):
-        rate = variant.synth_sample_rate
-        reference = zscore_normalize(resample(audio, rate))
+    synthetic = parameter in ("alpha", "beta")
+    rate = variant.synth_sample_rate if synthetic else variant.chirp.effective_sampling_rate
+    reference = zscore_normalize(resample(audio, rate))
+    if synthetic:
         synth_cfg = SynthesisConfig(
             alpha=variant.alpha, beta=variant.beta, seed=item_seed(variant.seed, index)
         )
         degraded = synthesize_mmvib(reference, synth_cfg)
     else:
-        rate = variant.chirp.effective_sampling_rate
-        reference = zscore_normalize(resample(audio, rate))
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "capture.bin"
             # the bin found before stamping; extract searches the stamped container

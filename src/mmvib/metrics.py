@@ -105,14 +105,9 @@ def _frame_params(fs: float) -> tuple[int, int]:
     return int(round(FRAME_SECONDS * fs)), int(round(HOP_SECONDS * fs))
 
 
-def _magnitudes(x: np.ndarray, fs: float, window_len: int, hop: int) -> np.ndarray:
-    """STFT magnitudes [window_len // 2 + 1, frames] of samples x at rate fs."""
-    return np.abs(stft(AudioBuffer(x, fs), window_len, hop))
-
-
 def _framed_magnitudes(x: np.ndarray, fs: float) -> np.ndarray:
     """Magnitude STFT frames [n_frames, bins] at the 25 ms / 10 ms framing."""
-    return _magnitudes(x, fs, *_frame_params(fs)).T
+    return np.abs(stft(x, *_frame_params(fs))).T
 
 
 def fwsegsnr(ref: AudioBuffer, deg: AudioBuffer) -> float:
@@ -241,8 +236,8 @@ def _mel_loss(x: np.ndarray, y: np.ndarray, fs: float):
     total = 0.0
     kept = None
     for n_mels, window_len in zip(MEL_LOSS_BANDS, MEL_LOSS_WINDOWS):
-        ref_mag = _magnitudes(x, fs, window_len, window_len // 4)
-        deg_mag = _magnitudes(y, fs, window_len, window_len // 4)
+        ref_mag = np.abs(stft(x, window_len, window_len // 4))
+        deg_mag = np.abs(stft(y, window_len, window_len // 4))
         bank = (mel_filterbank, n_mels, window_len, fs)
         ref_mel = np.log(np.maximum(band_sums(ref_mag, *bank), MEL_LOG_FLOOR))
         deg_mel = np.log(np.maximum(band_sums(deg_mag, *bank), MEL_LOG_FLOOR))

@@ -22,6 +22,9 @@ SPEED_OF_LIGHT = 299792458.0
 
 # Widest sweep the simulated front end supports.
 MAX_BANDWIDTH_HZ = 4.0e9
+# Most samples in one [chirps_per_frame, adc_samples_per_chirp] frame: 8 MiB
+# of complex64, four times a frame of 1024 chirps at the default 256 samples.
+MAX_FRAME_SAMPLES = 1 << 20
 
 # Default timing: 32 ms frames of 256 chirps (8000 chirps per second) with a
 # 10 percent idle gap at the end of each frame, swept over the full 4 GHz.
@@ -64,6 +67,10 @@ class ChirpConfig:
             value = getattr(self, name)
             if int(value) != value or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value}")
+        frame = self.chirps_per_frame * self.adc_samples_per_chirp
+        if frame > MAX_FRAME_SAMPLES:
+            raise ValueError(f"chirps_per_frame * adc_samples_per_chirp = {frame} exceeds "
+                             f"{MAX_FRAME_SAMPLES} samples per frame")
         if self.chirps_per_frame * self.chirp_duration > self.frame_period * (1 + 1e-12):
             raise ValueError(
                 f"chirps_per_frame * chirp_duration = "

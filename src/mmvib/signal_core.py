@@ -70,14 +70,14 @@ def frame_signal(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     return sliding_window_view(x, window_len)[::hop]
 
 
-def stft(audio: AudioBuffer, window_len: int, hop: int) -> np.ndarray:
-    """Short-time Fourier transform with a periodic Hann window.
+def stft(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
+    """Short-time Fourier transform of the samples x with a periodic Hann window.
 
     Returns complex values laid out [window_len // 2 + 1, frames]. Frames are
     laid at multiples of hop with no padding, so
     frames = floor((len - window_len) / hop) + 1.
     """
-    frames = frame_signal(audio.samples, window_len, hop)
+    frames = frame_signal(x, window_len, hop)
     windowed = frames * hann_window(window_len)[None, :]
     return np.fft.rfft(windowed, axis=1).T
 
@@ -176,7 +176,7 @@ def band_sums(mag: np.ndarray, bank_of, *args, axis: int = 0) -> np.ndarray:
 
 def mel_spectrogram(audio: AudioBuffer, n_mels: int, window_len: int) -> np.ndarray:
     """Mel-band magnitude spectrogram, [n_mels, frames], at a hop of window_len // 4."""
-    spec = stft(audio, window_len, window_len // 4)
+    spec = stft(audio.samples, window_len, window_len // 4)
     return band_sums(np.abs(spec), mel_filterbank, n_mels, window_len, audio.sample_rate)
 
 

@@ -104,7 +104,7 @@ def build_dataset(
     """
     entries = _read_input_manifest(manifest_in)
     if not entries:
-        raise ValueError("manifest lists no entries")
+        raise ValueError(f"manifest lists no entries: {manifest_in}")
     out_dir = Path(out_dir)
     clean_dir = out_dir / "clean"
     degraded_dir = out_dir / "degraded"

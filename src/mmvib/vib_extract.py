@@ -191,7 +191,10 @@ class BinSearch:
         """The strongest bin so far, DC excluded; source names the capture in errors."""
         if not np.isfinite(self.strength).all():
             raise ValueError(f"capture samples are not finite or too large: {source}")
-        return _strongest_bin(self.strength)
+        try:
+            return _strongest_bin(self.strength)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {source}") from None
 
 
 def demodulate_bin(capture, target: int) -> np.ndarray:
@@ -221,12 +224,13 @@ def locate_target(capture) -> tuple[int, np.ndarray]:
     select_target_bin picks on range_fft's profile, and the phase of
     extract_phase_series up to float32 rounding.
     """
+    source = getattr(capture, "path", "in-memory capture")
     if capture.n_frames == 0:
-        raise ValueError("empty capture")
+        raise ValueError(f"empty capture: {source}")
     search = BinSearch(capture.config)
     for frame in capture:
         search.add(frame)
-    target = search.target(getattr(capture, "path", "in-memory capture"))
+    target = search.target(source)
     del search  # its frame buffers, before the demodulation allocates
     return target, demodulate_bin(capture, target)
 

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -55,6 +56,7 @@ from mmvib.cli import (
     main,
 )
 from mmvib.metrics import REQUIRED_METRICS
+from mmvib.radar_sim import write_capture_frames
 from mmvib.vib_extract import BinSearch
 from oracles import in_memory_capture, riff_chunk, riff_wav, wav_fmt
 from speechgen import make_speech_clip
@@ -107,6 +109,24 @@ class TestLoadConfig:
         message = "config field [scene] range_m: could not convert string to float: 'close'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_config(p)
+
+    def test_frame_shape_past_the_cap_is_rejected_before_any_allocation(self, tmp_path):
+        # 256 x 2^20 samples a frame would be 2 GiB noise buffers; the cap is
+        # 2^20 samples, so 256 x 4096 loads and 256 x 4097 does not
+        p = tmp_path / "cfg.ini"
+        p.write_text("[chirp]\nadc_samples_per_chirp = 4096\n")
+        assert load_config(p).chirp.adc_samples_per_chirp == 4096
+        message = ("config section [chirp]: chirps_per_frame * adc_samples_per_chirp = "
+                   "268435456 exceeds 1048576 samples per frame")
+        p.write_text("[chirp]\nadc_samples_per_chirp = 1048576\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_config(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     # INI inputs the parser or the int cast rejects; each message names the
     # file or the key at fault.
@@ -269,6 +289,21 @@ class TestSimulate:
     def test_missing_audio_fails(self, tmp_path):
         assert main(["simulate", "--audio", str(tmp_path / "nope.wav"),
                      "--out", str(tmp_path / "c.bin")]) != 0
+
+    def test_chirps_per_frame_past_the_frame_cap_is_rejected_before_any_allocation(self):
+        # at the default 256 samples a chirp, 4096 chirps fill the 2^20-sample cap
+        variant = _sweep_variant(PipelineConfig(), "chirps_per_frame", "4096")
+        assert variant.chirp.chirps_per_frame == 4096
+        message = ("chirps_per_frame * adc_samples_per_chirp = 2097152 exceeds 1048576 "
+                   "samples per frame")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _sweep_variant(PipelineConfig(), "chirps_per_frame", "8192")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("chirps_per_frame", [256, 512])
     @pytest.mark.parametrize("sigmas", [(10.0, 6.0), (0.0, 0.0)])
@@ -738,6 +773,8 @@ class TestScore:
         deg = make_tone_wav(tmp_path / "deg.wav", duration=1.0, rate=16000.0)
 
         def out_of_memory(audio, rate):
+            if audio.sample_rate == rate:
+                return audio
             raise MemoryError("Unable to allocate 149. GiB")
 
         monkeypatch.setattr(mmvib.cli, "resample", out_of_memory)
@@ -1417,6 +1454,8 @@ class TestMainDispatch:
 
 _NO_FILE = "[Errno 2] No such file or directory"
 _UNREPRESENTABLE = "the ratio of the rates is not finite or rounds to zero"
+_NO_FRAME = ("audio must fill one frame (256 samples at the chirp rate) and have a finite, "
+             "non-zero spread")
 # Every command's exit paths: argv, MMVIB_SEED, exit status and stderr. {d}
 # is the directory of inputs and {t} a fresh output directory. extract and
 # score read no config and no seed, so their only exit 2 is argparse's usage
@@ -1441,6 +1480,19 @@ _EXIT_PATHS = {
     "simulate_infinite_artifact_magnitude": (
         "simulate --config {d}/infinite_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: beginning_sigma must be finite and >= 0, got inf"),
+    # an input whose content is at fault is named in the message
+    "simulate_empty_wav": (
+        "simulate --audio {d}/empty.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/empty.wav"),
+    "simulate_one_sample_wav": (
+        "simulate --audio {d}/one_sample.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/one_sample.wav"),
+    "simulate_wav_shorter_than_a_frame": (
+        "simulate --audio {d}/short.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/short.wav"),
+    "simulate_silent_wav": (
+        "simulate --audio {d}/silent.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/silent.wav"),
     "simulate_nan_artifact_magnitude": (
         "simulate --config {d}/nan_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: periodic_sigma must be finite and >= 0, got nan"),
@@ -1451,6 +1503,15 @@ _EXIT_PATHS = {
     "extract_unwritable_wav": (
         "extract --capture {d}/cap.bin --out {t}/nodir/x.wav", None, 1,
         f"extract failed: {_NO_FILE}: '{{t}}/nodir/x.wav'"),
+    "extract_zero_frames": (
+        "extract --capture {d}/zero_frames.bin --out {t}/x.wav", None, 1,
+        "extract failed: empty capture: {d}/zero_frames.bin"),
+    "extract_one_adc_sample": (
+        "extract --capture {d}/one_adc_sample.bin --out {t}/x.wav", None, 1,
+        "extract failed: no target: {d}/one_adc_sample.bin"),
+    "extract_all_zero_body": (
+        "extract --capture {d}/zero_body.bin --out {t}/x.wav", None, 1,
+        "extract failed: no target: {d}/zero_body.bin"),
     "synth_ok": ("synth --manifest {d}/clips.txt --out-dir {t}/ds --jitter", None, 0, ""),
     "synth_negative_seed": (
         "synth --manifest {d}/clips.txt --out-dir {t}/ds --seed -1", None, 2,
@@ -1464,6 +1525,9 @@ _EXIT_PATHS = {
     "synth_missing_manifest": (
         "synth --manifest {d}/nope.txt --out-dir {t}/ds", None, 1,
         f"synth failed: {_NO_FILE}: '{{d}}/nope.txt'"),
+    "synth_no_entries": (
+        "synth --manifest {d}/empty.jsonl --out-dir {t}/ds", None, 1,
+        "synth failed: manifest lists no entries: {d}/empty.jsonl"),
     "synth_rate_rounds_to_zero": (
         "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=1e-300", None, 1,
         "synth failed: all manifest entries failed, first: "
@@ -1483,7 +1547,7 @@ _EXIT_PATHS = {
         f"score failed: {_NO_FILE}: '{{d}}/nope.jsonl'"),
     "score_no_pairs": (
         "score --manifest {d}/empty.jsonl --report {t}/r.json", None, 1,
-        "score failed: manifest lists no pairs"),
+        "score failed: manifest lists no pairs: {d}/empty.jsonl"),
     "score_all_pairs_fail": (
         "score --manifest {d}/missing_pairs.jsonl --report {t}/r.json", None, 1,
         "score failed: all pairs failed"),
@@ -1546,6 +1610,13 @@ def exit_inputs(tmp_path_factory):
     tone = str(make_tone_wav(d / "tone.wav", duration=1.0))
     assert main(["simulate", "--audio", tone, "--out", str(d / "cap.bin")]) == 0
     (d / "clips.txt").write_text(f"{tone}\n")
+    for name, samples in [("empty", []), ("one_sample", [0.5]), ("silent", np.zeros(8000)),
+                          ("short", 0.4 * np.sin(np.arange(255) / 5.0))]:
+        write_wav(d / f"{name}.wav", AudioBuffer(samples, 8000.0))
+    write_capture_frames(d / "zero_frames.bin", ChirpConfig(), [])
+    write_capture_frames(d / "one_adc_sample.bin", ChirpConfig(adc_samples_per_chirp=1),
+                         [np.ones((256, 1), dtype=np.complex64)])
+    write_capture_frames(d / "zero_body.bin", ChirpConfig(), [np.zeros((256, 256), np.complex64)])
     ghz = np.round(0.4 * 2**15 * np.sin(np.arange(400) / 5.0)).astype("<i2").tobytes()
     (d / "ghz.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, rate=1_100_000_000)),
                                          riff_chunk(b"data", ghz)))
@@ -1574,9 +1645,9 @@ _INI_VALUE = st.one_of(
     st.sampled_from(["", "x", "1e400", "-1e400", "5%", "0x10", "nan", "-inf", "pet", "steel"]),
     st.text(max_size=8),
 )
-# The keys that size the [frames, chirps, adc] capture stay small: no key caps
-# chirps_per_frame * adc_samples_per_chirp, and a short frame_period makes
-# many frames.
+# The keys that size the [frames, chirps, adc] capture stay small: the frame
+# cap still lets one frame take 8 MiB, and a short frame_period makes many
+# frames.
 _INI_SIZING = {
     "chirps_per_frame": st.integers(-1, 256).map(str),
     "adc_samples_per_chirp": st.integers(-1, 256).map(str),

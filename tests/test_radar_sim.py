@@ -31,7 +31,7 @@ from mmvib import (
     unwrap_phase,
 )
 from mmvib.cli import main
-from mmvib.radar_sim import stamp_capture_file
+from mmvib.radar_sim import stamp_capture_file, write_capture_frames
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -65,6 +65,12 @@ class TestChirpConfig:
 
     def test_wavelength(self, chirp_cfg):
         assert chirp_cfg.wavelength == pytest.approx(SPEED_OF_LIGHT / 60e9)
+
+    def test_frame_shape_capped(self):
+        # 2^20 samples a frame, 8 MiB of complex64, is the largest accepted
+        assert ChirpConfig(adc_samples_per_chirp=4096).adc_samples_per_chirp == 4096
+        with pytest.raises(ValueError, match="chirps_per_frame \\* adc_samples_per_chirp"):
+            ChirpConfig(adc_samples_per_chirp=4097)
 
     def test_carrier_with_an_infinite_wavelength_rejected(self):
         # positive and finite, but c / 1e-300 overflows
@@ -498,6 +504,23 @@ class TestCaptureIO:
         path.write_bytes(bytes(data))
         message = f"bad capture header, chirps_per_frame must be a positive integer, got 0: {path}"
         assert_rejected(path, message, tmp_path, capsys)
+
+    def test_header_with_a_frame_past_the_cap_allocates_nothing(self, chirp_cfg, tmp_path, capsys):
+        path = tmp_path / "cap.bin"
+        write_capture_frames(path, chirp_cfg, [])
+        data = bytearray(path.read_bytes())
+        # adc_samples_per_chirp is the first uint32 after the magic and four float64
+        struct.pack_into("<I", data, 8 + 4 * 8, 1 << 20)
+        path.write_bytes(bytes(data))
+        message = ("bad capture header, chirps_per_frame * adc_samples_per_chirp = 268435456 "
+                   f"exceeds 1048576 samples per frame: {path}")
+        tracemalloc.start()
+        try:
+            assert_rejected(path, message, tmp_path, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_header_with_an_infinite_wavelength(self, chirp_cfg, tmp_path, capsys):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)

@@ -122,19 +122,19 @@ class TestUnwrap:
 
 class TestStft:
     def test_zero_signal(self):
-        spec = stft(AudioBuffer(np.zeros(1024), 8000.0), 256, 64)
+        spec = stft(np.zeros(1024), 256, 64)
         assert np.all(spec == 0)
 
     def test_sine_peak_bin(self):
         t = np.arange(4096) / 8000.0
-        spec = stft(AudioBuffer(np.sin(2 * np.pi * 1000.0 * t), 8000.0), 256, 64)
+        spec = stft(np.sin(2 * np.pi * 1000.0 * t), 256, 64)
         mags = np.abs(spec)
         assert np.all(mags.argmax(axis=0) == 32)
 
     def test_impulse_locality(self):
         x = np.zeros(1024)
         x[10] = 1.0
-        spec = stft(AudioBuffer(x, 8000.0), 256, 64)
+        spec = stft(x, 256, 64)
         energy = (np.abs(spec) ** 2).sum(axis=0)
         assert energy[0] > 0
         # only frame 0 starts at or before sample 10
@@ -142,10 +142,10 @@ class TestStft:
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="input too short"):
-            stft(AudioBuffer(np.zeros(100), 8000.0), 256, 64)
+            stft(np.zeros(100), 256, 64)
 
     def test_frame_count_and_shape(self):
-        spec = stft(AudioBuffer(np.zeros(1000), 8000.0), 256, 64)
+        spec = stft(np.zeros(1000), 256, 64)
         assert spec.shape == (129, (1000 - 256) // 64 + 1)
 
     def test_parseval_energy_tracking(self):
@@ -153,7 +153,7 @@ class TestStft:
         rng = np.random.default_rng(3)
         n, window_len, hop = 2**17, 256, 64
         x = rng.standard_normal(n)
-        spec = stft(AudioBuffer(x, 8000.0), window_len, hop)
+        spec = stft(x, window_len, hop)
         power = np.abs(spec) ** 2
         power[1:-1] *= 2.0  # one-sided correction
         win = hann_window(window_len)
@@ -372,7 +372,7 @@ class TestBandSums:
 
     def test_mel_spectrogram_equals_the_dense_product(self):
         audio = AudioBuffer(np.random.default_rng(6).standard_normal(4096), 16000.0)
-        dense = mel_filterbank(40, 256, 16000.0) @ np.abs(stft(audio, 256, 64))
+        dense = mel_filterbank(40, 256, 16000.0) @ np.abs(stft(audio.samples, 256, 64))
         np.testing.assert_allclose(mel_spectrogram(audio, 40, 256), dense, rtol=1e-12, atol=0.0)
 
 
