@@ -230,6 +230,13 @@ def _write_capture(config: PipelineConfig, forcing: AudioBuffer, seed_key, path)
     return n_frames, log, target
 
 
+def _has_spread(audio: AudioBuffer) -> bool:
+    """Whether audio has the finite, non-zero spread that zscore_normalize needs."""
+    # a spread past the float64 range is refused here, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        return len(audio) > 1 and 0 < audio.samples.std() < np.inf
+
+
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     """Simulate an IF capture from a WAV forcing signal and write the container.
 
@@ -239,7 +246,7 @@ def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     """
     audio = resample(read_wav(audio_in), config.chirp.effective_sampling_rate)
     # what zscore_normalize and the frame count would reject, blamed on the file
-    if len(audio) < config.chirp.chirps_per_frame or not 0 < audio.samples.std() < np.inf:
+    if len(audio) < config.chirp.chirps_per_frame or not _has_spread(audio):
         raise ValueError(f"audio must fill one frame ({config.chirp.chirps_per_frame} samples at "
                          f"the chirp rate) and have a finite, non-zero spread: {audio_in}")
     forcing = zscore_normalize(audio)
@@ -299,8 +306,6 @@ def _read_pair_manifest(path) -> list:
     """
     rows = []
     for line_no, line in manifest_lines(path):
-        if not line.strip():
-            continue
         try:
             rows.append(json.loads(line))
         except (ValueError, RecursionError) as exc:
@@ -433,6 +438,9 @@ def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_o
     Writes a JSON report plus a CSV table next to it.
     """
     audio = read_wav(audio_in)
+    # blamed on the file, not on the first value
+    if not _has_spread(audio):
+        raise ValueError(f"audio must have a finite, non-zero spread: {audio_in}")
     rows = []
     for index, value in enumerate(values):
         try:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -260,15 +259,16 @@ def iter_if_frames(
     fill a whole frame are dropped. The scene is checked on the call; each
     [chirps_per_frame, adc_samples_per_chirp] frame is made only when the
     iterator reaches it. From the first frame on, one background thread
-    draws the noise from the one seeded generator, in frame order and at
-    most two frames ahead; numpy lets it draw while the caller works on the
-    frames before. An error in a draw is raised here, and closing or
-    dropping the iterator stops the thread, so the frames equal those of a
-    single thread. The draws and the chirps are built in buffers made once;
-    each frame yielded is a new array.
+    draws each frame's noise in one call to the one seeded generator, in
+    frame order and at most two frames ahead; numpy lets it draw while the
+    caller works on the frames before. An error in a draw is raised here,
+    and closing or dropping the iterator stops the thread, so the frames
+    equal those of a single thread. The draws and the chirps are built in
+    buffers made once; each frame yielded is a new array.
     """
-    if len(vibration) == 0:
-        raise ValueError("empty vibration trace")
+    n_frames = len(vibration) // cfg.chirps_per_frame
+    if n_frames == 0:
+        raise ValueError("vibration shorter than one frame")
     rate = cfg.effective_sampling_rate
     if abs(vibration.sample_rate - rate) > 1e-6 * rate:
         raise ValueError(
@@ -295,9 +295,6 @@ def iter_if_frames(
             f"peak displacement {peak:.3e} m leaves the small-vibration regime "
             f"(quarter wavelength {quarter_wave:.3e} m)"
         )
-    n_frames = len(vibration) // cfg.chirps_per_frame
-    if n_frames == 0:
-        raise ValueError("vibration shorter than one frame")
 
     rng = np.random.default_rng(seed)
     beat_freq = 2.0 * cfg.slope * range_m / SPEED_OF_LIGHT
@@ -306,15 +303,10 @@ def iter_if_frames(
     noise_scale = 10.0 ** (noise_floor_db / 20.0) / np.sqrt(2.0)
     cpf = cfg.chirps_per_frame
     adc = cfg.adc_samples_per_chirp
-    # frame f's noise is drawn into slot f % 3, which frame f + 3 reuses once
-    # frame f is built
-    slots = [(np.empty((cpf, adc)), np.empty((cpf, adc))) for _ in range(min(3, n_frames))]
+    # frame f's noise, real parts then imaginary, is drawn into slot f % 3,
+    # which frame f + 3 reuses once frame f is built
+    slots = [np.empty((2, cpf, adc)) for _ in range(min(3, n_frames))]
     chirps = np.empty((cpf, adc), dtype=np.complex128)
-
-    def draw(slot: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        for part in slot:
-            rng.standard_normal(out=part)
-        return slot
 
     def frames() -> Iterator[np.ndarray]:
         # imported here: concurrent.futures loads logging, which would add to
@@ -324,19 +316,18 @@ def iter_if_frames(
         # one worker runs the draws in the order they are submitted
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mmvib-noise")
         try:
-            draws = deque(pool.submit(draw, slots[f]) for f in range(min(2, n_frames)))
+            draws = [pool.submit(rng.standard_normal, out=slot) for slot in slots[:2]]
             for f in range(n_frames):
-                real, imag = draws.popleft().result()
+                noise = draws[f].result()
                 if f + 2 < n_frames:
-                    draws.append(pool.submit(draw, slots[(f + 2) % 3]))
+                    draws.append(pool.submit(rng.standard_normal, out=slots[(f + 2) % 3]))
                 d = vibration.samples[f * cpf : (f + 1) * cpf]
                 phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
                 np.multiply((reflectivity * np.exp(1j * phase))[:, None], beat, out=chirps)
-                # the parts of the complex sum chirps + noise_scale * (real + 1j * imag)
-                real *= noise_scale
-                imag *= noise_scale
-                chirps.real += real
-                chirps.imag += imag
+                # the parts of the complex sum chirps + noise_scale * (noise[0] + 1j * noise[1])
+                noise *= noise_scale
+                chirps.real += noise[0]
+                chirps.imag += noise[1]
                 # a noise tail past complex64 becomes inf, which the bin search reports
                 with np.errstate(over="ignore"):
                     frame = chirps.astype(np.complex64)

@@ -185,10 +185,13 @@ def zscore_normalize(audio: AudioBuffer) -> AudioBuffer:
     x = audio.samples
     if x.size < 2:
         raise ValueError("degenerate normalization")
-    std = float(x.std())
+    # a spread past the float64 range is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean()
+        std = float(x.std())
     if std == 0.0 or not np.isfinite(std):
         raise ValueError("degenerate normalization")
-    return AudioBuffer((x - x.mean()) / std, audio.sample_rate)
+    return AudioBuffer((x - mean) / std, audio.sample_rate)
 
 
 def unwrap_phase(phases: np.ndarray) -> np.ndarray:

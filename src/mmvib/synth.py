@@ -147,9 +147,7 @@ def build_dataset(
         raise RuntimeError(f"all manifest entries failed, first: {rows[0]['error']}")
 
     manifest_out = out_dir / "manifest.jsonl"
-    with open(manifest_out, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    manifest_out.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     return manifest_out
 
 
@@ -180,10 +178,10 @@ def map_rows(work: Callable, rows: list) -> list:
 
 
 def manifest_lines(path) -> Iterator[tuple[int, str]]:
-    """Each line of a UTF-8 text file, numbered from 1, as open() splits it.
+    """Each non-blank line of a UTF-8 text file as open() splits it, numbered from 1.
 
-    Each line is checked on its own, so a line that is not UTF-8 is a
-    ValueError naming the file and line.
+    Blank lines count toward the numbers. Each line is checked on its own,
+    so a line that is not UTF-8 is a ValueError naming the file and line.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -191,7 +189,8 @@ def manifest_lines(path) -> Iterator[tuple[int, str]]:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path} line {line_no}: {exc}") from None
-            yield line_no, line
+            if line.strip():
+                yield line_no, line
 
 
 def _read_input_manifest(path) -> list[str]:
@@ -199,8 +198,6 @@ def _read_input_manifest(path) -> list[str]:
     entries: list[str] = []
     for line_no, line in manifest_lines(path):
         line = line.strip()
-        if not line:
-            continue
         if not line.startswith("{"):
             entries.append(line)
             continue

@@ -618,6 +618,17 @@ class TestSynth:
         assert err.count("\n") == 1
         assert f"{manifest} line 2" in err
 
+    def test_blank_lines_count_toward_the_line_number(self, tmp_path, capsys):
+        wav = tmp_path / "c.wav"
+        write_wav(wav, make_speech_clip(0, duration=0.5))
+        manifest = tmp_path / "in.jsonl"
+        manifest.write_text("\n \t \n" + json.dumps({"clean_path": str(wav)}) + "\n"
+                            + json.dumps({"path": str(wav)}) + "\n")
+        assert main(["synth", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "ds")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"synth failed: {manifest} line 4: no JSON clean_path field\n"
+
     def test_deeply_nested_json_row(self, tmp_path, capsys):
         manifest = tmp_path / "in.jsonl"
         manifest.write_text('{"clean_path": ' + "[" * 100_000 + "\n")
@@ -813,6 +824,18 @@ class TestScore:
         assert err.count("\n") == 1
         assert f"{manifest} line 2" in err
         assert "Traceback" not in err
+        assert not report_path.exists()
+
+    def test_blank_lines_count_toward_the_line_number(self, tmp_path, capsys):
+        wav = make_tone_wav(tmp_path / "x.wav", duration=1.0)
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_text("\n \t \n" + json.dumps({"ref_path": str(wav), "deg_path": str(wav)})
+                            + "\n{\n")
+        report_path = tmp_path / "report.json"
+        assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"score failed: {manifest} line 4: Expecting property name enclosed in "
+                       "double quotes: line 2 column 1 (char 2)\n")
         assert not report_path.exists()
 
     def test_non_utf8_manifest_line(self, tmp_path, capsys):
@@ -1493,6 +1516,10 @@ _EXIT_PATHS = {
     "simulate_silent_wav": (
         "simulate --audio {d}/silent.wav --out {t}/c.bin", None, 1,
         f"simulate failed: {_NO_FRAME}: {{d}}/silent.wav"),
+    # squares past the float64 range: the spread check prints no numpy warning
+    "simulate_float64_wav_past_the_spread": (
+        "simulate --audio {d}/huge.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/huge.wav"),
     "simulate_nan_artifact_magnitude": (
         "simulate --config {d}/nan_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: periodic_sigma must be finite and >= 0, got nan"),
@@ -1528,6 +1555,9 @@ _EXIT_PATHS = {
     "synth_no_entries": (
         "synth --manifest {d}/empty.jsonl --out-dir {t}/ds", None, 1,
         "synth failed: manifest lists no entries: {d}/empty.jsonl"),
+    "synth_blank_lines_only": (
+        "synth --manifest {d}/blank.txt --out-dir {t}/ds", None, 1,
+        "synth failed: manifest lists no entries: {d}/blank.txt"),
     "synth_rate_rounds_to_zero": (
         "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=1e-300", None, 1,
         "synth failed: all manifest entries failed, first: "
@@ -1548,6 +1578,9 @@ _EXIT_PATHS = {
     "score_no_pairs": (
         "score --manifest {d}/empty.jsonl --report {t}/r.json", None, 1,
         "score failed: manifest lists no pairs: {d}/empty.jsonl"),
+    "score_blank_lines_only": (
+        "score --manifest {d}/blank.txt --report {t}/r.json", None, 1,
+        "score failed: manifest lists no pairs: {d}/blank.txt"),
     "score_all_pairs_fail": (
         "score --manifest {d}/missing_pairs.jsonl --report {t}/r.json", None, 1,
         "score failed: all pairs failed"),
@@ -1594,6 +1627,10 @@ _EXIT_PATHS = {
     "simulate_nan_alpha": (
         "simulate --config {d}/nan_alpha.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: alpha and beta must be finite and >= 0, got nan, 0.3"),
+    # the source is checked once, before the first value, and named
+    "sweep_silent_wav": (
+        "sweep --param alpha --values 0.5 --audio {d}/silent.wav --report {t}/s.json", None, 1,
+        "sweep failed: audio must have a finite, non-zero spread: {d}/silent.wav"),
     "sweep_bad_value": (
         "sweep --param material --values steel --audio {d}/tone.wav --report {t}/s.json", None, 1,
         "sweep failed: material=steel: unknown material preset 'steel', valid: pet, tinfoil"),
@@ -1621,8 +1658,12 @@ def exit_inputs(tmp_path_factory):
     (d / "ghz.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, rate=1_100_000_000)),
                                          riff_chunk(b"data", ghz)))
     (d / "ghz_clips.txt").write_text(f"{d / 'ghz.wav'}\n")
+    huge = np.resize([1e200, -1e200], 8000).astype("<f8").tobytes()
+    (d / "huge.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 64)),
+                                          riff_chunk(b"data", huge)))
     (d / "pairs.jsonl").write_text(json.dumps({"ref_path": tone, "deg_path": tone}) + "\n")
     (d / "empty.jsonl").write_text("\n")
+    (d / "blank.txt").write_text("\n  \n\t\n")
     (d / "missing_pairs.jsonl").write_text(
         json.dumps({"ref_path": str(d / "nope.wav"), "deg_path": tone}) + "\n")
     (d / "unknown.ini").write_text("[bogus]\n")

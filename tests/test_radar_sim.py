@@ -314,13 +314,13 @@ class TestSimulate:
 
     def test_frame_stream_raises_a_draw_error(self, chirp_cfg):
         class FailingGenerator(np.random.Generator):
-            """Fails on its third draw: the real part of the second frame's noise."""
+            """Fails on its second draw: the second frame's noise."""
 
             draws = 0
 
             def standard_normal(self, *args, **kwargs):
                 self.draws += 1
-                if self.draws == 3:
+                if self.draws == 2:
                     raise RuntimeError("draw failed")
                 return super().standard_normal(*args, **kwargs)
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ class TestZscore:
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError, match="degenerate normalization"):
             zscore_normalize(AudioBuffer([1.0], 8000.0))
+
+    @pytest.mark.parametrize("samples", [
+        np.resize([1e200, -1e200], 8000),
+        np.resize([np.finfo(np.float64).max, -np.finfo(np.float64).max], 8000),
+        np.full(8000, np.finfo(np.float64).max),
+    ], ids=["squares_overflow", "sum_overflows_both_ways", "sum_overflows"])
+    def test_spread_past_float64_rejected_without_a_warning(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="degenerate normalization"):
+                zscore_normalize(AudioBuffer(samples, 8000.0))
 
     @given(
         st.lists(
