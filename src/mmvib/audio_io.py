@@ -178,10 +178,12 @@ def resample(audio: AudioBuffer, target_rate: float) -> AudioBuffer:
     padded[lead : lead + len(audio)] = audio.samples
     windows = sliding_window_view(padded, bank.shape[1])
     out = np.empty(n_out)
-    for first in range(min(up, n_out)):
-        q, phase = divmod(first * down + half_len, up)
-        rows = len(range(first, n_out, up))
-        out[first::up] = windows[q : q + (rows - 1) * down + 1 : down] @ bank[phase]
+    # sums past the float64 range come out inf or nan, which AudioBuffer refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(min(up, n_out)):
+            q, phase = divmod(first * down + half_len, up)
+            rows = len(range(first, n_out, up))
+            out[first::up] = windows[q : q + (rows - 1) * down + 1 : down] @ bank[phase]
     return AudioBuffer(out, target_rate)
 
 

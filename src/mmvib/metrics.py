@@ -8,7 +8,6 @@ ordering, and gain-invariance properties are the stable contract.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -124,8 +123,8 @@ def fwsegsnr(ref: AudioBuffer, deg: AudioBuffer) -> float:
 def _fwsegsnr(ref_mag: np.ndarray, deg_mag: np.ndarray, fs: float) -> float:
     """fwsegsnr from the 25 ms / 10 ms magnitude frames of both signals."""
     bank = (mel_filterbank, FWSEG_BANDS, _frame_params(fs)[0], fs, FWSEG_FMIN_HZ)
-    ref_band = band_sums(ref_mag, *bank, axis=1)
-    deg_band = band_sums(deg_mag, *bank, axis=1)
+    ref_band = band_sums(ref_mag.T, *bank).T
+    deg_band = band_sums(deg_mag.T, *bank).T
     weights = ref_band**FWSEG_WEIGHT_EXPONENT
     band_snr = 10.0 * np.log10((ref_band**2 + _EPS) / ((ref_band - deg_band) ** 2 + _EPS))
     weight_sums = weights.sum(axis=1)
@@ -136,16 +135,13 @@ def _fwsegsnr(ref_mag: np.ndarray, deg_mag: np.ndarray, fs: float) -> float:
     return float(np.clip(frame_snr, FWSEG_FLOOR_DB, FWSEG_CEIL_DB).mean())
 
 
-@functools.lru_cache(maxsize=16)
 def _third_octave_bands(n_bins: int, fs: float) -> np.ndarray:
-    """Membership matrix [STOI_BANDS, n_bins] of one-third-octave bands, cached read-only."""
+    """Membership matrix [STOI_BANDS, n_bins] of one-third-octave bands."""
     freqs = np.arange(n_bins) * (fs / STOI_NFFT)
     centers = STOI_BAND_FMIN_HZ * 2.0 ** (np.arange(STOI_BANDS) / 3.0)
     lo = centers / 2.0 ** (1.0 / 6.0)
     hi = centers * 2.0 ** (1.0 / 6.0)
-    bands = ((freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])).astype(float)
-    bands.flags.writeable = False
-    return bands
+    return ((freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])).astype(float)
 
 
 def stoi(ref: AudioBuffer, deg: AudioBuffer) -> float:
@@ -178,8 +174,8 @@ def stoi(ref: AudioBuffer, deg: AudioBuffer) -> float:
     x_power = np.abs(np.fft.rfft(x_frames, n=STOI_NFFT, axis=1)) ** 2
     y_power = np.abs(np.fft.rfft(y_frames, n=STOI_NFFT, axis=1)) ** 2
     bands = (_third_octave_bands, x_power.shape[1], STOI_RATE_HZ)
-    x_env = np.sqrt(band_sums(x_power, *bands, axis=1)).T
-    y_env = np.sqrt(band_sums(y_power, *bands, axis=1)).T
+    x_env = np.sqrt(band_sums(x_power.T, *bands))
+    y_env = np.sqrt(band_sums(y_power.T, *bands))
 
     x_seg = sliding_window_view(x_env, STOI_SEGMENT_FRAMES, axis=1)
     y_seg = sliding_window_view(y_env, STOI_SEGMENT_FRAMES, axis=1)
@@ -203,7 +199,7 @@ def stoi(ref: AudioBuffer, deg: AudioBuffer) -> float:
 def _mfcc(mag: np.ndarray, fs: float) -> np.ndarray:
     """MFCC frames [n_frames, MCD_COEFFS] from 25 ms / 10 ms magnitude frames, energy excluded."""
     bank = (mel_filterbank, MCD_BANDS, _frame_params(fs)[0], fs)
-    energies = np.maximum(band_sums(mag**2, *bank, axis=1), MCD_LOG_FLOOR)
+    energies = np.maximum(band_sums(mag.T**2, *bank).T, MCD_LOG_FLOOR)
     # einsum's own loops, not BLAS
     return np.einsum("fb,cb->fc", np.log(energies), _MCD_DCT[1 : MCD_COEFFS + 1], optimize=False)
 

@@ -208,7 +208,9 @@ def _response_denominator(material: SurfaceMaterial, w: np.ndarray) -> np.ndarra
     k = material.stiffness
     m = material.mass
     c = material.damping
-    denom = np.sqrt((k - m * w * w) ** 2 + (c * w) ** 2)
+    # a denominator past the float64 range is inf, which gives zero displacement
+    with np.errstate(over="ignore"):
+        denom = np.sqrt((k - m * w * w) ** 2 + (c * w) ** 2)
     if np.any(denom == 0.0):
         raise ValueError("unbounded resonance")
     return denom

@@ -82,14 +82,13 @@ def stft(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     return np.fft.rfft(windowed, axis=1).T
 
 
-@functools.lru_cache(maxsize=64)
 def mel_filterbank(
     n_mels: int, window_len: int, sample_rate: float, fmin: float = 0.0
 ) -> np.ndarray:
     """Triangular mel filterbank from fmin to Nyquist, [n_mels, window_len // 2 + 1].
 
-    Each filter peaks at weight 1. Banks are cached per argument tuple and
-    every caller shares one read-only array.
+    Each filter peaks at weight 1. Each call builds a fresh array; band_sums
+    caches the plan it derives from a bank, not the bank.
     """
     fmax = sample_rate / 2.0
     n_bins = window_len // 2 + 1
@@ -105,9 +104,7 @@ def mel_filterbank(
     hi = hz_pts[2:, None]
     rise = (freqs[None, :] - lo) / np.maximum(ctr - lo, 1e-12)
     fall = (hi - freqs[None, :]) / np.maximum(hi - ctr, 1e-12)
-    bank = np.clip(np.minimum(rise, fall), 0.0, None)
-    bank.flags.writeable = False
-    return bank
+    return np.clip(np.minimum(rise, fall), 0.0, None)
 
 
 # Gathered spectrum values per block of band_sums: 1 MB of float64.
@@ -126,7 +123,7 @@ def _band_plan(bank_of, args: tuple) -> tuple[int, list[tuple[slice, np.ndarray,
     of its filter, padded to the group's widest filter with bin 0 at weight 0,
     and row f of weight holds the filter's weights on those bins. An empty
     filter is all padding. The arrays are read-only, and plans are cached per
-    (bank_of, args) as the banks are.
+    (bank_of, args), so each bank is built once per plan.
     """
     bank = bank_of(*args)
     nonzero = bank != 0
@@ -151,27 +148,25 @@ def _band_plan(bank_of, args: tuple) -> tuple[int, list[tuple[slice, np.ndarray,
     return len(bank), plan
 
 
-def band_sums(mag: np.ndarray, bank_of, *args, axis: int = 0) -> np.ndarray:
-    """The product of the bank bank_of(*args) with the 2-D spectrum mag along axis.
+def band_sums(mag: np.ndarray, bank_of, *args) -> np.ndarray:
+    """The product bank @ mag of the bank bank_of(*args) with the spectrum mag.
 
-    mag holds bins along axis and frames along the other axis; the result
-    holds the filters in place of the bins: bank @ mag for axis 0 and
-    mag @ bank.T for axis 1. Each filter covers a short run of bins, so its
+    mag is laid out [bins, frames] (a transposed view will do), and the
+    result [filters, frames]. Each filter covers a short run of bins, so its
     output is a weighted sum over that run, taken with einsum's own loops
     rather than BLAS, a block of frames at a time. On a nonnegative mag the
     sums agree with the dense product within 1e-12 relative.
     """
     n_filters, plan = _band_plan(bank_of, args)
-    bins = np.moveaxis(mag, axis, 0)
-    out = np.empty((n_filters, bins.shape[1]))
+    out = np.empty((n_filters, mag.shape[1]))
     for filters, index, weight in plan:
         step = max(1, _BAND_BLOCK // index.size)
-        for start in range(0, bins.shape[1], step):
+        for start in range(0, mag.shape[1], step):
             block = slice(start, start + step)
             # [filters, width, frames]: each sum runs along the frames
-            np.einsum("bwf,bw->bf", bins[index, block], weight, out=out[filters, block],
+            np.einsum("bwf,bw->bf", mag[index, block], weight, out=out[filters, block],
                       optimize=False)
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def mel_spectrogram(audio: AudioBuffer, n_mels: int, window_len: int) -> np.ndarray:

@@ -1520,6 +1520,9 @@ _EXIT_PATHS = {
     "simulate_float64_wav_past_the_spread": (
         "simulate --audio {d}/huge.wav --out {t}/c.bin", None, 1,
         f"simulate failed: {_NO_FRAME}: {{d}}/huge.wav"),
+    # a response denominator past the float64 range: zero displacement, no numpy warning
+    "simulate_mass_past_the_float64_range": (
+        "simulate --config {d}/heavy.ini --audio {d}/tone.wav --out {t}/c.bin", None, 0, ""),
     "simulate_nan_artifact_magnitude": (
         "simulate --config {d}/nan_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: periodic_sigma must be finite and >= 0, got nan"),
@@ -1566,6 +1569,10 @@ _EXIT_PATHS = {
         "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=inf", None, 1,
         "synth failed: all manifest entries failed, first: "
         f"cannot resample from 8000.0 Hz to inf Hz: {_UNREPRESENTABLE}"),
+    # upsampling samples at the float64 maximum overflows: no numpy warning either
+    "synth_upsampled_float64_max": (
+        "synth --manifest {d}/max_clips.txt --out-dir {t}/ds --sample-rate 16000", None, 1,
+        "synth failed: all manifest entries failed, first: samples contain non-finite values"),
     # a valid 1.1 GHz clip whose rate the float WAV header cannot hold
     "synth_rate_past_the_wav_header": (
         "synth --manifest {d}/ghz_clips.txt --out-dir {t}/ds --sample-rate 1.1e9", None, 1,
@@ -1583,6 +1590,10 @@ _EXIT_PATHS = {
         "score failed: manifest lists no pairs: {d}/blank.txt"),
     "score_all_pairs_fail": (
         "score --manifest {d}/missing_pairs.jsonl --report {t}/r.json", None, 1,
+        "score failed: all pairs failed"),
+    # the 8 kHz degraded side is upsampled to its 16 kHz reference's rate
+    "score_upsampled_float64_max": (
+        "score --manifest {d}/max_pairs.jsonl --report {t}/r.json", None, 1,
         "score failed: all pairs failed"),
     # exit 1, as for any other file the work cannot write
     "score_unwritable_report": (
@@ -1661,6 +1672,13 @@ def exit_inputs(tmp_path_factory):
     huge = np.resize([1e200, -1e200], 8000).astype("<f8").tobytes()
     (d / "huge.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 64)),
                                           riff_chunk(b"data", huge)))
+    at_max = np.resize([1.797e308, -1.797e308], 8000).astype("<f8").tobytes()
+    (d / "max.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 64)),
+                                         riff_chunk(b"data", at_max)))
+    (d / "max_clips.txt").write_text(f"{d / 'max.wav'}\n")
+    tone16 = str(make_tone_wav(d / "tone16.wav", duration=1.0, rate=16000.0))
+    (d / "max_pairs.jsonl").write_text(
+        json.dumps({"ref_path": tone16, "deg_path": str(d / "max.wav")}) + "\n")
     (d / "pairs.jsonl").write_text(json.dumps({"ref_path": tone, "deg_path": tone}) + "\n")
     (d / "empty.jsonl").write_text("\n")
     (d / "blank.txt").write_text("\n  \n\t\n")
@@ -1672,6 +1690,7 @@ def exit_inputs(tmp_path_factory):
     (d / "slow_frames.ini").write_text("[chirp]\nframe_period = 1e300\n")
     (d / "infinite_sigma.ini").write_text("[artifacts]\nbeginning_sigma = 1e400\n")
     (d / "nan_sigma.ini").write_text("[artifacts]\nperiodic_sigma = nan\n")
+    (d / "heavy.ini").write_text("[material]\nmass = 1e300\n")
     (d / "nan_alpha.ini").write_text("[synthesis]\nalpha = nan\n")
     (d / "infinite_beta.ini").write_text("[synthesis]\nbeta = inf\n")
     (d / "nan_rate.ini").write_text("[synthesis]\nsample_rate = nan\n")
@@ -1789,6 +1808,8 @@ class TestExitStatus:
     # artifact magnitudes that read as inf and nan
     @example(entries=[("artifacts", "beginning_sigma", "1e400")], tail=b"")
     @example(entries=[("artifacts", "periodic_sigma", "nan")], tail=b"")
+    # a response denominator past the float64 range
+    @example(entries=[("material", "mass", "1e300")], tail=b"")
     def test_config_fuzz(self, fuzz_dir, entries, tail, monkeypatch):
         monkeypatch.delenv("MMVIB_SEED", raising=False)
         sections: dict[str, list[str]] = {}

@@ -16,7 +16,6 @@ from mmvib import (
     fwsegsnr,
     mag_l1,
     mcd,
-    mel_filterbank,
     mel_loss,
     score_pair,
     stft,
@@ -116,14 +115,6 @@ class TestStoi:
         clip = make_dense_clip(7)
         scores = [stoi(clip, degrade(clip, 0.0, b, seed=8)) for b in (0.1, 1.0, 3.0)]
         assert scores[0] > scores[1] > scores[2]
-
-    def test_third_octave_bands_shared_read_only(self):
-        bands = mmvib.metrics._third_octave_bands(257, 10000.0)
-        assert mmvib.metrics._third_octave_bands(257, 10000.0) is bands
-        np.testing.assert_array_equal(
-            bands, mmvib.metrics._third_octave_bands.__wrapped__(257, 10000.0))
-        with pytest.raises(ValueError, match="read-only"):
-            bands[0, 0] = 2.0
 
 
 class TestMcd:
@@ -280,25 +271,32 @@ class TestScorePair:
     def test_filterbanks_built_once_across_calls(self, monkeypatch):
         clip = make_speech_clip(2, duration=1.0)
         deg = degrade(clip, 0.1, 0.05, seed=2)
+        want = score_pair(clip, deg)
+        builds = Counter()
+
+        def counted(bank_of):
+            def build(*args):
+                builds[(bank_of.__name__, *args)] += 1
+                return bank_of(*args)
+            return build
+
+        for name in ("mel_filterbank", "_third_octave_bands"):
+            monkeypatch.setattr(mmvib.metrics, name, counted(getattr(mmvib.metrics, name)))
         _band_plan.cache_clear()
-        mel_filterbank.cache_clear()
         first = score_pair(clip, deg)
         built = _band_plan.cache_info()
-        banks = mel_filterbank.cache_info()
+        n_builds = builds.copy()
         second = score_pair(clip, deg)
         again = _band_plan.cache_info()
         # each distinct plan is built once; every call of the second pair hits
         assert built.misses == built.currsize > 0
         assert again.misses == built.misses
         assert again.hits - built.hits == built.hits + built.misses
-        # each mel bank is built once, for its plan, and not looked up again
-        assert banks.misses == banks.currsize > 0
-        assert mel_filterbank.cache_info() == banks
-        assert second == first
-        # the same report with every bank built afresh
-        for module in (mmvib.signal_core, mmvib.metrics):
-            monkeypatch.setattr(module, "mel_filterbank", mel_filterbank.__wrapped__)
-        assert score_pair(clip, deg) == first
+        # each distinct bank is built once, for its plan, and none for the repeated pair
+        assert len(n_builds) == built.misses
+        assert set(n_builds.values()) == {1}
+        assert builds == n_builds
+        assert first == second == want
 
 
 def _scored_pairs():
@@ -400,8 +398,7 @@ class TestSharedSpectra:
         clip = make_speech_clip(40, duration=15.0)
         ref = zscore_normalize(clip)
         deg = degrade(clip, 0.4, 0.2, seed=41)
-        mel_filterbank.cache_clear()
-        score_pair(ref, deg)  # build the cached filterbanks outside the trace
+        score_pair(ref, deg)  # build the cached band plans outside the trace
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -210,13 +210,6 @@ class TestMel:
         assert np.all(bank >= 0)
         assert bank.max() <= 1.0 + 1e-12
 
-    def test_filterbank_shared_read_only(self):
-        bank = mel_filterbank(26, 256, 8000.0)
-        assert mel_filterbank(26, 256, 8000.0) is bank
-        np.testing.assert_array_equal(bank, mel_filterbank.__wrapped__(26, 256, 8000.0))
-        with pytest.raises(ValueError, match="read-only"):
-            bank[0, 0] = 2.0
-
     def test_over_resolved(self):
         with pytest.raises(ValueError, match="over-resolved filterbank"):
             mel_filterbank(200, 64, 8000.0)
@@ -281,8 +274,9 @@ class TestBandSums:
             mag = _spectrum(bank.shape[1], 203, seed)
             np.testing.assert_allclose(band_sums(mag, bank_of, *args), bank @ mag,
                                        rtol=1e-12, atol=0.0, err_msg=str(args))
+            # a [frames, bins] array goes in as its transposed view
             frames_first = np.ascontiguousarray(mag.T)
-            np.testing.assert_allclose(band_sums(frames_first, bank_of, *args, axis=1),
+            np.testing.assert_allclose(band_sums(frames_first.T, bank_of, *args).T,
                                        frames_first @ bank.T, rtol=1e-12, atol=0.0,
                                        err_msg=str(args))
 
