@@ -194,13 +194,6 @@ def _parse_section(section: str, raw: dict[str, str], defaults) -> dict:
     return parsed
 
 
-def _searched(frames, search: BinSearch):
-    """The frames, each added to the bin search as it passes."""
-    for frame in frames:
-        search.add(frame)
-        yield frame
-
-
 def _write_capture(config: PipelineConfig, forcing: AudioBuffer, seed_key, path):
     """Write the capture of the surface that forcing drives, one frame at a time.
 
@@ -222,7 +215,7 @@ def _write_capture(config: PipelineConfig, forcing: AudioBuffer, seed_key, path)
     )
     search = BinSearch(config.chirp)
     with closing(frames):
-        n_frames = write_capture_frames(path, config.chirp, _searched(frames, search))
+        n_frames = write_capture_frames(path, config.chirp, map(search.add, frames))
     target = search.target(path)
     log = stamp_capture_file(
         path, target, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
@@ -298,8 +291,8 @@ def _aggregate(pairs: list[dict]) -> dict:
     return summary
 
 
-def _read_pair_manifest(path) -> list:
-    """The JSON value of every non-blank manifest line.
+def _read_pair_manifest(path) -> list[tuple[int, object]]:
+    """The line number and JSON value of every non-blank manifest line.
 
     A line that is not UTF-8, does not parse, or nests too deeply for the
     parser, is a ValueError naming the file and line.
@@ -307,7 +300,7 @@ def _read_pair_manifest(path) -> list:
     rows = []
     for line_no, line in manifest_lines(path):
         try:
-            rows.append(json.loads(line))
+            rows.append((line_no, json.loads(line)))
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path} line {line_no}: {exc}") from None
     return rows
@@ -344,19 +337,23 @@ def cmd_score(manifest_in, report_out) -> None:
     Both signals are z-scored before scoring so that traces on physical
     scales compare against unit-scale audio. A pair whose rates differ has
     the degraded side resampled to the reference rate. A failing pair, even
-    out of memory, gets an error entry; the command fails only if all do.
+    out of memory, gets an error entry; the command fails only if all do,
+    naming the first by its paths, or by its line if it is not an object.
     Pairs run on map_rows' threads, and the report keeps their order.
     """
     rows = _read_pair_manifest(manifest_in)
     if not rows:
         raise ValueError(f"manifest lists no pairs: {manifest_in}")
 
-    pairs = map_rows(_score_row, rows)
+    pairs = map_rows(_score_row, [row for _, row in rows])
     succeeded = sum("error" not in entry for entry in pairs)
     report_doc = {"pairs": pairs, "aggregate": _aggregate(pairs)}
     Path(report_out).write_text(json.dumps(report_doc, indent=2) + "\n", encoding="utf-8")
     if succeeded == 0:
-        raise ValueError("all pairs failed")
+        (line_no, row), first = rows[0], pairs[0]
+        pair = (f"ref {first['ref_path']!r}, deg {first['deg_path']!r}" if isinstance(row, dict)
+                else f"{manifest_in} line {line_no}")
+        raise ValueError(f"all pairs failed, first: {pair}: {first['error']}")
     print(f"scored {succeeded}/{len(pairs)} pairs -> {report_out}")
 
 

@@ -139,9 +139,6 @@ class ArtifactEvent:
     chirp: int
     magnitude_rad: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ArtifactEvent":
         return cls(
@@ -353,15 +350,8 @@ def simulate_if_frames(
     The frames of iter_if_frames, with the same arguments, held in one array.
     """
     frames = iter_if_frames(cfg, vibration, range_m, reflectivity, noise_floor_db, seed)
-    return IFCapture(_collect(frames, len(vibration) // cfg.chirps_per_frame, cfg), cfg, [])
-
-
-def _collect(frames: Iterable[np.ndarray], n_frames: int, cfg: ChirpConfig) -> np.ndarray:
-    """Copy a stream of n_frames frames into one [n_frames, chirps, adc] complex64 array."""
-    out = np.empty((n_frames, cfg.chirps_per_frame, cfg.adc_samples_per_chirp), dtype=np.complex64)
-    for index, frame in enumerate(frames):
-        out[index] = frame
-    return out
+    frame = np.dtype((np.complex64, (cfg.chirps_per_frame, cfg.adc_samples_per_chirp)))
+    return IFCapture(np.fromiter(frames, frame, count=len(vibration) // cfg.chirps_per_frame), cfg)
 
 
 def _artifact_log(
@@ -474,7 +464,7 @@ def write_capture_frames(path, config: ChirpConfig, frames: Iterable[np.ndarray]
 
 def write_artifact_sidecar(path, artifact_log: list[ArtifactEvent], seed: int | None = None) -> None:
     """Write the artifact-log JSON sidecar next to a capture container."""
-    sidecar = {"seed": seed, "artifact_log": [event.to_dict() for event in artifact_log]}
+    sidecar = {"seed": seed, "artifact_log": [asdict(event) for event in artifact_log]}
     _sidecar_path(Path(path)).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
 
 
@@ -555,7 +545,9 @@ def load_capture(path) -> IFCapture:
     ValueError naming it.
     """
     reader = CaptureFile(path)
-    frames = _collect(reader, reader.n_frames, reader.config)
+    cfg = reader.config
+    frame = np.dtype((np.complex64, (cfg.chirps_per_frame, cfg.adc_samples_per_chirp)))
+    frames = np.fromiter(reader, frame, count=reader.n_frames)
     log: list[ArtifactEvent] = []
     sidecar = _sidecar_path(reader.path)
     if sidecar.exists():
@@ -565,7 +557,7 @@ def load_capture(path) -> IFCapture:
                 log = [ArtifactEvent.from_dict(d) for d in data.get("artifact_log", [])]
             except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"malformed capture sidecar {sidecar}: {exc!r}") from None
-    return IFCapture(frames, reader.config, log)
+    return IFCapture(frames, cfg, log)
 
 
 def _sidecar_path(path: Path) -> Path:

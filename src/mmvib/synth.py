@@ -96,7 +96,8 @@ def build_dataset(
     rate, degraded with a seed derived from (cfg.seed, item index), and both
     the resampled clean copy and the degraded copy are written under out_dir.
     A failing entry is an error row in the manifest, and the clean copy it
-    wrote, if any, is removed; the build fails only when every entry fails.
+    wrote, if any, is removed; the build fails only when every entry fails,
+    naming the first entry's input.
     Entries run on map_rows' threads, and the manifest keeps their order.
 
     With jitter enabled, alpha and beta get a per-item uniform scale in
@@ -144,7 +145,9 @@ def build_dataset(
 
     rows = map_rows(build, list(enumerate(entries)))
     if all("error" in row for row in rows):
-        raise RuntimeError(f"all manifest entries failed, first: {rows[0]['error']}")
+        first = rows[0]
+        raise RuntimeError(f"all manifest entries failed, first: {first['clean_path']!r}: "
+                           f"{first['error']}")
 
     manifest_out = out_dir / "manifest.jsonl"
     manifest_out.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")

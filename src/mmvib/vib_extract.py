@@ -157,11 +157,13 @@ class BinSearch:
     equal bit for bit to np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0,
     dtype=np.float32): numpy's complex64 FFT is its complex128 FFT rounded to
     complex64, which is the path taken here. The frame sums are added into
-    the float64 strength, DC to Nyquist. Every step writes into buffers made
-    once, since the FFT's own scratch would otherwise be mapped and unmapped
-    on every frame. The chirps are transformed _SEARCH_ROWS at a time. Frames
-    too large or not finite leave a strength that is not finite, which target
-    reports as one error, without numpy warnings.
+    the float64 strength, DC to Nyquist, and add returns the frame, so
+    map(search.add, frames) searches a stream on its way. Every step writes
+    into buffers made once, since the FFT's own scratch would otherwise be
+    mapped and unmapped on every frame. The chirps are transformed
+    _SEARCH_ROWS at a time. Frames too large or not finite leave a strength
+    that is not finite, which target reports as one error, without numpy
+    warnings.
     """
 
     def __init__(self, config: ChirpConfig) -> None:
@@ -175,7 +177,7 @@ class BinSearch:
         self._frame_strength = np.empty(self._bins, dtype=np.float32)
         self.strength = np.zeros(self._bins)
 
-    def add(self, frame: np.ndarray) -> None:
+    def add(self, frame: np.ndarray) -> np.ndarray:
         rows = len(self._wide)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(frame), rows):
@@ -186,6 +188,7 @@ class BinSearch:
                 np.abs(self._half[:n], out=self._magnitude[start : start + n])
             self._magnitude.sum(axis=0, dtype=np.float32, out=self._frame_strength)
         self.strength += self._frame_strength
+        return frame
 
     def target(self, source) -> int:
         """The strongest bin so far, DC excluded; source names the capture in errors."""

@@ -549,7 +549,7 @@ class TestExtract:
 
         def add(search, frame):
             searched.append(digest(frame))
-            original_add(search, frame)
+            return original_add(search, frame)
 
         def demodulate_bin(capture, target):
             on_file.extend(digest(frame) for frame in capture)
@@ -1297,9 +1297,23 @@ class TestRowPool:
         manifest.write_text("".join(json.dumps(r) + "\n" for r in (
             {"ref_path": broken, "deg_path": paths[0]}, [1], {"ref_path": paths[0]})))
         report = tmp_path / "report.json"
-        assert _run_score(manifest, report) == (1, "score failed: all pairs failed\n")
+        code, err = _run_score(manifest, report)
         pairs = json.loads(report.read_text())["pairs"]
         assert len(pairs) == 3 and all("error" in p for p in pairs)
+        # the line names the first pair's paths and gives its error
+        assert (code, err) == (1, f"score failed: all pairs failed, first: ref {broken!r}, "
+                                  f"deg {paths[0]!r}: {pairs[0]['error']}\n")
+        assert broken in pairs[0]["error"]
+
+    def test_score_all_failed_names_the_manifest_line_of_a_non_object(self, tmp_path, clips):
+        _, paths, broken = clips
+        manifest = tmp_path / "pairs.jsonl"
+        # blank lines count toward the line number
+        manifest.write_text("\n" + "".join(json.dumps(r) + "\n" for r in (
+            [1], {"ref_path": broken, "deg_path": paths[0]})))
+        code, err = _run_score(manifest, tmp_path / "report.json")
+        assert (code, err) == (1, f"score failed: all pairs failed, first: {manifest} line 2: "
+                                  "manifest row is not a JSON object: [1]\n")
 
     def test_synth_tree_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, clips, cpus):
         _, paths, broken = clips
@@ -1563,21 +1577,23 @@ _EXIT_PATHS = {
         "synth failed: manifest lists no entries: {d}/blank.txt"),
     "synth_rate_rounds_to_zero": (
         "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=1e-300", None, 1,
-        "synth failed: all manifest entries failed, first: "
+        "synth failed: all manifest entries failed, first: '{d}/tone.wav': "
         f"cannot resample from 8000.0 Hz to 1e-300 Hz: {_UNREPRESENTABLE}"),
     "synth_infinite_rate": (
         "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=inf", None, 1,
-        "synth failed: all manifest entries failed, first: "
+        "synth failed: all manifest entries failed, first: '{d}/tone.wav': "
         f"cannot resample from 8000.0 Hz to inf Hz: {_UNREPRESENTABLE}"),
     # upsampling samples at the float64 maximum overflows: no numpy warning either
     "synth_upsampled_float64_max": (
         "synth --manifest {d}/max_clips.txt --out-dir {t}/ds --sample-rate 16000", None, 1,
-        "synth failed: all manifest entries failed, first: samples contain non-finite values"),
+        "synth failed: all manifest entries failed, first: '{d}/max.wav': "
+        "samples contain non-finite values"),
     # a valid 1.1 GHz clip whose rate the float WAV header cannot hold
     "synth_rate_past_the_wav_header": (
         "synth --manifest {d}/ghz_clips.txt --out-dir {t}/ds --sample-rate 1.1e9", None, 1,
-        "synth failed: all manifest entries failed, first: sample rate 1100000000.0 Hz does "
-        "not fit a WAV header (1 to 1073741823 Hz): {t}/ds/clean/00000_ghz.wav"),
+        "synth failed: all manifest entries failed, first: '{d}/ghz.wav': sample rate "
+        "1100000000.0 Hz does not fit a WAV header (1 to 1073741823 Hz): "
+        "{t}/ds/clean/00000_ghz.wav"),
     "score_ok": ("score --manifest {d}/pairs.jsonl --report {t}/r.json", None, 0, ""),
     "score_missing_manifest": (
         "score --manifest {d}/nope.jsonl --report {t}/r.json", None, 1,
@@ -1590,11 +1606,13 @@ _EXIT_PATHS = {
         "score failed: manifest lists no pairs: {d}/blank.txt"),
     "score_all_pairs_fail": (
         "score --manifest {d}/missing_pairs.jsonl --report {t}/r.json", None, 1,
-        "score failed: all pairs failed"),
+        "score failed: all pairs failed, first: ref '{d}/nope.wav', deg '{d}/tone.wav': "
+        f"{_NO_FILE}: '{{d}}/nope.wav'"),
     # the 8 kHz degraded side is upsampled to its 16 kHz reference's rate
     "score_upsampled_float64_max": (
         "score --manifest {d}/max_pairs.jsonl --report {t}/r.json", None, 1,
-        "score failed: all pairs failed"),
+        "score failed: all pairs failed, first: ref '{d}/tone16.wav', deg '{d}/max.wav': "
+        "samples contain non-finite values"),
     # exit 1, as for any other file the work cannot write
     "score_unwritable_report": (
         "score --manifest {d}/pairs.jsonl --report {t}/nodir/r.json", None, 1,
@@ -1748,14 +1766,25 @@ _MANIFEST_LINE = st.one_of(
     st.text(max_size=10).filter(lambda t: "\n" not in t and "\r" not in t),
     st.just("\udcff"),
 )
+# Output rates no entry can reach: an array too large to allocate, and a
+# ratio of rates that rounds to zero.
+_UNREACHABLE_RATES = ("1e20", "1e-3")
 # synth's rates and gains, mostly valid.
 _SYNTH_RATE = st.one_of(
     st.sampled_from(["8000", "11025", "16000", "44100", "7999.5", "1"]),
     st.sampled_from(["0", "-1", "1e-300", "inf", "nan"]),
+    st.sampled_from(_UNREACHABLE_RATES),
 )
+_BAD_GAINS = ("-1", "inf", "nan")
 _VALID_GAIN = st.sampled_from(["0", "0.3", "1"])
 _SYNTH_GAIN = st.one_of(_VALID_GAIN, _VALID_GAIN, _VALID_GAIN,
-                        st.sampled_from(["-1", "1e300", "inf", "nan"]))
+                        st.sampled_from(["1e300", *_BAD_GAINS]))
+
+
+def _first_entry(lines: list[str]) -> str:
+    """The input that the first non-blank manifest line names, as synth reads it."""
+    line = next(line.strip() for line in lines if line.strip())
+    return str(json.loads(line)["clean_path"]) if line.startswith("{") else line
 
 
 @pytest.fixture(scope="module")
@@ -1800,7 +1829,26 @@ class TestExitStatus:
                                "--out-dir", str(tmp_path / "ds"), "--sample-rate", "1e20"])
         assert code == 1
         assert re.fullmatch(r"synth failed: all manifest entries failed, first: "
-                            r"Unable to allocate .+ for an array with shape .+\n", err)
+                            + re.escape(repr(str(wav)))
+                            + r": Unable to allocate .+ for an array with shape .+\n", err)
+
+    def test_synth_all_failed_names_the_first_entry(self, exit_inputs, tmp_path):
+        max_wav, missing = str(exit_inputs / "max.wav"), str(exit_inputs / "nope.wav")
+        manifest = tmp_path / "clips.jsonl"
+        manifest.write_text(f"\n{json.dumps({'clean_path': max_wav})}\n{missing}\n")
+        code, err = _run_main(["synth", "--manifest", str(manifest),
+                               "--out-dir", str(tmp_path / "ds"), "--sample-rate", "16000"])
+        assert (code, err) == (1, f"synth failed: all manifest entries failed, first: "
+                                  f"{max_wav!r}: samples contain non-finite values\n")
+
+    def test_synth_names_a_manifest_path_on_one_line(self, tmp_path):
+        # a JSON clean_path may hold a line break; the name is quoted, so stderr stays one line
+        manifest = tmp_path / "clips.jsonl"
+        manifest.write_text(json.dumps({"clean_path": "no\nsuch.wav"}) + "\n")
+        code, err = _run_main(["synth", "--manifest", str(manifest),
+                               "--out-dir", str(tmp_path / "ds")])
+        assert (code, err) == (1, "synth failed: all manifest entries failed, first: "
+                                  f"'no\\nsuch.wav': {_NO_FILE}: 'no\\nsuch.wav'\n")
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
@@ -1832,10 +1880,17 @@ class TestExitStatus:
                                  monkeypatch):
         monkeypatch.delenv("MMVIB_SEED", raising=False)
         manifest = fuzz_dir / "fuzz.txt"
-        text = "".join(line.replace("{d}", str(fuzz_dir)) + "\n" for line in lines)
+        lines = [line.replace("{d}", str(fuzz_dir)) for line in lines]
+        text = "".join(line + "\n" for line in lines)
         manifest.write_bytes(text.encode("utf-8", "surrogateescape"))
         argv = ["synth", "--manifest", str(manifest), "--out-dir", str(fuzz_dir / "ds"),
                 f"--sample-rate={rate}", f"--alpha={alpha}", f"--beta={beta}", f"--seed={seed}"]
         code, err = _run_main(argv + ["--jitter"] * jitter)
         _assert_clean_exit(code, err)
         assert (code == 2) == (seed < 0)
+        if rate in _UNREACHABLE_RATES and seed >= 0 and {alpha, beta}.isdisjoint(_BAD_GAINS):
+            # every entry fails, and the line names the manifest or the first entry
+            assert code == 1
+            assert str(manifest) in err or err.startswith(
+                "synth failed: all manifest entries failed, first: "
+                f"{_first_entry(lines)!r}: ")

@@ -402,7 +402,7 @@ class TestArtifacts:
         stamped = inject_artifacts(clean, *sigmas, seed=3)
         save_capture(stamped, tmp_path / "ref.bin")
         assert path.read_bytes() == (tmp_path / "ref.bin").read_bytes()
-        assert [e.to_dict() for e in log] == [e.to_dict() for e in stamped.artifact_log]
+        assert log == stamped.artifact_log
 
     def test_peak_memory_below_a_tenth_of_the_capture(self, chirp_cfg):
         # stamping in place holds no second capture
@@ -426,9 +426,7 @@ class TestCaptureIO:
         loaded = load_capture(path)
         assert np.array_equal(loaded.frames, cap.frames)
         assert loaded.config == cap.config
-        assert [e.to_dict() for e in loaded.artifact_log] == [
-            e.to_dict() for e in cap.artifact_log
-        ]
+        assert loaded.artifact_log == cap.artifact_log
 
     def test_save_writes_header_then_frames(self, chirp_cfg, tmp_path):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
