@@ -254,11 +254,14 @@ def cmd_extract(capture_in, wav_out, preprocess: bool) -> None:
     """Recover the vibration trace from a capture and write it as float32 WAV.
 
     The container is read one frame at a time; its artifact sidecar is not
-    read.
+    read. A trace the cleanup rejects is blamed on the capture.
     """
     capture = CaptureFile(capture_in)
     target, phase = locate_target(capture)
-    trace = trace_from_phase(phase, capture.config, preprocess)
+    try:
+        trace = trace_from_phase(phase, capture.config, preprocess)
+    except ValueError as exc:
+        raise ValueError(f"{exc}: {capture_in}") from None
     write_wav(wav_out, trace)
     sidecar = {
         "capture": str(capture_in),
@@ -322,11 +325,16 @@ def _score_row(row) -> dict:
     try:
         ref_text = _transcript(row, "ref_text")
         hyp_text = _transcript(row, "hyp_text")
-        ref = read_wav(row["ref_path"])
-        deg = resample(read_wav(row["deg_path"]), ref.sample_rate)
+        for key, path in entry.items():
+            if key not in row:
+                raise ValueError(f"no {key} field")
+            if not isinstance(path, str):
+                raise ValueError(f"{key} must be a string, got {type(path).__name__}")
+        ref = read_wav(entry["ref_path"])
+        deg = resample(read_wav(entry["deg_path"]), ref.sample_rate)
         report = score_pair(zscore_normalize(ref), zscore_normalize(deg), ref_text, hyp_text)
         entry.update(report.to_dict())
-    except (*_FAILURES, KeyError, TypeError) as exc:
+    except (*_FAILURES, TypeError) as exc:
         entry["error"] = str(exc)
     return entry
 
@@ -384,7 +392,9 @@ def _sweep_variant(config: PipelineConfig, parameter: str, value) -> PipelineCon
     return replace(config, **{parameter: float(value)})
 
 
-def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuffer, index: int) -> dict:
+def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuffer, index: int,
+                 source) -> dict:
+    """One sweep row; source names the audio when it fails to score on its own."""
     variant = _sweep_variant(config, parameter, value)
     synthetic = parameter in ("alpha", "beta")
     rate = variant.synth_sample_rate if synthetic else variant.chirp.effective_sampling_rate
@@ -403,10 +413,16 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         degraded = trace_from_phase(phase, variant.chirp)
     reference = low_pass(reference, REFERENCE_BAND_HZ)
     n = min(len(degraded), len(reference))
-    report = score_pair(
-        zscore_normalize(AudioBuffer(reference.samples[:n], rate)),
-        zscore_normalize(AudioBuffer(degraded.samples[:n], rate)),
-    )
+    reference = zscore_normalize(AudioBuffer(reference.samples[:n], rate))
+    try:
+        report = score_pair(reference, zscore_normalize(AudioBuffer(degraded.samples[:n], rate)))
+    except ValueError as exc:
+        try:
+            score_pair(reference, reference)
+        except ValueError:
+            # too short or too sparse to score, whatever the value
+            raise ValueError(f"{exc}: {source}") from None
+        raise
     row = {
         "parameter": parameter,
         "value": value,
@@ -441,7 +457,7 @@ def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_o
     rows = []
     for index, value in enumerate(values):
         try:
-            rows.append(_sweep_point(config, parameter, value, audio, index))
+            rows.append(_sweep_point(config, parameter, value, audio, index, audio_in))
         except _FAILURES as exc:
             # a capture error names its temporary file, which is gone by now
             raise ValueError(f"{parameter}={value}: {exc}") from exc

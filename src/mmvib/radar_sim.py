@@ -139,15 +139,6 @@ class ArtifactEvent:
     chirp: int
     magnitude_rad: float
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArtifactEvent":
-        return cls(
-            kind=str(d["kind"]),
-            frame=int(d["frame"]),
-            chirp=int(d["chirp"]),
-            magnitude_rad=float(d["magnitude_rad"]),
-        )
-
 
 @dataclass
 class IFCapture:
@@ -465,7 +456,9 @@ def write_capture_frames(path, config: ChirpConfig, frames: Iterable[np.ndarray]
 def write_artifact_sidecar(path, artifact_log: list[ArtifactEvent], seed: int | None = None) -> None:
     """Write the artifact-log JSON sidecar next to a capture container."""
     sidecar = {"seed": seed, "artifact_log": [asdict(event) for event in artifact_log]}
-    _sidecar_path(Path(path)).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    path = Path(path)
+    text = json.dumps(sidecar, indent=2) + "\n"
+    path.with_name(path.name + ".artifacts.json").write_text(text, encoding="utf-8")
 
 
 def save_capture(capture: IFCapture, path, seed: int | None = None) -> None:
@@ -538,27 +531,12 @@ class CaptureFile:
 
 
 def load_capture(path) -> IFCapture:
-    """Read a capture container written by save_capture, with its artifact log.
+    """Read a capture container into memory, as extract reads it; no sidecar is read.
 
     The container is read through CaptureFile, so its checks come before the
-    capture is allocated. A sidecar that exists but does not parse is a
-    ValueError naming it.
+    capture is allocated, and the artifact log is empty.
     """
     reader = CaptureFile(path)
     cfg = reader.config
     frame = np.dtype((np.complex64, (cfg.chirps_per_frame, cfg.adc_samples_per_chirp)))
-    frames = np.fromiter(reader, frame, count=reader.n_frames)
-    log: list[ArtifactEvent] = []
-    sidecar = _sidecar_path(reader.path)
-    if sidecar.exists():
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-                log = [ArtifactEvent.from_dict(d) for d in data.get("artifact_log", [])]
-            except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise ValueError(f"malformed capture sidecar {sidecar}: {exc!r}") from None
-    return IFCapture(frames, cfg, log)
-
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_name(path.name + ".artifacts.json")
+    return IFCapture(np.fromiter(reader, frame, count=reader.n_frames), cfg)

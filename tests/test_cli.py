@@ -479,7 +479,7 @@ class TestExtract:
 
     @pytest.mark.parametrize("text", ['{"artifact_log": [{}]}', "[1, 2]"])
     def test_malformed_sidecar_is_ignored(self, capture_path, tmp_path, text):
-        # extract never reads the artifact log; load_capture still rejects it
+        # no reader opens the artifact log, extract included
         clean = tmp_path / "clean.wav"
         assert main(["extract", "--capture", str(capture_path), "--out", str(clean)]) == 0
         (tmp_path / "cap.bin.artifacts.json").write_text(text)
@@ -804,14 +804,17 @@ class TestScore:
         write_wav(wav, make_speech_clip(3, duration=1.0))
         manifest = tmp_path / "pairs.jsonl"
         rows = [[1], {"ref_path": 5, "deg_path": str(wav)},
-                {"ref_path": str(wav), "deg_path": str(wav)}]
+                {"ref_path": str(wav), "deg_path": str(wav)}, {"ref_path": str(wav)},
+                {"deg_path": str(wav), "ref_path": None}]
         manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
         report_path = tmp_path / "report.json"
         assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 0
         pairs = json.loads(report_path.read_text())["pairs"]
         assert "not a JSON object" in pairs[0]["error"]
-        assert "error" in pairs[1]
+        assert pairs[1]["error"] == "ref_path must be a string, got int"
         assert "error" not in pairs[2]
+        assert pairs[3]["error"] == "no deg_path field"
+        assert pairs[4]["error"] == "ref_path must be a string, got NoneType"
 
     def test_deeply_nested_manifest_line(self, tmp_path, capsys):
         wav = make_tone_wav(tmp_path / "x.wav", duration=1.0)
@@ -1124,7 +1127,7 @@ class TestSweep:
 
         monkeypatch.setattr(mmvib.cli, "demodulate_bin", demodulate_bin)
         audio = make_speech_clip(15, duration=1.0, rate=8000.0)
-        _sweep_point(PipelineConfig(), parameter, value, audio, 0)
+        _sweep_point(PipelineConfig(), parameter, value, audio, 0, "speech.wav")
         assert len(bins) == 1
         assert bins[0][0] == bins[0][1]
 
@@ -1556,6 +1559,18 @@ _EXIT_PATHS = {
     "extract_all_zero_body": (
         "extract --capture {d}/zero_body.bin --out {t}/x.wav", None, 1,
         "extract failed: no target: {d}/zero_body.bin"),
+    # captures the cleanup rejects, which --no-preprocess extracts
+    "extract_one_chirp_per_frame": (
+        "extract --capture {d}/one_chirp.bin --out {t}/x.wav", None, 1,
+        "extract failed: chirps_per_frame must be >= 2, got 1: {d}/one_chirp.bin"),
+    "extract_one_chirp_per_frame_raw": (
+        "extract --capture {d}/one_chirp.bin --out {t}/x.wav --no-preprocess", None, 0, ""),
+    "extract_two_chirp_trace": (
+        "extract --capture {d}/two_chirps.bin --out {t}/x.wav", None, 1,
+        "extract failed: trace too short for outlier statistics, got 2 samples: "
+        "{d}/two_chirps.bin"),
+    "extract_two_chirp_trace_raw": (
+        "extract --capture {d}/two_chirps.bin --out {t}/x.wav --no-preprocess", None, 0, ""),
     "synth_ok": ("synth --manifest {d}/clips.txt --out-dir {t}/ds --jitter", None, 0, ""),
     "synth_negative_seed": (
         "synth --manifest {d}/clips.txt --out-dir {t}/ds --seed -1", None, 2,
@@ -1663,6 +1678,25 @@ _EXIT_PATHS = {
     "sweep_bad_value": (
         "sweep --param material --values steel --audio {d}/tone.wav --report {t}/s.json", None, 1,
         "sweep failed: material=steel: unknown material preset 'steel', valid: pet, tinfoil"),
+    # a source too short to score against itself is named, on either kind of axis
+    "sweep_400_samples_synthesis_axis": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone400.wav --report {t}/s.json", None, 1,
+        "sweep failed: alpha=0.5: input too short: {d}/tone400.wav"),
+    "sweep_2000_samples_synthesis_axis": (
+        "sweep --param beta --values 0.3 --audio {d}/tone2000.wav --report {t}/s.json", None, 1,
+        "sweep failed: beta=0.3: input too short: {d}/tone2000.wav"),
+    "sweep_400_samples_radar_axis": (
+        "sweep --param range_m --values 1.5 --audio {d}/tone400.wav --report {t}/s.json", None,
+        1, "sweep failed: range_m=1.5: input too short: {d}/tone400.wav"),
+    "sweep_2000_samples_radar_axis": (
+        "sweep --param chirps_per_frame --values 256 --audio {d}/tone2000.wav "
+        "--report {t}/s.json", None, 1,
+        "sweep failed: chirps_per_frame=256: input too short: {d}/tone2000.wav"),
+    # a value at fault is not blamed on the source, even a source too short
+    "sweep_range_aliasing_on_a_short_source": (
+        "sweep --param range_m --values 9 --audio {d}/tone2000.wav --report {t}/s.json", None, 1,
+        "sweep failed: range_m=9: range aliasing: range_m 9.0 is not below the 4.79668 m the "
+        "ADC rate resolves"),
     "sweep_unwritable_report": (
         "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/nodir/s.json", None,
         1, f"sweep failed: {_NO_FILE}: '{{t}}/nodir/s.json'"),
@@ -1683,6 +1717,15 @@ def exit_inputs(tmp_path_factory):
     write_capture_frames(d / "one_adc_sample.bin", ChirpConfig(adc_samples_per_chirp=1),
                          [np.ones((256, 1), dtype=np.complex64)])
     write_capture_frames(d / "zero_body.bin", ChirpConfig(), [np.zeros((256, 256), np.complex64)])
+    (d / "one_chirp.ini").write_text("[chirp]\nchirps_per_frame = 1\n")
+    assert main(["simulate", "--config", str(d / "one_chirp.ini"), "--audio", tone,
+                 "--out", str(d / "one_chirp.bin")]) == 0
+    # one frame of two chirps, each a tone in bin 40
+    chirp = np.exp(2j * np.pi * 40 * np.arange(256) / 256).astype(np.complex64)
+    write_capture_frames(d / "two_chirps.bin", ChirpConfig(chirps_per_frame=2),
+                         [np.stack([chirp, chirp])])
+    for n in (400, 2000):
+        make_tone_wav(d / f"tone{n}.wav", duration=n / 8000.0)
     ghz = np.round(0.4 * 2**15 * np.sin(np.arange(400) / 5.0)).astype("<i2").tobytes()
     (d / "ghz.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, rate=1_100_000_000)),
                                          riff_chunk(b"data", ghz)))

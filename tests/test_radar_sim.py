@@ -1,11 +1,12 @@
 """Chirp geometry, the forced-vibration surface model, IF simulation, and artifacts."""
 
 import hashlib
+import json
 import re
 import struct
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -426,7 +427,10 @@ class TestCaptureIO:
         loaded = load_capture(path)
         assert np.array_equal(loaded.frames, cap.frames)
         assert loaded.config == cap.config
-        assert loaded.artifact_log == cap.artifact_log
+        # the log goes to the sidecar, which load_capture does not read
+        assert cap.artifact_log and loaded.artifact_log == []
+        sidecar = json.loads((tmp_path / "cap.bin.artifacts.json").read_text())
+        assert sidecar == {"seed": 5, "artifact_log": [asdict(event) for event in cap.artifact_log]}
 
     def test_save_writes_header_then_frames(self, chirp_cfg, tmp_path):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
@@ -533,19 +537,27 @@ class TestCaptureIO:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"artifact_log": [{}]}', "[1, 2]", pytest.param("[" * 100_000, id="deeply_nested")],
+        [
+            pytest.param(None, id="no_sidecar"),
+            '{"artifact_log": [{}]}',
+            "[1, 2]",
+            pytest.param("[" * 100_000, id="deeply_nested"),
+        ],
     )
-    def test_malformed_sidecar_one_line_error(self, chirp_cfg, tmp_path, text):
-        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+    def test_load_capture_reads_the_container_only(self, chirp_cfg, tmp_path, text):
+        cap = inject_artifacts(make_tone_capture(chirp_cfg, 500.0, duration_s=0.096), 10.0, 6.0)
         path = tmp_path / "cap.bin"
         save_capture(cap, path)
+        # with the valid sidecar save_capture wrote, then with none or a malformed one
+        with_sidecar = load_capture(path)
         sidecar = tmp_path / "cap.bin.artifacts.json"
-        sidecar.write_text(text)
-        with pytest.raises(ValueError) as caught:
-            load_capture(path)
-        message = str(caught.value)
-        assert message.count("\n") == 0
-        assert str(sidecar) in message
+        if text is None:
+            sidecar.unlink()
+        else:
+            sidecar.write_text(text)
+        for loaded in (with_sidecar, load_capture(path)):
+            assert np.array_equal(loaded.frames, cap.frames)
+            assert loaded.config == cap.config and loaded.artifact_log == []
 
     def test_capture_file_reads_the_frames_of_load_capture(self, chirp_cfg, tmp_path):
         cap = inject_artifacts(make_tone_capture(chirp_cfg, 500.0, duration_s=0.096), 10.0, 6.0)
