@@ -194,15 +194,23 @@ def _parse_section(section: str, raw: dict[str, str], defaults) -> dict:
     return parsed
 
 
-def _write_capture(config: PipelineConfig, forcing: AudioBuffer, seed_key, path):
-    """Write the capture of the surface that forcing drives, one frame at a time.
+def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key, path):
+    """Write the capture of the surface that audio drives, one frame at a time.
 
-    forcing is the audio resampled to the chirp rate and z-scored. Each frame
-    is added to the bin search on its way to the file, then the artifacts are
-    stamped in place, so no whole capture is held. Both seeds are spawned
-    from seed_key. Returns the frame count, the artifact log and the target
-    bin the search found; the sidecar is left to the caller.
+    The forcing is the audio resampled to the chirp rate and z-scored; audio
+    that cannot fill one frame there or has no finite, non-zero spread is
+    refused naming source. Each frame passes the bin search on its way to the
+    file, then the artifacts are stamped in place; both seeds are spawned
+    from seed_key. Returns the forcing, the frame count, the artifact log and the bin.
     """
+    audio = resample(audio, config.chirp.effective_sampling_rate)
+    try:
+        if len(audio) < config.chirp.chirps_per_frame:
+            raise ValueError
+        forcing = zscore_normalize(audio)
+    except ValueError:
+        raise ValueError(f"audio must fill one frame ({config.chirp.chirps_per_frame} samples at "
+                         f"the chirp rate) and have a finite, non-zero spread: {source}") from None
     vibration = displacement_from_audio(forcing, config.material, config.force_scale)
     sim_seed, artifact_seed = np.random.SeedSequence(seed_key).spawn(2)
     frames = iter_if_frames(
@@ -220,14 +228,7 @@ def _write_capture(config: PipelineConfig, forcing: AudioBuffer, seed_key, path)
     log = stamp_capture_file(
         path, target, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
     )
-    return n_frames, log, target
-
-
-def _has_spread(audio: AudioBuffer) -> bool:
-    """Whether audio has the finite, non-zero spread that zscore_normalize needs."""
-    # a spread past the float64 range is refused here, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        return len(audio) > 1 and 0 < audio.samples.std() < np.inf
+    return forcing, n_frames, log, target
 
 
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
@@ -237,13 +238,8 @@ def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     artifact sidecar equal, byte for byte, what save_capture writes for the
     library's in-memory capture.
     """
-    audio = resample(read_wav(audio_in), config.chirp.effective_sampling_rate)
-    # what zscore_normalize and the frame count would reject, blamed on the file
-    if len(audio) < config.chirp.chirps_per_frame or not _has_spread(audio):
-        raise ValueError(f"audio must fill one frame ({config.chirp.chirps_per_frame} samples at "
-                         f"the chirp rate) and have a finite, non-zero spread: {audio_in}")
-    forcing = zscore_normalize(audio)
-    n_frames, log, _ = _write_capture(config, forcing, config.seed, capture_out)
+    _, n_frames, log, _ = _write_capture(config, read_wav(audio_in), audio_in, config.seed,
+                                         capture_out)
     write_artifact_sidecar(capture_out, log, seed=config.seed)
     print(f"range resolution: {range_resolution(config.chirp):.6f} m")
     print(f"vibration sampling rate: {config.chirp.effective_sampling_rate:.1f} Hz")
@@ -394,12 +390,12 @@ def _sweep_variant(config: PipelineConfig, parameter: str, value) -> PipelineCon
 
 def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuffer, index: int,
                  source) -> dict:
-    """One sweep row; source names the audio when it fails to score on its own."""
+    """One sweep row; source names the audio the capture refuses or that cannot score alone."""
     variant = _sweep_variant(config, parameter, value)
     synthetic = parameter in ("alpha", "beta")
     rate = variant.synth_sample_rate if synthetic else variant.chirp.effective_sampling_rate
-    reference = zscore_normalize(resample(audio, rate))
     if synthetic:
+        reference = zscore_normalize(resample(audio, rate))
         synth_cfg = SynthesisConfig(
             alpha=variant.alpha, beta=variant.beta, seed=item_seed(variant.seed, index)
         )
@@ -408,7 +404,8 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "capture.bin"
             # the bin found before stamping; extract searches the stamped container
-            target = _write_capture(variant, reference, (variant.seed, index), path)[2]
+            reference, _, _, target = _write_capture(variant, audio, source,
+                                                     (variant.seed, index), path)
             phase = demodulate_bin(CaptureFile(path), target)
         degraded = trace_from_phase(phase, variant.chirp)
     reference = low_pass(reference, REFERENCE_BAND_HZ)
@@ -452,8 +449,10 @@ def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_o
     """
     audio = read_wav(audio_in)
     # blamed on the file, not on the first value
-    if not _has_spread(audio):
-        raise ValueError(f"audio must have a finite, non-zero spread: {audio_in}")
+    try:
+        zscore_normalize(audio)
+    except ValueError:
+        raise ValueError(f"audio must have a finite, non-zero spread: {audio_in}") from None
     rows = []
     for index, value in enumerate(values):
         try:

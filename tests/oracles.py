@@ -266,10 +266,11 @@ def riff_chunk(chunk_id: bytes, body: bytes) -> bytes:
     return chunk_id + struct.pack("<I", len(body)) + body + b"\0" * (len(body) & 1)
 
 
-def wav_fmt(tag: int, bits: int, rate: int = 8000, subformat: int | None = None) -> bytes:
-    """A mono `fmt ` chunk body; with `subformat`, the 40-byte WAVE_FORMAT_EXTENSIBLE form."""
-    width = bits // 8
-    body = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, bits)
+def wav_fmt(tag: int, bits: int, rate: int = 8000, subformat: int | None = None,
+            channels: int = 1) -> bytes:
+    """A `fmt ` chunk body; with `subformat`, the 40-byte WAVE_FORMAT_EXTENSIBLE form."""
+    width = bits // 8 * channels
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * width, width, bits)
     if subformat is None:
         return body
     guid_tail = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"

@@ -1543,6 +1543,25 @@ _EXIT_PATHS = {
     "simulate_nan_artifact_magnitude": (
         "simulate --config {d}/nan_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: periodic_sigma must be finite and >= 0, got nan"),
+    "simulate_nan_noise_floor": (
+        "simulate --config {d}/nan_noise.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: noise_floor_db must be finite, got nan"),
+    "simulate_zero_force_scale": (
+        "simulate --config {d}/zero_force.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: force_scale must be positive, got 0.0"),
+    # WAVs read_wav refuses, named
+    "simulate_stereo_wav": (
+        "simulate --audio {d}/stereo.wav --out {t}/c.bin", None, 1,
+        "simulate failed: expected mono WAV, got 2 channels: {d}/stereo.wav"),
+    "simulate_truncated_chunk_header": (
+        "simulate --audio {d}/cut_chunk_header.wav --out {t}/c.bin", None, 1,
+        "simulate failed: truncated WAV chunk header: {d}/cut_chunk_header.wav"),
+    "simulate_12_byte_fmt_chunk": (
+        "simulate --audio {d}/short_fmt.wav --out {t}/c.bin", None, 1,
+        "simulate failed: truncated WAV 'fmt ' chunk: {d}/short_fmt.wav"),
+    "simulate_float32_nan_sample": (
+        "simulate --audio {d}/nan.wav --out {t}/c.bin", None, 1,
+        "simulate failed: samples contain non-finite values: {d}/nan.wav"),
     "extract_ok": ("extract --capture {d}/cap.bin --out {t}/x.wav", None, 0, ""),
     "extract_missing_capture": (
         "extract --capture {d}/nope.bin --out {t}/x.wav", None, 1,
@@ -1675,6 +1694,19 @@ _EXIT_PATHS = {
     "sweep_silent_wav": (
         "sweep --param alpha --values 0.5 --audio {d}/silent.wav --report {t}/s.json", None, 1,
         "sweep failed: audio must have a finite, non-zero spread: {d}/silent.wav"),
+    # a radar value refuses what simulate refuses, at that value's chirp rate
+    "sweep_radar_value_on_a_wav_shorter_than_a_frame": (
+        "sweep --param range_m --values 1.5 --audio {d}/short.wav --report {t}/s.json", None, 1,
+        f"sweep failed: range_m=1.5: {_NO_FRAME}: {{d}}/short.wav"),
+    "sweep_512_chirps_on_a_wav_shorter_than_a_frame": (
+        "sweep --param chirps_per_frame --values 512 --audio {d}/short.wav --report {t}/s.json",
+        None, 1,
+        f"sweep failed: chirps_per_frame=512: {_NO_FRAME.replace('256', '512')}: {{d}}/short.wav"),
+    # 255 samples at 8 kHz are one sample at this config's 25.6 Hz chirp rate
+    "sweep_radar_value_whose_chirp_rate_leaves_one_sample": (
+        "sweep --config {d}/slow_chirps.ini --param range_m --values 1.5 --audio {d}/short.wav "
+        "--report {t}/s.json", None, 1,
+        f"sweep failed: range_m=1.5: {_NO_FRAME}: {{d}}/short.wav"),
     "sweep_bad_value": (
         "sweep --param material --values steel --audio {d}/tone.wav --report {t}/s.json", None, 1,
         "sweep failed: material=steel: unknown material preset 'steel', valid: pet, tinfoil"),
@@ -1737,6 +1769,14 @@ def exit_inputs(tmp_path_factory):
     (d / "max.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 64)),
                                          riff_chunk(b"data", at_max)))
     (d / "max_clips.txt").write_text(f"{d / 'max.wav'}\n")
+    data = riff_chunk(b"data", np.zeros(8, "<i2").tobytes())
+    (d / "stereo.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, channels=2)), data))
+    # four bytes of a chunk header where the first chunk should start
+    (d / "cut_chunk_header.wav").write_bytes(riff_wav(b"fmt "))
+    (d / "short_fmt.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16)[:12]), data))
+    nan = np.resize([0.25, np.nan], 8000).astype("<f4").tobytes()
+    (d / "nan.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 32)),
+                                         riff_chunk(b"data", nan)))
     tone16 = str(make_tone_wav(d / "tone16.wav", duration=1.0, rate=16000.0))
     (d / "max_pairs.jsonl").write_text(
         json.dumps({"ref_path": tone16, "deg_path": str(d / "max.wav")}) + "\n")
@@ -1751,6 +1791,9 @@ def exit_inputs(tmp_path_factory):
     (d / "slow_frames.ini").write_text("[chirp]\nframe_period = 1e300\n")
     (d / "infinite_sigma.ini").write_text("[artifacts]\nbeginning_sigma = 1e400\n")
     (d / "nan_sigma.ini").write_text("[artifacts]\nperiodic_sigma = nan\n")
+    (d / "slow_chirps.ini").write_text("[chirp]\nframe_period = 10\n")
+    (d / "nan_noise.ini").write_text("[scene]\nnoise_floor_db = nan\n")
+    (d / "zero_force.ini").write_text("[scene]\nforce_scale = 0\n")
     (d / "heavy.ini").write_text("[material]\nmass = 1e300\n")
     (d / "nan_alpha.ini").write_text("[synthesis]\nalpha = nan\n")
     (d / "infinite_beta.ini").write_text("[synthesis]\nbeta = inf\n")

@@ -20,6 +20,7 @@ from mmvib import (
     SurfaceMaterial,
     VibrationTrace,
     displacement_from_audio,
+    extract_vibration,
     forced_response_amplitude,
     inject_artifacts,
     iter_if_frames,
@@ -332,6 +333,39 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match="draw failed"):
             next(frames)
         assert threading.active_count() == before
+
+
+class TestNoiseModel:
+    """The recovered trace's receiver noise against its closed form.
+
+    A single-bin DFT of a chirp's N samples sums the echo to A * g * N, with
+    g the scalloping gain of the beat's offset from the bin centre, and the
+    complex noise of power sigma_n^2 per sample to a power of N * sigma_n^2.
+    The phase noise is then sigma_n / (A * g * sqrt(2N)), and the trace's
+    sigma_d = wavelength / (4 pi) * sigma_n / (A * g * sqrt(2N)). That is the
+    small-noise form: at 0 dB and reflectivity 0.4 the ratio rises to about
+    1.02-1.03, so the grid stops at -20 dB, where it reads 0.986-1.009.
+    """
+
+    @pytest.mark.parametrize("adc", [256, 128])
+    # the beat 0.03 bin above bin 40's centre, and 0.44 bin below bin 41's
+    @pytest.mark.parametrize("range_m, target", [(1.5, 40), (1.52, 41)])
+    @pytest.mark.parametrize("reflectivity", [0.95, 0.4])
+    @pytest.mark.parametrize("noise_floor_db", [-60.0, -20.0])
+    def test_residual_spread_matches_the_closed_form(self, noise_floor_db, reflectivity,
+                                                     range_m, target, adc):
+        cfg = ChirpConfig(adc_samples_per_chirp=adc)
+        vib = make_tone_trace(cfg, 440.0, duration_s=1.0)
+        offset = range_m / range_resolution(cfg) - target
+        gain = abs(np.exp(2j * np.pi * offset * np.arange(adc) / adc).mean())
+        sigma_n = 10.0 ** (noise_floor_db / 20.0)
+        sigma_d = cfg.wavelength / (4 * np.pi) * sigma_n / (reflectivity * gain * np.sqrt(2 * adc))
+        for seed in (1, 2):
+            frames = iter_if_frames(cfg, vib, range_m, reflectivity, noise_floor_db, seed)
+            trace = extract_vibration(IFCapture(np.stack(list(frames)), cfg), preprocess=False)
+            truth = vib.samples[: len(trace)]
+            residual = trace.samples - (truth - truth.mean())
+            assert residual.std() / sigma_d == pytest.approx(1.0, abs=0.03), seed
 
 
 class TestArtifacts:
