@@ -1,0 +1,416 @@
+"""Every command's exit paths, and a runner for them that imports only numpy and mmvib.
+
+Usage: python tests/exit_paths.py
+
+The runner writes the inputs the cases name into a temporary directory, runs
+each case in process through mmvib.cli.main, and prints one line per case
+whose exit status or stderr is not the table's; it exits 1 if any is not.
+tests/test_cli.py::TestExitStatus runs the same table under pytest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+if __name__ == "__main__":
+    # run from a checkout: the package is this tree's src/
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+
+import mmvib.cli
+from mmvib import AudioBuffer, ChirpConfig, write_wav
+from mmvib.radar_sim import write_capture_frames
+
+_NO_FILE = "[Errno 2] No such file or directory"
+_UNREPRESENTABLE = "the ratio of the rates is not finite or rounds to zero"
+_NO_FRAME = ("audio must fill one frame (256 samples at the chirp rate) and have a finite, "
+             "non-zero spread")
+# Every command's exit paths: argv, MMVIB_SEED, exit status and stderr. {d}
+# is the directory of inputs and {t} a fresh output directory. extract and
+# score read no config and no seed, so their only exit 2 is argparse's usage
+# error (tests/test_cli.py::TestMainDispatch).
+EXIT_PATHS = {
+    "simulate_ok": ("simulate --audio {d}/tone.wav --out {t}/c.bin", None, 0, ""),
+    "simulate_unknown_section": (
+        "simulate --config {d}/unknown.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config section [bogus] is not recognized"),
+    "simulate_negative_config_seed": (
+        "simulate --config {d}/negative_seed.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config field [run] seed must be a non-negative integer, got -1"),
+    "simulate_negative_env_seed": (
+        "simulate --audio {d}/tone.wav --out {t}/c.bin", "-3", 2,
+        "simulate failed: MMVIB_SEED must be a non-negative integer, got -3"),
+    "simulate_missing_audio": (
+        "simulate --audio {d}/nope.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FILE}: '{{d}}/nope.wav'"),
+    "simulate_chirp_rate_rounds_to_zero": (
+        "simulate --config {d}/slow_frames.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: cannot resample from 8000.0 Hz to 2.56e-298 Hz: {_UNREPRESENTABLE}"),
+    "simulate_infinite_artifact_magnitude": (
+        "simulate --config {d}/infinite_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: beginning_sigma must be finite and >= 0, got inf"),
+    # an input whose content is at fault is named in the message
+    "simulate_empty_wav": (
+        "simulate --audio {d}/empty.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/empty.wav"),
+    "simulate_one_sample_wav": (
+        "simulate --audio {d}/one_sample.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/one_sample.wav"),
+    "simulate_wav_shorter_than_a_frame": (
+        "simulate --audio {d}/short.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/short.wav"),
+    "simulate_silent_wav": (
+        "simulate --audio {d}/silent.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/silent.wav"),
+    # squares past the float64 range: the spread check prints no numpy warning
+    "simulate_float64_wav_past_the_spread": (
+        "simulate --audio {d}/huge.wav --out {t}/c.bin", None, 1,
+        f"simulate failed: {_NO_FRAME}: {{d}}/huge.wav"),
+    # a response denominator past the float64 range: zero displacement, no numpy warning
+    "simulate_mass_past_the_float64_range": (
+        "simulate --config {d}/heavy.ini --audio {d}/tone.wav --out {t}/c.bin", None, 0, ""),
+    "simulate_nan_artifact_magnitude": (
+        "simulate --config {d}/nan_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: periodic_sigma must be finite and >= 0, got nan"),
+    "simulate_nan_noise_floor": (
+        "simulate --config {d}/nan_noise.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: noise_floor_db must be finite, got nan"),
+    "simulate_zero_force_scale": (
+        "simulate --config {d}/zero_force.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: force_scale must be positive, got 0.0"),
+    # WAVs read_wav refuses, named
+    "simulate_stereo_wav": (
+        "simulate --audio {d}/stereo.wav --out {t}/c.bin", None, 1,
+        "simulate failed: expected mono WAV, got 2 channels: {d}/stereo.wav"),
+    "simulate_truncated_chunk_header": (
+        "simulate --audio {d}/cut_chunk_header.wav --out {t}/c.bin", None, 1,
+        "simulate failed: truncated WAV chunk header: {d}/cut_chunk_header.wav"),
+    "simulate_12_byte_fmt_chunk": (
+        "simulate --audio {d}/short_fmt.wav --out {t}/c.bin", None, 1,
+        "simulate failed: truncated WAV 'fmt ' chunk: {d}/short_fmt.wav"),
+    "simulate_float32_nan_sample": (
+        "simulate --audio {d}/nan.wav --out {t}/c.bin", None, 1,
+        "simulate failed: samples contain non-finite values: {d}/nan.wav"),
+    "extract_ok": ("extract --capture {d}/cap.bin --out {t}/x.wav", None, 0, ""),
+    "extract_missing_capture": (
+        "extract --capture {d}/nope.bin --out {t}/x.wav", None, 1,
+        f"extract failed: {_NO_FILE}: '{{d}}/nope.bin'"),
+    "extract_unwritable_wav": (
+        "extract --capture {d}/cap.bin --out {t}/nodir/x.wav", None, 1,
+        f"extract failed: {_NO_FILE}: '{{t}}/nodir/x.wav'"),
+    "extract_zero_frames": (
+        "extract --capture {d}/zero_frames.bin --out {t}/x.wav", None, 1,
+        "extract failed: empty capture: {d}/zero_frames.bin"),
+    "extract_one_adc_sample": (
+        "extract --capture {d}/one_adc_sample.bin --out {t}/x.wav", None, 1,
+        "extract failed: no target: {d}/one_adc_sample.bin"),
+    "extract_all_zero_body": (
+        "extract --capture {d}/zero_body.bin --out {t}/x.wav", None, 1,
+        "extract failed: no target: {d}/zero_body.bin"),
+    # captures the cleanup rejects, which --no-preprocess extracts
+    "extract_one_chirp_per_frame": (
+        "extract --capture {d}/one_chirp.bin --out {t}/x.wav", None, 1,
+        "extract failed: chirps_per_frame must be >= 2, got 1: {d}/one_chirp.bin"),
+    "extract_one_chirp_per_frame_raw": (
+        "extract --capture {d}/one_chirp.bin --out {t}/x.wav --no-preprocess", None, 0, ""),
+    "extract_two_chirp_trace": (
+        "extract --capture {d}/two_chirps.bin --out {t}/x.wav", None, 1,
+        "extract failed: trace too short for outlier statistics, got 2 samples: "
+        "{d}/two_chirps.bin"),
+    "extract_two_chirp_trace_raw": (
+        "extract --capture {d}/two_chirps.bin --out {t}/x.wav --no-preprocess", None, 0, ""),
+    "synth_ok": ("synth --manifest {d}/clips.txt --out-dir {t}/ds --jitter", None, 0, ""),
+    "synth_negative_seed": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --seed -1", None, 2,
+        "synth failed: --seed must be a non-negative integer, got -1"),
+    "synth_negative_env_seed": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --seed 1", "-3", 2,
+        "synth failed: MMVIB_SEED must be a non-negative integer, got -3"),
+    "synth_non_integer_env_seed": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds", "pi", 2,
+        "synth failed: MMVIB_SEED must be an integer, got 'pi'"),
+    "synth_missing_manifest": (
+        "synth --manifest {d}/nope.txt --out-dir {t}/ds", None, 1,
+        f"synth failed: {_NO_FILE}: '{{d}}/nope.txt'"),
+    "synth_no_entries": (
+        "synth --manifest {d}/empty.jsonl --out-dir {t}/ds", None, 1,
+        "synth failed: manifest lists no entries: {d}/empty.jsonl"),
+    "synth_blank_lines_only": (
+        "synth --manifest {d}/blank.txt --out-dir {t}/ds", None, 1,
+        "synth failed: manifest lists no entries: {d}/blank.txt"),
+    "synth_rate_rounds_to_zero": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=1e-300", None, 1,
+        "synth failed: all manifest entries failed, first: '{d}/tone.wav': "
+        f"cannot resample from 8000.0 Hz to 1e-300 Hz: {_UNREPRESENTABLE}"),
+    "synth_infinite_rate": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=inf", None, 1,
+        "synth failed: all manifest entries failed, first: '{d}/tone.wav': "
+        f"cannot resample from 8000.0 Hz to inf Hz: {_UNREPRESENTABLE}"),
+    # upsampling samples at the float64 maximum overflows: no numpy warning either
+    "synth_upsampled_float64_max": (
+        "synth --manifest {d}/max_clips.txt --out-dir {t}/ds --sample-rate 16000", None, 1,
+        "synth failed: all manifest entries failed, first: '{d}/max.wav': "
+        "samples contain non-finite values"),
+    # a valid 1.1 GHz clip whose rate the float WAV header cannot hold
+    "synth_rate_past_the_wav_header": (
+        "synth --manifest {d}/ghz_clips.txt --out-dir {t}/ds --sample-rate 1.1e9", None, 1,
+        "synth failed: all manifest entries failed, first: '{d}/ghz.wav': sample rate "
+        "1100000000.0 Hz does not fit a WAV header (1 to 1073741823 Hz): "
+        "{t}/ds/clean/00000_ghz.wav"),
+    "score_ok": ("score --manifest {d}/pairs.jsonl --report {t}/r.json", None, 0, ""),
+    "score_missing_manifest": (
+        "score --manifest {d}/nope.jsonl --report {t}/r.json", None, 1,
+        f"score failed: {_NO_FILE}: '{{d}}/nope.jsonl'"),
+    "score_no_pairs": (
+        "score --manifest {d}/empty.jsonl --report {t}/r.json", None, 1,
+        "score failed: manifest lists no pairs: {d}/empty.jsonl"),
+    "score_blank_lines_only": (
+        "score --manifest {d}/blank.txt --report {t}/r.json", None, 1,
+        "score failed: manifest lists no pairs: {d}/blank.txt"),
+    "score_all_pairs_fail": (
+        "score --manifest {d}/missing_pairs.jsonl --report {t}/r.json", None, 1,
+        "score failed: all pairs failed, first: ref '{d}/nope.wav', deg '{d}/tone.wav': "
+        f"{_NO_FILE}: '{{d}}/nope.wav'"),
+    # the 8 kHz degraded side is upsampled to its 16 kHz reference's rate
+    "score_upsampled_float64_max": (
+        "score --manifest {d}/max_pairs.jsonl --report {t}/r.json", None, 1,
+        "score failed: all pairs failed, first: ref '{d}/tone16.wav', deg '{d}/max.wav': "
+        "samples contain non-finite values"),
+    # exit 1, as for any other file the work cannot write
+    "score_unwritable_report": (
+        "score --manifest {d}/pairs.jsonl --report {t}/nodir/r.json", None, 1,
+        f"score failed: {_NO_FILE}: '{{t}}/nodir/r.json'"),
+    "sweep_ok": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.json", None, 0, ""),
+    # the config is checked first, then --param, then --values
+    "sweep_unknown_section": (
+        "sweep --config {d}/unknown.ini --param bogus --values=, --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2, "sweep failed: config section [bogus] is not recognized"),
+    "sweep_unknown_parameter": (
+        "sweep --param bogus --values=, --audio {d}/tone.wav --report {t}/s.json", None, 2,
+        "sweep failed: unknown parameter 'bogus'; valid: "
+        "chirps_per_frame, range_m, noise_floor_db, alpha, beta, material"),
+    "sweep_empty_values": (
+        "sweep --param range_m --values=, --audio {d}/tone.wav --report {t}/s.json", None, 2,
+        "sweep failed: empty value list"),
+    "sweep_negative_env_seed": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.json", "-3", 2,
+        "sweep failed: MMVIB_SEED must be a non-negative integer, got -3"),
+    "sweep_missing_audio": (
+        "sweep --param alpha --values 0.5 --audio {d}/nope.wav --report {t}/s.json", None, 1,
+        f"sweep failed: {_NO_FILE}: '{{d}}/nope.wav'"),
+    # a [synthesis] value is checked when the config loads, not blamed on the swept value
+    "sweep_nan_alpha": (
+        "sweep --config {d}/nan_alpha.ini --param beta --values 0.3 --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2,
+        "sweep failed: config: alpha and beta must be finite and >= 0, got nan, 0.3"),
+    "sweep_infinite_beta": (
+        "sweep --config {d}/infinite_beta.ini --param alpha --values 0.5 --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2,
+        "sweep failed: config: alpha and beta must be finite and >= 0, got 1.0, inf"),
+    "sweep_nan_sample_rate": (
+        "sweep --config {d}/nan_rate.ini --param beta --values 0.3 --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2,
+        "sweep failed: config: synth_sample_rate must be finite and positive, got nan"),
+    "sweep_infinite_sample_rate": (
+        "sweep --config {d}/infinite_rate.ini --param beta --values 0.3 --audio {d}/tone.wav "
+        "--report {t}/s.json", None, 2,
+        "sweep failed: config: synth_sample_rate must be finite and positive, got inf"),
+    "simulate_nan_alpha": (
+        "simulate --config {d}/nan_alpha.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
+        "simulate failed: config: alpha and beta must be finite and >= 0, got nan, 0.3"),
+    # the source is checked once, before the first value, and named
+    "sweep_silent_wav": (
+        "sweep --param alpha --values 0.5 --audio {d}/silent.wav --report {t}/s.json", None, 1,
+        "sweep failed: audio must have a finite, non-zero spread: {d}/silent.wav"),
+    # a radar value refuses what simulate refuses, at that value's chirp rate
+    "sweep_radar_value_on_a_wav_shorter_than_a_frame": (
+        "sweep --param range_m --values 1.5 --audio {d}/short.wav --report {t}/s.json", None, 1,
+        f"sweep failed: range_m=1.5: {_NO_FRAME}: {{d}}/short.wav"),
+    "sweep_512_chirps_on_a_wav_shorter_than_a_frame": (
+        "sweep --param chirps_per_frame --values 512 --audio {d}/short.wav --report {t}/s.json",
+        None, 1,
+        f"sweep failed: chirps_per_frame=512: {_NO_FRAME.replace('256', '512')}: {{d}}/short.wav"),
+    # 255 samples at 8 kHz are one sample at this config's 25.6 Hz chirp rate
+    "sweep_radar_value_whose_chirp_rate_leaves_one_sample": (
+        "sweep --config {d}/slow_chirps.ini --param range_m --values 1.5 --audio {d}/short.wav "
+        "--report {t}/s.json", None, 1,
+        f"sweep failed: range_m=1.5: {_NO_FRAME}: {{d}}/short.wav"),
+    "sweep_bad_value": (
+        "sweep --param material --values steel --audio {d}/tone.wav --report {t}/s.json", None, 1,
+        "sweep failed: material=steel: unknown material preset 'steel', valid: pet, tinfoil"),
+    # a source too short to score against itself is named, on either kind of axis
+    "sweep_400_samples_synthesis_axis": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone400.wav --report {t}/s.json", None, 1,
+        "sweep failed: alpha=0.5: input too short: {d}/tone400.wav"),
+    "sweep_2000_samples_synthesis_axis": (
+        "sweep --param beta --values 0.3 --audio {d}/tone2000.wav --report {t}/s.json", None, 1,
+        "sweep failed: beta=0.3: input too short: {d}/tone2000.wav"),
+    "sweep_400_samples_radar_axis": (
+        "sweep --param range_m --values 1.5 --audio {d}/tone400.wav --report {t}/s.json", None,
+        1, "sweep failed: range_m=1.5: input too short: {d}/tone400.wav"),
+    "sweep_2000_samples_radar_axis": (
+        "sweep --param chirps_per_frame --values 256 --audio {d}/tone2000.wav "
+        "--report {t}/s.json", None, 1,
+        "sweep failed: chirps_per_frame=256: input too short: {d}/tone2000.wav"),
+    # a value at fault is not blamed on the source, even a source too short
+    "sweep_range_aliasing_on_a_short_source": (
+        "sweep --param range_m --values 9 --audio {d}/tone2000.wav --report {t}/s.json", None, 1,
+        "sweep failed: range_m=9: range aliasing: range_m 9.0 is not below the 4.79668 m the "
+        "ADC rate resolves"),
+    "sweep_unwritable_report": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/nodir/s.json", None,
+        1, f"sweep failed: {_NO_FILE}: '{{t}}/nodir/s.json'"),
+}
+
+
+def make_tone_wav(path, freq=500.0, duration=2.0, rate=8000.0, amplitude=0.4):
+    t = np.arange(int(duration * rate)) / rate
+    write_wav(path, AudioBuffer(amplitude * np.sin(2 * np.pi * freq * t), rate))
+    return path
+
+
+def riff_chunk(chunk_id: bytes, body: bytes) -> bytes:
+    """One RIFF chunk: id, little-endian size, body, and a pad byte after an odd body."""
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\0" * (len(body) & 1)
+
+
+def wav_fmt(tag: int, bits: int, rate: int = 8000, subformat: int | None = None,
+            channels: int = 1) -> bytes:
+    """A `fmt ` chunk body; with `subformat`, the 40-byte WAVE_FORMAT_EXTENSIBLE form."""
+    width = bits // 8 * channels
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * width, width, bits)
+    if subformat is None:
+        return body
+    guid_tail = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return body + struct.pack("<HHII", 22, bits, 0x4, subformat) + guid_tail
+
+
+def riff_wav(*chunks: bytes) -> bytes:
+    """A RIFF/WAVE file holding the given chunks, in order."""
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """main's exit status and stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = mmvib.cli.main(argv)
+    return code, err.getvalue()
+
+
+def run_case(argv: str, env_seed: str | None, paths: dict[str, Path]) -> tuple[int, str]:
+    """run_main on argv, its {d} and {t} filled from paths, with MMVIB_SEED env_seed or unset."""
+    saved = os.environ.pop("MMVIB_SEED", None)
+    if env_seed is not None:
+        os.environ["MMVIB_SEED"] = env_seed
+    try:
+        return run_main([word.format(**paths) for word in argv.split()])
+    finally:
+        os.environ.pop("MMVIB_SEED", None)
+        if saved is not None:
+            os.environ["MMVIB_SEED"] = saved
+
+
+def _build(argv: str, d: Path) -> None:
+    """Run a command that writes an input into d, unseeded, and raise if it fails."""
+    code, err = run_case(argv, None, {"d": d})
+    if code != 0:
+        raise RuntimeError(f"building an input failed: {err}")
+
+
+def write_exit_inputs(d: Path) -> None:
+    """Write the inputs the exit-path cases name into the directory d."""
+    tone = str(make_tone_wav(d / "tone.wav", duration=1.0))
+    _build("simulate --audio {d}/tone.wav --out {d}/cap.bin", d)
+    (d / "clips.txt").write_text(f"{tone}\n")
+    for name, samples in [("empty", []), ("one_sample", [0.5]), ("silent", np.zeros(8000)),
+                          ("short", 0.4 * np.sin(np.arange(255) / 5.0))]:
+        write_wav(d / f"{name}.wav", AudioBuffer(samples, 8000.0))
+    write_capture_frames(d / "zero_frames.bin", ChirpConfig(), [])
+    write_capture_frames(d / "one_adc_sample.bin", ChirpConfig(adc_samples_per_chirp=1),
+                         [np.ones((256, 1), dtype=np.complex64)])
+    write_capture_frames(d / "zero_body.bin", ChirpConfig(), [np.zeros((256, 256), np.complex64)])
+    (d / "one_chirp.ini").write_text("[chirp]\nchirps_per_frame = 1\n")
+    _build("simulate --config {d}/one_chirp.ini --audio {d}/tone.wav --out {d}/one_chirp.bin", d)
+    # one frame of two chirps, each a tone in bin 40
+    chirp = np.exp(2j * np.pi * 40 * np.arange(256) / 256).astype(np.complex64)
+    write_capture_frames(d / "two_chirps.bin", ChirpConfig(chirps_per_frame=2),
+                         [np.stack([chirp, chirp])])
+    for n in (400, 2000):
+        make_tone_wav(d / f"tone{n}.wav", duration=n / 8000.0)
+    ghz = np.round(0.4 * 2**15 * np.sin(np.arange(400) / 5.0)).astype("<i2").tobytes()
+    (d / "ghz.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, rate=1_100_000_000)),
+                                         riff_chunk(b"data", ghz)))
+    (d / "ghz_clips.txt").write_text(f"{d / 'ghz.wav'}\n")
+    huge = np.resize([1e200, -1e200], 8000).astype("<f8").tobytes()
+    (d / "huge.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 64)),
+                                          riff_chunk(b"data", huge)))
+    at_max = np.resize([1.797e308, -1.797e308], 8000).astype("<f8").tobytes()
+    (d / "max.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 64)),
+                                         riff_chunk(b"data", at_max)))
+    (d / "max_clips.txt").write_text(f"{d / 'max.wav'}\n")
+    data = riff_chunk(b"data", np.zeros(8, "<i2").tobytes())
+    (d / "stereo.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, channels=2)), data))
+    # four bytes of a chunk header where the first chunk should start
+    (d / "cut_chunk_header.wav").write_bytes(riff_wav(b"fmt "))
+    (d / "short_fmt.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16)[:12]), data))
+    nan = np.resize([0.25, np.nan], 8000).astype("<f4").tobytes()
+    (d / "nan.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 32)),
+                                         riff_chunk(b"data", nan)))
+    tone16 = str(make_tone_wav(d / "tone16.wav", duration=1.0, rate=16000.0))
+    (d / "max_pairs.jsonl").write_text(
+        json.dumps({"ref_path": tone16, "deg_path": str(d / "max.wav")}) + "\n")
+    (d / "pairs.jsonl").write_text(json.dumps({"ref_path": tone, "deg_path": tone}) + "\n")
+    (d / "empty.jsonl").write_text("\n")
+    (d / "blank.txt").write_text("\n  \n\t\n")
+    (d / "missing_pairs.jsonl").write_text(
+        json.dumps({"ref_path": str(d / "nope.wav"), "deg_path": tone}) + "\n")
+    (d / "unknown.ini").write_text("[bogus]\n")
+    (d / "negative_seed.ini").write_text("[run]\nseed = -1\n")
+    # a chirp rate of 2.56e-298 Hz
+    (d / "slow_frames.ini").write_text("[chirp]\nframe_period = 1e300\n")
+    (d / "infinite_sigma.ini").write_text("[artifacts]\nbeginning_sigma = 1e400\n")
+    (d / "nan_sigma.ini").write_text("[artifacts]\nperiodic_sigma = nan\n")
+    (d / "slow_chirps.ini").write_text("[chirp]\nframe_period = 10\n")
+    (d / "nan_noise.ini").write_text("[scene]\nnoise_floor_db = nan\n")
+    (d / "zero_force.ini").write_text("[scene]\nforce_scale = 0\n")
+    (d / "heavy.ini").write_text("[material]\nmass = 1e300\n")
+    (d / "nan_alpha.ini").write_text("[synthesis]\nalpha = nan\n")
+    (d / "infinite_beta.ini").write_text("[synthesis]\nbeta = inf\n")
+    (d / "nan_rate.ini").write_text("[synthesis]\nsample_rate = nan\n")
+    (d / "infinite_rate.ini").write_text("[synthesis]\nsample_rate = inf\n")
+
+
+def main(table: dict | None = None) -> int:
+    """Run every case of table, EXIT_PATHS if None, and print a line per case that differs."""
+    table = EXIT_PATHS if table is None else table
+    lines = []
+    with tempfile.TemporaryDirectory(prefix="mmvib-exit-paths-") as scratch:
+        d = Path(scratch, "inputs")
+        d.mkdir()
+        write_exit_inputs(d)
+        for case, (argv, env_seed, status, message) in table.items():
+            paths = {"d": d, "t": Path(scratch, case)}
+            paths["t"].mkdir()
+            expected = (status, message.format(**paths) + "\n" if message else "")
+            got = run_case(argv, env_seed, paths)
+            if got != expected:
+                lines.append(f"{case}: expected {expected}, got {got}")
+    for line in lines:
+        print(line)
+    print(f"{len(table)} exit paths run, {len(lines)} differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,16 +6,19 @@ REV is checked out with `git worktree add` into a temporary directory, from
 local objects only. One fixed command list then runs under that tree and
 under this working tree, each with PYTHONPATH at the tree's src/ and in a
 fresh directory: simulate, extract with and without --no-preprocess, sweep
-over all six axes, synth with and without --jitter --sample-rate 16000, and
-score on what synth wrote, with transcripts and a mixed-rate pair. The
-inputs are fixed-seed tests/speechgen clips at 8, 16 and 44.1 kHz, written
-once and shared by both runs.
+over all six axes, synth plain, with --jitter --sample-rate 16000 and with
+--seed 4 --jitter, and score on what synth and extract wrote, with
+transcripts and pairs whose sides differ in rate. The inputs are fixed-seed
+tests/speechgen clips at 8, 16 and 44.1 kHz, written once and shared by
+both runs.
 
 Every output file, and each command's exit status, stdout and stderr, is
-compared byte for byte, after the run directory's name is replaced in JSON
-files and in the captured streams, since sidecars and messages name their
-paths. One line is printed per file that differs, and the exit status is 1
-if any does.
+compared byte for byte, after the run and input directories' names are
+replaced in JSON files and in the captured streams, since sidecars, reports
+and messages name their paths. One line is printed per file that differs,
+and the exit status is 1 if any does. tests/test_cli.py's TestOutputBytes
+also pins one run of the list: one SHA-256 over the SHA-256 of every file it
+writes, and one over the files of each swept axis and of synth and score.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The run directory as it reads in compared files.
+# The run directory and the input directory as they read in compared files.
 RUN_DIR = b"<run>"
-# Files whose contents name the run directory.
+INPUT_DIR = b"<inputs>"
+# Files whose contents name those directories.
 _NAMING_SUFFIXES = (".json", ".jsonl", ".log")
 
 # {i} is the shared input directory and {o} the run directory.
@@ -41,15 +45,22 @@ COMMANDS = [
     "extract --capture {o}/cap.bin --out {o}/raw.wav --no-preprocess",
     "sweep --param chirps_per_frame --values 256,512 --audio {i}/speech8k.wav "
     "--report {o}/sweep_chirps.json",
-    "sweep --param range_m --values 1.0,2.0 --audio {i}/speech8k.wav --report {o}/sweep_range.json",
+    "sweep --param range_m --values 1.0,2.0,3.7 --audio {i}/speech8k.wav "
+    "--report {o}/sweep_range.json",
     "sweep --param noise_floor_db --values=-60,-40 --audio {i}/speech16k.wav "
     "--report {o}/sweep_noise.json",
+    "sweep --param noise_floor_db --values=-60,-20 --audio {i}/speech8k.wav "
+    "--report {o}/sweep_noise8k.json",
     "sweep --param alpha --values 0.5,1.5 --audio {i}/speech8k.wav --report {o}/sweep_alpha.json",
+    "sweep --param alpha --values 0.5,1.5 --audio {i}/speech16k.wav "
+    "--report {o}/sweep_alpha16k.json",
     "sweep --param beta --values 0.1,0.6 --audio {i}/speech44k.wav --report {o}/sweep_beta.json",
+    "sweep --param beta --values 0.1,0.6 --audio {i}/speech8k.wav --report {o}/sweep_beta8k.json",
     "sweep --param material --values pet,tinfoil --audio {i}/speech8k.wav "
     "--report {o}/sweep_material.json",
     "synth --manifest {i}/clips.txt --out-dir {o}/ds",
     "synth --manifest {i}/clips.txt --out-dir {o}/ds16 --jitter --sample-rate 16000",
+    "synth --manifest {i}/clips.txt --out-dir {o}/dsj --seed 4 --jitter",
     "score --manifest {o}/pairs.jsonl --report {o}/score.json",
 ]
 _CLIPS = {"speech8k": 8000.0, "speech16k": 16000.0, "speech44k": 44100.0}
@@ -66,14 +77,21 @@ def write_inputs(inputs: Path) -> None:
     (inputs / "clips.txt").write_text("".join(f"{inputs / name}.wav\n" for name in _CLIPS))
 
 
-def _pairs(run: Path) -> str:
-    """score's manifest: each synth pair, one with transcripts, and an 8 kHz side on a 16 kHz one."""
+def _pairs(inputs: Path, run: Path) -> str:
+    """score's manifest: each synth pair, one with transcripts, then an 8 kHz degraded side on
+    a 16 kHz clean clip and on the 44.1 kHz source, and extract's trace on its source."""
     rows = [{"ref_path": f"{run}/ds/clean/{i:05d}_{name}.wav",
              "deg_path": f"{run}/ds/degraded/{i:05d}_{name}.wav"} for i, name in enumerate(_CLIPS)]
     rows[0].update(ref_text="the radar hears the film", hyp_text="the radar hears a film")
-    rows.append({"ref_path": f"{run}/ds16/clean/00000_speech8k.wav",
-                 "deg_path": f"{run}/ds/degraded/00000_speech8k.wav",
-                 "ref_text": ["phase", "range", "bin"], "hyp_text": ["phase", "rang", "bin"]})
+    rows += [
+        {"ref_path": f"{run}/ds16/clean/00000_speech8k.wav",
+         "deg_path": f"{run}/ds/degraded/00000_speech8k.wav",
+         "ref_text": ["phase", "range", "bin"], "hyp_text": ["phase", "rang", "bin"]},
+        {"ref_path": f"{inputs}/speech44k.wav",
+         "deg_path": f"{run}/dsj/degraded/00002_speech44k.wav"},
+        {"ref_path": f"{inputs}/speech8k.wav", "deg_path": f"{run}/trace.wav",
+         "ref_text": ["a", "b"], "hyp_text": ["a"]},
+    ]
     return "".join(json.dumps(row) + "\n" for row in rows)
 
 
@@ -84,7 +102,7 @@ def run_commands(tree: Path, inputs: Path, run: Path) -> list[str]:
     succeed, so a failure there would hide the outputs it was to compare.
     """
     run.mkdir()
-    (run / "pairs.jsonl").write_text(_pairs(run))
+    (run / "pairs.jsonl").write_text(_pairs(inputs, run))
     env = {k: v for k, v in os.environ.items() if k != "MMVIB_SEED"}
     env["PYTHONPATH"] = str(tree / "src")
     failed = []
@@ -99,14 +117,14 @@ def run_commands(tree: Path, inputs: Path, run: Path) -> list[str]:
     return failed
 
 
-def _contents(path: Path, run: Path) -> bytes:
+def _contents(path: Path, run: Path, inputs: Path) -> bytes:
     data = path.read_bytes()
     if path.suffix in _NAMING_SUFFIXES:
-        data = data.replace(os.fsencode(run), RUN_DIR)
+        data = data.replace(os.fsencode(run), RUN_DIR).replace(os.fsencode(inputs), INPUT_DIR)
     return data
 
 
-def differing(base: Path, other: Path) -> tuple[int, list[str]]:
+def differing(base: Path, other: Path, inputs: Path) -> tuple[int, list[str]]:
     """How many files the two run directories hold, and a line for each that differs."""
     names = sorted({p.relative_to(run) for run in (base, other) for p in run.rglob("*")
                     if p.is_file()})
@@ -115,7 +133,7 @@ def differing(base: Path, other: Path) -> tuple[int, list[str]]:
         a, b = base / name, other / name
         if not (a.is_file() and b.is_file()):
             lines.append(f"{name}: only in the {'revision' if a.is_file() else 'working tree'}")
-        elif _contents(a, base) != _contents(b, other):
+        elif _contents(a, base, inputs) != _contents(b, other, inputs):
             lines.append(f"{name}: differs")
     return len(names), lines
 
@@ -139,7 +157,7 @@ def main(argv=None) -> int:
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
                            check=True)
-        count, lines = differing(scratch / "revision", scratch / "working")
+        count, lines = differing(scratch / "revision", scratch / "working", inputs)
         lines = failed + lines
     for line in lines:
         print(line)

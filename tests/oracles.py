@@ -9,7 +9,6 @@ capture path as the reference for the streamed commands.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 from scipy.signal import welch
@@ -259,25 +258,3 @@ def in_memory_capture(config, audio, seed_key):
     return inject_artifacts(
         capture, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
     )
-
-
-def riff_chunk(chunk_id: bytes, body: bytes) -> bytes:
-    """One RIFF chunk: id, little-endian size, body, and a pad byte after an odd body."""
-    return chunk_id + struct.pack("<I", len(body)) + body + b"\0" * (len(body) & 1)
-
-
-def wav_fmt(tag: int, bits: int, rate: int = 8000, subformat: int | None = None,
-            channels: int = 1) -> bytes:
-    """A `fmt ` chunk body; with `subformat`, the 40-byte WAVE_FORMAT_EXTENSIBLE form."""
-    width = bits // 8 * channels
-    body = struct.pack("<HHIIHH", tag, channels, rate, rate * width, width, bits)
-    if subformat is None:
-        return body
-    guid_tail = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-    return body + struct.pack("<HHII", 22, bits, 0x4, subformat) + guid_tail
-
-
-def riff_wav(*chunks: bytes) -> bytes:
-    """A RIFF/WAVE file holding the given chunks, in order."""
-    body = b"WAVE" + b"".join(chunks)
-    return b"RIFF" + struct.pack("<I", len(body)) + body

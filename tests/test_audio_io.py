@@ -14,10 +14,10 @@ from scipy.fft import dct
 from scipy.io import wavfile
 from scipy.signal import filtfilt, firwin, resample_poly
 
+from exit_paths import riff_chunk, riff_wav, wav_fmt
 from mmvib import AudioBuffer, low_pass, read_wav, resample, write_wav
 from mmvib.audio_io import LOW_PASS_TAPS
 from mmvib.metrics import MCD_BANDS, _MCD_DCT
-from oracles import riff_chunk, riff_wav, wav_fmt
 
 RATES_IN = (8000.0, 10000.0, 16000.0, 22050.0, 44100.0, 48000.0)
 RATES_OUT = (8000.0, 10000.0, 16000.0, 32000.0)

@@ -1,9 +1,7 @@
 """Command-line surface: config parsing and the five subcommands."""
 
-import contextlib
 import csv
 import hashlib
-import io
 import json
 import os
 import re
@@ -23,9 +21,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import exit_paths
 import mmvib.cli
 import mmvib.radar_sim
 import mmvib.vib_extract
+from exit_paths import (EXIT_PATHS, make_tone_wav, riff_chunk, riff_wav, run_case, run_main,
+                        wav_fmt, write_exit_inputs)
+from identity import COMMANDS, ROOT, _contents, run_commands, write_inputs
 from mmvib import (
     AudioBuffer,
     CaptureFile,
@@ -56,18 +58,9 @@ from mmvib.cli import (
     main,
 )
 from mmvib.metrics import REQUIRED_METRICS
-from mmvib.radar_sim import write_capture_frames
 from mmvib.vib_extract import BinSearch
-from oracles import in_memory_capture, riff_chunk, riff_wav, wav_fmt
+from oracles import in_memory_capture
 from speechgen import make_speech_clip
-
-
-def make_tone_wav(path, freq=500.0, duration=2.0, rate=8000.0, amplitude=0.4):
-    t = np.arange(int(duration * rate)) / rate
-    from mmvib import AudioBuffer
-
-    write_wav(path, AudioBuffer(amplitude * np.sin(2 * np.pi * freq * t), rate))
-    return path
 
 
 class TestLoadConfig:
@@ -515,12 +508,10 @@ class TestExtract:
         root, good = small_capture
         capture = root / "garbled.bin"
         capture.write_bytes(_garble(good, edits))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["extract", "--capture", str(capture), "--out", str(root / "x.wav")])
+        code, err = run_main(["extract", "--capture", str(capture), "--out", str(root / "x.wav")])
         assert code in (0, 1)
-        assert "Traceback" not in err.getvalue()
-        assert err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err
+        assert err.count("\n") <= 1
 
     def test_every_frame_searched_once_per_command(self, tmp_path, monkeypatch):
         searched = []  # a digest of each frame a bin search sums, as it sums it
@@ -693,16 +684,8 @@ def _garble(data: bytes, edits) -> bytes:
     return data
 
 
-def _run_main(argv: list[str]) -> tuple[int, str]:
-    """main's exit status and stderr; stdout is dropped."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    return code, err.getvalue()
-
-
 def _run_score(manifest: Path, report: Path) -> tuple[int, str]:
-    return _run_main(["score", "--manifest", str(manifest), "--report", str(report)])
+    return run_main(["score", "--manifest", str(manifest), "--report", str(report)])
 
 
 @pytest.fixture(scope="module")
@@ -973,6 +956,24 @@ def test_runtime_imports_no_scipy(package):
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_exit_path_runner_imports_no_test_dependency():
+    # CI's numpy-only job runs tests/exit_paths.py, so a test-side import there fails here first
+    src = Path(mmvib.vib_extract.__file__).resolve().parents[1]
+    code = (
+        "import sys, exit_paths; "
+        "print([m for m in sys.modules if m.split('.')[0] in "
+        "('scipy', 'hypothesis', 'pytest', '_pytest')])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])},
         capture_output=True,
         text=True,
         check=True,
@@ -1326,7 +1327,7 @@ class TestRowPool:
         trees = {}
         for n in (16, 1):
             cpus(n)
-            assert _run_main(["synth", "--manifest", str(manifest), "--out-dir", str(out_dir),
+            assert run_main(["synth", "--manifest", str(manifest), "--out-dir", str(out_dir),
                               "--seed", "7", "--jitter"]) == (0, "")
             trees[n] = _tree(out_dir)
             shutil.rmtree(out_dir)
@@ -1346,139 +1347,81 @@ class TestRowPool:
         assert _run_score(pairs, tmp_path / "report.json") == (0, "")
         manifest = tmp_path / "clips.txt"
         manifest.write_text("\n".join(paths[:3]) + "\n")
-        assert _run_main(["synth", "--manifest", str(manifest),
+        assert run_main(["synth", "--manifest", str(manifest),
                           "--out-dir", str(tmp_path / "ds")]) == (0, "")
         cpus(1)
         assert _run_score(pairs, tmp_path / "report1.json") == (0, "")
         assert pool_sizes == [3, 3, 1]
 
 
+@pytest.fixture(scope="module")
+def identity_run(tmp_path_factory):
+    """One run of identity.COMMANDS: the SHA-256 of each file it writes, by name, after the run
+    and input directories' names are replaced."""
+    root = tmp_path_factory.mktemp("identity")
+    inputs, run = root / "inputs", root / "run"
+    inputs.mkdir()
+    write_inputs(inputs)
+    assert run_commands(ROOT, inputs, run) == []
+    return {p.relative_to(run).as_posix(): hashlib.sha256(_contents(p, run, inputs)).hexdigest()
+            for p in run.rglob("*") if p.is_file()}
+
+
+def _command_files(names, select) -> list[str]:
+    """Of a run's file names, the logs of the COMMANDS entries select picks and the files under
+    the run-directory paths those entries name (a report's CSV, a capture's sidecars)."""
+    picked = set()
+    for index, command in enumerate(COMMANDS):
+        argv = command.split()
+        if not select(argv):
+            continue
+        picked.add(f"{index:02d}_{argv[0]}.log")
+        for path in (arg.removeprefix("{o}/") for arg in argv if arg.startswith("{o}/")):
+            stem = path.split(".")[0]
+            picked.update(n for n in names
+                          if n == path or n.startswith((stem + ".", path + "/")))
+    return sorted(picked)
+
+
 class TestOutputBytes:
-    """Every file the five commands write, pinned by SHA-256.
+    """Every file one run of identity.COMMANDS writes, each command's exit status, stdout and
+    stderr log included, pinned by one SHA-256 over a sha256sum-style listing.
 
     The digests were recorded with numpy 2.4.6; another numpy may draw noise
-    or round sums differently. Every path is relative to the test's own
-    directory, so no output depends on where it runs.
+    or round sums differently. A mismatch prints the listing, and
+    `python tests/identity.py REV` names the files that differ from a revision's.
     """
 
-    DIGESTS = {
-        "cap.bin": "8377a613aaa73615a8173f96574f6a4a8caa12424a7db957a24ee31bef5d3329",
-        "cap.bin.artifacts.json": "1736c87bc32c2410d96cb797e07b6faeb0c189b466a811a2c3f3e1933c33b3f1",
-        "clips.txt": "c97bfc7b853c833de5ea6da63b1e8ce08168a6bde469b981a4f4b9f49733964f",
-        "ds/clean/00000_speech8k.wav": "b83eb9b125d7832804f7fcb6cd77002f14be60746bd4f3ff0604119c50a315d4",
-        "ds/clean/00001_speech16k.wav": "5ee127d9a03a85508b825f0e508532661ddf28d36610d808abb1175672ccb319",
-        "ds/degraded/00000_speech8k.wav": "58563e3498c85fdd7beab1df14d7a2b8bfcfe6492100adef3a1f839304aebdce",
-        "ds/degraded/00001_speech16k.wav": "2d9a80a9eea1d0b6da914e413cda832f22bc75866672b77653429f5fc59d6dc2",
-        "ds/manifest.jsonl": "45b155abd82aaf3263f936ade4ce6c7ab78cebfede26901c62aa8bda9184aaab",
-        "pairs.jsonl": "e0a8e8160e6265ccfd403865063878a193aa42258b2b1630127d398c067579a2",
-        "raw.wav": "dcdb8bcf06db7b22d405fedbb60dbff07bc737c7a72d599695696dc8518bcf2a",
-        "raw.wav.json": "e4f9397da4a98a5c219300992ddf59a4579d116ea06c61ac66fc5ca3cecadb80",
-        "report.json": "48074a2ec90e4bfe5f0605b756727f3931d0c543de1b8fb55def28e9b8505743",
-        "speech16k.wav": "d065f82968d99fdefd488f2f361d1524a812a36d8db1f1831b86ccbe4283aa06",
-        "speech8k.wav": "b83eb9b125d7832804f7fcb6cd77002f14be60746bd4f3ff0604119c50a315d4",
-        "sweep.csv": "89af3a8b4e6d9af2369547d84eed34143e2e1a6231237fd4721aefd5bc30d5f6",
-        "sweep.json": "8d20399b1c76b2d795bdef37fed55dfeaf53336c39d2ddd130a6359646cf152d",
-        "trace.wav": "ae37e70c1e92743c0daa93ddf3ce14014c4aa0c3345f79251d13c464d02e5f20",
-        "trace.wav.json": "c3dfab239af419cea2ab372e746ce086d00a2c956b888694e6dd9ff42cf24ca9",
-    }
-
-    def test_every_command_output_is_pinned(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("MMVIB_SEED", raising=False)
-        write_wav("speech8k.wav", make_speech_clip(31, duration=1.0, rate=8000.0))
-        write_wav("speech16k.wav", make_speech_clip(32, duration=0.75, rate=16000.0))
-        Path("clips.txt").write_text("speech8k.wav\nspeech16k.wav\n")
-        pairs = [
-            {"ref_path": "ds/clean/00000_speech8k.wav", "deg_path": "ds/degraded/00000_speech8k.wav",
-             "ref_text": "the cat sat", "hyp_text": "the hat sat"},
-            {"ref_path": "speech16k.wav", "deg_path": "ds/degraded/00001_speech16k.wav"},
-            {"ref_path": "speech8k.wav", "deg_path": "trace.wav",
-             "ref_text": ["a", "b"], "hyp_text": ["a"]},
-        ]
-        Path("pairs.jsonl").write_text("".join(json.dumps(row) + "\n" for row in pairs))
-        for argv in (
-            "simulate --audio speech8k.wav --out cap.bin",
-            "extract --capture cap.bin --out trace.wav",
-            "extract --capture cap.bin --out raw.wav --no-preprocess",
-            "sweep --param alpha --values 0.5,1.5 --audio speech16k.wav --report sweep.json",
-            "synth --manifest clips.txt --out-dir ds --seed 4 --jitter",
-            "score --manifest pairs.jsonl --report report.json",
-        ):
-            assert _run_main(argv.split()) == (0, ""), argv
-        digests = {name: hashlib.sha256(data).hexdigest() for name, data in _tree(tmp_path).items()}
-        assert digests == self.DIGESTS
-
-    # (values, sweep.json, sweep.csv) per axis, swept over one 1 s 8 kHz clip
+    DIGEST = "bd7b09db7198327914a56b8c91f209aeb37b0866deb5ac91c1564c4f8d4c6e86"
+    # the entries that sweep one axis, at 8 kHz and at any other rate the list sweeps it
     SWEEP_DIGESTS = {
-        "material": (
-            "pet,tinfoil",
-            "b2e3b5569732c03355476c1e59f7a688802a2b43bf660288822cc92dcda8a50f",
-            "caa6e9745f9c04f3abaccb8a9a8c56859093991703237fa0314b0af19518b8ac",
-        ),
-        "range_m": (
-            "1.0,3.7",
-            "d46f40662dffe6cda95f2ba536fca958b5d1f8b6e44143000dc7868d7a2d43bd",
-            "2a6a91bf3b6d3cb8517c0a1258c166fac0f8caf09dc4e9207b6a85a75653c416",
-        ),
-        "noise_floor_db": (
-            "-60,-20",
-            "25f43fd70d668f7e808a2ab7b956e3b250153ba38d03ef6837b8a5a8f371d283",
-            "2b679ff208c1c7dfb6425ec33a22858ca1c69e7dc672b3e5fdf31eda10dbdfe9",
-        ),
-        "beta": (
-            "0.1,0.6",
-            "e8ad9e034e4a80633d14c97a378fb8a12d73f8d65d97b0a1b8813fe77c66e8a6",
-            "9faa94359183fc32a9d8965777cab43f89f48540a1781be42bb843f569b1139d",
-        ),
-        "chirps_per_frame": (
-            "256,512",
-            "bfb05c46556ab832dbb2f9154562219c527dac48413b7b2f0976ec080b2a833c",
-            "a2fb6895467bb117bce1ee1fe191500ca518589a20fa8d77ea9877c7d11deee6",
-        ),
+        "beta": "2a4e95b4f0e00485386d04dc02066158d230ceee9ef42bdb5e0fc4280d5f777f",
+        "chirps_per_frame": "9fb3e16e1ce7118756fe55de3274f01f3a5e9f993a98cedbd8823a9bbc70d0bf",
+        "material": "cc26575cf4f9a10bb88f3f71808d95140b6956ccc0726f97e739ff5d5ec80d10",
+        "noise_floor_db": "587cc596ac71984903cb3964be0b2588e51271d13a4b636d8200457c830a3d12",
+        "range_m": "d105ea8723bf6ff93551eda27fbd6d12c370cbbaf3442904087f23cb8bacd7bb",
     }
+    # every synth entry, each over the 8, 16 and 44.1 kHz clips, and score on what they wrote
+    SYNTH_SCORE_DIGEST = "82938b8c27128897cb23afd5167f5cad91b43a1da57ea4e0105ce3c23aeb0a2e"
+
+    @staticmethod
+    def _assert_pinned(digests, names, expected):
+        assert names
+        listing = "".join(f"{digests[name]}  {name}\n" for name in names)
+        assert hashlib.sha256(listing.encode()).hexdigest() == expected, listing
+
+    def test_every_command_output_is_pinned(self, identity_run):
+        self._assert_pinned(identity_run, sorted(identity_run), self.DIGEST)
 
     @pytest.mark.parametrize("parameter", sorted(SWEEP_DIGESTS))
-    def test_every_sweep_axis_output_is_pinned(self, parameter, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("MMVIB_SEED", raising=False)
-        values, *expected = self.SWEEP_DIGESTS[parameter]
-        write_wav("speech.wav", make_speech_clip(33, duration=1.0, rate=8000.0))
-        argv = ["sweep", "--param", parameter, f"--values={values}", "--audio", "speech.wav",
-                "--report", "sweep.json"]
-        assert _run_main(argv) == (0, "")
-        assert [hashlib.sha256(Path(name).read_bytes()).hexdigest()
-                for name in ("sweep.json", "sweep.csv")] == expected
+    def test_every_sweep_axis_output_is_pinned(self, parameter, identity_run):
+        names = _command_files(identity_run,
+                               lambda argv: argv[:3] == ["sweep", "--param", parameter])
+        self._assert_pinned(identity_run, names, self.SWEEP_DIGESTS[parameter])
 
-    DIGESTS_44K = {
-        "clips.txt": "884a5b865feeff57afb29b2748e7723397620461a2653264e1d493ae7a5d5c62",
-        "ds/clean/00000_speech44k.wav": "7b6e6681717a37a8b8ec3a597fb5ed62bb16200428e80f4199029e0f7f2ef6e6",
-        "ds/degraded/00000_speech44k.wav": "aff580c7a59b75adfeaf37f69d92fa5eaa5cf3c277ea856b9405bc65247c435f",
-        "ds/manifest.jsonl": "13d7624ccdc4e55002d0bf8fc7f4e30eff3167c5badbd972b26792c7f934c4a8",
-        "pairs.jsonl": "046ab48d1c71773785e8151dfa6895e3757a29e5506ac3518a3169eaba18ba18",
-        "report.json": "99ae21264d5eda3c20611aa50d8c948018e715ae3dbd3308a6eb15f98313ff5e",
-        "speech44k.wav": "003416658df8ccbaed6386ab7b82c0e5262bcf6b8b214097239f87f0b13a2d72",
-    }
-
-    def test_a_44k_clip_through_synth_and_score_is_pinned(self, tmp_path, monkeypatch):
-        # the 8 kHz pair, and the 44.1 kHz source against its degraded copy,
-        # which score resamples up to 44.1 kHz
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("MMVIB_SEED", raising=False)
-        write_wav("speech44k.wav", make_speech_clip(34, duration=1.0, rate=44100.0))
-        Path("clips.txt").write_text("speech44k.wav\n")
-        pairs = [
-            {"ref_path": "ds/clean/00000_speech44k.wav",
-             "deg_path": "ds/degraded/00000_speech44k.wav"},
-            {"ref_path": "speech44k.wav", "deg_path": "ds/degraded/00000_speech44k.wav"},
-        ]
-        Path("pairs.jsonl").write_text("".join(json.dumps(row) + "\n" for row in pairs))
-        for argv in (
-            "synth --manifest clips.txt --out-dir ds --seed 6 --jitter",
-            "score --manifest pairs.jsonl --report report.json",
-        ):
-            assert _run_main(argv.split()) == (0, ""), argv
-        digests = {name: hashlib.sha256(data).hexdigest() for name, data in _tree(tmp_path).items()}
-        assert digests == self.DIGESTS_44K
+    def test_a_44k_clip_through_synth_and_score_is_pinned(self, identity_run):
+        names = _command_files(identity_run, lambda argv: argv[0] in ("synth", "score"))
+        self._assert_pinned(identity_run, names, self.SYNTH_SCORE_DIGEST)
 
 
 class TestMainDispatch:
@@ -1492,313 +1435,11 @@ class TestMainDispatch:
             main(["teleport"])
 
 
-_NO_FILE = "[Errno 2] No such file or directory"
-_UNREPRESENTABLE = "the ratio of the rates is not finite or rounds to zero"
-_NO_FRAME = ("audio must fill one frame (256 samples at the chirp rate) and have a finite, "
-             "non-zero spread")
-# Every command's exit paths: argv, MMVIB_SEED, exit status and stderr. {d}
-# is the directory of inputs and {t} a fresh output directory. extract and
-# score read no config and no seed, so their only exit 2 is argparse's usage
-# error (TestMainDispatch).
-_EXIT_PATHS = {
-    "simulate_ok": ("simulate --audio {d}/tone.wav --out {t}/c.bin", None, 0, ""),
-    "simulate_unknown_section": (
-        "simulate --config {d}/unknown.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
-        "simulate failed: config section [bogus] is not recognized"),
-    "simulate_negative_config_seed": (
-        "simulate --config {d}/negative_seed.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
-        "simulate failed: config field [run] seed must be a non-negative integer, got -1"),
-    "simulate_negative_env_seed": (
-        "simulate --audio {d}/tone.wav --out {t}/c.bin", "-3", 2,
-        "simulate failed: MMVIB_SEED must be a non-negative integer, got -3"),
-    "simulate_missing_audio": (
-        "simulate --audio {d}/nope.wav --out {t}/c.bin", None, 1,
-        f"simulate failed: {_NO_FILE}: '{{d}}/nope.wav'"),
-    "simulate_chirp_rate_rounds_to_zero": (
-        "simulate --config {d}/slow_frames.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
-        f"simulate failed: cannot resample from 8000.0 Hz to 2.56e-298 Hz: {_UNREPRESENTABLE}"),
-    "simulate_infinite_artifact_magnitude": (
-        "simulate --config {d}/infinite_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
-        "simulate failed: config: beginning_sigma must be finite and >= 0, got inf"),
-    # an input whose content is at fault is named in the message
-    "simulate_empty_wav": (
-        "simulate --audio {d}/empty.wav --out {t}/c.bin", None, 1,
-        f"simulate failed: {_NO_FRAME}: {{d}}/empty.wav"),
-    "simulate_one_sample_wav": (
-        "simulate --audio {d}/one_sample.wav --out {t}/c.bin", None, 1,
-        f"simulate failed: {_NO_FRAME}: {{d}}/one_sample.wav"),
-    "simulate_wav_shorter_than_a_frame": (
-        "simulate --audio {d}/short.wav --out {t}/c.bin", None, 1,
-        f"simulate failed: {_NO_FRAME}: {{d}}/short.wav"),
-    "simulate_silent_wav": (
-        "simulate --audio {d}/silent.wav --out {t}/c.bin", None, 1,
-        f"simulate failed: {_NO_FRAME}: {{d}}/silent.wav"),
-    # squares past the float64 range: the spread check prints no numpy warning
-    "simulate_float64_wav_past_the_spread": (
-        "simulate --audio {d}/huge.wav --out {t}/c.bin", None, 1,
-        f"simulate failed: {_NO_FRAME}: {{d}}/huge.wav"),
-    # a response denominator past the float64 range: zero displacement, no numpy warning
-    "simulate_mass_past_the_float64_range": (
-        "simulate --config {d}/heavy.ini --audio {d}/tone.wav --out {t}/c.bin", None, 0, ""),
-    "simulate_nan_artifact_magnitude": (
-        "simulate --config {d}/nan_sigma.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
-        "simulate failed: config: periodic_sigma must be finite and >= 0, got nan"),
-    "simulate_nan_noise_floor": (
-        "simulate --config {d}/nan_noise.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
-        "simulate failed: config: noise_floor_db must be finite, got nan"),
-    "simulate_zero_force_scale": (
-        "simulate --config {d}/zero_force.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
-        "simulate failed: config: force_scale must be positive, got 0.0"),
-    # WAVs read_wav refuses, named
-    "simulate_stereo_wav": (
-        "simulate --audio {d}/stereo.wav --out {t}/c.bin", None, 1,
-        "simulate failed: expected mono WAV, got 2 channels: {d}/stereo.wav"),
-    "simulate_truncated_chunk_header": (
-        "simulate --audio {d}/cut_chunk_header.wav --out {t}/c.bin", None, 1,
-        "simulate failed: truncated WAV chunk header: {d}/cut_chunk_header.wav"),
-    "simulate_12_byte_fmt_chunk": (
-        "simulate --audio {d}/short_fmt.wav --out {t}/c.bin", None, 1,
-        "simulate failed: truncated WAV 'fmt ' chunk: {d}/short_fmt.wav"),
-    "simulate_float32_nan_sample": (
-        "simulate --audio {d}/nan.wav --out {t}/c.bin", None, 1,
-        "simulate failed: samples contain non-finite values: {d}/nan.wav"),
-    "extract_ok": ("extract --capture {d}/cap.bin --out {t}/x.wav", None, 0, ""),
-    "extract_missing_capture": (
-        "extract --capture {d}/nope.bin --out {t}/x.wav", None, 1,
-        f"extract failed: {_NO_FILE}: '{{d}}/nope.bin'"),
-    "extract_unwritable_wav": (
-        "extract --capture {d}/cap.bin --out {t}/nodir/x.wav", None, 1,
-        f"extract failed: {_NO_FILE}: '{{t}}/nodir/x.wav'"),
-    "extract_zero_frames": (
-        "extract --capture {d}/zero_frames.bin --out {t}/x.wav", None, 1,
-        "extract failed: empty capture: {d}/zero_frames.bin"),
-    "extract_one_adc_sample": (
-        "extract --capture {d}/one_adc_sample.bin --out {t}/x.wav", None, 1,
-        "extract failed: no target: {d}/one_adc_sample.bin"),
-    "extract_all_zero_body": (
-        "extract --capture {d}/zero_body.bin --out {t}/x.wav", None, 1,
-        "extract failed: no target: {d}/zero_body.bin"),
-    # captures the cleanup rejects, which --no-preprocess extracts
-    "extract_one_chirp_per_frame": (
-        "extract --capture {d}/one_chirp.bin --out {t}/x.wav", None, 1,
-        "extract failed: chirps_per_frame must be >= 2, got 1: {d}/one_chirp.bin"),
-    "extract_one_chirp_per_frame_raw": (
-        "extract --capture {d}/one_chirp.bin --out {t}/x.wav --no-preprocess", None, 0, ""),
-    "extract_two_chirp_trace": (
-        "extract --capture {d}/two_chirps.bin --out {t}/x.wav", None, 1,
-        "extract failed: trace too short for outlier statistics, got 2 samples: "
-        "{d}/two_chirps.bin"),
-    "extract_two_chirp_trace_raw": (
-        "extract --capture {d}/two_chirps.bin --out {t}/x.wav --no-preprocess", None, 0, ""),
-    "synth_ok": ("synth --manifest {d}/clips.txt --out-dir {t}/ds --jitter", None, 0, ""),
-    "synth_negative_seed": (
-        "synth --manifest {d}/clips.txt --out-dir {t}/ds --seed -1", None, 2,
-        "synth failed: --seed must be a non-negative integer, got -1"),
-    "synth_negative_env_seed": (
-        "synth --manifest {d}/clips.txt --out-dir {t}/ds --seed 1", "-3", 2,
-        "synth failed: MMVIB_SEED must be a non-negative integer, got -3"),
-    "synth_non_integer_env_seed": (
-        "synth --manifest {d}/clips.txt --out-dir {t}/ds", "pi", 2,
-        "synth failed: MMVIB_SEED must be an integer, got 'pi'"),
-    "synth_missing_manifest": (
-        "synth --manifest {d}/nope.txt --out-dir {t}/ds", None, 1,
-        f"synth failed: {_NO_FILE}: '{{d}}/nope.txt'"),
-    "synth_no_entries": (
-        "synth --manifest {d}/empty.jsonl --out-dir {t}/ds", None, 1,
-        "synth failed: manifest lists no entries: {d}/empty.jsonl"),
-    "synth_blank_lines_only": (
-        "synth --manifest {d}/blank.txt --out-dir {t}/ds", None, 1,
-        "synth failed: manifest lists no entries: {d}/blank.txt"),
-    "synth_rate_rounds_to_zero": (
-        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=1e-300", None, 1,
-        "synth failed: all manifest entries failed, first: '{d}/tone.wav': "
-        f"cannot resample from 8000.0 Hz to 1e-300 Hz: {_UNREPRESENTABLE}"),
-    "synth_infinite_rate": (
-        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=inf", None, 1,
-        "synth failed: all manifest entries failed, first: '{d}/tone.wav': "
-        f"cannot resample from 8000.0 Hz to inf Hz: {_UNREPRESENTABLE}"),
-    # upsampling samples at the float64 maximum overflows: no numpy warning either
-    "synth_upsampled_float64_max": (
-        "synth --manifest {d}/max_clips.txt --out-dir {t}/ds --sample-rate 16000", None, 1,
-        "synth failed: all manifest entries failed, first: '{d}/max.wav': "
-        "samples contain non-finite values"),
-    # a valid 1.1 GHz clip whose rate the float WAV header cannot hold
-    "synth_rate_past_the_wav_header": (
-        "synth --manifest {d}/ghz_clips.txt --out-dir {t}/ds --sample-rate 1.1e9", None, 1,
-        "synth failed: all manifest entries failed, first: '{d}/ghz.wav': sample rate "
-        "1100000000.0 Hz does not fit a WAV header (1 to 1073741823 Hz): "
-        "{t}/ds/clean/00000_ghz.wav"),
-    "score_ok": ("score --manifest {d}/pairs.jsonl --report {t}/r.json", None, 0, ""),
-    "score_missing_manifest": (
-        "score --manifest {d}/nope.jsonl --report {t}/r.json", None, 1,
-        f"score failed: {_NO_FILE}: '{{d}}/nope.jsonl'"),
-    "score_no_pairs": (
-        "score --manifest {d}/empty.jsonl --report {t}/r.json", None, 1,
-        "score failed: manifest lists no pairs: {d}/empty.jsonl"),
-    "score_blank_lines_only": (
-        "score --manifest {d}/blank.txt --report {t}/r.json", None, 1,
-        "score failed: manifest lists no pairs: {d}/blank.txt"),
-    "score_all_pairs_fail": (
-        "score --manifest {d}/missing_pairs.jsonl --report {t}/r.json", None, 1,
-        "score failed: all pairs failed, first: ref '{d}/nope.wav', deg '{d}/tone.wav': "
-        f"{_NO_FILE}: '{{d}}/nope.wav'"),
-    # the 8 kHz degraded side is upsampled to its 16 kHz reference's rate
-    "score_upsampled_float64_max": (
-        "score --manifest {d}/max_pairs.jsonl --report {t}/r.json", None, 1,
-        "score failed: all pairs failed, first: ref '{d}/tone16.wav', deg '{d}/max.wav': "
-        "samples contain non-finite values"),
-    # exit 1, as for any other file the work cannot write
-    "score_unwritable_report": (
-        "score --manifest {d}/pairs.jsonl --report {t}/nodir/r.json", None, 1,
-        f"score failed: {_NO_FILE}: '{{t}}/nodir/r.json'"),
-    "sweep_ok": (
-        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.json", None, 0, ""),
-    # the config is checked first, then --param, then --values
-    "sweep_unknown_section": (
-        "sweep --config {d}/unknown.ini --param bogus --values=, --audio {d}/tone.wav "
-        "--report {t}/s.json", None, 2, "sweep failed: config section [bogus] is not recognized"),
-    "sweep_unknown_parameter": (
-        "sweep --param bogus --values=, --audio {d}/tone.wav --report {t}/s.json", None, 2,
-        "sweep failed: unknown parameter 'bogus'; valid: "
-        "chirps_per_frame, range_m, noise_floor_db, alpha, beta, material"),
-    "sweep_empty_values": (
-        "sweep --param range_m --values=, --audio {d}/tone.wav --report {t}/s.json", None, 2,
-        "sweep failed: empty value list"),
-    "sweep_negative_env_seed": (
-        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.json", "-3", 2,
-        "sweep failed: MMVIB_SEED must be a non-negative integer, got -3"),
-    "sweep_missing_audio": (
-        "sweep --param alpha --values 0.5 --audio {d}/nope.wav --report {t}/s.json", None, 1,
-        f"sweep failed: {_NO_FILE}: '{{d}}/nope.wav'"),
-    # a [synthesis] value is checked when the config loads, not blamed on the swept value
-    "sweep_nan_alpha": (
-        "sweep --config {d}/nan_alpha.ini --param beta --values 0.3 --audio {d}/tone.wav "
-        "--report {t}/s.json", None, 2,
-        "sweep failed: config: alpha and beta must be finite and >= 0, got nan, 0.3"),
-    "sweep_infinite_beta": (
-        "sweep --config {d}/infinite_beta.ini --param alpha --values 0.5 --audio {d}/tone.wav "
-        "--report {t}/s.json", None, 2,
-        "sweep failed: config: alpha and beta must be finite and >= 0, got 1.0, inf"),
-    "sweep_nan_sample_rate": (
-        "sweep --config {d}/nan_rate.ini --param beta --values 0.3 --audio {d}/tone.wav "
-        "--report {t}/s.json", None, 2,
-        "sweep failed: config: synth_sample_rate must be finite and positive, got nan"),
-    "sweep_infinite_sample_rate": (
-        "sweep --config {d}/infinite_rate.ini --param beta --values 0.3 --audio {d}/tone.wav "
-        "--report {t}/s.json", None, 2,
-        "sweep failed: config: synth_sample_rate must be finite and positive, got inf"),
-    "simulate_nan_alpha": (
-        "simulate --config {d}/nan_alpha.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
-        "simulate failed: config: alpha and beta must be finite and >= 0, got nan, 0.3"),
-    # the source is checked once, before the first value, and named
-    "sweep_silent_wav": (
-        "sweep --param alpha --values 0.5 --audio {d}/silent.wav --report {t}/s.json", None, 1,
-        "sweep failed: audio must have a finite, non-zero spread: {d}/silent.wav"),
-    # a radar value refuses what simulate refuses, at that value's chirp rate
-    "sweep_radar_value_on_a_wav_shorter_than_a_frame": (
-        "sweep --param range_m --values 1.5 --audio {d}/short.wav --report {t}/s.json", None, 1,
-        f"sweep failed: range_m=1.5: {_NO_FRAME}: {{d}}/short.wav"),
-    "sweep_512_chirps_on_a_wav_shorter_than_a_frame": (
-        "sweep --param chirps_per_frame --values 512 --audio {d}/short.wav --report {t}/s.json",
-        None, 1,
-        f"sweep failed: chirps_per_frame=512: {_NO_FRAME.replace('256', '512')}: {{d}}/short.wav"),
-    # 255 samples at 8 kHz are one sample at this config's 25.6 Hz chirp rate
-    "sweep_radar_value_whose_chirp_rate_leaves_one_sample": (
-        "sweep --config {d}/slow_chirps.ini --param range_m --values 1.5 --audio {d}/short.wav "
-        "--report {t}/s.json", None, 1,
-        f"sweep failed: range_m=1.5: {_NO_FRAME}: {{d}}/short.wav"),
-    "sweep_bad_value": (
-        "sweep --param material --values steel --audio {d}/tone.wav --report {t}/s.json", None, 1,
-        "sweep failed: material=steel: unknown material preset 'steel', valid: pet, tinfoil"),
-    # a source too short to score against itself is named, on either kind of axis
-    "sweep_400_samples_synthesis_axis": (
-        "sweep --param alpha --values 0.5 --audio {d}/tone400.wav --report {t}/s.json", None, 1,
-        "sweep failed: alpha=0.5: input too short: {d}/tone400.wav"),
-    "sweep_2000_samples_synthesis_axis": (
-        "sweep --param beta --values 0.3 --audio {d}/tone2000.wav --report {t}/s.json", None, 1,
-        "sweep failed: beta=0.3: input too short: {d}/tone2000.wav"),
-    "sweep_400_samples_radar_axis": (
-        "sweep --param range_m --values 1.5 --audio {d}/tone400.wav --report {t}/s.json", None,
-        1, "sweep failed: range_m=1.5: input too short: {d}/tone400.wav"),
-    "sweep_2000_samples_radar_axis": (
-        "sweep --param chirps_per_frame --values 256 --audio {d}/tone2000.wav "
-        "--report {t}/s.json", None, 1,
-        "sweep failed: chirps_per_frame=256: input too short: {d}/tone2000.wav"),
-    # a value at fault is not blamed on the source, even a source too short
-    "sweep_range_aliasing_on_a_short_source": (
-        "sweep --param range_m --values 9 --audio {d}/tone2000.wav --report {t}/s.json", None, 1,
-        "sweep failed: range_m=9: range aliasing: range_m 9.0 is not below the 4.79668 m the "
-        "ADC rate resolves"),
-    "sweep_unwritable_report": (
-        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/nodir/s.json", None,
-        1, f"sweep failed: {_NO_FILE}: '{{t}}/nodir/s.json'"),
-}
-
-
 @pytest.fixture(scope="module")
 def exit_inputs(tmp_path_factory):
     """A directory holding the inputs the exit-path cases name."""
     d = tmp_path_factory.mktemp("exit_inputs")
-    tone = str(make_tone_wav(d / "tone.wav", duration=1.0))
-    assert main(["simulate", "--audio", tone, "--out", str(d / "cap.bin")]) == 0
-    (d / "clips.txt").write_text(f"{tone}\n")
-    for name, samples in [("empty", []), ("one_sample", [0.5]), ("silent", np.zeros(8000)),
-                          ("short", 0.4 * np.sin(np.arange(255) / 5.0))]:
-        write_wav(d / f"{name}.wav", AudioBuffer(samples, 8000.0))
-    write_capture_frames(d / "zero_frames.bin", ChirpConfig(), [])
-    write_capture_frames(d / "one_adc_sample.bin", ChirpConfig(adc_samples_per_chirp=1),
-                         [np.ones((256, 1), dtype=np.complex64)])
-    write_capture_frames(d / "zero_body.bin", ChirpConfig(), [np.zeros((256, 256), np.complex64)])
-    (d / "one_chirp.ini").write_text("[chirp]\nchirps_per_frame = 1\n")
-    assert main(["simulate", "--config", str(d / "one_chirp.ini"), "--audio", tone,
-                 "--out", str(d / "one_chirp.bin")]) == 0
-    # one frame of two chirps, each a tone in bin 40
-    chirp = np.exp(2j * np.pi * 40 * np.arange(256) / 256).astype(np.complex64)
-    write_capture_frames(d / "two_chirps.bin", ChirpConfig(chirps_per_frame=2),
-                         [np.stack([chirp, chirp])])
-    for n in (400, 2000):
-        make_tone_wav(d / f"tone{n}.wav", duration=n / 8000.0)
-    ghz = np.round(0.4 * 2**15 * np.sin(np.arange(400) / 5.0)).astype("<i2").tobytes()
-    (d / "ghz.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, rate=1_100_000_000)),
-                                         riff_chunk(b"data", ghz)))
-    (d / "ghz_clips.txt").write_text(f"{d / 'ghz.wav'}\n")
-    huge = np.resize([1e200, -1e200], 8000).astype("<f8").tobytes()
-    (d / "huge.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 64)),
-                                          riff_chunk(b"data", huge)))
-    at_max = np.resize([1.797e308, -1.797e308], 8000).astype("<f8").tobytes()
-    (d / "max.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 64)),
-                                         riff_chunk(b"data", at_max)))
-    (d / "max_clips.txt").write_text(f"{d / 'max.wav'}\n")
-    data = riff_chunk(b"data", np.zeros(8, "<i2").tobytes())
-    (d / "stereo.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, channels=2)), data))
-    # four bytes of a chunk header where the first chunk should start
-    (d / "cut_chunk_header.wav").write_bytes(riff_wav(b"fmt "))
-    (d / "short_fmt.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16)[:12]), data))
-    nan = np.resize([0.25, np.nan], 8000).astype("<f4").tobytes()
-    (d / "nan.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 32)),
-                                         riff_chunk(b"data", nan)))
-    tone16 = str(make_tone_wav(d / "tone16.wav", duration=1.0, rate=16000.0))
-    (d / "max_pairs.jsonl").write_text(
-        json.dumps({"ref_path": tone16, "deg_path": str(d / "max.wav")}) + "\n")
-    (d / "pairs.jsonl").write_text(json.dumps({"ref_path": tone, "deg_path": tone}) + "\n")
-    (d / "empty.jsonl").write_text("\n")
-    (d / "blank.txt").write_text("\n  \n\t\n")
-    (d / "missing_pairs.jsonl").write_text(
-        json.dumps({"ref_path": str(d / "nope.wav"), "deg_path": tone}) + "\n")
-    (d / "unknown.ini").write_text("[bogus]\n")
-    (d / "negative_seed.ini").write_text("[run]\nseed = -1\n")
-    # a chirp rate of 2.56e-298 Hz
-    (d / "slow_frames.ini").write_text("[chirp]\nframe_period = 1e300\n")
-    (d / "infinite_sigma.ini").write_text("[artifacts]\nbeginning_sigma = 1e400\n")
-    (d / "nan_sigma.ini").write_text("[artifacts]\nperiodic_sigma = nan\n")
-    (d / "slow_chirps.ini").write_text("[chirp]\nframe_period = 10\n")
-    (d / "nan_noise.ini").write_text("[scene]\nnoise_floor_db = nan\n")
-    (d / "zero_force.ini").write_text("[scene]\nforce_scale = 0\n")
-    (d / "heavy.ini").write_text("[material]\nmass = 1e300\n")
-    (d / "nan_alpha.ini").write_text("[synthesis]\nalpha = nan\n")
-    (d / "infinite_beta.ini").write_text("[synthesis]\nbeta = inf\n")
-    (d / "nan_rate.ini").write_text("[synthesis]\nsample_rate = nan\n")
-    (d / "infinite_rate.ini").write_text("[synthesis]\nsample_rate = inf\n")
+    write_exit_inputs(d)
     return d
 
 
@@ -1893,25 +1534,39 @@ def _assert_clean_exit(code: int, err: str) -> None:
 
 
 class TestExitStatus:
-    @pytest.mark.parametrize("case", sorted(_EXIT_PATHS))
-    def test_exit_paths(self, case, exit_inputs, tmp_path, monkeypatch):
-        argv, env_seed, status, message = _EXIT_PATHS[case]
-        monkeypatch.delenv("MMVIB_SEED", raising=False)
-        if env_seed is not None:
-            monkeypatch.setenv("MMVIB_SEED", env_seed)
+    @pytest.mark.parametrize("case", sorted(EXIT_PATHS))
+    def test_exit_paths(self, case, exit_inputs, tmp_path):
+        argv, env_seed, status, message = EXIT_PATHS[case]
         paths = {"d": exit_inputs, "t": tmp_path}
-        code, err = _run_main([word.format(**paths) for word in argv.split()])
+        code, err = run_case(argv, env_seed, paths)
         assert code == status
         assert err.count("\n") == (status != 0)
         assert "Traceback" not in err
         assert err == (message.format(**paths) + "\n" if message else "")
+
+    def test_runner_names_each_case_that_differs(self, capsys):
+        argv, env_seed, status, message = EXIT_PATHS["sweep_empty_values"]
+        table = {
+            "as_listed": EXIT_PATHS["synth_no_entries"],
+            "wrong_message": (argv, env_seed, status, "sweep failed: not this message"),
+            "wrong_status": (argv, env_seed, 1, message),
+        }
+        assert exit_paths.main(table) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "wrong_message: expected (2, 'sweep failed: not this message\\n'), "
+            "got (2, 'sweep failed: empty value list\\n')",
+            "wrong_status: expected (1, 'sweep failed: empty value list\\n'), "
+            "got (2, 'sweep failed: empty value list\\n')",
+            "3 exit paths run, 2 differ",
+        ]
 
     def test_output_too_large_to_allocate_is_one_line(self, tmp_path):
         # 0.2 s at 1e20 Hz: numpy refuses the array before allocating any of it
         wav = make_tone_wav(tmp_path / "tone.wav", duration=0.2)
         manifest = tmp_path / "clips.txt"
         manifest.write_text(f"{wav}\n")
-        code, err = _run_main(["synth", "--manifest", str(manifest),
+        code, err = run_main(["synth", "--manifest", str(manifest),
                                "--out-dir", str(tmp_path / "ds"), "--sample-rate", "1e20"])
         assert code == 1
         assert re.fullmatch(r"synth failed: all manifest entries failed, first: "
@@ -1922,7 +1577,7 @@ class TestExitStatus:
         max_wav, missing = str(exit_inputs / "max.wav"), str(exit_inputs / "nope.wav")
         manifest = tmp_path / "clips.jsonl"
         manifest.write_text(f"\n{json.dumps({'clean_path': max_wav})}\n{missing}\n")
-        code, err = _run_main(["synth", "--manifest", str(manifest),
+        code, err = run_main(["synth", "--manifest", str(manifest),
                                "--out-dir", str(tmp_path / "ds"), "--sample-rate", "16000"])
         assert (code, err) == (1, f"synth failed: all manifest entries failed, first: "
                                   f"{max_wav!r}: samples contain non-finite values\n")
@@ -1931,10 +1586,11 @@ class TestExitStatus:
         # a JSON clean_path may hold a line break; the name is quoted, so stderr stays one line
         manifest = tmp_path / "clips.jsonl"
         manifest.write_text(json.dumps({"clean_path": "no\nsuch.wav"}) + "\n")
-        code, err = _run_main(["synth", "--manifest", str(manifest),
+        code, err = run_main(["synth", "--manifest", str(manifest),
                                "--out-dir", str(tmp_path / "ds")])
         assert (code, err) == (1, "synth failed: all manifest entries failed, first: "
-                                  f"'no\\nsuch.wav': {_NO_FILE}: 'no\\nsuch.wav'\n")
+                                  "'no\\nsuch.wav': [Errno 2] No such file or directory: "
+                                  "'no\\nsuch.wav'\n")
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
@@ -1952,7 +1608,7 @@ class TestExitStatus:
         text = "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
         config = fuzz_dir / "fuzz.ini"
         config.write_bytes(text.encode("utf-8", "surrogatepass") + tail)
-        code, err = _run_main(["simulate", "--config", str(config), "--audio",
+        code, err = run_main(["simulate", "--config", str(config), "--audio",
                                str(fuzz_dir / "tone.wav"), "--out", str(fuzz_dir / "c.bin")])
         _assert_clean_exit(code, err)
         if code == 2:
@@ -1971,7 +1627,7 @@ class TestExitStatus:
         manifest.write_bytes(text.encode("utf-8", "surrogateescape"))
         argv = ["synth", "--manifest", str(manifest), "--out-dir", str(fuzz_dir / "ds"),
                 f"--sample-rate={rate}", f"--alpha={alpha}", f"--beta={beta}", f"--seed={seed}"]
-        code, err = _run_main(argv + ["--jitter"] * jitter)
+        code, err = run_main(argv + ["--jitter"] * jitter)
         _assert_clean_exit(code, err)
         assert (code == 2) == (seed < 0)
         if rate in _UNREACHABLE_RATES and seed >= 0 and {alpha, beta}.isdisjoint(_BAD_GAINS):

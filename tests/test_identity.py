@@ -24,7 +24,7 @@ def test_differing_names_each_changed_or_missing_file(tmp_path):
         (run / "trace.wav").write_bytes(b"RIFF\x00\x00")
     (other / "trace.wav").write_bytes(b"RIFF\x00\x01")
     (base / "only_base.csv").write_text("a\n")
-    count, lines = differing(base, other)
+    count, lines = differing(base, other, tmp_path / "inputs")
     assert count == 4
     # the binary file keeps its bytes: only JSON files and stream logs have the name replaced
     assert lines == ["cap.bin: differs", "only_base.csv: only in the revision",
