@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import low_pass, read_wav, resample, write_wav
+from .audio_io import _MAX_FLOAT_WAV_RATE, low_pass, read_wav, resample, write_wav
 from .metrics import REQUIRED_METRICS, MetricsReport, score_pair
 from .radar_sim import (
     DEFAULT_NOISE_FLOOR_DB,
@@ -533,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _command(args):
     """The command args names, bound to its arguments, as a call that does the work.
 
-    The config, the seed, and sweep's --param and --values, in that order,
-    are checked here, before any work starts.
+    The config, the seed, synth's --sample-rate, and sweep's --param and
+    --values, in that order, are checked here, before any work starts.
     """
     if args.command == "simulate":
         return partial(cmd_simulate, load_config(args.config), args.audio, args.out)
@@ -542,8 +542,13 @@ def _command(args):
         return partial(cmd_extract, args.capture, args.out, not args.no_preprocess)
     if args.command == "synth":
         seed = _resolve_seed(args.seed, "--seed")
+        # write_wav's bound, checked before any entry is resampled to the rate
+        rate = args.sample_rate
+        if not (np.isfinite(rate) and 1 <= round(rate) <= _MAX_FLOAT_WAV_RATE):
+            raise ValueError(f"--sample-rate {rate} Hz does not fit a WAV header "
+                             f"(1 to {_MAX_FLOAT_WAV_RATE} Hz)")
         return partial(cmd_synth, args.manifest, args.out_dir, args.alpha, args.beta, seed,
-                       args.sample_rate, args.jitter)
+                       rate, args.jitter)
     if args.command == "score":
         return partial(cmd_score, args.manifest, args.report)
     config = load_config(args.config)

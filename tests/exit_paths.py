@@ -31,6 +31,7 @@ from mmvib.radar_sim import write_capture_frames
 
 _NO_FILE = "[Errno 2] No such file or directory"
 _UNREPRESENTABLE = "the ratio of the rates is not finite or rounds to zero"
+_NO_WAV_RATE = "does not fit a WAV header (1 to 1073741823 Hz)"
 _NO_FRAME = ("audio must fill one frame (256 samples at the chirp rate) and have a finite, "
              "non-zero spread")
 # Every command's exit paths: argv, MMVIB_SEED, exit status and stderr. {d}
@@ -48,6 +49,9 @@ EXIT_PATHS = {
     "simulate_negative_env_seed": (
         "simulate --audio {d}/tone.wav --out {t}/c.bin", "-3", 2,
         "simulate failed: MMVIB_SEED must be a non-negative integer, got -3"),
+    "simulate_non_integer_env_seed": (
+        "simulate --audio {d}/tone.wav --out {t}/c.bin", "pi", 2,
+        "simulate failed: MMVIB_SEED must be an integer, got 'pi'"),
     "simulate_missing_audio": (
         "simulate --audio {d}/nope.wav --out {t}/c.bin", None, 1,
         f"simulate failed: {_NO_FILE}: '{{d}}/nope.wav'"),
@@ -83,6 +87,13 @@ EXIT_PATHS = {
     "simulate_nan_noise_floor": (
         "simulate --config {d}/nan_noise.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: noise_floor_db must be finite, got nan"),
+    # noise past complex64 is refused before the capture is written
+    "simulate_noise_floor_1000": (
+        "simulate --config {d}/noise_1000.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
+        "simulate failed: noise_floor_db must be below 770.6, the complex64 range, got 1000.0"),
+    "simulate_noise_floor_10000": (
+        "simulate --config {d}/noise_10000.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
+        "simulate failed: noise_floor_db must be below 770.6, the complex64 range, got 10000.0"),
     "simulate_zero_force_scale": (
         "simulate --config {d}/zero_force.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: force_scale must be positive, got 0.0"),
@@ -106,6 +117,15 @@ EXIT_PATHS = {
     "extract_unwritable_wav": (
         "extract --capture {d}/cap.bin --out {t}/nodir/x.wav", None, 1,
         f"extract failed: {_NO_FILE}: '{{t}}/nodir/x.wav'"),
+    "extract_not_a_capture": (
+        "extract --capture {d}/not_a_capture.bin --out {t}/x.wav", None, 1,
+        "extract failed: not a capture file, bad magic: {d}/not_a_capture.bin"),
+    "extract_nan_sample": (
+        "extract --capture {d}/nan_sample.bin --out {t}/x.wav", None, 1,
+        "extract failed: capture samples are not finite or too large: {d}/nan_sample.bin"),
+    "extract_inf_sample": (
+        "extract --capture {d}/inf_sample.bin --out {t}/x.wav", None, 1,
+        "extract failed: capture samples are not finite or too large: {d}/inf_sample.bin"),
     "extract_zero_frames": (
         "extract --capture {d}/zero_frames.bin --out {t}/x.wav", None, 1,
         "extract failed: empty capture: {d}/zero_frames.bin"),
@@ -146,25 +166,42 @@ EXIT_PATHS = {
     "synth_blank_lines_only": (
         "synth --manifest {d}/blank.txt --out-dir {t}/ds", None, 1,
         "synth failed: manifest lists no entries: {d}/blank.txt"),
+    # a JSON line with no clean_path is named by its line, blank lines counted
+    "synth_json_row_without_clean_path": (
+        "synth --manifest {d}/no_clean_path.jsonl --out-dir {t}/ds", None, 1,
+        "synth failed: {d}/no_clean_path.jsonl line 2: no JSON clean_path field"),
+    "synth_blank_lines_before_a_row_without_clean_path": (
+        "synth --manifest {d}/blank_then_no_clean_path.jsonl --out-dir {t}/ds", None, 1,
+        "synth failed: {d}/blank_then_no_clean_path.jsonl line 4: no JSON clean_path field"),
+    "synth_deeply_nested_json_row": (
+        "synth --manifest {d}/nested.jsonl --out-dir {t}/ds", None, 1,
+        "synth failed: {d}/nested.jsonl line 1: no JSON clean_path field"),
+    "synth_non_utf8_manifest_line": (
+        "synth --manifest {d}/non_utf8.txt --out-dir {t}/ds", None, 1,
+        "synth failed: {d}/non_utf8.txt line 2: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte"),
+    # a rate no float WAV header holds is refused before any entry is read
     "synth_rate_rounds_to_zero": (
-        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=1e-300", None, 1,
-        "synth failed: all manifest entries failed, first: '{d}/tone.wav': "
-        f"cannot resample from 8000.0 Hz to 1e-300 Hz: {_UNREPRESENTABLE}"),
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=1e-300", None, 2,
+        f"synth failed: --sample-rate 1e-300 Hz {_NO_WAV_RATE}"),
     "synth_infinite_rate": (
-        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=inf", None, 1,
-        "synth failed: all manifest entries failed, first: '{d}/tone.wav': "
-        f"cannot resample from 8000.0 Hz to inf Hz: {_UNREPRESENTABLE}"),
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=inf", None, 2,
+        f"synth failed: --sample-rate inf Hz {_NO_WAV_RATE}"),
+    "synth_rate_past_the_wav_header": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate 1.1e9", None, 2,
+        f"synth failed: --sample-rate 1100000000.0 Hz {_NO_WAV_RATE}"),
+    # rates the header holds none of, which the 8 kHz tone could not be resampled to in memory
+    "synth_rate_1e12": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate 1e12", None, 2,
+        f"synth failed: --sample-rate 1000000000000.0 Hz {_NO_WAV_RATE}"),
+    "synth_rate_1e20": (
+        "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate 1e20", None, 2,
+        f"synth failed: --sample-rate 1e+20 Hz {_NO_WAV_RATE}"),
     # upsampling samples at the float64 maximum overflows: no numpy warning either
     "synth_upsampled_float64_max": (
         "synth --manifest {d}/max_clips.txt --out-dir {t}/ds --sample-rate 16000", None, 1,
         "synth failed: all manifest entries failed, first: '{d}/max.wav': "
         "samples contain non-finite values"),
-    # a valid 1.1 GHz clip whose rate the float WAV header cannot hold
-    "synth_rate_past_the_wav_header": (
-        "synth --manifest {d}/ghz_clips.txt --out-dir {t}/ds --sample-rate 1.1e9", None, 1,
-        "synth failed: all manifest entries failed, first: '{d}/ghz.wav': sample rate "
-        "1100000000.0 Hz does not fit a WAV header (1 to 1073741823 Hz): "
-        "{t}/ds/clean/00000_ghz.wav"),
     "score_ok": ("score --manifest {d}/pairs.jsonl --report {t}/r.json", None, 0, ""),
     "score_missing_manifest": (
         "score --manifest {d}/nope.jsonl --report {t}/r.json", None, 1,
@@ -300,6 +337,60 @@ def riff_wav(*chunks: bytes) -> bytes:
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
+_SILENT_DATA = riff_chunk(b"data", b"\0" * 64)
+# WAVs read_wav refuses: the file's bytes, given the bytes of a good float32
+# WAV, and the reason read_wav gives before the file's name
+MALFORMED_WAVS = {
+    "truncated_header": (lambda good: good[:30], "truncated WAV 'fmt ' chunk"),
+    "truncated_data": (lambda good: good[:-3], "truncated WAV 'data' chunk"),
+    "not_riff": (lambda good: b"OggS" + good[4:], "not a RIFF/WAVE file"),
+    "no_fmt_chunk": (lambda good: riff_wav(_SILENT_DATA), "WAV file has no 'fmt ' chunk"),
+    "no_data_chunk": (lambda good: riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16))),
+                      "WAV file has no 'data' chunk"),
+    "adpcm_tag": (lambda good: riff_wav(riff_chunk(b"fmt ", wav_fmt(2, 16)), _SILENT_DATA),
+                  "unsupported WAV format (tag 0x2, 16-bit)"),
+    "pcm_12_bit": (lambda good: riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 12)), _SILENT_DATA),
+                   "unsupported WAV format (tag 0x1, 12-bit)"),
+    "float_16_bit": (lambda good: riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 16)), _SILENT_DATA),
+                     "unsupported WAV format (tag 0x3, 16-bit)"),
+}
+# INI files the parser or the int cast rejects, and the reason load_config gives
+_MALFORMED_CONFIGS = {
+    "overflow": ("[chirp]\nchirps_per_frame = 1e400\n",
+                 "config field [chirp] chirps_per_frame: cannot convert float infinity to integer"),
+    "duplicate_key": ("[chirp]\nchirps_per_frame = 3\nchirps_per_frame = 4\n",
+                      "config: While reading from '{d}/duplicate_key.ini' [line 3]: option "
+                      "'chirps_per_frame' in section 'chirp' already exists"),
+    "no_header": ("chirps_per_frame = 3\n",
+                  "config: File contains no section headers. file: '{d}/no_header.ini', line: 1 "
+                  "'chirps_per_frame = 3\\n'"),
+    "duplicate_section": ("[scene]\n[scene]\n",
+                          "config: While reading from '{d}/duplicate_section.ini' [line 2]: "
+                          "section 'scene' already exists"),
+    "no_value": ("[scene]\nrange_m\n",
+                 "config: Source contains parsing errors: '{d}/no_value.ini' [line 2]: "
+                 "'range_m\\n'"),
+    "percent": ("[scene]\nrange_m = 5%\n",
+                "config field [scene] range_m: could not convert string to float: '5%'"),
+    "infinite_wavelength": ("[chirp]\ncarrier_freq = 1e-300\n",
+                            "config section [chirp]: carrier_freq 1e-300 gives a wavelength "
+                            "that is not finite"),
+}
+for _name, (_, _reason) in _MALFORMED_CONFIGS.items():
+    EXIT_PATHS[f"simulate_config_{_name}"] = (
+        f"simulate --config {{d}}/{_name}.ini --audio {{d}}/tone.wav --out {{t}}/c.bin", None, 2,
+        f"simulate failed: {_reason}")
+# simulate and synth name each of them, synth as the first entry that failed
+for _name, (_, _reason) in MALFORMED_WAVS.items():
+    EXIT_PATHS[f"simulate_{_name}_wav"] = (
+        f"simulate --audio {{d}}/{_name}.wav --out {{t}}/c.bin", None, 1,
+        f"simulate failed: {_reason}: {{d}}/{_name}.wav")
+    EXIT_PATHS[f"synth_{_name}_wav"] = (
+        f"synth --manifest {{d}}/{_name}.txt --out-dir {{t}}/ds", None, 1,
+        f"synth failed: all manifest entries failed, first: '{{d}}/{_name}.wav': "
+        f"{_reason}: {{d}}/{_name}.wav")
+
+
 def run_main(argv: list[str]) -> tuple[int, str]:
     """main's exit status and stderr; stdout is dropped."""
     err = io.StringIO()
@@ -348,10 +439,6 @@ def write_exit_inputs(d: Path) -> None:
                          [np.stack([chirp, chirp])])
     for n in (400, 2000):
         make_tone_wav(d / f"tone{n}.wav", duration=n / 8000.0)
-    ghz = np.round(0.4 * 2**15 * np.sin(np.arange(400) / 5.0)).astype("<i2").tobytes()
-    (d / "ghz.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(1, 16, rate=1_100_000_000)),
-                                         riff_chunk(b"data", ghz)))
-    (d / "ghz_clips.txt").write_text(f"{d / 'ghz.wav'}\n")
     huge = np.resize([1e200, -1e200], 8000).astype("<f8").tobytes()
     (d / "huge.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 64)),
                                           riff_chunk(b"data", huge)))
@@ -367,6 +454,23 @@ def write_exit_inputs(d: Path) -> None:
     nan = np.resize([0.25, np.nan], 8000).astype("<f4").tobytes()
     (d / "nan.wav").write_bytes(riff_wav(riff_chunk(b"fmt ", wav_fmt(3, 32)),
                                          riff_chunk(b"data", nan)))
+    good = Path(tone).read_bytes()
+    for name, (make, _) in MALFORMED_WAVS.items():
+        (d / f"{name}.wav").write_bytes(make(good))
+        (d / f"{name}.txt").write_text(f"{d / name}.wav\n")
+    for name, (text, _) in _MALFORMED_CONFIGS.items():
+        (d / f"{name}.ini").write_text(text)
+    (d / "not_a_capture.bin").write_bytes(b"NOTACAP!" + bytes(64))
+    for name, value in [("nan_sample", np.nan), ("inf_sample", np.inf)]:
+        # the real part of the last sample of the last chirp
+        data = bytearray((d / "cap.bin").read_bytes())
+        struct.pack_into("<f", data, len(data) - 8, value)
+        (d / f"{name}.bin").write_bytes(data)
+    row, no_clean_path = json.dumps({"clean_path": tone}), json.dumps({"path": tone})
+    (d / "no_clean_path.jsonl").write_text(f"{row}\n{no_clean_path}\n")
+    (d / "blank_then_no_clean_path.jsonl").write_text(f"\n \t \n{row}\n{no_clean_path}\n")
+    (d / "nested.jsonl").write_text('{"clean_path": ' + "[" * 100_000 + "\n")
+    (d / "non_utf8.txt").write_bytes(b"clip.wav\n\xff{}\n")
     tone16 = str(make_tone_wav(d / "tone16.wav", duration=1.0, rate=16000.0))
     (d / "max_pairs.jsonl").write_text(
         json.dumps({"ref_path": tone16, "deg_path": str(d / "max.wav")}) + "\n")
@@ -385,6 +489,8 @@ def write_exit_inputs(d: Path) -> None:
     (d / "nan_noise.ini").write_text("[scene]\nnoise_floor_db = nan\n")
     (d / "zero_force.ini").write_text("[scene]\nforce_scale = 0\n")
     (d / "heavy.ini").write_text("[material]\nmass = 1e300\n")
+    for db in (1000, 10000):
+        (d / f"noise_{db}.ini").write_text(f"[scene]\nnoise_floor_db = {db}\n")
     (d / "nan_alpha.ini").write_text("[synthesis]\nalpha = nan\n")
     (d / "infinite_beta.ini").write_text("[synthesis]\nbeta = inf\n")
     (d / "nan_rate.ini").write_text("[synthesis]\nsample_rate = nan\n")

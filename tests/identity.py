@@ -3,9 +3,10 @@
 Usage: python tests/identity.py REV
 
 REV is checked out with `git worktree add` into a temporary directory, from
-local objects only. One fixed command list then runs under that tree and
-under this working tree, each with PYTHONPATH at the tree's src/ and in a
-fresh directory: simulate, extract with and without --no-preprocess, sweep
+local objects only; a REV that names no commit exits 2 with one line on
+stderr, before any input is written. One fixed command list then runs under
+that tree and under this working tree, each with PYTHONPATH at the tree's
+src/ and in a fresh directory: simulate, extract with and without --no-preprocess, sweep
 over all six axes, synth plain, with --jitter --sample-rate 16000 and with
 --seed 4 --jitter, and score on what synth and extract wrote, with
 transcripts and pairs whose sides differ in rate. The inputs are fixed-seed
@@ -17,8 +18,10 @@ compared byte for byte, after the run and input directories' names are
 replaced in JSON files and in the captured streams, since sidecars, reports
 and messages name their paths. One line is printed per file that differs,
 and the exit status is 1 if any does. tests/test_cli.py's TestOutputBytes
-also pins one run of the list: one SHA-256 over the SHA-256 of every file it
+pins one run of the list: one SHA-256 over the SHA-256 of every file it
 writes, and one over the files of each swept axis and of synth and score.
+tests/test_identity.py runs main against HEAD with the list cut to the plain
+synth entry, which checks the worktree, the comparison and the cleanup.
 """
 
 from __future__ import annotations
@@ -143,11 +146,16 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print("usage: python tests/identity.py REV", file=sys.stderr)
         return 2
+    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                             f"{args[0]}^{{commit}}"], capture_output=True, text=True).stdout
+    if not commit:
+        print(f"unknown revision: {args[0]}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="mmvib-identity-") as scratch:
         scratch = Path(scratch)
         tree = scratch / "tree"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
-                        str(tree), args[0]], check=True)
+                        str(tree), commit.strip()], check=True)
         try:
             inputs = scratch / "inputs"
             inputs.mkdir()

@@ -1,10 +1,15 @@
-"""The parent-identity check: its comparison, and a full run against HEAD."""
+"""The parent-identity check: its comparison, main against HEAD on one entry of the list, and
+a revision that does not resolve.
+
+The whole list's outputs are pinned by tests/test_cli.py's TestOutputBytes.
+"""
 
 import subprocess
-import sys
+import tempfile
 
 import pytest
 
+import identity
 from identity import ROOT, differing
 
 
@@ -12,6 +17,15 @@ def _is_git_checkout() -> bool:
     done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", "HEAD"],
                           capture_output=True)
     return done.returncode == 0
+
+
+needs_git = pytest.mark.skipif(not _is_git_checkout(),
+                               reason="needs a git checkout with a HEAD commit")
+
+
+def _worktrees() -> str:
+    return subprocess.run(["git", "-C", str(ROOT), "worktree", "list"],
+                          capture_output=True, text=True, check=True).stdout
 
 
 def test_differing_names_each_changed_or_missing_file(tmp_path):
@@ -31,14 +45,23 @@ def test_differing_names_each_changed_or_missing_file(tmp_path):
                      "trace.wav: differs"]
 
 
-@pytest.mark.skipif(not _is_git_checkout(), reason="needs a git checkout with a HEAD commit")
-def test_working_tree_matches_head():
-    # the working tree is HEAD plus any uncommitted change, so a clean tree
-    # also shows that two fresh runs of the command list agree
-    done = subprocess.run([sys.executable, str(ROOT / "tests" / "identity.py"), "HEAD"],
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.endswith(" files compared against HEAD, 0 differ or failed\n")
-    worktrees = subprocess.run(["git", "-C", str(ROOT), "worktree", "list"],
-                               capture_output=True, text=True, check=True).stdout
-    assert "mmvib-identity-" not in worktrees
+@needs_git
+def test_working_tree_matches_head(tmp_path, monkeypatch, capsys):
+    # the plain synth entry writes a manifest.jsonl that names its run directory, so the
+    # two runs agree only if the comparison replaces each run's name
+    monkeypatch.setattr(identity, "COMMANDS", ["synth --manifest {i}/clips.txt --out-dir {o}/ds"])
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert identity.main(["HEAD"]) == 0
+    # pairs.jsonl, the command's log, manifest.jsonl and three clean and three degraded clips
+    assert capsys.readouterr().out == "9 files compared against HEAD, 0 differ or failed\n"
+    assert list(tmp_path.iterdir()) == []
+    assert "mmvib-identity-" not in _worktrees()
+
+
+@needs_git
+def test_unknown_revision_exits_2_before_any_input(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert identity.main(["no-such-rev"]) == 2
+    assert capsys.readouterr() == ("", "unknown revision: no-such-rev\n")
+    assert list(tmp_path.iterdir()) == []
+    assert "mmvib-identity-" not in _worktrees()
