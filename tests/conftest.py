@@ -1,16 +1,38 @@
-"""Shared fixtures: chirp configs, tone captures, and clip factories."""
+"""Shared fixtures: chirp configs, tone captures, clip factories, the exit-path inputs and a
+traced-memory helper."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from exit_paths import write_exit_inputs
 from mmvib import ChirpConfig, VibrationTrace, simulate_if_frames
 
 
 @pytest.fixture
 def chirp_cfg() -> ChirpConfig:
     return ChirpConfig()
+
+
+@pytest.fixture(scope="session")
+def exit_inputs(tmp_path_factory):
+    """A directory holding the inputs the exit-path cases name."""
+    d = tmp_path_factory.mktemp("exit_inputs")
+    write_exit_inputs(d)
+    return d
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory tracemalloc traces while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_tone_trace(

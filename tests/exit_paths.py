@@ -4,8 +4,11 @@ Usage: python tests/exit_paths.py
 
 The runner writes the inputs the cases name into a temporary directory, runs
 each case in process through mmvib.cli.main, and prints one line per case
-whose exit status or stderr is not the table's; it exits 1 if any is not.
-tests/test_cli.py::TestExitStatus runs the same table under pytest.
+whose exit status or stderr is not the table's, or that fails and leaves a
+file the LEFT_BEHIND map does not name; it exits 1 if any does. Malformed
+WAVs, configs and capture containers each have a table of their own, from
+which the rows that read them are made. tests/test_cli.py::TestExitStatus
+runs the same table, through the same check_case, under pytest.
 """
 
 from __future__ import annotations
@@ -117,9 +120,6 @@ EXIT_PATHS = {
     "extract_unwritable_wav": (
         "extract --capture {d}/cap.bin --out {t}/nodir/x.wav", None, 1,
         f"extract failed: {_NO_FILE}: '{{t}}/nodir/x.wav'"),
-    "extract_not_a_capture": (
-        "extract --capture {d}/not_a_capture.bin --out {t}/x.wav", None, 1,
-        "extract failed: not a capture file, bad magic: {d}/not_a_capture.bin"),
     "extract_nan_sample": (
         "extract --capture {d}/nan_sample.bin --out {t}/x.wav", None, 1,
         "extract failed: capture samples are not finite or too large: {d}/nan_sample.bin"),
@@ -180,6 +180,16 @@ EXIT_PATHS = {
         "synth --manifest {d}/non_utf8.txt --out-dir {t}/ds", None, 1,
         "synth failed: {d}/non_utf8.txt line 2: 'utf-8' codec can't decode byte 0xff in "
         "position 0: invalid start byte"),
+    # the first entry that failed is named, blank lines and later entries aside
+    "synth_all_failed_names_the_first_entry": (
+        "synth --manifest {d}/max_then_missing.jsonl --out-dir {t}/ds --sample-rate 16000", None,
+        1, "synth failed: all manifest entries failed, first: '{d}/max.wav': "
+        "samples contain non-finite values"),
+    # a JSON clean_path may hold a line break; the name is quoted, so stderr stays one line
+    "synth_names_a_manifest_path_on_one_line": (
+        "synth --manifest {d}/line_break_path.jsonl --out-dir {t}/ds", None, 1,
+        "synth failed: all manifest entries failed, first: 'no\\nsuch.wav': "
+        f"{_NO_FILE}: 'no\\nsuch.wav'"),
     # a rate no float WAV header holds is refused before any entry is read
     "synth_rate_rounds_to_zero": (
         "synth --manifest {d}/clips.txt --out-dir {t}/ds --sample-rate=1e-300", None, 2,
@@ -221,12 +231,36 @@ EXIT_PATHS = {
         "score --manifest {d}/max_pairs.jsonl --report {t}/r.json", None, 1,
         "score failed: all pairs failed, first: ref '{d}/tone16.wav', deg '{d}/max.wav': "
         "samples contain non-finite values"),
+    # a manifest line JSON cannot parse is named, blank lines counted, and no report is written
+    "score_deeply_nested_manifest_line": (
+        "score --manifest {d}/nested_pairs.jsonl --report {t}/r.json", None, 1,
+        "score failed: {d}/nested_pairs.jsonl line 2: maximum recursion depth exceeded while "
+        "decoding a JSON array from a unicode string"),
+    "score_blank_lines_before_a_bad_line": (
+        "score --manifest {d}/blank_then_bad_pairs.jsonl --report {t}/r.json", None, 1,
+        "score failed: {d}/blank_then_bad_pairs.jsonl line 4: Expecting property name enclosed "
+        "in double quotes: line 2 column 1 (char 2)"),
+    "score_non_utf8_manifest_line": (
+        "score --manifest {d}/non_utf8_pairs.jsonl --report {t}/r.json", None, 1,
+        "score failed: {d}/non_utf8_pairs.jsonl line 2: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte"),
+    "score_all_failed_names_the_line_of_a_non_object": (
+        "score --manifest {d}/non_object_pairs.jsonl --report {t}/r.json", None, 1,
+        "score failed: all pairs failed, first: {d}/non_object_pairs.jsonl line 2: "
+        "manifest row is not a JSON object: [1]"),
     # exit 1, as for any other file the work cannot write
     "score_unwritable_report": (
         "score --manifest {d}/pairs.jsonl --report {t}/nodir/r.json", None, 1,
         f"score failed: {_NO_FILE}: '{{t}}/nodir/r.json'"),
     "sweep_ok": (
         "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.json", None, 0, ""),
+    # a radar axis, and the preset branch of the sweep variants
+    "sweep_chirps_ok": (
+        "sweep --param chirps_per_frame --values 256 --audio {d}/tone.wav --report {t}/s.json",
+        None, 0, ""),
+    "sweep_material_ok": (
+        "sweep --param material --values pet,tinfoil --audio {d}/tone.wav --report {t}/s.json",
+        None, 0, ""),
     # the config is checked first, then --param, then --values
     "sweep_unknown_section": (
         "sweep --config {d}/unknown.ini --param bogus --values=, --audio {d}/tone.wav "
@@ -284,6 +318,22 @@ EXIT_PATHS = {
     "sweep_bad_value": (
         "sweep --param material --values steel --audio {d}/tone.wav --report {t}/s.json", None, 1,
         "sweep failed: material=steel: unknown material preset 'steel', valid: pet, tinfoil"),
+    "sweep_zero_chirps": (
+        "sweep --param chirps_per_frame --values 0 --audio {d}/tone.wav --report {t}/s.json",
+        None, 1,
+        "sweep failed: chirps_per_frame=0: chirps_per_frame must be a positive integer, got 0"),
+    "sweep_infinite_chirps": (
+        "sweep --param chirps_per_frame --values inf --audio {d}/tone.wav --report {t}/s.json",
+        None, 1,
+        "sweep failed: chirps_per_frame=inf: cannot convert float infinity to integer"),
+    "sweep_noise_floor_1000": (
+        "sweep --param noise_floor_db --values 1000 --audio {d}/tone.wav --report {t}/s.json",
+        None, 1, "sweep failed: noise_floor_db=1000: noise_floor_db must be below 770.6, the "
+        "complex64 range, got 1000.0"),
+    "sweep_noise_floor_10000": (
+        "sweep --param noise_floor_db --values 10000 --audio {d}/tone.wav --report {t}/s.json",
+        None, 1, "sweep failed: noise_floor_db=10000: noise_floor_db must be below 770.6, the "
+        "complex64 range, got 10000.0"),
     # a source too short to score against itself is named, on either kind of axis
     "sweep_400_samples_synthesis_axis": (
         "sweep --param alpha --values 0.5 --audio {d}/tone400.wav --report {t}/s.json", None, 1,
@@ -375,11 +425,53 @@ _MALFORMED_CONFIGS = {
     "infinite_wavelength": ("[chirp]\ncarrier_freq = 1e-300\n",
                             "config section [chirp]: carrier_freq 1e-300 gives a wavelength "
                             "that is not finite"),
+    "unknown_key": ("[scene]\nrange_km = 2\n", "config field [scene] range_km is not recognized"),
+    # an INI [DEFAULT] section is a section like any other, with or without others beside it
+    "default_alone": ("[DEFAULT]\nseed = 3\n", "config section [DEFAULT] is not recognized"),
+    "default_with_chirp": ("[DEFAULT]\nseed = 3\n[chirp]\nchirps_per_frame = 256\n",
+                           "config section [DEFAULT] is not recognized"),
 }
 for _name, (_, _reason) in _MALFORMED_CONFIGS.items():
     EXIT_PATHS[f"simulate_config_{_name}"] = (
         f"simulate --config {{d}}/{_name}.ini --audio {{d}}/tone.wav --out {{t}}/c.bin", None, 2,
         f"simulate failed: {_reason}")
+
+
+def _packed(good: bytes, fmt: str, offset: int, value) -> bytes:
+    """good with value packed over it at offset, in the struct format fmt."""
+    data = bytearray(good)
+    struct.pack_into(fmt, data, offset, value)
+    return bytes(data)
+
+
+# The small container the malformed ones are made from: three frames of 8
+# chirps of 16 samples. Its header is the magic, four float64 (carrier_freq
+# first) and four uint32: adc_samples_per_chirp at byte 40, chirps_per_frame
+# at 44, the frame count at 48.
+_SMALL_CAPTURE = ChirpConfig(adc_samples_per_chirp=16, chirps_per_frame=8)
+# Capture containers the reader refuses before it reads their body: the
+# file's bytes, given the small container's, and the reason given before
+# the file's name
+MALFORMED_CAPTURES = {
+    "not_a_capture": (lambda good: b"NOTACAP!" + good[8:], "not a capture file, bad magic"),
+    "truncated_body": (lambda good: good[:-100], "truncated capture file"),
+    "over_long_body": (lambda good: good + bytes(8), "truncated capture file"),
+    "frame_count_past_the_body": (lambda good: _packed(good, "<I", 48, 2**32 - 1),
+                                  "truncated capture file"),
+    "zero_chirps_per_frame": (lambda good: _packed(good, "<I", 44, 0),
+                              "bad capture header, chirps_per_frame must be a positive integer, "
+                              "got 0"),
+    "frame_past_the_cap": (lambda good: _packed(good, "<I", 40, 1 << 20),
+                           "bad capture header, chirps_per_frame * adc_samples_per_chirp = "
+                           "8388608 exceeds 1048576 samples per frame"),
+    "infinite_wavelength": (lambda good: _packed(good, "<d", 8, 1e-300),
+                            "bad capture header, carrier_freq 1e-300 gives a wavelength that is "
+                            "not finite"),
+}
+for _name, (_, _reason) in MALFORMED_CAPTURES.items():
+    EXIT_PATHS[f"extract_{_name}"] = (
+        f"extract --capture {{d}}/{_name}.bin --out {{t}}/x.wav", None, 1,
+        f"extract failed: {_reason}: {{d}}/{_name}.bin")
 # simulate and synth name each of them, synth as the first entry that failed
 for _name, (_, _reason) in MALFORMED_WAVS.items():
     EXIT_PATHS[f"simulate_{_name}_wav"] = (
@@ -389,6 +481,14 @@ for _name, (_, _reason) in MALFORMED_WAVS.items():
         f"synth --manifest {{d}}/{_name}.txt --out-dir {{t}}/ds", None, 1,
         f"synth failed: all manifest entries failed, first: '{{d}}/{_name}.wav': "
         f"{_reason}: {{d}}/{_name}.wav")
+# The files, under {t}, that a case which exits non-zero leaves behind; any
+# other failing case leaves no regular file there. score writes its report
+# when every pair fails, each pair's error in it.
+LEFT_BEHIND = {
+    "score_all_pairs_fail": ["r.json"],
+    "score_upsampled_float64_max": ["r.json"],
+    "score_all_failed_names_the_line_of_a_non_object": ["r.json"],
+}
 
 
 def run_main(argv: list[str]) -> tuple[int, str]:
@@ -422,8 +522,12 @@ def _build(argv: str, d: Path) -> None:
 def write_exit_inputs(d: Path) -> None:
     """Write the inputs the exit-path cases name into the directory d."""
     tone = str(make_tone_wav(d / "tone.wav", duration=1.0))
+    tone16 = str(make_tone_wav(d / "tone16.wav", duration=1.0, rate=16000.0))
     _build("simulate --audio {d}/tone.wav --out {d}/cap.bin", d)
-    (d / "clips.txt").write_text(f"{tone}\n")
+    # two entries and two pairs, so synth and score each run a pool of threads
+    (d / "clips.txt").write_text(f"{tone}\n{tone16}\n")
+    (d / "pairs.jsonl").write_text("".join(json.dumps({"ref_path": wav, "deg_path": wav}) + "\n"
+                                           for wav in (tone, tone16)))
     for name, samples in [("empty", []), ("one_sample", [0.5]), ("silent", np.zeros(8000)),
                           ("short", 0.4 * np.sin(np.arange(255) / 5.0))]:
         write_wav(d / f"{name}.wav", AudioBuffer(samples, 8000.0))
@@ -460,7 +564,11 @@ def write_exit_inputs(d: Path) -> None:
         (d / f"{name}.txt").write_text(f"{d / name}.wav\n")
     for name, (text, _) in _MALFORMED_CONFIGS.items():
         (d / f"{name}.ini").write_text(text)
-    (d / "not_a_capture.bin").write_bytes(b"NOTACAP!" + bytes(64))
+    write_capture_frames(d / "small.bin", _SMALL_CAPTURE,
+                         [np.ones((8, 16), np.complex64)] * 3)
+    small = (d / "small.bin").read_bytes()
+    for name, (make, _) in MALFORMED_CAPTURES.items():
+        (d / f"{name}.bin").write_bytes(make(small))
     for name, value in [("nan_sample", np.nan), ("inf_sample", np.inf)]:
         # the real part of the last sample of the last chirp
         data = bytearray((d / "cap.bin").read_bytes())
@@ -471,10 +579,20 @@ def write_exit_inputs(d: Path) -> None:
     (d / "blank_then_no_clean_path.jsonl").write_text(f"\n \t \n{row}\n{no_clean_path}\n")
     (d / "nested.jsonl").write_text('{"clean_path": ' + "[" * 100_000 + "\n")
     (d / "non_utf8.txt").write_bytes(b"clip.wav\n\xff{}\n")
-    tone16 = str(make_tone_wav(d / "tone16.wav", duration=1.0, rate=16000.0))
+    (d / "max_then_missing.jsonl").write_text(
+        f"\n{json.dumps({'clean_path': str(d / 'max.wav')})}\n{d / 'nope.wav'}\n")
+    (d / "line_break_path.jsonl").write_text(json.dumps({"clean_path": "no\nsuch.wav"}) + "\n")
     (d / "max_pairs.jsonl").write_text(
         json.dumps({"ref_path": tone16, "deg_path": str(d / "max.wav")}) + "\n")
-    (d / "pairs.jsonl").write_text(json.dumps({"ref_path": tone, "deg_path": tone}) + "\n")
+    pair = json.dumps({"ref_path": tone, "deg_path": tone})
+    (d / "nested_pairs.jsonl").write_text(f"{pair}\n" + "[" * 100_000 + "\n")
+    (d / "blank_then_bad_pairs.jsonl").write_text(f"\n \t \n{pair}\n{{\n")
+    # the bad byte sits past the first line, in the same read buffer
+    (d / "non_utf8_pairs.jsonl").write_bytes(f"{pair}\n".encode() + b"\xff{}\n")
+    # blank lines count toward the line number
+    (d / "non_object_pairs.jsonl").write_text(
+        "\n[1]\n" + json.dumps({"ref_path": str(d / "truncated_header.wav"), "deg_path": tone})
+        + "\n")
     (d / "empty.jsonl").write_text("\n")
     (d / "blank.txt").write_text("\n  \n\t\n")
     (d / "missing_pairs.jsonl").write_text(
@@ -497,6 +615,25 @@ def write_exit_inputs(d: Path) -> None:
     (d / "infinite_rate.ini").write_text("[synthesis]\nsample_rate = inf\n")
 
 
+def check_case(case: str, row: tuple, d: Path, t: Path) -> str | None:
+    """Run one row of the table, named case, with inputs in d and the empty directory t as {t}.
+
+    Returns the line naming how it differs, None if it does not: its exit
+    status and stderr, or, for a case that fails, the regular files it
+    leaves under t against the ones LEFT_BEHIND names.
+    """
+    argv, env_seed, status, message = row
+    paths = {"d": d, "t": t}
+    expected = (status, message.format(**paths) + "\n" if message else "")
+    got = run_case(argv, env_seed, paths)
+    if got != expected:
+        return f"{case}: expected {expected}, got {got}"
+    left = sorted(p.relative_to(t).as_posix() for p in t.rglob("*") if p.is_file())
+    if status and left != LEFT_BEHIND.get(case, []):
+        return f"{case}: expected {LEFT_BEHIND.get(case, [])} left behind, got {left}"
+    return None
+
+
 def main(table: dict | None = None) -> int:
     """Run every case of table, EXIT_PATHS if None, and print a line per case that differs."""
     table = EXIT_PATHS if table is None else table
@@ -505,13 +642,12 @@ def main(table: dict | None = None) -> int:
         d = Path(scratch, "inputs")
         d.mkdir()
         write_exit_inputs(d)
-        for case, (argv, env_seed, status, message) in table.items():
-            paths = {"d": d, "t": Path(scratch, case)}
-            paths["t"].mkdir()
-            expected = (status, message.format(**paths) + "\n" if message else "")
-            got = run_case(argv, env_seed, paths)
-            if got != expected:
-                lines.append(f"{case}: expected {expected}, got {got}")
+        for case, row in table.items():
+            t = Path(scratch, case)
+            t.mkdir()
+            line = check_case(case, row, d, t)
+            if line:
+                lines.append(line)
     for line in lines:
         print(line)
     print(f"{len(table)} exit paths run, {len(lines)} differ")

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -25,8 +24,8 @@ import exit_paths
 import mmvib.cli
 import mmvib.radar_sim
 import mmvib.vib_extract
-from exit_paths import (EXIT_PATHS, MALFORMED_WAVS, make_tone_wav, run_case, run_main,
-                        write_exit_inputs)
+from conftest import traced_peak
+from exit_paths import EXIT_PATHS, MALFORMED_WAVS, make_tone_wav, run_main
 from identity import COMMANDS, ROOT, _contents, run_commands, write_inputs
 from mmvib import (
     AudioBuffer,
@@ -48,7 +47,6 @@ from mmvib import (
 from mmvib.cli import (
     MATERIAL_PRESETS,
     REFERENCE_BAND_HZ,
-    SWEEP_PARAMETERS,
     PipelineConfig,
     _SECTIONS,
     _sweep_point,
@@ -61,6 +59,33 @@ from mmvib.metrics import REQUIRED_METRICS
 from mmvib.vib_extract import BinSearch
 from oracles import in_memory_capture
 from speechgen import make_speech_clip
+
+
+def run_fresh(code: str, *args, **env) -> str:
+    """The last line code prints when a fresh interpreter runs it with args as its argv, this
+    tree's src/ and tests/ on its path and env added to its environment."""
+    path = os.pathsep.join([str(Path(mmvib.cli.__file__).resolve().parents[1]),
+                            str(Path(__file__).parent)])
+    result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                            env={**os.environ, "PYTHONPATH": path, **env},
+                            capture_output=True, text=True, check=True)
+    return result.stdout.splitlines()[-1]
+
+
+# Run main on each argv of the JSON list in argv[1], each to exit 0, and
+# print how far the interpreter's own peak RSS, VmHWM, grew; ru_maxrss would
+# carry the parent's peak across exec.
+_PEAK_RSS_GROWTH = (
+    "import json, sys\n"
+    "from mmvib.cli import main\n"
+    "def hwm():\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith('VmHWM:'))\n"
+    "base = hwm()\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    assert main(argv) == 0\n"
+    "print(hwm() - base)\n"
+)
 
 
 class TestLoadConfig:
@@ -84,25 +109,6 @@ class TestLoadConfig:
         assert cfg.seed == 9
         assert cfg.material.mass == pytest.approx(3e-4)
 
-    def test_unknown_section(self, tmp_path):
-        p = tmp_path / "cfg.ini"
-        p.write_text("[sandwich]\nfilling = cheese\n")
-        with pytest.raises(ValueError, match="section \\[sandwich\\] is not recognized"):
-            load_config(p)
-
-    def test_unknown_key(self, tmp_path):
-        p = tmp_path / "cfg.ini"
-        p.write_text("[scene]\nrange_km = 2\n")
-        with pytest.raises(ValueError, match="range_km is not recognized"):
-            load_config(p)
-
-    def test_bad_value_has_field_context(self, tmp_path):
-        p = tmp_path / "cfg.ini"
-        p.write_text("[scene]\nrange_m = close\n")
-        message = "config field [scene] range_m: could not convert string to float: 'close'"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load_config(p)
-
     def test_frame_shape_past_the_cap_is_rejected_before_any_allocation(self, tmp_path):
         # 256 x 2^20 samples a frame would be 2 GiB noise buffers; the cap is
         # 2^20 samples, so 256 x 4096 loads and 256 x 4097 does not
@@ -112,29 +118,12 @@ class TestLoadConfig:
         message = ("config section [chirp]: chirps_per_frame * adc_samples_per_chirp = "
                    "268435456 exceeds 1048576 samples per frame")
         p.write_text("[chirp]\nadc_samples_per_chirp = 1048576\n")
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 load_config(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
 
-    # An INI [DEFAULT] section is a section like any other, with or without
-    # others beside it.
-    @pytest.mark.parametrize("text", [
-        "[DEFAULT]\nseed = 3\n",
-        "[DEFAULT]\nseed = 3\n[chirp]\nchirps_per_frame = 256\n",
-    ], ids=["alone", "with_chirp"])
-    def test_default_section_exits_2_with_one_line(self, text, tmp_path, capsys):
-        p = tmp_path / "cfg.ini"
-        p.write_text(text)
-        with pytest.raises(ValueError, match="^config section \\[DEFAULT\\] is not recognized$"):
-            load_config(p)
-        assert main(["simulate", "--config", str(p), "--audio", "in.wav", "--out", "c.bin"]) == 2
-        err = capsys.readouterr().err
-        assert err == "simulate failed: config section [DEFAULT] is not recognized\n"
+        assert traced_peak(load) < 1 << 20
 
     # Every accepted key, set to a valid non-default value, and where it lands.
     @pytest.mark.parametrize("section, key, text, attribute, value", [
@@ -200,20 +189,6 @@ class TestLoadConfig:
         monkeypatch.setenv("MMVIB_SEED", "123")
         assert load_config(None).seed == 123
 
-    def test_env_seed_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("MMVIB_SEED", "pi")
-        with pytest.raises(ValueError, match="MMVIB_SEED must be an integer"):
-            load_config(None)
-
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--audio", "in.wav", "--out", "cap.bin"],
-        ["synth", "--manifest", "in.txt", "--out-dir", "ds", "--seed", "3"],
-    ])
-    def test_bad_env_seed_exits_2(self, argv, monkeypatch, capsys):
-        monkeypatch.setenv("MMVIB_SEED", "pi")
-        assert main(argv) == 2
-        assert "MMVIB_SEED must be an integer, got 'pi'" in capsys.readouterr().err
-
     def test_material_override_fields(self, tmp_path):
         p = tmp_path / "cfg.ini"
         p.write_text("[material]\nmass = 1e-4\nstiffness = 5e4\ndamping = 1.0\n")
@@ -241,16 +216,6 @@ class TestSimulate:
         assert "range resolution" in printed
         assert "8000" in printed
 
-    def test_degenerate_audio_fails(self, tmp_path):
-        from mmvib import AudioBuffer
-
-        empty = tmp_path / "empty.wav"
-        write_wav(empty, AudioBuffer(np.zeros(0), 8000.0))
-        assert main(["simulate", "--audio", str(empty), "--out", str(tmp_path / "e.bin")]) != 0
-        # a wav with too little audio to fill one frame also errors at the CLI
-        short = make_tone_wav(tmp_path / "short.wav", duration=0.001)
-        assert main(["simulate", "--audio", str(short), "--out", str(tmp_path / "c.bin")]) != 0
-
     def test_byte_identical_rerun(self, tmp_path):
         wav = make_tone_wav(tmp_path / "tone.wav", duration=1.0)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -258,24 +223,18 @@ class TestSimulate:
         assert main(["simulate", "--audio", str(wav), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_missing_audio_fails(self, tmp_path):
-        assert main(["simulate", "--audio", str(tmp_path / "nope.wav"),
-                     "--out", str(tmp_path / "c.bin")]) != 0
-
     def test_chirps_per_frame_past_the_frame_cap_is_rejected_before_any_allocation(self):
         # at the default 256 samples a chirp, 4096 chirps fill the 2^20-sample cap
         variant = _sweep_variant(PipelineConfig(), "chirps_per_frame", "4096")
         assert variant.chirp.chirps_per_frame == 4096
         message = ("chirps_per_frame * adc_samples_per_chirp = 2097152 exceeds 1048576 "
                    "samples per frame")
-        tracemalloc.start()
-        try:
+
+        def vary():
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 _sweep_variant(PipelineConfig(), "chirps_per_frame", "8192")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+
+        assert traced_peak(vary) < 1 << 20
 
     @pytest.mark.parametrize("chirps_per_frame", [256, 512])
     @pytest.mark.parametrize("sigmas", [(10.0, 6.0), (0.0, 0.0)])
@@ -310,33 +269,15 @@ class TestSimulate:
         assert capsys.readouterr().err == "simulate failed: disk full\n"
 
     def test_peak_memory_a_fraction_of_the_capture(self, tmp_path):
-        # simulate and extract in a fresh interpreter, whose own peak RSS is
-        # VmHWM; ru_maxrss would carry this process's peak across exec
+        # simulate and extract in a fresh interpreter
         if not Path("/proc/self/status").exists():
             pytest.skip("needs /proc/self/status for VmHWM")
-        wav = tmp_path / "speech.wav"
+        wav, capture = tmp_path / "speech.wav", tmp_path / "cap.bin"
         write_wav(wav, make_speech_clip(12, duration=10.0))
-        code = (
-            "import sys\n"
-            "from mmvib.cli import main\n"
-            "def hwm():\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith('VmHWM:'))\n"
-            "base = hwm()\n"
-            "assert main(['simulate', '--audio', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-            "assert main(['extract', '--capture', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
-            "print(hwm() - base)\n"
-        )
-        capture = tmp_path / "cap.bin"
-        src = Path(mmvib.vib_extract.__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-c", code, str(wav), str(capture), str(tmp_path / "rec.wav")],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        grown = int(result.stdout.strip().splitlines()[-1])
+        grown = int(run_fresh(_PEAK_RSS_GROWTH, json.dumps([
+            ["simulate", "--audio", str(wav), "--out", str(capture)],
+            ["extract", "--capture", str(capture), "--out", str(tmp_path / "rec.wav")],
+        ])))
         capture_bytes = capture.stat().st_size
         assert capture_bytes > 150 * 2**20
         assert grown < capture_bytes / 4
@@ -706,44 +647,6 @@ class TestScore:
         assert pairs[3]["error"] == "no deg_path field"
         assert pairs[4]["error"] == "ref_path must be a string, got NoneType"
 
-    def test_deeply_nested_manifest_line(self, tmp_path, capsys):
-        wav = make_tone_wav(tmp_path / "x.wav", duration=1.0)
-        manifest = tmp_path / "pairs.jsonl"
-        manifest.write_text(json.dumps({"ref_path": str(wav), "deg_path": str(wav)}) + "\n"
-                            + "[" * 100_000 + "\n")
-        report_path = tmp_path / "report.json"
-        assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert f"{manifest} line 2" in err
-        assert "Traceback" not in err
-        assert not report_path.exists()
-
-    def test_blank_lines_count_toward_the_line_number(self, tmp_path, capsys):
-        wav = make_tone_wav(tmp_path / "x.wav", duration=1.0)
-        manifest = tmp_path / "pairs.jsonl"
-        manifest.write_text("\n \t \n" + json.dumps({"ref_path": str(wav), "deg_path": str(wav)})
-                            + "\n{\n")
-        report_path = tmp_path / "report.json"
-        assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 1
-        err = capsys.readouterr().err
-        assert err == (f"score failed: {manifest} line 4: Expecting property name enclosed in "
-                       "double quotes: line 2 column 1 (char 2)\n")
-        assert not report_path.exists()
-
-    def test_non_utf8_manifest_line(self, tmp_path, capsys):
-        wav = make_tone_wav(tmp_path / "x.wav", duration=1.0)
-        manifest = tmp_path / "pairs.jsonl"
-        # the bad byte sits past the first line, in the same read buffer
-        manifest.write_bytes(json.dumps({"ref_path": str(wav), "deg_path": str(wav)}).encode()
-                             + b"\n\xff{}\n")
-        report_path = tmp_path / "report.json"
-        assert main(["score", "--manifest", str(manifest), "--report", str(report_path)]) == 1
-        err = capsys.readouterr().err
-        assert err == (f"score failed: {manifest} line 2: 'utf-8' codec can't decode byte 0xff "
-                       "in position 0: invalid start byte\n")
-        assert not report_path.exists()
-
     @pytest.mark.parametrize("key", ["ref_text", "hyp_text"])
     @pytest.mark.parametrize("value", [5, 2.5, True, {"words": "a b"}])
     def test_non_text_transcript_is_a_row_error(self, tmp_path, key, value):
@@ -789,14 +692,6 @@ class TestScore:
         if key.endswith("_text") and not isinstance(value, (str, list, type(None))):
             assert pairs[0]["error"].startswith(f"{key} must be")
 
-    def test_all_fail_nonzero(self, tmp_path):
-        manifest = tmp_path / "pairs.jsonl"
-        manifest.write_text(json.dumps({
-            "ref_path": str(tmp_path / "a.wav"), "deg_path": str(tmp_path / "b.wav")}) + "\n")
-        assert main(["score", "--manifest", str(manifest),
-                     "--report", str(tmp_path / "r.json")]) != 0
-
-
 class TestMalformedWav:
     @pytest.mark.parametrize("name", sorted(MALFORMED_WAVS))
     def test_score_row_gets_an_error(self, name, exit_inputs, tmp_path):
@@ -817,37 +712,21 @@ class TestMalformedWav:
 def test_runtime_imports_no_scipy(package):
     # scipy is a test-side oracle only, and iter_if_frames imports concurrent.futures,
     # which loads logging, only when it runs; every CLI call pays for what mmvib imports
-    src = Path(mmvib.vib_extract.__file__).resolve().parents[1]
     code = (
         "import sys, mmvib, mmvib.cli; "
         f"print([m for m in sys.modules if (m + '.').startswith({package!r} + '.')])"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    assert run_fresh(code) == "[]"
 
 
 def test_exit_path_runner_imports_no_test_dependency():
     # CI's numpy-only job runs tests/exit_paths.py, so a test-side import there fails here first
-    src = Path(mmvib.vib_extract.__file__).resolve().parents[1]
     code = (
         "import sys, exit_paths; "
         "print([m for m in sys.modules if m.split('.')[0] in "
         "('scipy', 'hypothesis', 'pytest', '_pytest')])"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    assert run_fresh(code) == "[]"
 
 
 class TestSweep:
@@ -873,20 +752,6 @@ class TestSweep:
         report = json.loads(report_path.read_text())
         by_value = {float(r["value"]): r["fwsegsnr"] for r in report["rows"]}
         assert by_value[-60.0] > by_value[-20.0]
-
-    def test_unknown_parameter_lists_names(self, tmp_path, capsys):
-        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
-        code = main(["sweep", "--param", "wavelength", "--values", "1,2",
-                     "--audio", str(wav), "--report", str(tmp_path / "r.json")])
-        assert code != 0
-        message = capsys.readouterr().err + capsys.readouterr().out
-        for name in SWEEP_PARAMETERS:
-            assert name in message
-
-    def test_empty_values_rejected(self, tmp_path):
-        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
-        assert main(["sweep", "--param", "range_m", "--values", "",
-                     "--audio", str(wav), "--report", str(tmp_path / "r.json")]) != 0
 
     def test_alpha_axis_runs(self, tmp_path):
         wav = tmp_path / "sp.wav"
@@ -927,13 +792,8 @@ class TestSweep:
             expected = report.to_dict()
             assert {k: row[k] for k in REQUIRED_METRICS} == {k: expected[k] for k in REQUIRED_METRICS}
 
-    # SHA-256 of a chirps_per_frame 256,512 sweep's report and table, with
-    # filterbanks applied as band sums
-    PINNED_SWEEP = {
-        "sweep.json": "b7175ee031d8cf01c8a9b2a872a252f8cfe7a05cc5a503a4103b0204af70a6b8",
-        "sweep.csv": "d08e3d471646d92944e3ab82b2fbb3502fa281d0c74ff43f3e2c77225f40587c",
-    }
-    # the same sweep's rows when filterbanks were dense matrix products
+    # a chirps_per_frame 256,512 sweep's rows when filterbanks were dense
+    # matrix products; TestOutputBytes pins the bytes of such a sweep
     DENSE_SWEEP_ROWS = [
         {
             "parameter": "chirps_per_frame",
@@ -959,14 +819,11 @@ class TestSweep:
         },
     ]
 
-    def test_chirps_per_frame_sweep_bytes_are_pinned(self, tmp_path):
+    def test_chirps_per_frame_sweep_rows_match_the_dense_filterbank(self, tmp_path):
         wav = tmp_path / "speech.wav"
         write_wav(wav, make_speech_clip(5, duration=1.0, rate=8000.0))
         assert main(["sweep", "--param", "chirps_per_frame", "--values", "256,512",
                      "--audio", str(wav), "--report", str(tmp_path / "sweep.json")]) == 0
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in self.PINNED_SWEEP}
-        assert digests == self.PINNED_SWEEP
         rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
         assert [row.keys() for row in rows] == [row.keys() for row in self.DENSE_SWEEP_ROWS]
         for row, dense in zip(rows, self.DENSE_SWEEP_ROWS):
@@ -1028,52 +885,18 @@ class TestSweep:
         assert err.startswith("sweep failed: noise_floor_db=765: capture samples are not finite")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("parameter, value, reason", [
-        ("chirps_per_frame", "0", "chirps_per_frame must be a positive integer, got 0"),
-        ("chirps_per_frame", "inf", "cannot convert float infinity to integer"),
-        ("noise_floor_db", "1000",
-         "noise_floor_db must be below 770.6, the complex64 range, got 1000.0"),
-        ("noise_floor_db", "10000",
-         "noise_floor_db must be below 770.6, the complex64 range, got 10000.0"),
-        ("material", "steel", "unknown material preset 'steel', valid: pet, tinfoil"),
-    ], ids=["zero_chirps", "infinite_chirps", "noise_floor_1000", "noise_floor_10000",
-            "unknown_material"])
-    def test_bad_value_exits_1_naming_it(self, parameter, value, reason, tmp_path, capsys):
-        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
-        report = tmp_path / "sweep.json"
-        assert main(["sweep", "--param", parameter, "--values", value, "--audio", str(wav),
-                     "--report", str(report)]) == 1
-        assert capsys.readouterr().err == f"sweep failed: {parameter}={value}: {reason}\n"
-        assert not report.exists()
-
     def test_peak_memory_a_fraction_of_the_capture(self, tmp_path):
-        # one 1024-chirp value in a fresh interpreter, whose own peak RSS is
-        # VmHWM; the capture goes to a temporary file, not to memory
+        # one 1024-chirp value in a fresh interpreter; the capture goes to a
+        # temporary file, not to memory
         if not Path("/proc/self/status").exists():
             pytest.skip("needs /proc/self/status for VmHWM")
         wav = tmp_path / "speech.wav"
         clip = make_speech_clip(13, duration=5.0)
         write_wav(wav, clip)
-        code = (
-            "import sys\n"
-            "from mmvib.cli import main\n"
-            "def hwm():\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith('VmHWM:'))\n"
-            "base = hwm()\n"
-            "assert main(['sweep', '--param', 'chirps_per_frame', '--values', '1024',\n"
-            "             '--audio', sys.argv[1], '--report', sys.argv[2]]) == 0\n"
-            "print(hwm() - base)\n"
-        )
-        src = Path(mmvib.vib_extract.__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-c", code, str(wav), str(tmp_path / "sweep.json")],
-            env={**os.environ, "PYTHONPATH": str(src), "TMPDIR": str(tmp_path)},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        grown = int(result.stdout.strip().splitlines()[-1])
+        grown = int(run_fresh(_PEAK_RSS_GROWTH, json.dumps([
+            ["sweep", "--param", "chirps_per_frame", "--values", "1024", "--audio", str(wav),
+             "--report", str(tmp_path / "sweep.json")],
+        ]), TMPDIR=str(tmp_path)))
         # 1024 chirps of 256 complex64 samples per 32 ms frame, at 4x the 8 kHz clip rate
         capture_bytes = (len(clip) * 4 // 1024) * 1024 * 256 * 8
         assert capture_bytes > 300 * 2**20
@@ -1177,16 +1000,6 @@ class TestRowPool:
         assert (code, err) == (1, f"score failed: all pairs failed, first: ref {broken!r}, "
                                   f"deg {paths[0]!r}: {pairs[0]['error']}\n")
         assert broken in pairs[0]["error"]
-
-    def test_score_all_failed_names_the_manifest_line_of_a_non_object(self, tmp_path, clips):
-        _, paths, broken = clips
-        manifest = tmp_path / "pairs.jsonl"
-        # blank lines count toward the line number
-        manifest.write_text("\n" + "".join(json.dumps(r) + "\n" for r in (
-            [1], {"ref_path": broken, "deg_path": paths[0]})))
-        code, err = _run_score(manifest, tmp_path / "report.json")
-        assert (code, err) == (1, f"score failed: all pairs failed, first: {manifest} line 2: "
-                                  "manifest row is not a JSON object: [1]\n")
 
     def test_synth_tree_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, clips, cpus):
         _, paths, broken = clips
@@ -1304,14 +1117,6 @@ class TestMainDispatch:
             main(["teleport"])
 
 
-@pytest.fixture(scope="module")
-def exit_inputs(tmp_path_factory):
-    """A directory holding the inputs the exit-path cases name."""
-    d = tmp_path_factory.mktemp("exit_inputs")
-    write_exit_inputs(d)
-    return d
-
-
 # An INI value: any number, spelling or short text.
 _INI_VALUE = st.one_of(
     st.floats().map(repr),
@@ -1407,13 +1212,10 @@ def _assert_clean_exit(code: int, err: str) -> None:
 class TestExitStatus:
     @pytest.mark.parametrize("case", sorted(EXIT_PATHS))
     def test_exit_paths(self, case, exit_inputs, tmp_path):
-        argv, env_seed, status, message = EXIT_PATHS[case]
-        paths = {"d": exit_inputs, "t": tmp_path}
-        code, err = run_case(argv, env_seed, paths)
-        assert code == status
-        assert err.count("\n") == (status != 0)
-        assert "Traceback" not in err
-        assert err == (message.format(**paths) + "\n" if message else "")
+        _, _, status, message = EXIT_PATHS[case]
+        # a failure's stderr is one line, a success's empty
+        assert "\n" not in message and bool(message) == bool(status)
+        assert exit_paths.check_case(case, EXIT_PATHS[case], exit_inputs, tmp_path) is None
 
     def test_runner_names_each_case_that_differs(self, capsys):
         argv, env_seed, status, message = EXIT_PATHS["sweep_empty_values"]
@@ -1421,6 +1223,8 @@ class TestExitStatus:
             "as_listed": EXIT_PATHS["synth_no_entries"],
             "wrong_message": (argv, env_seed, status, "sweep failed: not this message"),
             "wrong_status": (argv, env_seed, 1, message),
+            # the report all-failed pairs leave, under a name LEFT_BEHIND does not hold
+            "report_not_named": EXIT_PATHS["score_all_pairs_fail"],
         }
         assert exit_paths.main(table) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -1429,27 +1233,9 @@ class TestExitStatus:
             "got (2, 'sweep failed: empty value list\\n')",
             "wrong_status: expected (1, 'sweep failed: empty value list\\n'), "
             "got (2, 'sweep failed: empty value list\\n')",
-            "3 exit paths run, 2 differ",
+            "report_not_named: expected [] left behind, got ['r.json']",
+            "4 exit paths run, 3 differ",
         ]
-
-    def test_synth_all_failed_names_the_first_entry(self, exit_inputs, tmp_path):
-        max_wav, missing = str(exit_inputs / "max.wav"), str(exit_inputs / "nope.wav")
-        manifest = tmp_path / "clips.jsonl"
-        manifest.write_text(f"\n{json.dumps({'clean_path': max_wav})}\n{missing}\n")
-        code, err = run_main(["synth", "--manifest", str(manifest),
-                               "--out-dir", str(tmp_path / "ds"), "--sample-rate", "16000"])
-        assert (code, err) == (1, f"synth failed: all manifest entries failed, first: "
-                                  f"{max_wav!r}: samples contain non-finite values\n")
-
-    def test_synth_names_a_manifest_path_on_one_line(self, tmp_path):
-        # a JSON clean_path may hold a line break; the name is quoted, so stderr stays one line
-        manifest = tmp_path / "clips.jsonl"
-        manifest.write_text(json.dumps({"clean_path": "no\nsuch.wav"}) + "\n")
-        code, err = run_main(["synth", "--manifest", str(manifest),
-                               "--out-dir", str(tmp_path / "ds")])
-        assert (code, err) == (1, "synth failed: all manifest entries failed, first: "
-                                  "'no\\nsuch.wav': [Errno 2] No such file or directory: "
-                                  "'no\\nsuch.wav'\n")
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])

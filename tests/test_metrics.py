@@ -1,6 +1,5 @@
 """Quality metrics: identities, orderings, error handling, and oracle checks."""
 
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 import mmvib.metrics
 import mmvib.signal_core
+from conftest import traced_peak
 from mmvib import (
     AudioBuffer,
     SynthesisConfig,
@@ -399,12 +399,4 @@ class TestSharedSpectra:
         ref = zscore_normalize(clip)
         deg = degrade(clip, 0.4, 0.2, seed=41)
         score_pair(ref, deg)  # build the cached band plans outside the trace
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            score_pair(ref, deg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * 25.8e6
+        assert traced_peak(lambda: score_pair(ref, deg)) <= 1.1 * 25.8e6

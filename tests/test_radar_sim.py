@@ -3,15 +3,14 @@
 import hashlib
 import json
 import re
-import struct
 import threading
-import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from conftest import make_tone_capture, make_tone_trace
+from conftest import make_tone_capture, make_tone_trace, traced_peak
+from exit_paths import MALFORMED_CAPTURES
 from mmvib import (
     AudioBuffer,
     CaptureFile,
@@ -32,22 +31,9 @@ from mmvib import (
     simulate_if_frames,
     unwrap_phase,
 )
-from mmvib.cli import main
-from mmvib.radar_sim import stamp_capture_file, write_capture_frames
+from mmvib.radar_sim import stamp_capture_file
 
 SPEED_OF_LIGHT = 299792458.0
-
-
-def assert_rejected(path, message, tmp_path, capsys):
-    """load_capture raises, and mmvib extract exits 1 with one line, both ending in message."""
-    pattern = f"{re.escape(message)}$"
-    with pytest.raises(ValueError, match=pattern):
-        load_capture(path)
-    capsys.readouterr()
-    assert main(["extract", "--capture", str(path), "--out", str(tmp_path / "x.wav")]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert re.search(pattern, err.rstrip("\n"))
 
 
 class TestChirpConfig:
@@ -443,12 +429,7 @@ class TestArtifacts:
         # stamping in place holds no second capture
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=2.048)
         assert cap.n_frames >= 32
-        tracemalloc.start()
-        try:
-            inject_artifacts(cap, 10.0, 6.0, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: inject_artifacts(cap, 10.0, 6.0, seed=0))
         assert peak < 0.1 * cap.frames.nbytes
 
 
@@ -479,95 +460,21 @@ class TestCaptureIO:
         # the frames go to the file as they are, with no bytes copy
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=2.048)
         assert cap.n_frames >= 32
-        tracemalloc.start()
-        try:
-            save_capture(cap, tmp_path / "cap.bin")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: save_capture(cap, tmp_path / "cap.bin"))
         assert peak < 0.1 * cap.frames.nbytes
 
-    # The malformed containers below are checked through both readers:
-    # load_capture and the streamed CaptureFile behind mmvib extract.
-    def test_corrupt_magic(self, chirp_cfg, tmp_path, capsys):
-        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        path = tmp_path / "cap.bin"
-        save_capture(cap, path)
-        data = bytearray(path.read_bytes())
-        data[:4] = b"XXXX"
-        path.write_bytes(bytes(data))
-        assert_rejected(path, f"bad magic: {path}", tmp_path, capsys)
+    # the header and size checks come before any frame is allocated; extract's
+    # exit path on each container is an EXIT_PATHS row
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CAPTURES))
+    def test_malformed_refused_under_1_mib(self, name, exit_inputs):
+        path = exit_inputs / f"{name}.bin"
+        message = f"{MALFORMED_CAPTURES[name][1]}: {path}"
 
-    def test_truncated_body(self, chirp_cfg, tmp_path, capsys):
-        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        path = tmp_path / "cap.bin"
-        save_capture(cap, path)
-        path.write_bytes(path.read_bytes()[:-100])
-        assert_rejected(path, f"truncated capture file: {path}", tmp_path, capsys)
+        def load():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_capture(path)
 
-    def test_over_long_body(self, chirp_cfg, tmp_path, capsys):
-        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        path = tmp_path / "cap.bin"
-        save_capture(cap, path)
-        with open(path, "ab") as fh:
-            fh.write(b"\0" * 8)
-        assert_rejected(path, f"truncated capture file: {path}", tmp_path, capsys)
-
-    def test_header_claiming_more_frames_allocates_nothing(self, chirp_cfg, tmp_path, capsys):
-        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        path = tmp_path / "cap.bin"
-        save_capture(cap, path)
-        data = bytearray(path.read_bytes())
-        # n_frames is the third uint32 after the magic and four float64
-        struct.pack_into("<I", data, 8 + 4 * 8 + 2 * 4, 2**32 - 1)
-        path.write_bytes(bytes(data))
-        tracemalloc.start()
-        try:
-            assert_rejected(path, f"truncated capture file: {path}", tmp_path, capsys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the body was never read: far less than one copy of the file
-        assert peak < len(data) // 8
-
-    def test_header_with_an_invalid_chirp_config(self, chirp_cfg, tmp_path, capsys):
-        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        path = tmp_path / "cap.bin"
-        save_capture(cap, path)
-        data = bytearray(path.read_bytes())
-        # chirps_per_frame is the second uint32 after the magic and four float64
-        struct.pack_into("<I", data, 8 + 4 * 8 + 4, 0)
-        path.write_bytes(bytes(data))
-        message = f"bad capture header, chirps_per_frame must be a positive integer, got 0: {path}"
-        assert_rejected(path, message, tmp_path, capsys)
-
-    def test_header_with_a_frame_past_the_cap_allocates_nothing(self, chirp_cfg, tmp_path, capsys):
-        path = tmp_path / "cap.bin"
-        write_capture_frames(path, chirp_cfg, [])
-        data = bytearray(path.read_bytes())
-        # adc_samples_per_chirp is the first uint32 after the magic and four float64
-        struct.pack_into("<I", data, 8 + 4 * 8, 1 << 20)
-        path.write_bytes(bytes(data))
-        message = ("bad capture header, chirps_per_frame * adc_samples_per_chirp = 268435456 "
-                   f"exceeds 1048576 samples per frame: {path}")
-        tracemalloc.start()
-        try:
-            assert_rejected(path, message, tmp_path, capsys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_header_with_an_infinite_wavelength(self, chirp_cfg, tmp_path, capsys):
-        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        path = tmp_path / "cap.bin"
-        save_capture(cap, path)
-        data = bytearray(path.read_bytes())
-        # carrier_freq is the first float64 after the magic
-        struct.pack_into("<d", data, 8, 1e-300)
-        path.write_bytes(bytes(data))
-        message = f"bad capture header, carrier_freq 1e-300 gives a wavelength that is not finite: {path}"
-        assert_rejected(path, message, tmp_path, capsys)
+        assert traced_peak(load) < 1 << 20
 
     @pytest.mark.parametrize(
         "text",

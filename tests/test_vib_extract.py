@@ -3,7 +3,6 @@
 import os
 import re
 import threading
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tone_capture, make_tone_trace
+from conftest import make_tone_capture, traced_peak
 from mmvib import (
     CaptureFile,
     ChirpConfig,
@@ -100,13 +99,9 @@ class TestRangeFft:
         # the complex128 half spectrum is as large as the complex64 capture;
         # one frame at a time adds only one frame's spectrum on top of it
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.512)
-        tracemalloc.start()
-        try:
-            profile = range_fft(cap)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert profile.shape == (129, cap.n_frames * chirp_cfg.chirps_per_frame)
+        profiles = []
+        peak = traced_peak(lambda: profiles.append(range_fft(cap)))
+        assert profiles[0].shape == (129, cap.n_frames * chirp_cfg.chirps_per_frame)
         assert peak < 1.5 * cap.frames.nbytes
 
 
@@ -262,13 +257,7 @@ class TestLocateTarget:
         # one frame's spectrum and one sample per chirp, never a profile
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=2.048)
         assert cap.n_frames >= 32
-        tracemalloc.start()
-        try:
-            locate_target(cap)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * cap.frames.nbytes
+        assert traced_peak(lambda: locate_target(cap)) < 0.1 * cap.frames.nbytes
 
 
 class TestSplitSearch:
