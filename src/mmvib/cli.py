@@ -44,7 +44,13 @@ from .synth import (
     map_rows,
     synthesize_mmvib,
 )
-from .vib_extract import BinSearch, demodulate_bin, locate_target, trace_from_phase
+from .vib_extract import (
+    TargetTracker,
+    column_phase,
+    locate_target,
+    restamp_column,
+    trace_from_phase,
+)
 
 SEED_ENV_VAR = "MMVIB_SEED"
 
@@ -199,9 +205,13 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
 
     The forcing is the audio resampled to the chirp rate and z-scored; audio
     that cannot fill one frame there or has no finite, non-zero spread is
-    refused naming source. Each frame passes the bin search on its way to the
-    file, then the artifacts are stamped in place; both seeds are spawned
-    from seed_key. Returns the forcing, the frame count, the artifact log and the bin.
+    refused naming source. Each frame passes a TargetTracker on its way to
+    the file, which finds the target bin and demodulates it as the frames go
+    by; only when its bound cannot prove the bin does it read the file back.
+    Then the artifacts are stamped in place, their sigma taken from the
+    column's phase; both seeds are spawned from seed_key. Returns the
+    forcing, the artifact log, the target bin and its column from before
+    stamping, [n_frames, chirps_per_frame] complex64.
     """
     audio = resample(audio, config.chirp.effective_sampling_rate)
     try:
@@ -221,36 +231,39 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
         noise_floor_db=config.noise_floor_db,
         seed=sim_seed,
     )
-    search = BinSearch(config.chirp)
+    tracker = TargetTracker(config.chirp, len(vibration) // config.chirp.chirps_per_frame)
     with closing(frames):
-        n_frames = write_capture_frames(path, config.chirp, map(search.add, frames))
-    target = search.target(path)
+        write_capture_frames(path, config.chirp, map(tracker.add, frames))
+    target, column = tracker.result(CaptureFile(path), path)
     log = stamp_capture_file(
-        path, target, config.beginning_sigma, config.periodic_sigma, seed=artifact_seed
+        path, column_phase(column), config.beginning_sigma, config.periodic_sigma,
+        seed=artifact_seed,
     )
-    return forcing, n_frames, log, target
+    return forcing, log, target, column
 
 
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     """Simulate an IF capture from a WAV forcing signal and write the container.
 
-    The container is written frame by frame and stamped in place; it and its
-    artifact sidecar equal, byte for byte, what save_capture writes for the
-    library's in-memory capture.
+    The container is written frame by frame and stamped in place, with the
+    clean phase sigma taken from the bin demodulated while writing; it and
+    its artifact sidecar equal, byte for byte, what save_capture writes for
+    the library's in-memory capture.
     """
-    _, n_frames, log, _ = _write_capture(config, read_wav(audio_in), audio_in, config.seed,
-                                         capture_out)
+    _, log, _, column = _write_capture(config, read_wav(audio_in), audio_in, config.seed,
+                                       capture_out)
     write_artifact_sidecar(capture_out, log, seed=config.seed)
     print(f"range resolution: {range_resolution(config.chirp):.6f} m")
     print(f"vibration sampling rate: {config.chirp.effective_sampling_rate:.1f} Hz")
-    print(f"wrote {n_frames} frames to {capture_out}")
+    print(f"wrote {len(column)} frames to {capture_out}")
 
 
 def cmd_extract(capture_in, wav_out, preprocess: bool) -> None:
     """Recover the vibration trace from a capture and write it as float32 WAV.
 
-    The container is read one frame at a time; its artifact sidecar is not
-    read. A trace the cleanup rejects is blamed on the capture.
+    locate_target reads the container once, one frame at a time, and reads
+    it again only when its bound cannot prove the target bin; the artifact
+    sidecar is not read. A trace the cleanup rejects is blamed on the capture.
     """
     capture = CaptureFile(capture_in)
     target, phase = locate_target(capture)
@@ -404,10 +417,10 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "capture.bin"
             # the bin found before stamping; extract searches the stamped container
-            reference, _, _, target = _write_capture(variant, audio, source,
-                                                     (variant.seed, index), path)
-            phase = demodulate_bin(CaptureFile(path), target)
-        degraded = trace_from_phase(phase, variant.chirp)
+            reference, log, target, column = _write_capture(variant, audio, source,
+                                                            (variant.seed, index), path)
+            restamp_column(path, target, column, log)
+        degraded = trace_from_phase(column_phase(column), variant.chirp)
     reference = low_pass(reference, REFERENCE_BAND_HZ)
     n = min(len(degraded), len(reference))
     reference = zscore_normalize(AudioBuffer(reference.samples[:n], rate))
@@ -442,8 +455,9 @@ _SWEEP_CSV_COLUMNS = (
 def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_out) -> None:
     """Sweep one pipeline parameter, scoring each value against the source audio.
 
-    Radar axes run simulate, demodulate the bin found while writing, and
-    score the recovered trace against the band-limited source; alpha/beta
+    Radar axes run simulate, take the phase of the bin demodulated while
+    writing, its stamped chirps demodulated again, and score the recovered
+    trace against the band-limited source; alpha/beta
     run the synthesis degradation instead.
     Writes a JSON report plus a CSV table next to it.
     """

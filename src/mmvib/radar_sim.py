@@ -350,24 +350,24 @@ def _artifact_log(
     beginning_magnitude_sigma: float,
     periodic_magnitude_sigma: float,
     seed,
-    target: int | None = None,
+    phase: np.ndarray | None = None,
 ) -> list[ArtifactEvent]:
     """The spikes to stamp on a clean capture: which chirp rows and by what angle.
 
-    capture is anything locate_target reads. The clean phase sigma is found
-    only when some magnitude is non-zero, from the target bin when it is
-    given and by locate_target otherwise.
+    phase is the clean capture's target-bin phase; when it is None and some
+    magnitude is non-zero, locate_target finds it from capture, which is
+    anything locate_target reads.
     """
     magnitudes = (beginning_magnitude_sigma, periodic_magnitude_sigma)
     if not all(np.isfinite(m) and m >= 0 for m in magnitudes):
         raise ValueError(f"artifact magnitudes must be finite and >= 0, got {magnitudes}")
     if beginning_magnitude_sigma == 0 and periodic_magnitude_sigma == 0:
         return []
+    if phase is None:
+        # vib_extract imports this module, so the extraction core is imported here
+        from .vib_extract import locate_target
 
-    # vib_extract imports this module, so the extraction core is imported here
-    from .vib_extract import demodulate_bin, locate_target
-
-    phase = locate_target(capture)[1] if target is None else demodulate_bin(capture, target)
+        phase = locate_target(capture)[1]
     sigma = float(phase.std())
     rng = np.random.default_rng(seed)
     plan = [("beginning", 0, beginning_magnitude_sigma)] if beginning_magnitude_sigma > 0 else []
@@ -409,18 +409,19 @@ def inject_artifacts(
 
 
 def stamp_capture_file(
-    path, target: int, beginning_magnitude_sigma: float, periodic_magnitude_sigma: float, seed=0
+    path, phase: np.ndarray, beginning_magnitude_sigma: float, periodic_magnitude_sigma: float,
+    seed=0,
 ) -> list[ArtifactEvent]:
     """inject_artifacts on a capture container, in place; returns the artifact log.
 
-    target is the container's target bin, as locate_target finds it. The
-    clean sigma comes from demodulating that bin in one streamed pass over
-    the file. Each spike is then a seek, read, multiply and write of one
-    chirp row, so the file ends up byte for byte as save_capture would write
-    the stamped capture. The sidecar is left to the caller.
+    phase is the container's unwrapped target-bin phase, as locate_target
+    gives it; the clean sigma comes from it, so the file is not read for it.
+    Each spike is then a seek, read, multiply and write of one chirp row, so
+    the file ends up byte for byte as save_capture would write the stamped
+    capture. The sidecar is left to the caller.
     """
     capture = CaptureFile(path)
-    log = _artifact_log(capture, beginning_magnitude_sigma, periodic_magnitude_sigma, seed, target)
+    log = _artifact_log(capture, beginning_magnitude_sigma, periodic_magnitude_sigma, seed, phase)
     cfg = capture.config
     row = np.empty(cfg.adc_samples_per_chirp, dtype=np.complex64)
     with open(capture.path, "r+b") as fh:
@@ -490,7 +491,8 @@ class CaptureFile:
     yields its frames in order, every one read into the same complex64
     [chirps_per_frame, adc_samples_per_chirp] buffer: a frame is valid until
     the next is read, so a caller that keeps one copies it. A file cut short
-    after opening ends the iteration with a ValueError.
+    after opening ends the iteration with a ValueError. read_rows reads a
+    few chirp rows of one frame.
     """
 
     def __init__(self, path) -> None:
@@ -528,6 +530,17 @@ class CaptureFile:
                 if fh.readinto(frame) != frame.nbytes:
                     raise ValueError(f"truncated capture file: {self.path}")
                 yield frame
+
+    def read_rows(self, frame: int, start: int, stop: int) -> np.ndarray:
+        """Chirp rows [start, stop) of one frame, complex64, read from the file."""
+        cfg = self.config
+        rows = np.empty((stop - start, cfg.adc_samples_per_chirp), dtype=np.complex64)
+        with open(self.path, "rb") as fh:
+            fh.seek(_CAPTURE_HEADER.size + (frame * cfg.chirps_per_frame + start) * rows.itemsize
+                    * cfg.adc_samples_per_chirp)
+            if fh.readinto(rows) != rows.nbytes:
+                raise ValueError(f"truncated capture file: {self.path}")
+        return rows
 
 
 def load_capture(path) -> IFCapture:

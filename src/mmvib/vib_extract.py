@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
-from .radar_sim import ChirpConfig, IFCapture, VibrationTrace
+from .radar_sim import CaptureFile, ChirpConfig, IFCapture, VibrationTrace
 from .signal_core import AudioBuffer, unwrap_phase
 
 OUTLIER_SIGMA_THRESHOLD = 3.0
@@ -151,7 +152,11 @@ def remove_periodic_outliers(trace: AudioBuffer, chirps_per_frame: int) -> Audio
 
 
 class BinSearch:
-    """The bin search of locate_target, fed one frame at a time.
+    """The range-FFT bin search, fed one frame at a time.
+
+    A TargetTracker feeds it frame 0, to name a leading bin, and every
+    frame only when its bound cannot prove that this bin wins the search of
+    every frame.
 
     add sums each range bin's magnitude over one frame's chirps in float32,
     equal bit for bit to np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0,
@@ -200,42 +205,257 @@ class BinSearch:
             raise ValueError(f"{exc}: {source}") from None
 
 
+# OpenBLAS runs a complex gemv of this many elements or more on its threads,
+# which go on spinning after the call.
+_BLAS_THREAD_ELEMENTS = 4096
+
+
+def _bin_kernel(target: int, adc: int) -> np.ndarray:
+    """The complex64 single-bin DFT row of bin target."""
+    return np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
+
+
+def _layout(n: int, adc: int) -> tuple[int, int, int]:
+    """How _demodulate splits n rows of adc samples: the rows of a whole block,
+    the most in multiples of 8 (at least 8) that stay under the BLAS
+    threading size; the rows the whole blocks cover; the first row of the
+    last call."""
+    step = 8 * max(1, (_BLAS_THREAD_ELEMENTS - 1) // (8 * adc))
+    body = n - n % step
+    # a one-row matmul is a dot product with other bits than gemv's
+    last = n - 2 if n - body == 1 and n > 1 else body
+    return step, body, last
+
+
+def _block_of(row: int, n: int, adc: int) -> tuple[int, int]:
+    """The rows [start, stop) of the call whose result _demodulate keeps for row."""
+    step, _, last = _layout(n, adc)
+    if row >= last:
+        return last, n
+    start = row - row % step
+    return start, start + step
+
+
+def _demodulate(rows: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
+    """out = rows @ kernel, bit for bit, in blocks that keep BLAS on this thread.
+
+    The whole blocks run in one batched matmul and the rest in one more; a
+    gemv gives each row the same bits whichever rows share its call. A last
+    block of one row is run as the last two rows. Samples that are not
+    finite give what they give, without numpy warnings.
+    """
+    n, adc = rows.shape
+    step, body, last = _layout(n, adc)
+    with np.errstate(all="ignore"):
+        if body:
+            np.matmul(rows[:body].reshape(-1, step, adc), kernel, out=out[:body].reshape(-1, step))
+        if last < n:
+            np.matmul(rows[last:], kernel, out=out[last:])
+
+
+def column_phase(column: np.ndarray) -> np.ndarray:
+    """The unwrapped per-chirp phase of a demodulated column, in chirp order."""
+    return unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
+
+
 def demodulate_bin(capture, target: int) -> np.ndarray:
-    """Unwrapped per-chirp phase of one range bin of the capture.
+    """One range bin of every chirp of the capture, [n_frames, chirps_per_frame] complex64.
 
     A single-bin DFT: the dot product of every chirp with one complex
     exponential, frame by frame, so beyond the frames it holds one sample
-    per chirp.
+    per chirp; column_phase unwraps its phase. The matmuls run in blocks of
+    rows small enough that OpenBLAS keeps them on the calling thread, since
+    whole-frame calls would wake a BLAS worker that spins beside the caller;
+    the bits are those of one matmul of each whole frame.
     """
     config = capture.config
-    adc = config.adc_samples_per_chirp
-    kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
+    kernel = _bin_kernel(target, config.adc_samples_per_chirp)
     column = np.empty((capture.n_frames, config.chirps_per_frame), dtype=np.complex64)
     for index, frame in enumerate(capture):
-        np.matmul(frame, kernel, out=column[index])
-    return unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
+        _demodulate(frame, kernel, column[index])
+    return column
+
+
+def restamp_column(path, target: int, column: np.ndarray, log) -> None:
+    """Demodulate again, in place in column, the chirps an artifact log stamped.
+
+    column is the container's demodulation at target from before stamping,
+    as a TargetTracker gives it, and path the stamped container. Each logged
+    chirp is demodulated again in the block of rows _demodulate ran it in,
+    read from the file, so column ends equal bit for bit to demodulate_bin of
+    the stamped container while only those blocks are read.
+    """
+    capture = CaptureFile(path)
+    chirps, adc = capture.config.chirps_per_frame, capture.config.adc_samples_per_chirp
+    kernel = _bin_kernel(target, adc)
+    for event in log:
+        start, stop = _block_of(event.chirp, chirps, adc)
+        demodulated = np.empty(stop - start, dtype=np.complex64)
+        _demodulate(capture.read_rows(event.frame, start, stop), kernel, demodulated)
+        column[event.frame, event.chirp] = demodulated[event.chirp - start]
+
+
+_U32 = float(np.finfo(np.float32).eps) / 2  # float32 unit roundoff, 2^-24
+_U64 = float(np.finfo(np.float64).eps) / 2
+# The absolute error one float32 operation can make when its result
+# underflows, even with flush-to-zero: the smallest normal float32.
+_TINY32 = float(np.finfo(np.float32).tiny)
+# Bound on the float64 FFT's error in any bin, relative to the chirp's norm
+# sqrt(adc * energy): far above pocketfft's, which grows as log2(adc) * 2^-53.
+_FFT_ERROR = 2.0**-30
+# A frame whose bins could sum past this may overflow the float32 search.
+_SEARCH_LIMIT = 2.0**126
+
+
+def _gamma(n: int, u: float = _U32) -> float:
+    """The worst-case relative error of n roundings, n * u / (1 - n * u)."""
+    return n * u / (1 - n * u)
+
+
+class TargetTracker:
+    """locate_target's one streamed pass: the target bin and its demodulated column.
+
+    Fed one frame at a time with add, which returns the frame, so
+    map(tracker.add, frames) tracks a stream on its way. Frame 0 goes through
+    a BinSearch, whose strongest bin g leads. Every frame is demodulated at g
+    into the column. Each later chirp x also bounds every other bin: by
+    Parseval, |X_k| <= sqrt(adc * sum|x|^2 - |X_g|^2) for k != g. When g's
+    frame-0 strength plus the sum of |X_g| beats the best other frame-0
+    strength plus the sum of those bounds, after the worst-case error of each
+    float32 and complex64 step on either side (the FFT, its complex64
+    rounding, the float32 magnitudes and sums, the float64 strength, and the
+    matmul and energy sums here), g is the bin a BinSearch of every frame
+    returns and no other frame is transformed.
+
+    Otherwise result falls back to that search: frames 1 on are read again
+    and added to the frame-0 search, and the capture is demodulated again
+    only if the search picks another bin. Captures whose frame 0 names no
+    bin (not finite, all DC, or one sample per chirp) are searched whole in
+    the stream. Either way each error is the search's own.
+    """
+
+    def __init__(self, config: ChirpConfig, n_frames: int) -> None:
+        chirps, adc = config.chirps_per_frame, config.adc_samples_per_chirp
+        self._adc = adc
+        self._search = BinSearch(config)
+        self._column = np.empty((n_frames, chirps), dtype=np.complex64)
+        self._energy = np.empty(chirps, dtype=np.float32)
+        self._frames = 0
+        self._lead = None  # g, found from frame 0
+        self._kernel = None
+        # |y - X_g| <= _matmul_error * norm + _matmul_tiny, norm >= sqrt(adc *
+        # sum|x|^2): the real and imaginary float32 sums of 2 * adc products
+        # each, and the kernel's complex64 rounding
+        self._matmul_error = 2 * _gamma(2 * adc + 4)
+        self._matmul_tiny = 16 * adc * _TINY32
+        # the float32 energy: 2 * adc squares and their sum
+        self._energy_tiny = 8 * adc * _TINY32
+        self._energy_scale = adc / (1 - _gamma(2 * adc))
+        # sums of the per-chirp bounds over frames 1 on, and of the norms
+        self._won = 0.0
+        self._lost = 0.0
+        self._norms = 0.0
+        self._bounded = True
+
+    def add(self, frame: np.ndarray) -> np.ndarray:
+        index = self._frames
+        self._frames += 1
+        if index == 0 or self._lead is None:
+            self._search.add(frame)
+        if index == 0:
+            strength = self._search.strength
+            if np.isfinite(strength).all() and strength[1:].size and strength[1:].max() > 0:
+                self._lead = _strongest_bin(strength)
+                self._kernel = _bin_kernel(self._lead, self._adc)
+        if self._lead is not None:
+            _demodulate(frame, self._kernel, self._column[index])
+            if index and self._bounded:
+                self._bound(frame, self._column[index])
+        return frame
+
+    def _bound(self, frame: np.ndarray, y: np.ndarray) -> None:
+        """Add one later frame's lower bounds on |X_g| and upper bounds on the other bins."""
+        samples = np.ascontiguousarray(frame).view(np.float32)
+        with np.errstate(all="ignore"):
+            np.einsum("ij,ij->i", samples, samples, out=self._energy)
+            norm = np.sqrt((self._energy.astype(np.float64) + self._energy_tiny)
+                           * self._energy_scale)
+            low = np.abs(y.astype(np.complex128)) - (self._matmul_error * norm + self._matmul_tiny)
+            lead = np.maximum(low, 0.0)
+            # the product form keeps norm^2 - lead^2 accurate when the two are close
+            rest = np.sqrt(np.maximum((norm - lead) * (norm + lead), 0.0))
+            norms = float(norm.sum())
+        # NaN fails every comparison, so a frame that is not finite ends the bound
+        if not norms < _SEARCH_LIMIT:
+            self._bounded = False
+            return
+        self._won += float(low.sum()) - _FFT_ERROR * norms
+        self._lost += float(rest.sum()) + _FFT_ERROR * norms
+        self._norms += norms
+
+    def _wins(self) -> bool:
+        """Whether the bounds prove that every frame's search picks the lead."""
+        if not self._bounded:
+            return False
+        strength = self._search.strength
+        others = np.delete(strength[1:], self._lead - 1)
+        best_other = float(others.max()) if others.size else 0.0
+        chirps = self._column.shape[1]
+        # the float32 magnitude (complex64 rounding, then hypot) and frame sum,
+        # and the underflows in them
+        magnitude = 4 * _U32
+        frame_sum = _gamma(chirps)
+        tiny = (self._frames - 1) * 8 * chirps * _TINY32
+        won = (1 - frame_sum) * (1 - magnitude) * self._won - tiny
+        lost = (1 + frame_sum) * (1 + magnitude) * self._lost + tiny
+        # the float64 strength sums, and slack far above this tracker's own
+        # float64 arithmetic
+        accumulate = _gamma(self._frames, _U64)
+        slack = 1e-9 * (self._norms + strength[self._lead] + best_other)
+        lead_low = (1 - accumulate) * (strength[self._lead] + won)
+        other_high = (1 + accumulate) * (best_other + lost)
+        return bool(lead_low - other_high > slack)
+
+    def result(self, capture, source) -> tuple[int, np.ndarray]:
+        """The target bin and its [n_frames, chirps] complex64 column, once every frame is added.
+
+        capture holds the same frames, read again by the fallback; source
+        names it in errors.
+        """
+        if self._lead is not None and self._wins():
+            return self._lead, self._column
+        if self._lead is not None:
+            for frame in islice(capture, 1, None):
+                self._search.add(frame)
+        target = self._search.target(source)
+        if target == self._lead:
+            return target, self._column
+        return target, demodulate_bin(capture, target)
 
 
 def locate_target(capture) -> tuple[int, np.ndarray]:
     """Strongest range bin of the capture and its unwrapped per-chirp phase.
 
-    The one place that decides which bin carries the vibration. capture is
-    an IFCapture or a CaptureFile: anything with config, n_frames and
-    iteration over its frames, which happens twice: a BinSearch pass, then
-    demodulate_bin on the winning bin. Beyond the frames it holds about one
-    frame's bin magnitudes and one sample per chirp. It picks the bin
+    A TargetTracker, the one place that decides which bin carries the
+    vibration (simulate and sweep run it on the frames they write), reads
+    the capture once: an IFCapture or a CaptureFile, anything with config,
+    n_frames and iteration over its frames. Frame 0's FFT names a leading
+    bin, every frame is demodulated there, and a Parseval bound may prove
+    that no other bin can win; it does on the default scene, and not where
+    noise swamps the target. Only when it cannot is the capture read again
+    for a BinSearch of every frame (and a demodulation of another bin, if
+    that one wins), which costs more than the search alone. It picks the bin
     select_target_bin picks on range_fft's profile, and the phase of
     extract_phase_series up to float32 rounding.
     """
     source = getattr(capture, "path", "in-memory capture")
     if capture.n_frames == 0:
         raise ValueError(f"empty capture: {source}")
-    search = BinSearch(capture.config)
+    tracker = TargetTracker(capture.config, capture.n_frames)
     for frame in capture:
-        search.add(frame)
-    target = search.target(source)
-    del search  # its frame buffers, before the demodulation allocates
-    return target, demodulate_bin(capture, target)
+        tracker.add(frame)
+    target, column = tracker.result(capture, source)
+    return target, column_phase(column)
 
 
 def trace_from_phase(

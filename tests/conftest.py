@@ -1,13 +1,18 @@
-"""Shared fixtures: chirp configs, tone captures, clip factories, the exit-path inputs and a
-traced-memory helper."""
+"""Shared fixtures: chirp configs, tone captures, clip factories, the exit-path inputs, a
+traced-memory helper and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmvib
 from exit_paths import write_exit_inputs
 from mmvib import ChirpConfig, VibrationTrace, simulate_if_frames
 
@@ -33,6 +38,17 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def run_fresh(code: str, *args, **env) -> str:
+    """The last line code prints when a fresh interpreter runs it with args as its argv, this
+    tree's src/ and tests/ on its path and env added to its environment."""
+    path = os.pathsep.join([str(Path(mmvib.__file__).resolve().parents[1]),
+                            str(Path(__file__).parent)])
+    result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                            env={**os.environ, "PYTHONPATH": path, **env},
+                            capture_output=True, text=True, check=True)
+    return result.stdout.splitlines()[-1]
 
 
 def make_tone_trace(

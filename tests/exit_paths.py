@@ -541,6 +541,12 @@ def write_exit_inputs(d: Path) -> None:
     chirp = np.exp(2j * np.pi * 40 * np.arange(256) / 256).astype(np.complex64)
     write_capture_frames(d / "two_chirps.bin", ChirpConfig(chirps_per_frame=2),
                          [np.stack([chirp, chirp])])
+    # three such frames with the real part of the last sample not finite:
+    # frame 0 names bin 40, and the bad sample is met on the way
+    for name, value in [("nan_sample", np.nan), ("inf_sample", np.inf)]:
+        frames = np.stack([chirp, chirp] * 3).reshape(3, 2, 256)
+        frames[-1, -1, -1] = value
+        write_capture_frames(d / f"{name}.bin", ChirpConfig(chirps_per_frame=2), frames)
     for n in (400, 2000):
         make_tone_wav(d / f"tone{n}.wav", duration=n / 8000.0)
     huge = np.resize([1e200, -1e200], 8000).astype("<f8").tobytes()
@@ -569,11 +575,6 @@ def write_exit_inputs(d: Path) -> None:
     small = (d / "small.bin").read_bytes()
     for name, (make, _) in MALFORMED_CAPTURES.items():
         (d / f"{name}.bin").write_bytes(make(small))
-    for name, value in [("nan_sample", np.nan), ("inf_sample", np.inf)]:
-        # the real part of the last sample of the last chirp
-        data = bytearray((d / "cap.bin").read_bytes())
-        struct.pack_into("<f", data, len(data) - 8, value)
-        (d / f"{name}.bin").write_bytes(data)
     row, no_clean_path = json.dumps({"clean_path": tone}), json.dumps({"path": tone})
     (d / "no_clean_path.jsonl").write_text(f"{row}\n{no_clean_path}\n")
     (d / "blank_then_no_clean_path.jsonl").write_text(f"\n \t \n{row}\n{no_clean_path}\n")

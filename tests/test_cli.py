@@ -7,7 +7,6 @@ import os
 import re
 import shutil
 import struct
-import subprocess
 import sys
 import tempfile
 import threading
@@ -24,7 +23,7 @@ import exit_paths
 import mmvib.cli
 import mmvib.radar_sim
 import mmvib.vib_extract
-from conftest import traced_peak
+from conftest import run_fresh, traced_peak
 from exit_paths import EXIT_PATHS, MALFORMED_WAVS, make_tone_wav, run_main
 from identity import COMMANDS, ROOT, _contents, run_commands, write_inputs
 from mmvib import (
@@ -56,20 +55,9 @@ from mmvib.cli import (
     main,
 )
 from mmvib.metrics import REQUIRED_METRICS
-from mmvib.vib_extract import BinSearch
+from mmvib.vib_extract import BinSearch, column_phase
 from oracles import in_memory_capture
 from speechgen import make_speech_clip
-
-
-def run_fresh(code: str, *args, **env) -> str:
-    """The last line code prints when a fresh interpreter runs it with args as its argv, this
-    tree's src/ and tests/ on its path and env added to its environment."""
-    path = os.pathsep.join([str(Path(mmvib.cli.__file__).resolve().parents[1]),
-                            str(Path(__file__).parent)])
-    result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                            env={**os.environ, "PYTHONPATH": path, **env},
-                            capture_output=True, text=True, check=True)
-    return result.stdout.splitlines()[-1]
 
 
 # Run main on each argv of the JSON list in argv[1], each to exit 0, and
@@ -405,7 +393,9 @@ class TestExtract:
 
     def test_every_frame_searched_once_per_command(self, tmp_path, monkeypatch):
         searched = []  # a digest of each frame a bin search sums, as it sums it
-        on_file = []  # a digest of each frame of each container sweep demodulates
+        demodulated = []  # a digest of each whole frame demodulated, as it is
+        stamped_blocks = []  # the rows of each part-frame demodulation
+        written = []  # a digest of each frame written to a container
         located = []
         in_memory = []
         originals = {
@@ -432,12 +422,23 @@ class TestExtract:
             searched.append(digest(frame))
             return original_add(search, frame)
 
-        def demodulate_bin(capture, target):
-            on_file.extend(digest(frame) for frame in capture)
-            return mmvib.vib_extract.demodulate_bin(capture, target)
+        original_demodulate = mmvib.vib_extract._demodulate
+
+        def demodulate(rows, kernel, out):
+            if len(rows) == 256:
+                demodulated.append(digest(rows))
+            else:
+                stamped_blocks.append(len(rows))
+            return original_demodulate(rows, kernel, out)
+
+        original_write = mmvib.cli.write_capture_frames
+
+        def write(path, config, frames):
+            return original_write(path, config, (written.append(digest(f)) or f for f in frames))
 
         monkeypatch.setattr(BinSearch, "add", add)
-        monkeypatch.setattr(mmvib.cli, "demodulate_bin", demodulate_bin)
+        monkeypatch.setattr(mmvib.vib_extract, "_demodulate", demodulate)
+        monkeypatch.setattr(mmvib.cli, "write_capture_frames", write)
         # rebind every module-level reference, so a second import of one is counted too
         for name, module in list(sys.modules.items()):
             if not name.startswith("mmvib"):
@@ -446,27 +447,51 @@ class TestExtract:
                 if vars(module).get(attr) is original:
                     monkeypatch.setattr(module, attr, counting(original, calls))
         wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
-        cap = tmp_path / "cap.bin"
 
         def frames_of(path):
-            return sorted(digest(frame) for frame in CaptureFile(path))
+            return [digest(frame) for frame in CaptureFile(path)]
 
-        # simulate searches the frames as it writes them, and only demodulates the file
-        assert main(["simulate", "--audio", str(wav), "--out", str(cap)]) == 0
-        assert len(frames_of(cap)) == 15
-        assert sorted(searched) == frames_of(cap)
+        def run(*argv):
+            for calls in (searched, demodulated, stamped_blocks, written):
+                calls.clear()
+            assert main(list(argv)) == 0
+
+        # each command demodulates every frame once and transforms only frame 0
+        cap = tmp_path / "cap.bin"
+        run("simulate", "--audio", str(wav), "--out", str(cap))
+        frames = frames_of(cap)
+        assert len(frames) == 15
+        assert sorted(demodulated) == sorted(frames)
+        assert searched == frames[:1]
+        # simulate stamps chirps with the phase it has, demodulating none again
+        assert stamped_blocks == []
         assert located == []
-        searched.clear()
-        assert main(["extract", "--capture", str(cap), "--out", str(tmp_path / "x.wav")]) == 0
-        assert sorted(searched) == frames_of(cap)
+        run("extract", "--capture", str(cap), "--out", str(tmp_path / "x.wav"))
+        assert sorted(demodulated) == sorted(frames)
+        assert searched == frames[:1]
+        assert stamped_blocks == []
         assert located == ["locate_target"]
-        searched.clear()
-        # sweep demodulates, for each radar value, the bin found while writing its container
-        assert main(["sweep", "--param", "range_m", "--values", "1.0,1.5", "--audio", str(wav),
-                     "--report", str(tmp_path / "sweep.json")]) == 0
-        assert len(on_file) == 30
-        assert sorted(searched) == sorted(on_file)
+        # sweep demodulates each radar value's frames as it writes them, then
+        # only the blocks of the rows it stamps
+        run("sweep", "--param", "range_m", "--values", "1.0,1.5", "--audio", str(wav),
+            "--report", str(tmp_path / "sweep.json"))
+        assert len(written) == 30
+        assert sorted(demodulated) == sorted(written)
+        assert searched == [written[0], written[15]]
+        assert stamped_blocks == [8] * 32
         assert located == ["locate_target"]
+        # where noise swamps the target the bound fails, and every frame is
+        # searched once, on the way to the file or read back from it
+        noisy = tmp_path / "noisy.ini"
+        noisy.write_text("[scene]\nnoise_floor_db = 40\n")
+        cap = tmp_path / "noisy.bin"
+        run("simulate", "--config", str(noisy), "--audio", str(wav), "--out", str(cap))
+        frames = frames_of(cap)
+        assert sorted(searched) == sorted(frames)
+        assert set(demodulated) == set(frames)
+        run("extract", "--capture", str(cap), "--out", str(tmp_path / "y.wav"))
+        assert sorted(searched) == sorted(frames)
+        assert set(demodulated) == set(frames)
         # the full range profile and the in-memory capture stay off the pipeline
         assert in_memory == []
 
@@ -845,18 +870,22 @@ class TestSweep:
     def test_demodulated_bin_is_the_one_extract_finds(self, parameter, value, monkeypatch):
         # the bin found before stamping, against a fresh search of the stamped
         # container; stamping rounds chirp 0 of each frame, which could move a
-        # bin tied to rounding
-        bins = []
+        # bin tied to rounding. The column, its stamped rows demodulated
+        # again, gives the phase of the stamped container
+        found = []
+        original_restamp = mmvib.cli.restamp_column
 
-        def demodulate_bin(capture, target):
-            bins.append((target, locate_target(CaptureFile(capture.path))[0]))
-            return mmvib.vib_extract.demodulate_bin(capture, target)
+        def restamp(path, target, column, log):
+            original_restamp(path, target, column, log)
+            found.append((target, column_phase(column), *locate_target(CaptureFile(path))))
 
-        monkeypatch.setattr(mmvib.cli, "demodulate_bin", demodulate_bin)
+        monkeypatch.setattr(mmvib.cli, "restamp_column", restamp)
         audio = make_speech_clip(15, duration=1.0, rate=8000.0)
         _sweep_point(PipelineConfig(), parameter, value, audio, 0, "speech.wav")
-        assert len(bins) == 1
-        assert bins[0][0] == bins[0][1]
+        assert len(found) == 1
+        target, phase, found_target, found_phase = found[0]
+        assert target == found_target
+        assert phase.tobytes() == found_phase.tobytes()
 
     def test_temporary_directory_left_empty(self, tmp_path, monkeypatch, capsys):
         temp_root = tmp_path / "temp"

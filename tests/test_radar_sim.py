@@ -32,6 +32,7 @@ from mmvib import (
     unwrap_phase,
 )
 from mmvib.radar_sim import stamp_capture_file
+from mmvib.vib_extract import column_phase, restamp_column
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -419,11 +420,18 @@ class TestArtifacts:
         clean = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
         path = tmp_path / "cap.bin"
         save_capture(clean, path)
-        log = stamp_capture_file(path, locate_target(clean)[0], *sigmas, seed=3)
+        target = locate_target(clean)[0]
+        adc = chirp_cfg.adc_samples_per_chirp
+        kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
+        # the whole-frame matvec of the clean capture, patched to the stamped one's
+        column = clean.frames @ kernel
+        log = stamp_capture_file(path, column_phase(column), *sigmas, seed=3)
+        restamp_column(path, target, column, log)
         stamped = inject_artifacts(clean, *sigmas, seed=3)
         save_capture(stamped, tmp_path / "ref.bin")
         assert path.read_bytes() == (tmp_path / "ref.bin").read_bytes()
         assert log == stamped.artifact_log
+        assert column.tobytes() == (stamped.frames @ kernel).tobytes()
 
     def test_peak_memory_below_a_tenth_of_the_capture(self, chirp_cfg):
         # stamping in place holds no second capture

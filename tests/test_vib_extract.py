@@ -5,13 +5,14 @@ import re
 import threading
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tone_capture, traced_peak
+from conftest import make_tone_capture, run_fresh, traced_peak
 from mmvib import (
     CaptureFile,
     ChirpConfig,
@@ -36,9 +37,10 @@ from mmvib import (
     zscore_normalize,
 )
 import mmvib.vib_extract
-from mmvib.cli import PipelineConfig
+from mmvib.cli import MATERIAL_PRESETS, PipelineConfig
+from mmvib.radar_sim import DEFAULT_FRAME_PERIOD_S, MAX_BANDWIDTH_HZ
 from mmvib.vib_extract import BinSearch
-from oracles import oracle_remove_periodic_outliers
+from oracles import in_memory_capture, oracle_remove_periodic_outliers
 from speechgen import make_speech_clip
 
 
@@ -306,6 +308,170 @@ class TestSplitSearch:
         with pytest.raises(ValueError, match=f"^truncated capture file: {re.escape(str(path))}$"):
             locate_target(reader)
         assert threading.active_count() == before
+
+
+def tracker_scene(noise=-60.0, range_m=1.5, preset="pet", artifacts=False, chirps=256, adc=256):
+    """About three frames of the simulate command's scene on a speech clip, in memory.
+
+    The chirp is scaled to the frame's chirp count over the full bandwidth.
+    """
+    duration = 0.9 * DEFAULT_FRAME_PERIOD_S / chirps
+    chirp = replace(ChirpConfig(), chirps_per_frame=chirps, adc_samples_per_chirp=adc,
+                    chirp_duration=duration, slope=MAX_BANDWIDTH_HZ / duration)
+    sigmas = (10.0, 6.0) if artifacts else (0.0, 0.0)
+    config = PipelineConfig(chirp=chirp, material=MATERIAL_PRESETS[preset], range_m=range_m,
+                            noise_floor_db=noise, beginning_sigma=sigmas[0],
+                            periodic_sigma=sigmas[1])
+    return in_memory_capture(config, make_speech_clip(3, duration=0.1), 5)
+
+
+def two_tones(first: float, rest: float) -> IFCapture:
+    """Three frames of bins 30 and 50, bin 50 first times as strong in frame 0, rest after."""
+    rng = np.random.default_rng(1)
+    t = np.arange(256) / 256
+    gain = np.array([first, rest, rest])[:, None, None]
+    frames = (np.exp(2j * np.pi * 30 * t) + gain * np.exp(2j * np.pi * 50 * t)) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, (3, 256, 1)))
+    noise = 1e-3 * rng.standard_normal((2, 3, 256, 256))
+    return IFCapture((frames + noise[0] + 1j * noise[1]).astype(np.complex64), ChirpConfig())
+
+
+def tone_capture(frame: int | None = None, value: float = 0.0) -> IFCapture:
+    """Three frames of a 500 Hz tone at -40 dB, the last sample of a frame set to value."""
+    cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.096, noise_floor_db=-40.0)
+    if frame is not None:
+        cap.frames[frame, -1, -1] = value
+    return cap
+
+
+def zero_first_frame() -> IFCapture:
+    cap = tone_capture()
+    cap.frames[0] = 0
+    return cap
+
+
+# The capture of each case, and the path locate_target takes: certified, where
+# frame 0 is the only one transformed, fallback, where every frame is, or the
+# error it raises, before the capture's name
+TRACKER_CASES = {
+    **{f"noise{db}": (partial(tracker_scene, noise=db), path)
+       for db, path in [(-60, "certified"), (-20, "certified"), (0, "certified"),
+                        (20, "fallback"), (40, "fallback")]},
+    "range1.52": (partial(tracker_scene, range_m=1.52), "certified"),
+    "range3.7": (partial(tracker_scene, range_m=3.7), "certified"),
+    "range3.7-noise10": (partial(tracker_scene, range_m=3.7, noise=10.0), "fallback"),
+    "tinfoil": (partial(tracker_scene, preset="tinfoil"), "certified"),
+    "tinfoil-noise10": (partial(tracker_scene, preset="tinfoil", noise=10.0), "fallback"),
+    "artifacts": (partial(tracker_scene, artifacts=True), "certified"),
+    "tinfoil-artifacts-noise40": (
+        partial(tracker_scene, preset="tinfoil", artifacts=True, noise=40.0), "fallback"),
+    **{f"{chirps}x{adc}": (partial(tracker_scene, chirps=chirps, adc=adc,
+                                   range_m=1.5 if adc == 256 else 0.2), "certified")
+       for chirps, adc in [(1, 256), (1, 16), (2, 16), (9, 256), (9, 16), (256, 16)]},
+    **{f"{chirps}x16-noise40": (partial(tracker_scene, chirps=chirps, adc=16, range_m=0.2,
+                                        noise=40.0), "fallback") for chirps in (2, 9)},
+    **{f"{chirps}x1": (partial(tracker_scene, chirps=chirps, adc=1, range_m=0.01), "no target")
+       for chirps in (1, 2, 256)},
+    # bin 50 leads in frame 0 and loses to bin 30 over the capture, leads by
+    # less than the bound, or by more
+    "lead-lost": (partial(two_tones, 1.01, 0.99), "fallback"),
+    "near-tie": (partial(two_tones, 1.0 + 1e-7, 1.0 + 1e-7), "fallback"),
+    "narrow-lead": (partial(two_tones, 1.001, 1.001), "certified"),
+    "all-zero": (lambda: IFCapture(np.zeros((3, 256, 256), np.complex64), ChirpConfig()),
+                 "no target"),
+    # frame 0 names no bin, so the stream is searched whole
+    "zero-frame-0": (zero_first_frame, "fallback"),
+    **{f"{name}-frame{frame}": (partial(tone_capture, frame, value),
+                                "capture samples are not finite or too large")
+       for name, value in [("nan", np.nan), ("inf", np.inf)] for frame in (0, 1, 2)},
+    "truncated": (tone_capture, "truncated capture file"),
+}
+
+
+class TestTargetTracker:
+    @pytest.mark.parametrize("case", TRACKER_CASES)
+    def test_equals_a_full_search_and_whole_frame_demodulation(self, case, tmp_path,
+                                                                monkeypatch):
+        build, path = TRACKER_CASES[case]
+        capture, source = build(), "in-memory capture"
+        if case == "truncated":
+            source = tmp_path / "cut.bin"
+            save_capture(capture, source)
+            capture = CaptureFile(source)
+            with open(source, "r+b") as fh:
+                fh.truncate(source.stat().st_size - 100)
+        # the reference: a BinSearch of every frame, and each frame's one matmul
+        search = BinSearch(capture.config)
+        try:
+            for frame in capture:
+                search.add(frame)
+            want = search.target(source)
+        except ValueError as exc:
+            want = str(exc)
+        searched = []
+        original_add = BinSearch.add
+        monkeypatch.setattr(BinSearch, "add",
+                            lambda search, frame: searched.append(1) or original_add(search, frame))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if path in ("certified", "fallback"):
+                target, phase = locate_target(capture)
+            else:
+                with pytest.raises(ValueError) as err:
+                    locate_target(capture)
+        if path not in ("certified", "fallback"):
+            assert str(err.value) == want == f"{path}: {source}"
+            return
+        assert len(searched) == (1 if path == "certified" else capture.n_frames)
+        adc = capture.config.adc_samples_per_chirp
+        kernel = np.exp(-2j * np.pi * want * np.arange(adc) / adc).astype(np.complex64)
+        column = np.stack([frame @ kernel for frame in capture])
+        want_phase = unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
+        assert target == want
+        assert phase.tobytes() == want_phase.tobytes()
+
+    # In a fresh interpreter, the count of random frames of each shape whose
+    # blocked demodulation differs in any bit from one matmul of the frame
+    _BLOCKED_AGAINST_WHOLE = (
+        "import numpy as np\n"
+        "from mmvib.vib_extract import _demodulate\n"
+        "rng = np.random.default_rng(0)\n"
+        "differ = 0\n"
+        "for chirps in (1, 2, 3, 8, 9, 17, 33, 256, 1024):\n"
+        "    for adc in (1, 2, 3, 16, 255, 256, 512):\n"
+        "        parts = rng.standard_normal((2, chirps, adc))\n"
+        "        frame = (parts[0] + 1j * parts[1]).astype(np.complex64)\n"
+        "        kernel = np.exp(-2j * np.pi * (adc // 3) * np.arange(adc) / adc)\n"
+        "        kernel = kernel.astype(np.complex64)\n"
+        "        out = np.empty(chirps, np.complex64)\n"
+        "        _demodulate(frame, kernel, out)\n"
+        "        differ += out.tobytes() != (frame @ kernel).tobytes()\n"
+        "print(differ)\n"
+    )
+
+    def test_blocked_demodulation_equals_one_matmul_per_frame(self, monkeypatch):
+        for threads in ("1", "2"):
+            assert run_fresh(self._BLOCKED_AGAINST_WHOLE, OPENBLAS_NUM_THREADS=threads) == "0"
+        # every whole block is a multiple of 8 rows under OpenBLAS's 4096-element
+        # threading size (for chirps under 512 samples), and no call is one
+        # row of a longer frame
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, out: calls.append(a.shape) or
+                            matmul(a, b, out=out))
+        for adc in (1, 16, 255, 256, 511):
+            for chirps in (1, 2, 8, 9, 17, 256, 1024):
+                calls.clear()
+                frame = np.ones((chirps, adc), np.complex64)
+                mmvib.vib_extract._demodulate(frame, frame[0], np.empty(chirps, np.complex64))
+                for shape in calls:
+                    rows = shape[-2]
+                    assert rows * adc < 4096
+                    assert rows >= 2 or chirps == 1
+                    if len(shape) == 3:
+                        assert rows % 8 == 0
+                # the rows of the batched blocks and the last call, one row twice at most
+                assert sum(int(np.prod(shape[:-1])) for shape in calls) - chirps in (0, 1)
 
 
 class TestPhaseToDisplacement:
