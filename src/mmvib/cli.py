@@ -200,7 +200,8 @@ def _parse_section(section: str, raw: dict[str, str], defaults) -> dict:
     return parsed
 
 
-def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key, path):
+def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key, path,
+                   name=None):
     """Write the capture of the surface that audio drives, one frame at a time.
 
     The forcing is the audio resampled to the chirp rate and z-scored; audio
@@ -208,10 +209,12 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
     refused naming source. Each frame passes a TargetTracker on its way to
     the file, which finds the target bin and demodulates it as the frames go
     by; only when its bound cannot prove the bin does it read the file back.
-    Then the artifacts are stamped in place, their sigma taken from the
-    column's phase; both seeds are spawned from seed_key. Returns the
-    forcing, the artifact log, the target bin and its column from before
-    stamping, [n_frames, chirps_per_frame] complex64.
+    A capture it refuses is named name, or path when name is None. Then the
+    artifacts are stamped in place, their sigma taken from the column's
+    phase; both seeds are spawned from seed_key. Once path is opened, a
+    failure removes it. Returns the forcing, the artifact log, the target
+    bin and its column from before stamping, [n_frames, chirps_per_frame]
+    complex64.
     """
     audio = resample(audio, config.chirp.effective_sampling_rate)
     try:
@@ -232,13 +235,20 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
         seed=sim_seed,
     )
     tracker = TargetTracker(config.chirp, len(vibration) // config.chirp.chirps_per_frame)
-    with closing(frames):
-        write_capture_frames(path, config.chirp, map(tracker.add, frames))
-    target, column = tracker.result(CaptureFile(path), path)
-    log = stamp_capture_file(
-        path, column_phase(column), config.beginning_sigma, config.periodic_sigma,
-        seed=artifact_seed,
-    )
+    # opened here, so that a path that cannot be opened is left as it was
+    open(path, "wb").close()
+    try:
+        with closing(frames):
+            write_capture_frames(path, config.chirp, map(tracker.add, frames))
+        target, column = tracker.result(CaptureFile(path), path if name is None else name)
+        log = stamp_capture_file(
+            path, column_phase(column), config.beginning_sigma, config.periodic_sigma,
+            seed=artifact_seed,
+        )
+    except BaseException:
+        if os.path.isfile(path):  # not a device such as /dev/null
+            os.unlink(path)
+        raise
     return forcing, log, target, column
 
 
@@ -417,8 +427,8 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "capture.bin"
             # the bin found before stamping; extract searches the stamped container
-            reference, log, target, column = _write_capture(variant, audio, source,
-                                                            (variant.seed, index), path)
+            reference, log, target, column = _write_capture(
+                variant, audio, source, (variant.seed, index), path, f"the capture of {source}")
             restamp_column(path, target, column, log)
         degraded = trace_from_phase(column_phase(column), variant.chirp)
     reference = low_pass(reference, REFERENCE_BAND_HZ)
@@ -452,6 +462,18 @@ _SWEEP_CSV_COLUMNS = (
 )
 
 
+def _capture_rate(config: PipelineConfig, parameter: str, value) -> float:
+    """The IF samples per second of audio of a chirps_per_frame value's capture; 0 for a value
+    of any other axis, or one whose variant fails."""
+    if parameter != "chirps_per_frame":
+        return 0.0
+    try:
+        chirp = _sweep_variant(config, parameter, value).chirp
+    except _FAILURES:
+        return 0.0
+    return chirp.effective_sampling_rate * chirp.adc_samples_per_chirp
+
+
 def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_out) -> None:
     """Sweep one pipeline parameter, scoring each value against the source audio.
 
@@ -459,6 +481,8 @@ def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_o
     writing, its stamped chirps demodulated again, and score the recovered
     trace against the band-limited source; alpha/beta
     run the synthesis degradation instead.
+    Values run on map_rows' threads, the largest capture first; the report
+    keeps their order, and a failure names the first failing value in it.
     Writes a JSON report plus a CSV table next to it.
     """
     audio = read_wav(audio_in)
@@ -467,13 +491,16 @@ def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_o
         zscore_normalize(audio)
     except ValueError:
         raise ValueError(f"audio must have a finite, non-zero spread: {audio_in}") from None
-    rows = []
-    for index, value in enumerate(values):
+
+    def point(item) -> dict:
+        index, value = item
         try:
-            rows.append(_sweep_point(config, parameter, value, audio, index, audio_in))
+            return _sweep_point(config, parameter, value, audio, index, audio_in)
         except _FAILURES as exc:
-            # a capture error names its temporary file, which is gone by now
             raise ValueError(f"{parameter}={value}: {exc}") from exc
+
+    rows = map_rows(point, list(enumerate(values)),
+                    size=lambda item: _capture_rate(config, parameter, item[1]))
 
     report_path = Path(report_out)
     report_doc = {"parameter": parameter, "rows": rows}

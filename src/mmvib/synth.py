@@ -159,13 +159,19 @@ def build_dataset(
 _FAILURES = (OSError, ValueError, OverflowError, RuntimeError, MemoryError)
 
 
-def map_rows(work: Callable, rows: list) -> list:
-    """work(row) for every manifest row, in row order, a thread per CPU this process may use.
+def map_rows(work: Callable, rows: list, size: Callable | None = None) -> list:
+    """work(row) for every row, results in row order, a thread per CPU this process may use.
 
-    The pool holds no more threads than rows. work is meant to stay out of
+    score's pairs, synth's entries and sweep's values are the rows. The pool
+    holds no more threads than rows. Rows start in row order, or largest
+    size(row) first when size is given, equal sizes in row order, so the
+    largest row does not run alone at the end. work is meant to stay out of
     BLAS: a threaded OpenBLAS product wakes BLAS threads that spin on the
-    CPUs the pool needs. An exception from work is raised here, for the
-    first row that raised one, and the rows not yet started are dropped.
+    CPUs the pool needs. Radar sweep rows scored above 10 kHz do call one:
+    STOI's resample to 10 kHz runs a BLAS gemv. When work raises, the rows
+    after that one that have not started are dropped; once the running rows
+    finish, the exception of the first row in row order that raised one is
+    raised here.
     """
     # imported here: concurrent.futures loads logging, which would add to
     # the start-up of every command, not only the ones with manifests
@@ -175,9 +181,26 @@ def map_rows(work: Callable, rows: list) -> list:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
+    failed = []  # the indices of the rows whose work raised
+
+    def run(index: int):
+        # an earlier row's exception is raised first, so this result is never
+        # read; a stale read of failed only runs such a row in vain
+        if failed and min(failed) < index:
+            return None
+        try:
+            return work(rows[index])
+        except BaseException:
+            failed.append(index)
+            raise
+
+    order = range(len(rows))
+    if size is not None:
+        order = sorted(order, key=lambda index: size(rows[index]), reverse=True)
     workers = max(1, min(cpus, len(rows)))
     with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mmvib-row") as pool:
-        return list(pool.map(work, rows))
+        futures = {index: pool.submit(run, index) for index in order}
+    return [futures[index].result() for index in range(len(rows))]
 
 
 def manifest_lines(path) -> Iterator[tuple[int, str]]:

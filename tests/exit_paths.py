@@ -97,6 +97,10 @@ EXIT_PATHS = {
     "simulate_noise_floor_10000": (
         "simulate --config {d}/noise_10000.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
         "simulate failed: noise_floor_db must be below 770.6, the complex64 range, got 10000.0"),
+    # noise inside complex64 whose capture is not finite: refused once written, and removed
+    "simulate_noise_floor_765": (
+        "simulate --config {d}/noise_765.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
+        "simulate failed: capture samples are not finite or too large: {t}/c.bin"),
     "simulate_zero_force_scale": (
         "simulate --config {d}/zero_force.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: force_scale must be positive, got 0.0"),
@@ -310,6 +314,11 @@ EXIT_PATHS = {
         "sweep --param chirps_per_frame --values 512 --audio {d}/short.wav --report {t}/s.json",
         None, 1,
         f"sweep failed: chirps_per_frame=512: {_NO_FRAME.replace('256', '512')}: {{d}}/short.wav"),
+    # 1024, larger, runs first and fails too; the line names the first value that fails
+    "sweep_512_and_1024_chirps_on_a_wav_shorter_than_a_frame": (
+        "sweep --param chirps_per_frame --values 512,1024 --audio {d}/short.wav "
+        "--report {t}/s.json", None, 1,
+        f"sweep failed: chirps_per_frame=512: {_NO_FRAME.replace('256', '512')}: {{d}}/short.wav"),
     # 255 samples at 8 kHz are one sample at this config's 25.6 Hz chirp rate
     "sweep_radar_value_whose_chirp_rate_leaves_one_sample": (
         "sweep --config {d}/slow_chirps.ini --param range_m --values 1.5 --audio {d}/short.wav "
@@ -334,6 +343,11 @@ EXIT_PATHS = {
         "sweep --param noise_floor_db --values 10000 --audio {d}/tone.wav --report {t}/s.json",
         None, 1, "sweep failed: noise_floor_db=10000: noise_floor_db must be below 770.6, the "
         "complex64 range, got 10000.0"),
+    # the capture is named by its source, not by its deleted temporary file
+    "sweep_noise_floor_765": (
+        "sweep --param noise_floor_db --values=-60,765 --audio {d}/tone.wav --report {t}/s.json",
+        None, 1, "sweep failed: noise_floor_db=765: capture samples are not finite or too large: "
+        "the capture of {d}/tone.wav"),
     # a source too short to score against itself is named, on either kind of axis
     "sweep_400_samples_synthesis_axis": (
         "sweep --param alpha --values 0.5 --audio {d}/tone400.wav --report {t}/s.json", None, 1,
@@ -608,7 +622,7 @@ def write_exit_inputs(d: Path) -> None:
     (d / "nan_noise.ini").write_text("[scene]\nnoise_floor_db = nan\n")
     (d / "zero_force.ini").write_text("[scene]\nforce_scale = 0\n")
     (d / "heavy.ini").write_text("[material]\nmass = 1e300\n")
-    for db in (1000, 10000):
+    for db in (765, 1000, 10000):
         (d / f"noise_{db}.ini").write_text(f"[scene]\nnoise_floor_db = {db}\n")
     (d / "nan_alpha.ini").write_text("[synthesis]\nalpha = nan\n")
     (d / "infinite_beta.ini").write_text("[synthesis]\nbeta = inf\n")

@@ -395,7 +395,7 @@ class TestExtract:
         searched = []  # a digest of each frame a bin search sums, as it sums it
         demodulated = []  # a digest of each whole frame demodulated, as it is
         stamped_blocks = []  # the rows of each part-frame demodulation
-        written = []  # a digest of each frame written to a container
+        written = {}  # the digests of the frames written to each container, by its path
         located = []
         in_memory = []
         originals = {
@@ -434,7 +434,8 @@ class TestExtract:
         original_write = mmvib.cli.write_capture_frames
 
         def write(path, config, frames):
-            return original_write(path, config, (written.append(digest(f)) or f for f in frames))
+            mine = written.setdefault(str(path), [])
+            return original_write(path, config, (mine.append(digest(f)) or f for f in frames))
 
         monkeypatch.setattr(BinSearch, "add", add)
         monkeypatch.setattr(mmvib.vib_extract, "_demodulate", demodulate)
@@ -472,12 +473,13 @@ class TestExtract:
         assert stamped_blocks == []
         assert located == ["locate_target"]
         # sweep demodulates each radar value's frames as it writes them, then
-        # only the blocks of the rows it stamps
+        # only the blocks of the rows it stamps; the values may run side by
+        # side, so each container's frames are told apart by their digests
         run("sweep", "--param", "range_m", "--values", "1.0,1.5", "--audio", str(wav),
             "--report", str(tmp_path / "sweep.json"))
-        assert len(written) == 30
-        assert sorted(demodulated) == sorted(written)
-        assert searched == [written[0], written[15]]
+        assert [len(frames) for frames in written.values()] == [15, 15]
+        assert sorted(demodulated) == sorted(f for frames in written.values() for f in frames)
+        assert sorted(searched) == sorted(frames[0] for frames in written.values())
         assert stamped_blocks == [8] * 32
         assert located == ["locate_target"]
         # where noise swamps the target the bound fails, and every frame is
@@ -910,9 +912,9 @@ class TestSweep:
                      "--audio", str(wav), "--report", report]) == 1
         assert len(written) == 4
         assert list(temp_root.iterdir()) == []
-        err = capsys.readouterr().err
-        assert err.startswith("sweep failed: noise_floor_db=765: capture samples are not finite")
-        assert err.count("\n") == 1
+        # named by its source, not by the temporary file
+        assert capsys.readouterr().err == ("sweep failed: noise_floor_db=765: capture samples are "
+                                           f"not finite or too large: the capture of {wav}\n")
 
     def test_peak_memory_a_fraction_of_the_capture(self, tmp_path):
         # one 1024-chirp value in a fresh interpreter; the capture goes to a
@@ -1063,6 +1065,49 @@ class TestRowPool:
         cpus(1)
         assert _run_score(pairs, tmp_path / "report1.json") == (0, "")
         assert pool_sizes == [3, 3, 1]
+
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        """The values sweep enters _sweep_point with, in the order it does; each row names its
+        value alone."""
+        values = []
+
+        def point(config, parameter, value, audio, index, source):
+            values.append(value)
+            return {"parameter": parameter, "value": value}
+
+        monkeypatch.setattr(mmvib.cli, "_sweep_point", point)
+        return values
+
+    @pytest.mark.parametrize("parameter, values, order", [
+        ("chirps_per_frame", "256,512,1024", "1024,512,256"),
+        # a value whose variant fails counts as no capture; equal sizes keep their order
+        ("chirps_per_frame", "0,512,512.9,1024", "1024,512,512.9,0"),
+        ("range_m", "1.5,-1,2.5", "1.5,-1,2.5"),
+        ("alpha", "0.5,0.1", "0.5,0.1"),
+    ])
+    def test_sweep_starts_the_largest_capture_first(self, tmp_path, cpus, entered, parameter,
+                                                     values, order):
+        cpus(1)
+        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
+        report = tmp_path / "sweep.json"
+        assert run_main(["sweep", "--param", parameter, f"--values={values}", "--audio", str(wav),
+                         "--report", str(report)]) == (0, "")
+        assert entered == order.split(",")
+        # the report keeps the value order
+        rows = json.loads(report.read_text())["rows"]
+        assert [row["value"] for row in rows] == values.split(",")
+        with open(report.with_suffix(".csv")) as fh:
+            assert [row["value"] for row in csv.DictReader(fh)] == values.split(",")
+
+    def test_three_sweep_values_start_one_pool_of_at_most_three_workers(
+            self, tmp_path, cpus, entered, pool_sizes):
+        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
+        for n in (16, 2):
+            cpus(n)
+            assert run_main(["sweep", "--param", "chirps_per_frame", "--values", "256,512,1024",
+                             "--audio", str(wav), "--report", str(tmp_path / "s.json")]) == (0, "")
+        assert pool_sizes == [3, 2]
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Noise generators, degradation mixing, and dataset building."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -261,3 +262,62 @@ class TestBuildDataset:
             assert r1["beta"] == r2["beta"]
             assert 0.5 <= r1["alpha"] <= 1.5
         assert len({r["alpha"] for r in rows1}) == 3
+
+
+class TestMapRows:
+    @pytest.fixture
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(mmvib.synth.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(mmvib.synth.os, "cpu_count", lambda: 1)
+
+    @staticmethod
+    def _failing(failing: set, started: list):
+        def work(row):
+            started.append(row)
+            if row in failing:
+                raise ValueError(f"row {row}")
+            return row * 10
+
+        return work
+
+    def test_results_keep_row_order_whatever_the_start_order(self, one_cpu):
+        started = []
+        rows = [3, 1, 4, 1, 5]
+        assert mmvib.synth.map_rows(self._failing(set(), started), rows, size=lambda r: r) == [
+            30, 10, 40, 10, 50]
+        # largest first, equal sizes in row order
+        assert started == [5, 4, 3, 1, 1]
+
+    def test_the_first_failing_row_in_row_order_is_raised(self, one_cpu):
+        # row 3 starts and fails first; rows before it still run, and row 1's error is raised
+        started = []
+        with pytest.raises(ValueError, match="^row 1$"):
+            mmvib.synth.map_rows(self._failing({1, 3}, started), [0, 1, 2, 3], size=lambda r: r)
+        assert started == [3, 2, 1, 0]
+
+    def test_first_failure_holds_under_thread_switches(self, monkeypatch):
+        # more workers than CPUs, switching threads as often as the interpreter allows
+        monkeypatch.setattr(mmvib.synth.os, "sched_getaffinity", lambda pid: set(range(16)),
+                            raising=False)
+        rng = np.random.default_rng(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                failing = set(rng.choice(64, size=3, replace=False).tolist())
+                started = []
+                with pytest.raises(ValueError) as err:
+                    mmvib.synth.map_rows(self._failing(failing, started), list(range(64)),
+                                         size=lambda r: (r * 37) % 64)
+                first = min(failing)
+                assert str(err.value) == f"row {first}"
+                # every row before it ran, once
+                assert sorted(r for r in started if r <= first) == list(range(first + 1))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_rows_after_a_failed_one_are_dropped(self, one_cpu):
+        started = []
+        with pytest.raises(ValueError, match="^row 0$"):
+            mmvib.synth.map_rows(self._failing({0}, started), [0, 1, 2])
+        assert started == [0]
