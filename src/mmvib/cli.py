@@ -8,7 +8,7 @@ import csv
 import json
 import os
 import sys
-import tempfile
+from collections.abc import Callable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -23,6 +23,7 @@ from .radar_sim import (
     CaptureFile,
     ChirpConfig,
     SurfaceMaterial,
+    _artifact_log,
     displacement_from_audio,
     iter_if_frames,
     range_resolution,
@@ -200,21 +201,37 @@ def _parse_section(section: str, raw: dict[str, str], defaults) -> dict:
     return parsed
 
 
-def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key, path,
-                   name=None):
-    """Write the capture of the surface that audio drives, one frame at a time.
+@dataclass
+class _Remade:
+    """A capture that is not kept: each iteration makes its frames again, bit for bit."""
+
+    config: ChirpConfig
+    n_frames: int
+    frames: Callable[[], Iterator[np.ndarray]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self.frames()
+
+
+def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key, path, name):
+    """Simulate the capture of the surface that audio drives, one frame at a time.
 
     The forcing is the audio resampled to the chirp rate and z-scored; audio
     that cannot fill one frame there or has no finite, non-zero spread is
-    refused naming source. Each frame passes a TargetTracker on its way to
-    the file, which finds the target bin and demodulates it as the frames go
-    by; only when its bound cannot prove the bin does it read the file back.
-    A capture it refuses is named name, or path when name is None. Then the
-    artifacts are stamped in place, their sigma taken from the column's
-    phase; both seeds are spawned from seed_key. Once path is opened, a
-    failure removes it. Returns the forcing, the artifact log, the target
-    bin and its column from before stamping, [n_frames, chirps_per_frame]
-    complex64.
+    refused naming source. Each frame passes a TargetTracker, which finds the
+    target bin and demodulates it as the frames go by; a capture it refuses
+    is named name. The artifacts' sigma is taken from the column's phase;
+    both seeds are spawned from seed_key.
+
+    With a path, the frames go to that container, which the tracker reads
+    back only when it must, and the artifacts are stamped in place; once path
+    is opened, a failure removes it. With path None no file is written:
+    chirp 0 of every frame, the only chirp the artifacts stamp, is kept, a
+    tracker that must read the capture again gets its frames made again by
+    iter_if_frames from the same seed, and restamp_column turns the column
+    into the stamped capture's. Returns the forcing, the artifact log and the
+    [n_frames, chirps_per_frame] complex64 column: of the capture before
+    stamping when written to path, of the stamped capture otherwise.
     """
     audio = resample(audio, config.chirp.effective_sampling_rate)
     try:
@@ -226,7 +243,8 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
                          f"the chirp rate) and have a finite, non-zero spread: {source}") from None
     vibration = displacement_from_audio(forcing, config.material, config.force_scale)
     sim_seed, artifact_seed = np.random.SeedSequence(seed_key).spawn(2)
-    frames = iter_if_frames(
+    frames = partial(
+        iter_if_frames,
         config.chirp,
         vibration,
         config.range_m,
@@ -234,22 +252,31 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
         noise_floor_db=config.noise_floor_db,
         seed=sim_seed,
     )
-    tracker = TargetTracker(config.chirp, len(vibration) // config.chirp.chirps_per_frame)
+    n_frames = len(vibration) // config.chirp.chirps_per_frame
+    tracker = TargetTracker(config.chirp, n_frames)
+    sigmas = (config.beginning_sigma, config.periodic_sigma)
+    if path is None:
+        capture = _Remade(config.chirp, n_frames, frames)
+        rows = np.empty((n_frames, config.chirp.adc_samples_per_chirp), dtype=np.complex64)
+        with closing(frames()) as stream:
+            for index, frame in enumerate(map(tracker.add, stream)):
+                rows[index] = frame[0]
+        target, column = tracker.result(capture, name)
+        log = _artifact_log(capture, *sigmas, artifact_seed, column_phase(column))
+        restamp_column(rows, target, column, log)
+        return forcing, log, column
     # opened here, so that a path that cannot be opened is left as it was
     open(path, "wb").close()
     try:
-        with closing(frames):
-            write_capture_frames(path, config.chirp, map(tracker.add, frames))
-        target, column = tracker.result(CaptureFile(path), path if name is None else name)
-        log = stamp_capture_file(
-            path, column_phase(column), config.beginning_sigma, config.periodic_sigma,
-            seed=artifact_seed,
-        )
+        with closing(frames()) as stream:
+            write_capture_frames(path, config.chirp, map(tracker.add, stream))
+        column = tracker.result(CaptureFile(path), name)[1]
+        log = stamp_capture_file(path, column_phase(column), *sigmas, seed=artifact_seed)
     except BaseException:
         if os.path.isfile(path):  # not a device such as /dev/null
             os.unlink(path)
         raise
-    return forcing, log, target, column
+    return forcing, log, column
 
 
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
@@ -260,8 +287,8 @@ def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     its artifact sidecar equal, byte for byte, what save_capture writes for
     the library's in-memory capture.
     """
-    _, log, _, column = _write_capture(config, read_wav(audio_in), audio_in, config.seed,
-                                       capture_out)
+    _, log, column = _write_capture(config, read_wav(audio_in), audio_in, config.seed,
+                                    capture_out, capture_out)
     write_artifact_sidecar(capture_out, log, seed=config.seed)
     print(f"range resolution: {range_resolution(config.chirp):.6f} m")
     print(f"vibration sampling rate: {config.chirp.effective_sampling_rate:.1f} Hz")
@@ -271,8 +298,8 @@ def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
 def cmd_extract(capture_in, wav_out, preprocess: bool) -> None:
     """Recover the vibration trace from a capture and write it as float32 WAV.
 
-    locate_target reads the container once, one frame at a time, and reads
-    it again only when its bound cannot prove the target bin; the artifact
+    locate_target reads the container once, one frame at a time, and again
+    only when frame 0 mispredicts its bound or another bin wins; the artifact
     sidecar is not read. A trace the cleanup rejects is blamed on the capture.
     """
     capture = CaptureFile(capture_in)
@@ -424,12 +451,8 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         )
         degraded = synthesize_mmvib(reference, synth_cfg)
     else:
-        with tempfile.TemporaryDirectory() as workdir:
-            path = Path(workdir) / "capture.bin"
-            # the bin found before stamping; extract searches the stamped container
-            reference, log, target, column = _write_capture(
-                variant, audio, source, (variant.seed, index), path, f"the capture of {source}")
-            restamp_column(path, target, column, log)
+        reference, _, column = _write_capture(variant, audio, source, (variant.seed, index), None,
+                                              f"the capture of {source}")
         degraded = trace_from_phase(column_phase(column), variant.chirp)
     reference = low_pass(reference, REFERENCE_BAND_HZ)
     n = min(len(degraded), len(reference))
@@ -477,10 +500,11 @@ def _capture_rate(config: PipelineConfig, parameter: str, value) -> float:
 def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_out) -> None:
     """Sweep one pipeline parameter, scoring each value against the source audio.
 
-    Radar axes run simulate, take the phase of the bin demodulated while
-    writing, its stamped chirps demodulated again, and score the recovered
-    trace against the band-limited source; alpha/beta
-    run the synthesis degradation instead.
+    Radar axes simulate the capture without writing it, take the phase of
+    the bin demodulated as its frames are made, its stamped chirps
+    demodulated again from the chirp-0 rows kept, and score the recovered
+    trace against the band-limited source; alpha/beta run the synthesis
+    degradation instead. No file but the report and its CSV is written.
     Values run on map_rows' threads, the largest capture first; the report
     keeps their order, and a failure names the first failing value in it.
     Writes a JSON report plus a CSV table next to it.

@@ -491,8 +491,7 @@ class CaptureFile:
     yields its frames in order, every one read into the same complex64
     [chirps_per_frame, adc_samples_per_chirp] buffer: a frame is valid until
     the next is read, so a caller that keeps one copies it. A file cut short
-    after opening ends the iteration with a ValueError. read_rows reads a
-    few chirp rows of one frame.
+    after opening ends the iteration with a ValueError.
     """
 
     def __init__(self, path) -> None:
@@ -530,17 +529,6 @@ class CaptureFile:
                 if fh.readinto(frame) != frame.nbytes:
                     raise ValueError(f"truncated capture file: {self.path}")
                 yield frame
-
-    def read_rows(self, frame: int, start: int, stop: int) -> np.ndarray:
-        """Chirp rows [start, stop) of one frame, complex64, read from the file."""
-        cfg = self.config
-        rows = np.empty((stop - start, cfg.adc_samples_per_chirp), dtype=np.complex64)
-        with open(self.path, "rb") as fh:
-            fh.seek(_CAPTURE_HEADER.size + (frame * cfg.chirps_per_frame + start) * rows.itemsize
-                    * cfg.adc_samples_per_chirp)
-            if fh.readinto(rows) != rows.nbytes:
-                raise ValueError(f"truncated capture file: {self.path}")
-        return rows
 
 
 def load_capture(path) -> IFCapture:

@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 
-from .radar_sim import CaptureFile, ChirpConfig, IFCapture, VibrationTrace
+from .radar_sim import ChirpConfig, IFCapture, VibrationTrace, _rotation
 from .signal_core import AudioBuffer, unwrap_phase
 
 OUTLIER_SIGMA_THRESHOLD = 3.0
@@ -276,23 +276,28 @@ def demodulate_bin(capture, target: int) -> np.ndarray:
     return column
 
 
-def restamp_column(path, target: int, column: np.ndarray, log) -> None:
+def restamp_column(rows: np.ndarray, target: int, column: np.ndarray, log) -> None:
     """Demodulate again, in place in column, the chirps an artifact log stamped.
 
-    column is the container's demodulation at target from before stamping,
-    as a TargetTracker gives it, and path the stamped container. Each logged
-    chirp is demodulated again in the block of rows _demodulate ran it in,
-    read from the file, so column ends equal bit for bit to demodulate_bin of
-    the stamped container while only those blocks are read.
+    rows is chirp 0 of every frame of the clean capture, [n_frames, adc]
+    complex64, the one chirp an artifact stamps, and column the clean
+    capture's demodulation at target, as a TargetTracker gives it. Each
+    event rotates its row in place, in log order, as stamping rotates the
+    capture, and the row is demodulated again as row 0 of a zero-filled block
+    of the rows _demodulate ran chirp 0 in; a gemv gives a row the same bits
+    whatever rows share its call, so column ends equal bit for bit to
+    demodulate_bin of the stamped capture, and no capture is read.
     """
-    capture = CaptureFile(path)
-    chirps, adc = capture.config.chirps_per_frame, capture.config.adc_samples_per_chirp
+    adc = rows.shape[1]
     kernel = _bin_kernel(target, adc)
+    start, stop = _block_of(0, column.shape[1], adc)
+    block = np.zeros((stop - start, adc), dtype=np.complex64)
+    demodulated = np.empty(stop - start, dtype=np.complex64)
     for event in log:
-        start, stop = _block_of(event.chirp, chirps, adc)
-        demodulated = np.empty(stop - start, dtype=np.complex64)
-        _demodulate(capture.read_rows(event.frame, start, stop), kernel, demodulated)
-        column[event.frame, event.chirp] = demodulated[event.chirp - start]
+        rows[event.frame] *= _rotation(event)
+        block[0] = rows[event.frame]
+        _demodulate(block, kernel, demodulated)
+        column[event.frame, 0] = demodulated[0]
 
 
 _U32 = float(np.finfo(np.float32).eps) / 2  # float32 unit roundoff, 2^-24
@@ -327,11 +332,16 @@ class TargetTracker:
     matmul and energy sums here), g is the bin a BinSearch of every frame
     returns and no other frame is transformed.
 
-    Otherwise result falls back to that search: frames 1 on are read again
-    and added to the frame-0 search, and the capture is demodulated again
-    only if the search picks another bin. Captures whose frame 0 names no
-    bin (not finite, all DC, or one sample per chirp) are searched whole in
-    the stream. Either way each error is the search's own.
+    Frame 0 predicts which side wins: g's frame-0 lead plus n_frames - 1
+    times frame 0's own terms of the bound. When that is not positive, as
+    where noise swamps the target, the bound is skipped and every later frame
+    is added to the frame-0 search as it goes by, in frame order, so the
+    search sums the bits a search of every frame sums. Captures whose frame 0
+    names no bin (not finite, all DC, or one sample per chirp) are searched
+    that way too. When the prediction is wrong and the bound fails, result
+    reads frames 1 on again for that search. Either way the capture is
+    demodulated again only if the search picks another bin, and each error is
+    the search's own.
     """
 
     def __init__(self, config: ChirpConfig, n_frames: int) -> None:
@@ -356,25 +366,41 @@ class TargetTracker:
         self._lost = 0.0
         self._norms = 0.0
         self._bounded = True
+        # whether every frame goes to the search as it goes by
+        self._streamed = True
 
     def add(self, frame: np.ndarray) -> np.ndarray:
         index = self._frames
         self._frames += 1
-        if index == 0 or self._lead is None:
+        if index == 0 or self._streamed:
             self._search.add(frame)
         if index == 0:
             strength = self._search.strength
             if np.isfinite(strength).all() and strength[1:].size and strength[1:].max() > 0:
                 self._lead = _strongest_bin(strength)
                 self._kernel = _bin_kernel(self._lead, self._adc)
-        if self._lead is not None:
-            _demodulate(frame, self._kernel, self._column[index])
-            if index and self._bounded:
-                self._bound(frame, self._column[index])
+        if self._lead is None:
+            return frame
+        _demodulate(frame, self._kernel, self._column[index])
+        if index == 0:
+            terms = self._terms(frame, self._column[0])
+            later = len(self._column) - 1
+            lead = self._search.strength[self._lead] - self._best_other()
+            # NaN is not positive, so frame 0 streams when its terms overflow
+            self._streamed = not lead + later * (terms[0] - terms[1]) > 0
+        elif not self._streamed and self._bounded:
+            won, lost, norms = self._terms(frame, self._column[index])
+            # NaN fails every comparison, so a frame that is not finite ends the bound
+            if not norms < _SEARCH_LIMIT:
+                self._bounded = False
+                return frame
+            self._won += won
+            self._lost += lost
+            self._norms += norms
         return frame
 
-    def _bound(self, frame: np.ndarray, y: np.ndarray) -> None:
-        """Add one later frame's lower bounds on |X_g| and upper bounds on the other bins."""
+    def _terms(self, frame: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+        """One frame's summed lower bounds on |X_g|, upper bounds on the other bins, and norms."""
         samples = np.ascontiguousarray(frame).view(np.float32)
         with np.errstate(all="ignore"):
             np.einsum("ij,ij->i", samples, samples, out=self._energy)
@@ -385,21 +411,20 @@ class TargetTracker:
             # the product form keeps norm^2 - lead^2 accurate when the two are close
             rest = np.sqrt(np.maximum((norm - lead) * (norm + lead), 0.0))
             norms = float(norm.sum())
-        # NaN fails every comparison, so a frame that is not finite ends the bound
-        if not norms < _SEARCH_LIMIT:
-            self._bounded = False
-            return
-        self._won += float(low.sum()) - _FFT_ERROR * norms
-        self._lost += float(rest.sum()) + _FFT_ERROR * norms
-        self._norms += norms
+            return (float(low.sum()) - _FFT_ERROR * norms,
+                    float(rest.sum()) + _FFT_ERROR * norms, norms)
+
+    def _best_other(self) -> float:
+        """The strongest bin but the lead in the search so far, DC excluded; 0 if none."""
+        others = np.delete(self._search.strength[1:], self._lead - 1)
+        return float(others.max()) if others.size else 0.0
 
     def _wins(self) -> bool:
         """Whether the bounds prove that every frame's search picks the lead."""
         if not self._bounded:
             return False
         strength = self._search.strength
-        others = np.delete(strength[1:], self._lead - 1)
-        best_other = float(others.max()) if others.size else 0.0
+        best_other = self._best_other()
         chirps = self._column.shape[1]
         # the float32 magnitude (complex64 rounding, then hypot) and frame sum,
         # and the underflows in them
@@ -419,12 +444,12 @@ class TargetTracker:
     def result(self, capture, source) -> tuple[int, np.ndarray]:
         """The target bin and its [n_frames, chirps] complex64 column, once every frame is added.
 
-        capture holds the same frames, read again by the fallback; source
-        names it in errors.
+        capture holds the same frames, read again only when the bound fails
+        or the search picks another bin; source names it in errors.
         """
-        if self._lead is not None and self._wins():
-            return self._lead, self._column
-        if self._lead is not None:
+        if not self._streamed:
+            if self._wins():
+                return self._lead, self._column
             for frame in islice(capture, 1, None):
                 self._search.add(frame)
         target = self._search.target(source)
@@ -437,16 +462,17 @@ def locate_target(capture) -> tuple[int, np.ndarray]:
     """Strongest range bin of the capture and its unwrapped per-chirp phase.
 
     A TargetTracker, the one place that decides which bin carries the
-    vibration (simulate and sweep run it on the frames they write), reads
+    vibration (simulate and sweep run it on the frames they make), reads
     the capture once: an IFCapture or a CaptureFile, anything with config,
     n_frames and iteration over its frames. Frame 0's FFT names a leading
     bin, every frame is demodulated there, and a Parseval bound may prove
-    that no other bin can win; it does on the default scene, and not where
-    noise swamps the target. Only when it cannot is the capture read again
-    for a BinSearch of every frame (and a demodulation of another bin, if
-    that one wins), which costs more than the search alone. It picks the bin
-    select_target_bin picks on range_fft's profile, and the phase of
-    extract_phase_series up to float32 rounding.
+    that no other bin can win; it does on the default scene. Where frame 0
+    predicts that it cannot, as where noise swamps the target, every frame
+    is searched in that same pass instead. The capture is read again only
+    to search it when the predicted bound fails, and to demodulate another
+    bin when the search picks one. It picks the bin select_target_bin picks
+    on range_fft's profile, and the phase of extract_phase_series up to
+    float32 rounding.
     """
     source = getattr(capture, "path", "in-memory capture")
     if capture.n_frames == 0:

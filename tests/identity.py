@@ -8,8 +8,9 @@ stderr, before any input is written. One fixed command list then runs under
 that tree and under this working tree, each with PYTHONPATH at the tree's
 src/ and in a fresh directory: simulate, extract with and without --no-preprocess, sweep
 over all six axes, synth plain, with --jitter --sample-rate 16000 and with
---seed 4 --jitter, and score on what synth and extract wrote, with
-transcripts and pairs whose sides differ in rate. The inputs are fixed-seed
+--seed 4 --jitter, score on what synth and extract wrote, with
+transcripts and pairs whose sides differ in rate, and a sweep where noise
+swamps the target, so that one value's frames are made a second time. The inputs are fixed-seed
 tests/speechgen clips at 8, 16 and 44.1 kHz, written once and shared by
 both runs.
 
@@ -65,6 +66,10 @@ COMMANDS = [
     "synth --manifest {i}/clips.txt --out-dir {o}/ds16 --jitter --sample-rate 16000",
     "synth --manifest {i}/clips.txt --out-dir {o}/dsj --seed 4 --jitter",
     "score --manifest {o}/pairs.jsonl --report {o}/score.json",
+    # noise swamps the target: at 20 dB the search names frame 0's bin, at 40 another;
+    # last, so the other entries' logs keep their names
+    "sweep --param noise_floor_db --values 20,40 --audio {i}/speech8k.wav "
+    "--report {o}/sweep_swamped.json",
 ]
 _CLIPS = {"speech8k": 8000.0, "speech16k": 16000.0, "speech44k": 44100.0}
 

@@ -1,7 +1,9 @@
 """Command-line surface: config parsing and the five subcommands."""
 
+import builtins
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -395,7 +397,7 @@ class TestExtract:
         searched = []  # a digest of each frame a bin search sums, as it sums it
         demodulated = []  # a digest of each whole frame demodulated, as it is
         stamped_blocks = []  # the rows of each part-frame demodulation
-        written = {}  # the digests of the frames written to each container, by its path
+        made = []  # the digests of the frames of each capture a sweep makes, by value, in turn
         located = []
         in_memory = []
         originals = {
@@ -431,15 +433,17 @@ class TestExtract:
                 stamped_blocks.append(len(rows))
             return original_demodulate(rows, kernel, out)
 
-        original_write = mmvib.cli.write_capture_frames
+        original_frames = mmvib.cli.iter_if_frames
 
-        def write(path, config, frames):
-            mine = written.setdefault(str(path), [])
-            return original_write(path, config, (mine.append(digest(f)) or f for f in frames))
+        def frames_made(config, vibration, range_m, **kwargs):
+            mine = []
+            made.append((range_m, mine))
+            return (mine.append(digest(f)) or f for f in original_frames(config, vibration,
+                                                                         range_m, **kwargs))
 
         monkeypatch.setattr(BinSearch, "add", add)
         monkeypatch.setattr(mmvib.vib_extract, "_demodulate", demodulate)
-        monkeypatch.setattr(mmvib.cli, "write_capture_frames", write)
+        monkeypatch.setattr(mmvib.cli, "iter_if_frames", frames_made)
         # rebind every module-level reference, so a second import of one is counted too
         for name, module in list(sys.modules.items()):
             if not name.startswith("mmvib"):
@@ -453,7 +457,7 @@ class TestExtract:
             return [digest(frame) for frame in CaptureFile(path)]
 
         def run(*argv):
-            for calls in (searched, demodulated, stamped_blocks, written):
+            for calls in (searched, demodulated, stamped_blocks, made):
                 calls.clear()
             assert main(list(argv)) == 0
 
@@ -472,18 +476,31 @@ class TestExtract:
         assert searched == frames[:1]
         assert stamped_blocks == []
         assert located == ["locate_target"]
-        # sweep demodulates each radar value's frames as it writes them, then
-        # only the blocks of the rows it stamps; the values may run side by
-        # side, so each container's frames are told apart by their digests
+        # sweep makes each radar value's frames once and demodulates them as
+        # they go by, then only one block per row it stamps; the values may
+        # run side by side, so each value's frames are told apart by their
+        # digests, which are those of the in-memory capture of that value
         run("sweep", "--param", "range_m", "--values", "1.0,1.5", "--audio", str(wav),
             "--report", str(tmp_path / "sweep.json"))
-        assert [len(frames) for frames in written.values()] == [15, 15]
-        assert sorted(demodulated) == sorted(f for frames in written.values() for f in frames)
-        assert sorted(searched) == sorted(frames[0] for frames in written.values())
+        by_value = sorted(made)
+        assert [range_m for range_m, _ in by_value] == [1.0, 1.5]
+        assert [len(digests) for _, digests in by_value] == [15, 15]
+        assert sorted(demodulated) == sorted(f for _, digests in by_value for f in digests)
+        assert sorted(searched) == sorted(digests[0] for _, digests in by_value)
         assert stamped_blocks == [8] * 32
         assert located == ["locate_target"]
-        # where noise swamps the target the bound fails, and every frame is
-        # searched once, on the way to the file or read back from it
+        # where noise swamps the target, a sweep value searches every frame as
+        # it is made; here another bin wins, so the frames are made again, the
+        # same ones, and demodulated at that bin
+        run("sweep", "--param", "noise_floor_db", "--values", "40", "--audio", str(wav),
+            "--report", str(tmp_path / "sweep.json"))
+        assert [len(digests) for _, digests in made] == [15, 15]
+        assert made[0] == made[1]
+        assert sorted(searched) == sorted(made[0][1])
+        assert sorted(demodulated) == sorted(made[0][1] * 2)
+        assert stamped_blocks == [8] * 16
+        # where noise swamps the target, frame 0 predicts that the bound
+        # fails, and every frame is searched once, on its way to the file
         noisy = tmp_path / "noisy.ini"
         noisy.write_text("[scene]\nnoise_floor_db = 40\n")
         cap = tmp_path / "noisy.bin"
@@ -496,6 +513,12 @@ class TestExtract:
         assert set(demodulated) == set(frames)
         # the full range profile and the in-memory capture stay off the pipeline
         assert in_memory == []
+        # the frames each sweep value made are those of its in-memory capture
+        monkeypatch.undo()
+        for index, (range_m, digests) in enumerate(by_value):
+            variant = replace(PipelineConfig(), range_m=range_m)
+            capture = in_memory_capture(variant, read_wav(wav), (variant.seed, index))
+            assert digests == [digest(frame) for frame in capture]
 
 
 class TestSynth:
@@ -871,28 +894,34 @@ class TestSweep:
     ])
     def test_demodulated_bin_is_the_one_extract_finds(self, parameter, value, monkeypatch):
         # the bin found before stamping, against a fresh search of the stamped
-        # container; stamping rounds chirp 0 of each frame, which could move a
-        # bin tied to rounding. The column, its stamped rows demodulated
-        # again, gives the phase of the stamped container
+        # capture, which simulate would write; stamping rounds chirp 0 of each
+        # frame, which could move a bin tied to rounding. The column, its
+        # stamped rows demodulated again, gives the phase of the stamped capture
         found = []
         original_restamp = mmvib.cli.restamp_column
 
-        def restamp(path, target, column, log):
-            original_restamp(path, target, column, log)
-            found.append((target, column_phase(column), *locate_target(CaptureFile(path))))
+        def restamp(rows, target, column, log):
+            original_restamp(rows, target, column, log)
+            found.append((target, column_phase(column)))
 
         monkeypatch.setattr(mmvib.cli, "restamp_column", restamp)
         audio = make_speech_clip(15, duration=1.0, rate=8000.0)
         _sweep_point(PipelineConfig(), parameter, value, audio, 0, "speech.wav")
         assert len(found) == 1
-        target, phase, found_target, found_phase = found[0]
+        target, phase = found[0]
+        variant = _sweep_variant(PipelineConfig(), parameter, value)
+        capture = in_memory_capture(variant, audio, (variant.seed, 0))
+        found_target, found_phase = locate_target(capture)
         assert target == found_target
         assert phase.tobytes() == found_phase.tobytes()
 
-    def test_temporary_directory_left_empty(self, tmp_path, monkeypatch, capsys):
+    def test_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # nothing is opened for writing but the report and its CSV, and
+        # nothing is made in the temporary directory, also when a value fails
         temp_root = tmp_path / "temp"
         temp_root.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        monkeypatch.chdir(temp_root)
         written = []
         real_write = mmvib.cli.write_capture_frames
 
@@ -900,25 +929,39 @@ class TestSweep:
             written.append(Path(path))
             return real_write(path, config, frames)
 
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                opened.append(Path(file))
+            return real_open(file, mode, *args, **kwargs)
+
         monkeypatch.setattr(mmvib.cli, "write_capture_frames", recording_write)
         wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
-        report = str(tmp_path / "sweep.json")
+        report = tmp_path / "sweep.json"
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
         assert main(["sweep", "--param", "range_m", "--values", "1.0,1.5",
-                     "--audio", str(wav), "--report", report]) == 0
-        assert len(written) == 2 and all(path.parent.parent == temp_root for path in written)
+                     "--audio", str(wav), "--report", str(report)]) == 0
+        assert opened == [report, report.with_suffix(".csv")]
+        assert written == []
         assert list(temp_root.iterdir()) == []
-        # noise past complex64 fails in the bin search, after the capture is written
+        # noise past complex64 fails in the bin search, after the capture is made
+        opened.clear()
         assert main(["sweep", "--param", "noise_floor_db", "--values=-60,765",
-                     "--audio", str(wav), "--report", report]) == 1
-        assert len(written) == 4
+                     "--audio", str(wav), "--report", str(tmp_path / "failed.json")]) == 1
+        assert opened == []
+        assert written == []
         assert list(temp_root.iterdir()) == []
-        # named by its source, not by the temporary file
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "sweep.csv", "sweep.json", "temp", "tone.wav"]
+        # named by its source
         assert capsys.readouterr().err == ("sweep failed: noise_floor_db=765: capture samples are "
                                            f"not finite or too large: the capture of {wav}\n")
 
     def test_peak_memory_a_fraction_of_the_capture(self, tmp_path):
-        # one 1024-chirp value in a fresh interpreter; the capture goes to a
-        # temporary file, not to memory
+        # one 1024-chirp value in a fresh interpreter; the capture is not kept
         if not Path("/proc/self/status").exists():
             pytest.skip("needs /proc/self/status for VmHWM")
         wav = tmp_path / "speech.wav"
@@ -927,7 +970,7 @@ class TestSweep:
         grown = int(run_fresh(_PEAK_RSS_GROWTH, json.dumps([
             ["sweep", "--param", "chirps_per_frame", "--values", "1024", "--audio", str(wav),
              "--report", str(tmp_path / "sweep.json")],
-        ]), TMPDIR=str(tmp_path)))
+        ])))
         # 1024 chirps of 256 complex64 samples per 32 ms frame, at 4x the 8 kHz clip rate
         capture_bytes = (len(clip) * 4 // 1024) * 1024 * 256 * 8
         assert capture_bytes > 300 * 2**20
@@ -1148,13 +1191,13 @@ class TestOutputBytes:
     `python tests/identity.py REV` names the files that differ from a revision's.
     """
 
-    DIGEST = "bd7b09db7198327914a56b8c91f209aeb37b0866deb5ac91c1564c4f8d4c6e86"
+    DIGEST = "d7a1b5aae6f889819594f00dc2d066e737c9873a06d15c099ebeb368feca5235"
     # the entries that sweep one axis, at 8 kHz and at any other rate the list sweeps it
     SWEEP_DIGESTS = {
         "beta": "2a4e95b4f0e00485386d04dc02066158d230ceee9ef42bdb5e0fc4280d5f777f",
         "chirps_per_frame": "9fb3e16e1ce7118756fe55de3274f01f3a5e9f993a98cedbd8823a9bbc70d0bf",
         "material": "cc26575cf4f9a10bb88f3f71808d95140b6956ccc0726f97e739ff5d5ec80d10",
-        "noise_floor_db": "587cc596ac71984903cb3964be0b2588e51271d13a4b636d8200457c830a3d12",
+        "noise_floor_db": "7ed5edf78364ab33a7c2e20897d65e0897e6c97bc74d004a1a68d913a921d4f1",
         "range_m": "d105ea8723bf6ff93551eda27fbd6d12c370cbbaf3442904087f23cb8bacd7bb",
     }
     # every synth entry, each over the 8, 16 and 44.1 kHz clips, and score on what they wrote

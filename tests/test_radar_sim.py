@@ -426,7 +426,7 @@ class TestArtifacts:
         # the whole-frame matvec of the clean capture, patched to the stamped one's
         column = clean.frames @ kernel
         log = stamp_capture_file(path, column_phase(column), *sigmas, seed=3)
-        restamp_column(path, target, column, log)
+        restamp_column(clean.frames[:, 0].copy(), target, column, log)
         stamped = inject_artifacts(clean, *sigmas, seed=3)
         save_capture(stamped, tmp_path / "ref.bin")
         assert path.read_bytes() == (tmp_path / "ref.bin").read_bytes()

@@ -350,37 +350,55 @@ def zero_first_frame() -> IFCapture:
     return cap
 
 
-# The capture of each case, and the path locate_target takes: certified, where
-# frame 0 is the only one transformed, fallback, where every frame is, or the
-# error it raises, before the capture's name
+def noisy_after_frame_0() -> IFCapture:
+    """tone_capture with noise at 10 dB added to every frame after frame 0."""
+    cap = tone_capture()
+    noise = np.random.default_rng(2).standard_normal((2, 2, 256, 256)) * np.sqrt(5.0)
+    cap.frames[1:] += (noise[0] + 1j * noise[1]).astype(np.complex64)
+    return cap
+
+
+# How many times locate_target reads the capture on each path: certified,
+# where the bound proves frame 0's leading bin and frame 0 is the only one
+# transformed; streamed, where frame 0 predicts that the bound fails and every
+# frame is searched as it goes by; fallback, where the predicted bound fails
+# and frames 1 on are read again for that search. "moved" marks a search that
+# names another bin than frame 0's, which reads the capture once more to
+# demodulate it.
+PASSES = {"certified": 1, "streamed": 1, "streamed, moved": 2, "fallback": 2,
+          "fallback, moved": 3}
+# The capture of each case, and its path in PASSES or the error it raises,
+# before the capture's name
 TRACKER_CASES = {
     **{f"noise{db}": (partial(tracker_scene, noise=db), path)
        for db, path in [(-60, "certified"), (-20, "certified"), (0, "certified"),
-                        (20, "fallback"), (40, "fallback")]},
+                        (20, "streamed"), (40, "streamed, moved")]},
     "range1.52": (partial(tracker_scene, range_m=1.52), "certified"),
     "range3.7": (partial(tracker_scene, range_m=3.7), "certified"),
-    "range3.7-noise10": (partial(tracker_scene, range_m=3.7, noise=10.0), "fallback"),
+    "range3.7-noise10": (partial(tracker_scene, range_m=3.7, noise=10.0), "streamed"),
     "tinfoil": (partial(tracker_scene, preset="tinfoil"), "certified"),
-    "tinfoil-noise10": (partial(tracker_scene, preset="tinfoil", noise=10.0), "fallback"),
+    "tinfoil-noise10": (partial(tracker_scene, preset="tinfoil", noise=10.0), "streamed"),
     "artifacts": (partial(tracker_scene, artifacts=True), "certified"),
     "tinfoil-artifacts-noise40": (
-        partial(tracker_scene, preset="tinfoil", artifacts=True, noise=40.0), "fallback"),
+        partial(tracker_scene, preset="tinfoil", artifacts=True, noise=40.0), "streamed, moved"),
     **{f"{chirps}x{adc}": (partial(tracker_scene, chirps=chirps, adc=adc,
                                    range_m=1.5 if adc == 256 else 0.2), "certified")
        for chirps, adc in [(1, 256), (1, 16), (2, 16), (9, 256), (9, 16), (256, 16)]},
     **{f"{chirps}x16-noise40": (partial(tracker_scene, chirps=chirps, adc=16, range_m=0.2,
-                                        noise=40.0), "fallback") for chirps in (2, 9)},
+                                        noise=40.0), "streamed") for chirps in (2, 9)},
     **{f"{chirps}x1": (partial(tracker_scene, chirps=chirps, adc=1, range_m=0.01), "no target")
        for chirps in (1, 2, 256)},
     # bin 50 leads in frame 0 and loses to bin 30 over the capture, leads by
     # less than the bound, or by more
-    "lead-lost": (partial(two_tones, 1.01, 0.99), "fallback"),
-    "near-tie": (partial(two_tones, 1.0 + 1e-7, 1.0 + 1e-7), "fallback"),
+    "lead-lost": (partial(two_tones, 1.01, 0.99), "fallback, moved"),
+    "near-tie": (partial(two_tones, 1.0 + 1e-7, 1.0 + 1e-7), "streamed"),
     "narrow-lead": (partial(two_tones, 1.001, 1.001), "certified"),
+    # frame 0 predicts that the bound holds, and the noise after it breaks it
+    "noisy-after-frame-0": (noisy_after_frame_0, "fallback"),
     "all-zero": (lambda: IFCapture(np.zeros((3, 256, 256), np.complex64), ChirpConfig()),
                  "no target"),
     # frame 0 names no bin, so the stream is searched whole
-    "zero-frame-0": (zero_first_frame, "fallback"),
+    "zero-frame-0": (zero_first_frame, "streamed, moved"),
     **{f"{name}-frame{frame}": (partial(tone_capture, frame, value),
                                 "capture samples are not finite or too large")
        for name, value in [("nan", np.nan), ("inf", np.inf)] for frame in (0, 1, 2)},
@@ -412,17 +430,23 @@ class TestTargetTracker:
         original_add = BinSearch.add
         monkeypatch.setattr(BinSearch, "add",
                             lambda search, frame: searched.append(1) or original_add(search, frame))
+        reads = []
+        original_iter = type(capture).__iter__
+        monkeypatch.setattr(type(capture), "__iter__",
+                            lambda capture: reads.append(1) or original_iter(capture))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if path in ("certified", "fallback"):
+            if path in PASSES:
                 target, phase = locate_target(capture)
             else:
                 with pytest.raises(ValueError) as err:
                     locate_target(capture)
-        if path not in ("certified", "fallback"):
+        if path not in PASSES:
             assert str(err.value) == want == f"{path}: {source}"
             return
         assert len(searched) == (1 if path == "certified" else capture.n_frames)
+        assert len(reads) == PASSES[path]
+        monkeypatch.undo()
         adc = capture.config.adc_samples_per_chirp
         kernel = np.exp(-2j * np.pi * want * np.arange(adc) / adc).astype(np.complex64)
         column = np.stack([frame @ kernel for frame in capture])
@@ -431,10 +455,13 @@ class TestTargetTracker:
         assert phase.tobytes() == want_phase.tobytes()
 
     # In a fresh interpreter, the count of random frames of each shape whose
-    # blocked demodulation differs in any bit from one matmul of the frame
+    # blocked demodulation differs in any bit from one matmul of the frame,
+    # and whose chirp 0, demodulated again as restamp_column does it, as row 0
+    # of a zero-filled block of the rows _demodulate ran it in, differs from
+    # that matmul's
     _BLOCKED_AGAINST_WHOLE = (
         "import numpy as np\n"
-        "from mmvib.vib_extract import _demodulate\n"
+        "from mmvib.vib_extract import _block_of, _demodulate\n"
         "rng = np.random.default_rng(0)\n"
         "differ = 0\n"
         "for chirps in (1, 2, 3, 8, 9, 17, 33, 256, 1024):\n"
@@ -443,9 +470,15 @@ class TestTargetTracker:
         "        frame = (parts[0] + 1j * parts[1]).astype(np.complex64)\n"
         "        kernel = np.exp(-2j * np.pi * (adc // 3) * np.arange(adc) / adc)\n"
         "        kernel = kernel.astype(np.complex64)\n"
+        "        whole = (frame @ kernel).tobytes()\n"
         "        out = np.empty(chirps, np.complex64)\n"
         "        _demodulate(frame, kernel, out)\n"
-        "        differ += out.tobytes() != (frame @ kernel).tobytes()\n"
+        "        differ += out.tobytes() != whole\n"
+        "        start, stop = _block_of(0, chirps, adc)\n"
+        "        block = np.zeros((stop - start, adc), np.complex64)\n"
+        "        block[0] = frame[0]\n"
+        "        _demodulate(block, kernel, out[: stop - start])\n"
+        "        differ += out[:1].tobytes() != whole[:8]\n"
         "print(differ)\n"
     )
 
