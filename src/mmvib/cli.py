@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import sys
+from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
@@ -219,19 +220,18 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
     The forcing is the audio resampled to the chirp rate and z-scored; audio
     that cannot fill one frame there or has no finite, non-zero spread is
     refused naming source. Each frame passes a TargetTracker, which finds the
-    target bin and demodulates it as the frames go by; a capture it refuses
-    is named name. The artifacts' sigma is taken from the column's phase;
-    both seeds are spawned from seed_key.
+    target bin and demodulates it as the frames go by, and its chirp 0, the
+    only chirp the artifacts stamp, is kept; a capture the tracker refuses is
+    named name. The artifacts' sigma comes from the column's phase, both
+    seeds from seed_key, and restamp_column stamps the kept rows and the
+    column as the artifacts stamp the capture.
 
-    With a path, the frames go to that container, which the tracker reads
-    back only when it must, and the artifacts are stamped in place; once path
-    is opened, a failure removes it. With path None no file is written:
-    chirp 0 of every frame, the only chirp the artifacts stamp, is kept, a
-    tracker that must read the capture again gets its frames made again by
-    iter_if_frames from the same seed, and restamp_column turns the column
-    into the stamped capture's. Returns the forcing, the artifact log and the
-    [n_frames, chirps_per_frame] complex64 column: of the capture before
-    stamping when written to path, of the stamped capture otherwise.
+    With a path, the frames go to that container, a second pass of the
+    tracker reads it before any row is stamped, and stamp_capture_file writes
+    the stamped rows over it; once path is opened, a failure removes it.
+    With path None no file is written, and a second pass makes the frames
+    again from the same seed. Returns the forcing, the artifact log and the
+    stamped capture's [n_frames, chirps_per_frame] complex64 column.
     """
     audio = resample(audio, config.chirp.effective_sampling_rate)
     try:
@@ -254,26 +254,31 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
     )
     n_frames = len(vibration) // config.chirp.chirps_per_frame
     tracker = TargetTracker(config.chirp, n_frames)
-    sigmas = (config.beginning_sigma, config.periodic_sigma)
-    if path is None:
-        capture = _Remade(config.chirp, n_frames, frames)
-        rows = np.empty((n_frames, config.chirp.adc_samples_per_chirp), dtype=np.complex64)
-        with closing(frames()) as stream:
-            for index, frame in enumerate(map(tracker.add, stream)):
-                rows[index] = frame[0]
-        target, column = tracker.result(capture, name)
-        log = _artifact_log(capture, *sigmas, artifact_seed, column_phase(column))
-        restamp_column(rows, target, column, log)
-        return forcing, log, column
-    # opened here, so that a path that cannot be opened is left as it was
-    open(path, "wb").close()
+    rows = np.empty((n_frames, config.chirp.adc_samples_per_chirp), dtype=np.complex64)
+
+    def kept(stream: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        for index, frame in enumerate(map(tracker.add, stream)):
+            rows[index] = frame[0]
+            yield frame
+
+    if path is not None:
+        # opened here, so that a path that cannot be opened is left as it was
+        open(path, "wb").close()
     try:
         with closing(frames()) as stream:
-            write_capture_frames(path, config.chirp, map(tracker.add, stream))
-        column = tracker.result(CaptureFile(path), name)[1]
-        log = stamp_capture_file(path, column_phase(column), *sigmas, seed=artifact_seed)
+            if path is None:
+                deque(kept(stream), maxlen=0)
+            else:
+                write_capture_frames(path, config.chirp, kept(stream))
+        capture = _Remade(config.chirp, n_frames, frames) if path is None else CaptureFile(path)
+        target, column = tracker.result(capture, name)
+        log = _artifact_log(n_frames, config.beginning_sigma, config.periodic_sigma,
+                            artifact_seed, column_phase(column))
+        restamp_column(rows, target, column, log)
+        if path is not None:
+            stamp_capture_file(path, config.chirp, rows, log)
     except BaseException:
-        if os.path.isfile(path):  # not a device such as /dev/null
+        if path is not None and os.path.isfile(path):  # not a device such as /dev/null
             os.unlink(path)
         raise
     return forcing, log, column
@@ -282,10 +287,11 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     """Simulate an IF capture from a WAV forcing signal and write the container.
 
-    The container is written frame by frame and stamped in place, with the
-    clean phase sigma taken from the bin demodulated while writing; it and
-    its artifact sidecar equal, byte for byte, what save_capture writes for
-    the library's in-memory capture.
+    The container is written frame by frame, then the stamped chirp-0 rows
+    are written over it, so it is never read to stamp it; the clean phase
+    sigma is taken from the bin demodulated while writing. It and its
+    artifact sidecar equal, byte for byte, what save_capture writes for the
+    library's in-memory capture.
     """
     _, log, column = _write_capture(config, read_wav(audio_in), audio_in, config.seed,
                                     capture_out, capture_out)

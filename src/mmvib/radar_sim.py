@@ -346,33 +346,27 @@ def simulate_if_frames(
 
 
 def _artifact_log(
-    capture,
+    n_frames: int,
     beginning_magnitude_sigma: float,
     periodic_magnitude_sigma: float,
     seed,
-    phase: np.ndarray | None = None,
+    phase: np.ndarray | None,
 ) -> list[ArtifactEvent]:
-    """The spikes to stamp on a clean capture: which chirp rows and by what angle.
+    """The spikes to stamp on a clean capture of n_frames frames: which chirp rows, by what angle.
 
-    phase is the clean capture's target-bin phase; when it is None and some
-    magnitude is non-zero, locate_target finds it from capture, which is
-    anything locate_target reads.
+    phase is the clean capture's unwrapped target-bin phase, whose standard
+    deviation the magnitudes multiply; with both magnitudes zero it is not read.
     """
     magnitudes = (beginning_magnitude_sigma, periodic_magnitude_sigma)
     if not all(np.isfinite(m) and m >= 0 for m in magnitudes):
         raise ValueError(f"artifact magnitudes must be finite and >= 0, got {magnitudes}")
     if beginning_magnitude_sigma == 0 and periodic_magnitude_sigma == 0:
         return []
-    if phase is None:
-        # vib_extract imports this module, so the extraction core is imported here
-        from .vib_extract import locate_target
-
-        phase = locate_target(capture)[1]
     sigma = float(phase.std())
     rng = np.random.default_rng(seed)
     plan = [("beginning", 0, beginning_magnitude_sigma)] if beginning_magnitude_sigma > 0 else []
     if periodic_magnitude_sigma > 0:
-        plan += [("periodic", f, periodic_magnitude_sigma) for f in range(capture.n_frames)]
+        plan += [("periodic", f, periodic_magnitude_sigma) for f in range(n_frames)]
     # one jitter draw per spike, in log order
     return [
         ArtifactEvent(kind, frame, 0, float(multiple * sigma * rng.uniform(0.75, 1.25)))
@@ -393,47 +387,42 @@ def inject_artifacts(
     """Stamp capture-start and frame-start phase spikes onto the capture, in place.
 
     Magnitudes are multiples of the standard deviation of the clean capture's
-    target-bin phase, as found by the extraction core before any stamping. A
-    spike rotates every sample of chirp 0 of the affected frame, so it lands
+    target-bin phase, as locate_target finds it before any stamping. A spike
+    rotates every sample of chirp 0 of the affected frame, so it lands
     directly on the extracted phase series; no other sample changes. Each
     spike gets a small seeded magnitude jitter and is recorded in the artifact
     log, which replaces the capture's log. Returns the same capture object, so
     a caller that needs the clean capture afterwards passes a copy. With both
-    magnitudes zero no sample changes and the log is emptied.
+    magnitudes zero no target is looked for, no sample changes and the log is
+    emptied.
     """
-    log = _artifact_log(capture, beginning_magnitude_sigma, periodic_magnitude_sigma, seed)
+    # vib_extract imports this module, so the extraction core is imported here
+    from .vib_extract import locate_target
+
+    magnitudes = (beginning_magnitude_sigma, periodic_magnitude_sigma)
+    phase = locate_target(capture)[1] if any(magnitudes) else None
+    log = _artifact_log(capture.n_frames, *magnitudes, seed, phase)
     for event in log:
         capture.frames[event.frame, event.chirp, :] *= _rotation(event)
     capture.artifact_log = log
     return capture
 
 
-def stamp_capture_file(
-    path, phase: np.ndarray, beginning_magnitude_sigma: float, periodic_magnitude_sigma: float,
-    seed=0,
-) -> list[ArtifactEvent]:
-    """inject_artifacts on a capture container, in place; returns the artifact log.
+def stamp_capture_file(path, config: ChirpConfig, rows: np.ndarray, log) -> None:
+    """Write the stamped chirp 0 of each frame an artifact log names into a capture container.
 
-    phase is the container's unwrapped target-bin phase, as locate_target
-    gives it; the clean sigma comes from it, so the file is not read for it.
-    Each spike is then a seek, read, multiply and write of one chirp row, so
-    the file ends up byte for byte as save_capture would write the stamped
-    capture. The sidecar is left to the caller.
+    rows is chirp 0 of every frame, [n_frames, adc_samples_per_chirp]
+    complex64, already rotated as the log stamps it (restamp_column does
+    that). Each logged frame's row is written over its chirp 0, so a
+    container write_capture_frames wrote clean ends up byte for byte as
+    save_capture writes the stamped capture. Nothing is read from the file,
+    and the sidecar is left to the caller.
     """
-    capture = CaptureFile(path)
-    log = _artifact_log(capture, beginning_magnitude_sigma, periodic_magnitude_sigma, seed, phase)
-    cfg = capture.config
-    row = np.empty(cfg.adc_samples_per_chirp, dtype=np.complex64)
-    with open(capture.path, "r+b") as fh:
-        for event in log:
-            offset = _CAPTURE_HEADER.size + (event.frame * cfg.chirps_per_frame + event.chirp) * row.nbytes
-            fh.seek(offset)
-            if fh.readinto(row) != row.nbytes:
-                raise ValueError(f"truncated capture file: {capture.path}")
-            row *= _rotation(event)
-            fh.seek(offset)
-            fh.write(row)
-    return log
+    frame_bytes = config.chirps_per_frame * rows[0].nbytes
+    with open(path, "r+b") as fh:
+        for frame in dict.fromkeys(event.frame for event in log):
+            fh.seek(_CAPTURE_HEADER.size + frame * frame_bytes)
+            fh.write(rows[frame])
 
 
 def write_capture_frames(path, config: ChirpConfig, frames: Iterable[np.ndarray]) -> int:

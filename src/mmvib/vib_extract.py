@@ -282,11 +282,13 @@ def restamp_column(rows: np.ndarray, target: int, column: np.ndarray, log) -> No
     rows is chirp 0 of every frame of the clean capture, [n_frames, adc]
     complex64, the one chirp an artifact stamps, and column the clean
     capture's demodulation at target, as a TargetTracker gives it. Each
-    event rotates its row in place, in log order, as stamping rotates the
-    capture, and the row is demodulated again as row 0 of a zero-filled block
-    of the rows _demodulate ran chirp 0 in; a gemv gives a row the same bits
-    whatever rows share its call, so column ends equal bit for bit to
-    demodulate_bin of the stamped capture, and no capture is read.
+    event rotates its row in place, in log order, as inject_artifacts rotates
+    the capture, so rows end as the stamped capture's chirp 0, which
+    stamp_capture_file writes into a container. The row is demodulated again
+    as row 0 of a zero-filled block of the rows _demodulate ran chirp 0 in;
+    a gemv gives a row the same bits whatever rows share its call, so column
+    ends equal bit for bit to demodulate_bin of the stamped capture, and no
+    capture is read.
     """
     adc = rows.shape[1]
     kernel = _bin_kernel(target, adc)

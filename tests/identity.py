@@ -9,10 +9,12 @@ that tree and under this working tree, each with PYTHONPATH at the tree's
 src/ and in a fresh directory: simulate, extract with and without --no-preprocess, sweep
 over all six axes, synth plain, with --jitter --sample-rate 16000 and with
 --seed 4 --jitter, score on what synth and extract wrote, with
-transcripts and pairs whose sides differ in rate, and a sweep where noise
-swamps the target, so that one value's frames are made a second time. The inputs are fixed-seed
-tests/speechgen clips at 8, 16 and 44.1 kHz, written once and shared by
-both runs.
+transcripts and pairs whose sides differ in rate, a sweep where noise
+swamps the target, so that one value's frames are made a second time, and
+a simulate of that scene, whose container is read again before it is
+stamped, with an extract of it. The inputs are fixed-seed tests/speechgen
+clips at 8, 16 and 44.1 kHz and that scene's INI, written once and shared
+by both runs.
 
 Every output file, and each command's exit status, stdout and stderr, is
 compared byte for byte, after the run and input directories' names are
@@ -70,12 +72,16 @@ COMMANDS = [
     # last, so the other entries' logs keep their names
     "sweep --param noise_floor_db --values 20,40 --audio {i}/speech8k.wav "
     "--report {o}/sweep_swamped.json",
+    # the same at 40 dB, written: the search reads the container again before any row is stamped
+    "simulate --config {i}/swamped.ini --audio {i}/speech8k.wav --out {o}/swamped.bin",
+    "extract --capture {o}/swamped.bin --out {o}/swamped.wav",
 ]
 _CLIPS = {"speech8k": 8000.0, "speech16k": 16000.0, "speech44k": 44100.0}
 
 
 def write_inputs(inputs: Path) -> None:
-    """The clips, one second each with its own seed, and the synth manifest naming them."""
+    """The clips, one second each with its own seed, the synth manifest naming them, and the
+    config of a scene where noise swamps the target."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from mmvib import write_wav
     from speechgen import make_speech_clip
@@ -83,6 +89,7 @@ def write_inputs(inputs: Path) -> None:
     for seed, (name, rate) in enumerate(_CLIPS.items(), 31):
         write_wav(inputs / f"{name}.wav", make_speech_clip(seed, duration=1.0, rate=rate))
     (inputs / "clips.txt").write_text("".join(f"{inputs / name}.wav\n" for name in _CLIPS))
+    (inputs / "swamped.ini").write_text("[scene]\nnoise_floor_db = 40\n")
 
 
 def _pairs(inputs: Path, run: Path) -> str:

@@ -31,7 +31,7 @@ from mmvib import (
     simulate_if_frames,
     unwrap_phase,
 )
-from mmvib.radar_sim import stamp_capture_file
+from mmvib.radar_sim import _artifact_log, stamp_capture_file
 from mmvib.vib_extract import column_phase, restamp_column
 
 SPEED_OF_LIGHT = 299792458.0
@@ -357,10 +357,13 @@ class TestNoiseModel:
 
 class TestArtifacts:
     def test_zero_magnitudes_noop(self, chirp_cfg):
-        cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        out = inject_artifacts(cap, 0.0, 0.0, seed=0)
-        assert np.array_equal(out.frames, cap.frames)
-        assert out.artifact_log == []
+        tone = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
+        # an all-zero capture has no target, which zero magnitudes never look for
+        for cap in (tone, IFCapture(np.zeros_like(tone.frames), chirp_cfg)):
+            before = cap.frames.copy()
+            out = inject_artifacts(cap, 0.0, 0.0, seed=0)
+            assert out is cap and np.array_equal(out.frames, before)
+            assert out.artifact_log == []
 
     def test_beginning_only_logs_one_event(self, chirp_cfg):
         cap = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
@@ -425,8 +428,10 @@ class TestArtifacts:
         kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
         # the whole-frame matvec of the clean capture, patched to the stamped one's
         column = clean.frames @ kernel
-        log = stamp_capture_file(path, column_phase(column), *sigmas, seed=3)
-        restamp_column(clean.frames[:, 0].copy(), target, column, log)
+        log = _artifact_log(clean.n_frames, *sigmas, 3, column_phase(column))
+        rows = clean.frames[:, 0].copy()
+        restamp_column(rows, target, column, log)
+        stamp_capture_file(path, chirp_cfg, rows, log)
         stamped = inject_artifacts(clean, *sigmas, seed=3)
         save_capture(stamped, tmp_path / "ref.bin")
         assert path.read_bytes() == (tmp_path / "ref.bin").read_bytes()
