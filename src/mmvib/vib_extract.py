@@ -303,20 +303,45 @@ def restamp_column(rows: np.ndarray, target: int, column: np.ndarray, log) -> No
 
 
 _U32 = float(np.finfo(np.float32).eps) / 2  # float32 unit roundoff, 2^-24
-_U64 = float(np.finfo(np.float64).eps) / 2
-# The absolute error one float32 operation can make when its result
-# underflows, even with flush-to-zero: the smallest normal float32.
-_TINY32 = float(np.finfo(np.float32).tiny)
-# Bound on the float64 FFT's error in any bin, relative to the chirp's norm
-# sqrt(adc * energy): far above pocketfft's, which grows as log2(adc) * 2^-53.
-_FFT_ERROR = 2.0**-30
 # A frame whose bins could sum past this may overflow the float32 search.
 _SEARCH_LIMIT = 2.0**126
 
 
-def _gamma(n: int, u: float = _U32) -> float:
-    """The worst-case relative error of n roundings, n * u / (1 - n * u)."""
-    return n * u / (1 - n * u)
+def _gamma(n: int) -> float:
+    """The worst-case relative error of n float32 roundings, n * u / (1 - n * u)."""
+    return n * _U32 / (1 - n * _U32)
+
+
+# The proof. For a chirp x of frame 1 on, let X be its exact DFT and
+# r = sqrt(adc * sum|x|^2), so sum_k |X_k|^2 = r^2 (Parseval) and
+# |X_k|^2 <= r^2 - |X_g|^2 for k != g. A search of every frame adds to bin k
+# the float32 magnitude of the float64 FFT rounded to complex64: within
+# 2^-30 r of |X_k| (far above pocketfft's error), then off by a factor of
+# 1 +- 4u, u = 2^-24. It sums those over the frame in float32 (1 +-
+# gamma(chirps)) and the frame sums in float64 (1 +- gamma64(n_frames)). Here
+# y, the float32 matmul at g, is within 2 gamma(2 adc + 4) r of X_g, and E,
+# the float32 energy, is at least (1 - gamma(2 adc)) sum|x|^2. As gamma(a) +
+# gamma(b) <= gamma(a + b) and (1 + gamma(a))(1 + gamma(b)) <= 1 + gamma(a + b):
+# - c = 2 gamma(2 adc + 2 chirps + 8), relative, per chirp, holds the matmul's
+#   term and gamma(chirps + 4). So for any norm >= r, each chirp adds at least
+#   low - 2^-30 norm to g's frame sum, where low = |y| - c norm - t <= |X_g|.
+#   And as (1 + gamma(m)) / (1 - gamma(n)) <= 1 / (1 - gamma(n + m)) for
+#   n = 2 adc, m = 2 chirps + 8 (ChirpConfig's cap keeps 2 (n + m) u below 1),
+#   norm = sqrt(adc E / (1 - c/2)) + t is at least (1 + gamma(chirps + 4)) r
+#   + t/2. So each chirp adds at most rest + 2^-30 norm to any other bin's
+#   frame sum, where rest = sqrt(norm^2 - max(low, 0)^2).
+# - t = adc 2^-60, absolute, for underflow: a float32 step's is at most
+#   2^-126, and the energy's moves the norm by under adc 2^-61.
+# - delta = 2^-28 + n_frames 2^-50, relative, once, to norms + strengths: the
+#   FFT's 2^-30 of the norms on each side, the float64 strength sums (a chirp
+#   adds about norm at most), and the float64 sums here.
+# So g wins the search of every frame when its frame-0 strength plus the
+# summed low beats the best other frame-0 strength plus the summed rest by
+# more than delta (norms + strengths). Summed norms under _SEARCH_LIMIT
+# bound each frame's, so no float32 sum overflows.
+def _certificate_terms(chirps: int, adc: int, n_frames: int) -> tuple[float, float, float]:
+    """The certificate's c, t and delta for frames of chirps x adc samples."""
+    return 2 * _gamma(2 * adc + 2 * chirps + 8), adc * 2.0**-60, 2.0**-28 + n_frames * 2.0**-50
 
 
 class TargetTracker:
@@ -326,24 +351,24 @@ class TargetTracker:
     map(tracker.add, frames) tracks a stream on its way. Frame 0 goes through
     a BinSearch, whose strongest bin g leads. Every frame is demodulated at g
     into the column. Each later chirp x also bounds every other bin: by
-    Parseval, |X_k| <= sqrt(adc * sum|x|^2 - |X_g|^2) for k != g. When g's
-    frame-0 strength plus the sum of |X_g| beats the best other frame-0
-    strength plus the sum of those bounds, after the worst-case error of each
-    float32 and complex64 step on either side (the FFT, its complex64
-    rounding, the float32 magnitudes and sums, the float64 strength, and the
-    matmul and energy sums here), g is the bin a BinSearch of every frame
-    returns and no other frame is transformed.
+    Parseval, |X_k| <= sqrt(adc * sum|x|^2 - |X_g|^2) for k != g. Three error
+    terms make that a proof (the comment above _certificate_terms): c,
+    relative to each chirp's norm, for the float32 and complex64 steps; t,
+    absolute, for underflow; and delta, relative to the summed norms and
+    strengths, once, for the float64 ones. When g's frame-0 strength plus
+    the summed lower bounds on |X_g| beats the best other frame-0 strength
+    plus the summed bounds on the other bins, by that margin, g is the bin a
+    BinSearch of every frame returns and no other frame is transformed.
 
-    Frame 0 predicts which side wins: g's frame-0 lead plus n_frames - 1
-    times frame 0's own terms of the bound. When that is not positive, as
-    where noise swamps the target, the bound is skipped and every later frame
-    is added to the frame-0 search as it goes by, in frame order, so the
-    search sums the bits a search of every frame sums. Captures whose frame 0
-    names no bin (not finite, all DC, or one sample per chirp) are searched
-    that way too. When the prediction is wrong and the bound fails, result
-    reads frames 1 on again for that search. Either way the capture is
-    demodulated again only if the search picks another bin, and each error is
-    the search's own.
+    The same margin, with n_frames - 1 times frame 0's own terms, predicts
+    the result. When it fails, as where noise swamps the target, the bound
+    is skipped and every later frame is added to the frame-0 search as it
+    goes by, in frame order, so the search sums the bits a search of every
+    frame sums. Captures whose frame 0 names no bin (not finite, all DC, or
+    one sample per chirp) are searched that way too. When the prediction is
+    wrong and the bound fails, result reads frames 1 on again for that
+    search. Either way the capture is demodulated again only if the search
+    picks another bin, and each error is the search's own.
     """
 
     def __init__(self, config: ChirpConfig, n_frames: int) -> None:
@@ -355,19 +380,11 @@ class TargetTracker:
         self._frames = 0
         self._lead = None  # g, found from frame 0
         self._kernel = None
-        # |y - X_g| <= _matmul_error * norm + _matmul_tiny, norm >= sqrt(adc *
-        # sum|x|^2): the real and imaginary float32 sums of 2 * adc products
-        # each, and the kernel's complex64 rounding
-        self._matmul_error = 2 * _gamma(2 * adc + 4)
-        self._matmul_tiny = 16 * adc * _TINY32
-        # the float32 energy: 2 * adc squares and their sum
-        self._energy_tiny = 8 * adc * _TINY32
-        self._energy_scale = adc / (1 - _gamma(2 * adc))
-        # sums of the per-chirp bounds over frames 1 on, and of the norms
-        self._won = 0.0
-        self._lost = 0.0
-        self._norms = 0.0
-        self._bounded = True
+        self._c, self._t, self._delta = _certificate_terms(chirps, adc, n_frames)
+        self._scale = adc / (1 - self._c / 2)
+        # the summed lower bounds on |X_g|, bounds on the other bins, and
+        # norms over frames 1 on
+        self._sums = (0.0, 0.0, 0.0)
         # whether every frame goes to the search as it goes by
         self._streamed = True
 
@@ -377,28 +394,22 @@ class TargetTracker:
         if index == 0 or self._streamed:
             self._search.add(frame)
         if index == 0:
-            strength = self._search.strength
-            if np.isfinite(strength).all() and strength[1:].size and strength[1:].max() > 0:
-                self._lead = _strongest_bin(strength)
-                self._kernel = _bin_kernel(self._lead, self._adc)
+            try:
+                self._lead = self._search.target(None)
+            except ValueError:  # no bin: every frame is searched
+                return frame
+            self._kernel = _bin_kernel(self._lead, self._adc)
         if self._lead is None:
             return frame
         _demodulate(frame, self._kernel, self._column[index])
+        if index and self._streamed:
+            return frame
+        terms = self._terms(frame, self._column[index])
         if index == 0:
-            terms = self._terms(frame, self._column[0])
             later = len(self._column) - 1
-            lead = self._search.strength[self._lead] - self._best_other()
-            # NaN is not positive, so frame 0 streams when its terms overflow
-            self._streamed = not lead + later * (terms[0] - terms[1]) > 0
-        elif not self._streamed and self._bounded:
-            won, lost, norms = self._terms(frame, self._column[index])
-            # NaN fails every comparison, so a frame that is not finite ends the bound
-            if not norms < _SEARCH_LIMIT:
-                self._bounded = False
-                return frame
-            self._won += won
-            self._lost += lost
-            self._norms += norms
+            self._streamed = not self._wins(*(later * term for term in terms))
+        else:
+            self._sums = tuple(total + term for total, term in zip(self._sums, terms))
         return frame
 
     def _terms(self, frame: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -406,42 +417,24 @@ class TargetTracker:
         samples = np.ascontiguousarray(frame).view(np.float32)
         with np.errstate(all="ignore"):
             np.einsum("ij,ij->i", samples, samples, out=self._energy)
-            norm = np.sqrt((self._energy.astype(np.float64) + self._energy_tiny)
-                           * self._energy_scale)
-            low = np.abs(y.astype(np.complex128)) - (self._matmul_error * norm + self._matmul_tiny)
+            norm = np.sqrt(self._energy.astype(np.float64) * self._scale) + self._t
+            low = np.abs(y.astype(np.complex128)) - (self._c * norm + self._t)
             lead = np.maximum(low, 0.0)
             # the product form keeps norm^2 - lead^2 accurate when the two are close
             rest = np.sqrt(np.maximum((norm - lead) * (norm + lead), 0.0))
-            norms = float(norm.sum())
-            return (float(low.sum()) - _FFT_ERROR * norms,
-                    float(rest.sum()) + _FFT_ERROR * norms, norms)
+            return float(low.sum()), float(rest.sum()), float(norm.sum())
 
-    def _best_other(self) -> float:
-        """The strongest bin but the lead in the search so far, DC excluded; 0 if none."""
-        others = np.delete(self._search.strength[1:], self._lead - 1)
-        return float(others.max()) if others.size else 0.0
+    def _wins(self, won: float, lost: float, norms: float) -> bool:
+        """Whether the bound's sums over frames 1 on prove that every frame's search picks g.
 
-    def _wins(self) -> bool:
-        """Whether the bounds prove that every frame's search picks the lead."""
-        if not self._bounded:
-            return False
+        theirs is the strongest frame-0 bin but g, DC excluded. A frame that
+        is not finite leaves a sum NaN or infinite, which fails.
+        """
         strength = self._search.strength
-        best_other = self._best_other()
-        chirps = self._column.shape[1]
-        # the float32 magnitude (complex64 rounding, then hypot) and frame sum,
-        # and the underflows in them
-        magnitude = 4 * _U32
-        frame_sum = _gamma(chirps)
-        tiny = (self._frames - 1) * 8 * chirps * _TINY32
-        won = (1 - frame_sum) * (1 - magnitude) * self._won - tiny
-        lost = (1 + frame_sum) * (1 + magnitude) * self._lost + tiny
-        # the float64 strength sums, and slack far above this tracker's own
-        # float64 arithmetic
-        accumulate = _gamma(self._frames, _U64)
-        slack = 1e-9 * (self._norms + strength[self._lead] + best_other)
-        lead_low = (1 - accumulate) * (strength[self._lead] + won)
-        other_high = (1 + accumulate) * (best_other + lost)
-        return bool(lead_low - other_high > slack)
+        others = np.delete(strength[1:], self._lead - 1)
+        ours, theirs = float(strength[self._lead]), float(others.max(initial=0.0))
+        margin = ours + won - theirs - lost - self._delta * (norms + ours + theirs)
+        return norms < _SEARCH_LIMIT and margin > 0
 
     def result(self, capture, source) -> tuple[int, np.ndarray]:
         """The target bin and its [n_frames, chirps] complex64 column, once every frame is added.
@@ -450,7 +443,7 @@ class TargetTracker:
         or the search picks another bin; source names it in errors.
         """
         if not self._streamed:
-            if self._wins():
+            if self._wins(*self._sums):
                 return self._lead, self._column
             for frame in islice(capture, 1, None):
                 self._search.add(frame)
@@ -468,7 +461,9 @@ def locate_target(capture) -> tuple[int, np.ndarray]:
     the capture once: an IFCapture or a CaptureFile, anything with config,
     n_frames and iteration over its frames. Frame 0's FFT names a leading
     bin, every frame is demodulated there, and a Parseval bound may prove
-    that no other bin can win; it does on the default scene. Where frame 0
+    that no other bin can win; it does on the default scene. The bound
+    carries three error terms: c per chirp for the float32 and complex64
+    steps, t for underflow, and delta once for the float64 ones. Where frame 0
     predicts that it cannot, as where noise swamps the target, every frame
     is searched in that same pass instead. The capture is read again only
     to search it when the predicted bound fails, and to demodulate another

@@ -101,6 +101,11 @@ EXIT_PATHS = {
     "simulate_noise_floor_765": (
         "simulate --config {d}/noise_765.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
         "simulate failed: capture samples are not finite or too large: {t}/c.bin"),
+    # the frames go to the device, but the container is opened for the search's
+    # second pass before the search knows it needs none, and reads back empty
+    "simulate_to_dev_null": (
+        "simulate --audio {d}/tone.wav --out /dev/null", None, 1,
+        "simulate failed: truncated capture file: /dev/null"),
     "simulate_zero_force_scale": (
         "simulate --config {d}/zero_force.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: force_scale must be positive, got 0.0"),

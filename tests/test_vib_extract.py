@@ -39,7 +39,7 @@ from mmvib import (
 import mmvib.vib_extract
 from mmvib.cli import MATERIAL_PRESETS, PipelineConfig
 from mmvib.radar_sim import DEFAULT_FRAME_PERIOD_S, MAX_BANDWIDTH_HZ
-from mmvib.vib_extract import BinSearch
+from mmvib.vib_extract import BinSearch, _certificate_terms
 from oracles import in_memory_capture, oracle_remove_periodic_outliers
 from speechgen import make_speech_clip
 
@@ -262,25 +262,12 @@ class TestLocateTarget:
         assert traced_peak(lambda: locate_target(cap)) < 0.1 * cap.frames.nbytes
 
 
-class TestSplitSearch:
-    """locate_target's bin search is one pass over the frames, whatever the CPU count.
-
-    The search was once split into one range of frames per CPU; these cases
-    keep its ids and check that the CPU count the process reports changes
-    nothing: no thread is started, and a bad frame gives one error.
-    """
-
-    @pytest.fixture(params=[None, 16], ids=["cpus", "16cpus"])
-    def cpus(self, request, monkeypatch):
-        """Make the process report its own CPU count, or sixteen."""
-        if request.param is not None:
-            monkeypatch.setattr(os, "cpu_count", lambda: request.param)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
-                                raising=False)
+class TestBadFrameIsOneError:
+    """A frame that is not finite or is cut short gives locate_target one error, on this thread."""
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("source", ["memory", "file"])
-    def test_non_finite_frame_is_one_error(self, tmp_path, cpus, value, source):
+    def test_non_finite_frame_is_one_error(self, tmp_path, value, source):
         cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.16, noise_floor_db=-40.0)
         cap.frames[-1, -1, -1] = value
         path = tmp_path / "bad.bin"
@@ -294,7 +281,7 @@ class TestSplitSearch:
         assert str(err.value) == f"capture samples are not finite or too large: {name}"
         assert threading.active_count() == before
 
-    def test_file_truncated_after_opening(self, tmp_path, cpus, monkeypatch):
+    def test_file_truncated_after_opening(self, tmp_path, monkeypatch):
         cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.16, noise_floor_db=-40.0)
         path = tmp_path / "cap.bin"
         save_capture(cap, path)
@@ -382,8 +369,9 @@ TRACKER_CASES = {
     "tinfoil-artifacts-noise40": (
         partial(tracker_scene, preset="tinfoil", artifacts=True, noise=40.0), "streamed, moved"),
     **{f"{chirps}x{adc}": (partial(tracker_scene, chirps=chirps, adc=adc,
-                                   range_m=1.5 if adc == 256 else 0.2), "certified")
-       for chirps, adc in [(1, 256), (1, 16), (2, 16), (9, 256), (9, 16), (256, 16)]},
+                                   range_m=1.5 if adc >= 256 else 0.2), "certified")
+       for chirps, adc in [(1, 256), (1, 16), (2, 16), (9, 256), (9, 16), (256, 16),
+                           (1, 65536), (16, 65536), (1, 1048576)]},
     **{f"{chirps}x16-noise40": (partial(tracker_scene, chirps=chirps, adc=16, range_m=0.2,
                                         noise=40.0), "streamed") for chirps in (2, 9)},
     **{f"{chirps}x1": (partial(tracker_scene, chirps=chirps, adc=1, range_m=0.01), "no target")
@@ -453,6 +441,56 @@ class TestTargetTracker:
         want_phase = unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
         assert target == want
         assert phase.tobytes() == want_phase.tobytes()
+
+    def test_certificate_terms_dominate_the_ten_they_replace(self):
+        """c, t and delta only ever certify where the ten terms before them did.
+
+        The ten, as the tracker sized them, are below. Per chirp, its norm
+        was n = sqrt((E + energy_tiny) energy_scale), l = |y| - matmul_error n
+        - matmul_tiny and r = sqrt(n^2 - max(l, 0)^2); the margin was
+        (1 - a)(S_g + (1 - k)(sum l - fft_error sum n) - tiny)
+        - (1 + a)(S_o + K (sum r + fft_error sum n) + tiny)
+        - slack (sum n + S_g + S_o), with 1 - k = (1 - frame_sum)(1 -
+        magnitude), K = (1 + frame_sum)(1 + magnitude) and a = accumulate.
+        The tracker's norm, low and rest are those of the comment above
+        vib_extract._certificate_terms. For any E, and |y| <= (1 +
+        matmul_error) n + matmul_tiny as the matmul bound allows, the
+        inequalities checked give norm >= K n and low <= l, so rest >= K r,
+        and (1 - k)(l - fft_error n) >= low - fft_error norm. As low and
+        rest are at most norm and norm >= t, delta (norms + strengths) then
+        covers all the old margin took besides, so the new margin is at most
+        the old one. The summed norms, under the search limit, bound each
+        frame's norms, as the old check did.
+        """
+        u32, u64 = float(np.finfo(np.float32).eps) / 2, float(np.finfo(np.float64).eps) / 2
+        tiny32 = float(np.finfo(np.float32).tiny)
+
+        def gamma(n, u=u32):
+            return n * u / (1 - n * u)
+
+        shapes = [(2**i, 2**j) for i in range(21) for j in range(21 - i)]
+        for n_frames in (2, 10**3, 10**6):
+            for chirps, adc in shapes:
+                c, t, delta = _certificate_terms(chirps, adc, n_frames)
+                matmul_error = 2 * gamma(2 * adc + 4)
+                matmul_tiny = 16 * adc * tiny32
+                energy_tiny = 8 * adc * tiny32
+                energy_scale = adc / (1 - gamma(2 * adc))
+                fft_error = 2.0**-30
+                magnitude = 4 * u32
+                frame_sum = gamma(chirps)
+                tiny = 8 * chirps * tiny32  # per frame after frame 0
+                accumulate = gamma(n_frames, u64)
+                slack = 1e-9
+                k = 1 - (1 - frame_sum) * (1 - magnitude)
+                big_k = (1 + frame_sum) * (1 + magnitude)
+                shape = (chirps, adc, n_frames)
+                assert adc / (1 - c / 2) >= big_k**2 * energy_scale, shape
+                assert t >= big_k * np.sqrt(energy_scale * energy_tiny), shape
+                assert c >= matmul_error + k * (1 + matmul_error), shape
+                assert t >= (1 + k) * matmul_tiny, shape
+                assert delta >= (2 * fft_error + accumulate * (2 + fft_error) + slack
+                                 + (2 + accumulate) * tiny / (chirps * t)), shape
 
     # In a fresh interpreter, the count of random frames of each shape whose
     # blocked demodulation differs in any bit from one matmul of the frame,
