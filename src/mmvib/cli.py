@@ -9,8 +9,8 @@ import json
 import os
 import sys
 from collections import deque
-from collections.abc import Callable, Iterator
-from contextlib import closing
+from collections.abc import Iterator
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -202,16 +202,21 @@ def _parse_section(section: str, raw: dict[str, str], defaults) -> dict:
     return parsed
 
 
-@dataclass
-class _Remade:
-    """A capture that is not kept: each iteration makes its frames again, bit for bit."""
+@contextmanager
+def _removed_on_failure(path):
+    """Open path for writing, and remove it if the block raises.
 
-    config: ChirpConfig
-    n_frames: int
-    frames: Callable[[], Iterator[np.ndarray]]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return self.frames()
+    It is opened here, so that a path that cannot be opened is left as it
+    was, and one that is not a regular file, such as /dev/null, is never
+    removed.
+    """
+    open(path, "wb").close()
+    try:
+        yield
+    except BaseException:
+        if os.path.isfile(path):
+            os.unlink(path)
+        raise
 
 
 def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key, path, name):
@@ -227,11 +232,12 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
     column as the artifacts stamp the capture.
 
     With a path, the frames go to that container, a second pass of the
-    tracker reads it before any row is stamped, and stamp_capture_file writes
-    the stamped rows over it; once path is opened, a failure removes it.
-    With path None no file is written, and a second pass makes the frames
-    again from the same seed. Returns the forcing, the artifact log and the
-    stamped capture's [n_frames, chirps_per_frame] complex64 column.
+    tracker reads it before any row is stamped, stamp_capture_file writes
+    the stamped rows over it, and the artifact sidecar is written beside it;
+    once path is opened, a failure removes it. With path None no file is
+    written, and a second pass makes the frames again from the same seed.
+    Returns the forcing and the stamped capture's [n_frames,
+    chirps_per_frame] complex64 column.
     """
     audio = resample(audio, config.chirp.effective_sampling_rate)
     try:
@@ -261,27 +267,21 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
             rows[index] = frame[0]
             yield frame
 
-    if path is not None:
-        # opened here, so that a path that cannot be opened is left as it was
-        open(path, "wb").close()
-    try:
+    with nullcontext() if path is None else _removed_on_failure(path):
         with closing(frames()) as stream:
             if path is None:
                 deque(kept(stream), maxlen=0)
             else:
                 write_capture_frames(path, config.chirp, kept(stream))
-        capture = _Remade(config.chirp, n_frames, frames) if path is None else CaptureFile(path)
-        target, column = tracker.result(capture, name)
+        target, column = tracker.result(frames if path is None else CaptureFile(path).__iter__,
+                                        name)
         log = _artifact_log(n_frames, config.beginning_sigma, config.periodic_sigma,
                             artifact_seed, column_phase(column))
         restamp_column(rows, target, column, log)
         if path is not None:
             stamp_capture_file(path, config.chirp, rows, log)
-    except BaseException:
-        if path is not None and os.path.isfile(path):  # not a device such as /dev/null
-            os.unlink(path)
-        raise
-    return forcing, log, column
+            write_artifact_sidecar(path, log, seed=config.seed)
+    return forcing, column
 
 
 def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
@@ -293,9 +293,8 @@ def cmd_simulate(config: PipelineConfig, audio_in, capture_out) -> None:
     artifact sidecar equal, byte for byte, what save_capture writes for the
     library's in-memory capture.
     """
-    _, log, column = _write_capture(config, read_wav(audio_in), audio_in, config.seed,
-                                    capture_out, capture_out)
-    write_artifact_sidecar(capture_out, log, seed=config.seed)
+    _, column = _write_capture(config, read_wav(audio_in), audio_in, config.seed, capture_out,
+                               capture_out)
     print(f"range resolution: {range_resolution(config.chirp):.6f} m")
     print(f"vibration sampling rate: {config.chirp.effective_sampling_rate:.1f} Hz")
     print(f"wrote {len(column)} frames to {capture_out}")
@@ -314,7 +313,6 @@ def cmd_extract(capture_in, wav_out, preprocess: bool) -> None:
         trace = trace_from_phase(phase, capture.config, preprocess)
     except ValueError as exc:
         raise ValueError(f"{exc}: {capture_in}") from None
-    write_wav(wav_out, trace)
     sidecar = {
         "capture": str(capture_in),
         "sample_rate": trace.sample_rate,
@@ -324,7 +322,9 @@ def cmd_extract(capture_in, wav_out, preprocess: bool) -> None:
         "preprocess": preprocess,
     }
     sidecar_path = Path(wav_out).with_name(Path(wav_out).name + ".json")
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    with _removed_on_failure(wav_out), _removed_on_failure(sidecar_path):
+        write_wav(wav_out, trace)
+        sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     print(f"extracted {len(trace)} samples at {trace.sample_rate:.1f} Hz (bin {target})")
 
 
@@ -457,8 +457,8 @@ def _sweep_point(config: PipelineConfig, parameter: str, value, audio: AudioBuff
         )
         degraded = synthesize_mmvib(reference, synth_cfg)
     else:
-        reference, _, column = _write_capture(variant, audio, source, (variant.seed, index), None,
-                                              f"the capture of {source}")
+        reference, column = _write_capture(variant, audio, source, (variant.seed, index), None,
+                                           f"the capture of {source}")
         degraded = trace_from_phase(column_phase(column), variant.chirp)
     reference = low_pass(reference, REFERENCE_BAND_HZ)
     n = min(len(degraded), len(reference))
@@ -534,12 +534,13 @@ def cmd_sweep(config: PipelineConfig, parameter: str, values, audio_in, report_o
 
     report_path = Path(report_out)
     report_doc = {"parameter": parameter, "rows": rows}
-    report_path.write_text(json.dumps(report_doc, indent=2) + "\n", encoding="utf-8")
     csv_path = report_path.with_suffix(".csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SWEEP_CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
+    with _removed_on_failure(report_path), _removed_on_failure(csv_path):
+        report_path.write_text(json.dumps(report_doc, indent=2) + "\n", encoding="utf-8")
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=_SWEEP_CSV_COLUMNS, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
     print(f"swept {parameter} over {len(rows)} values -> {report_path}, {csv_path}")
 
 
@@ -604,8 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _command(args):
     """The command args names, bound to its arguments, as a call that does the work.
 
-    The config, the seed, synth's --sample-rate, and sweep's --param and
-    --values, in that order, are checked here, before any work starts.
+    The config, the seed, synth's --sample-rate, and sweep's --param,
+    --values and --report, in that order, are checked here, before any work
+    starts.
     """
     if args.command == "simulate":
         return partial(cmd_simulate, load_config(args.config), args.audio, args.out)
@@ -628,6 +630,8 @@ def _command(args):
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
         raise ValueError("empty value list")
+    if Path(args.report).suffix == ".csv":
+        raise ValueError(f"--report {args.report} ends in .csv, where its CSV table is written")
     return partial(cmd_sweep, config, args.param, values, args.audio, args.report)
 
 

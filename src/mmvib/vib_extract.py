@@ -219,7 +219,7 @@ def _layout(n: int, adc: int) -> tuple[int, int, int]:
     """How _demodulate splits n rows of adc samples: the rows of a whole block,
     the most in multiples of 8 (at least 8) that stay under the BLAS
     threading size; the rows the whole blocks cover; the first row of the
-    last call."""
+    last call, 0 when no whole block runs."""
     step = 8 * max(1, (_BLAS_THREAD_ELEMENTS - 1) // (8 * adc))
     body = n - n % step
     # a one-row matmul is a dot product with other bits than gemv's
@@ -227,22 +227,15 @@ def _layout(n: int, adc: int) -> tuple[int, int, int]:
     return step, body, last
 
 
-def _block_of(row: int, n: int, adc: int) -> tuple[int, int]:
-    """The rows [start, stop) of the call whose result _demodulate keeps for row."""
-    step, _, last = _layout(n, adc)
-    if row >= last:
-        return last, n
-    start = row - row % step
-    return start, start + step
-
-
 def _demodulate(rows: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
     """out = rows @ kernel, bit for bit, in blocks that keep BLAS on this thread.
 
-    The whole blocks run in one batched matmul and the rest in one more; a
-    gemv gives each row the same bits whichever rows share its call. A last
-    block of one row is run as the last two rows. Samples that are not
-    finite give what they give, without numpy warnings.
+    With a _bin_kernel, this demodulates one bin of a frame's chirps, a
+    single-bin DFT. Whole-frame calls would wake a BLAS worker that spins
+    beside the caller. The whole blocks run in one batched matmul and the
+    rest in one more; a gemv gives each row the same bits whichever rows
+    share its call. A last block of one row is run as the last two rows.
+    Samples that are not finite give what they give, without numpy warnings.
     """
     n, adc = rows.shape
     step, body, last = _layout(n, adc)
@@ -258,24 +251,6 @@ def column_phase(column: np.ndarray) -> np.ndarray:
     return unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
 
 
-def demodulate_bin(capture, target: int) -> np.ndarray:
-    """One range bin of every chirp of the capture, [n_frames, chirps_per_frame] complex64.
-
-    A single-bin DFT: the dot product of every chirp with one complex
-    exponential, frame by frame, so beyond the frames it holds one sample
-    per chirp; column_phase unwraps its phase. The matmuls run in blocks of
-    rows small enough that OpenBLAS keeps them on the calling thread, since
-    whole-frame calls would wake a BLAS worker that spins beside the caller;
-    the bits are those of one matmul of each whole frame.
-    """
-    config = capture.config
-    kernel = _bin_kernel(target, config.adc_samples_per_chirp)
-    column = np.empty((capture.n_frames, config.chirps_per_frame), dtype=np.complex64)
-    for index, frame in enumerate(capture):
-        _demodulate(frame, kernel, column[index])
-    return column
-
-
 def restamp_column(rows: np.ndarray, target: int, column: np.ndarray, log) -> None:
     """Demodulate again, in place in column, the chirps an artifact log stamped.
 
@@ -285,16 +260,16 @@ def restamp_column(rows: np.ndarray, target: int, column: np.ndarray, log) -> No
     event rotates its row in place, in log order, as inject_artifacts rotates
     the capture, so rows end as the stamped capture's chirp 0, which
     stamp_capture_file writes into a container. The row is demodulated again
-    as row 0 of a zero-filled block of the rows _demodulate ran chirp 0 in;
-    a gemv gives a row the same bits whatever rows share its call, so column
-    ends equal bit for bit to demodulate_bin of the stamped capture, and no
-    capture is read.
+    as row 0 of a zero-filled block of as many rows as the _demodulate call
+    chirp 0 runs in, per _layout; a gemv gives a row the same bits whatever
+    rows share its call, so column ends equal bit for bit to the stamped
+    capture's demodulation, and no capture is read.
     """
-    adc = rows.shape[1]
+    n, adc = column.shape[1], rows.shape[1]
     kernel = _bin_kernel(target, adc)
-    start, stop = _block_of(0, column.shape[1], adc)
-    block = np.zeros((stop - start, adc), dtype=np.complex64)
-    demodulated = np.empty(stop - start, dtype=np.complex64)
+    step, _, last = _layout(n, adc)
+    block = np.zeros((n if last == 0 else step, adc), dtype=np.complex64)
+    demodulated = np.empty(len(block), dtype=np.complex64)
     for event in log:
         rows[event.frame] *= _rotation(event)
         block[0] = rows[event.frame]
@@ -436,40 +411,36 @@ class TargetTracker:
         margin = ours + won - theirs - lost - self._delta * (norms + ours + theirs)
         return norms < _SEARCH_LIMIT and margin > 0
 
-    def result(self, capture, source) -> tuple[int, np.ndarray]:
+    def result(self, frames, source) -> tuple[int, np.ndarray]:
         """The target bin and its [n_frames, chirps] complex64 column, once every frame is added.
 
-        capture holds the same frames, read again only when the bound fails
-        or the search picks another bin; source names it in errors.
+        frames() returns a fresh iterator over the same frames. It is called
+        only to search frames 1 on when the bound fails, and to demodulate
+        the column again, in place, when the search picks another bin.
+        source names the frames in errors.
         """
         if not self._streamed:
             if self._wins(*self._sums):
                 return self._lead, self._column
-            for frame in islice(capture, 1, None):
+            for frame in islice(frames(), 1, None):
                 self._search.add(frame)
         target = self._search.target(source)
-        if target == self._lead:
-            return target, self._column
-        return target, demodulate_bin(capture, target)
+        if target != self._lead:
+            kernel = _bin_kernel(target, self._adc)
+            for frame, row in zip(frames(), self._column):
+                _demodulate(frame, kernel, row)
+        return target, self._column
 
 
 def locate_target(capture) -> tuple[int, np.ndarray]:
     """Strongest range bin of the capture and its unwrapped per-chirp phase.
 
-    A TargetTracker, the one place that decides which bin carries the
-    vibration (simulate and sweep run it on the frames they make), reads
-    the capture once: an IFCapture or a CaptureFile, anything with config,
-    n_frames and iteration over its frames. Frame 0's FFT names a leading
-    bin, every frame is demodulated there, and a Parseval bound may prove
-    that no other bin can win; it does on the default scene. The bound
-    carries three error terms: c per chirp for the float32 and complex64
-    steps, t for underflow, and delta once for the float64 ones. Where frame 0
-    predicts that it cannot, as where noise swamps the target, every frame
-    is searched in that same pass instead. The capture is read again only
-    to search it when the predicted bound fails, and to demodulate another
-    bin when the search picks one. It picks the bin select_target_bin picks
-    on range_fft's profile, and the phase of extract_phase_series up to
-    float32 rounding.
+    capture is an IFCapture or a CaptureFile, anything with config, n_frames
+    and iteration over its frames. A TargetTracker reads it once, and again
+    only when the tracker asks for a second pass; errors name its path, or
+    "in-memory capture". It picks the bin select_target_bin picks on
+    range_fft's profile, and the phase of extract_phase_series up to float32
+    rounding.
     """
     source = getattr(capture, "path", "in-memory capture")
     if capture.n_frames == 0:
@@ -477,7 +448,7 @@ def locate_target(capture) -> tuple[int, np.ndarray]:
     tracker = TargetTracker(capture.config, capture.n_frames)
     for frame in capture:
         tracker.add(frame)
-    target, column = tracker.result(capture, source)
+    target, column = tracker.result(capture.__iter__, source)
     return target, column_phase(column)
 
 

@@ -3,7 +3,8 @@
 Usage: python tests/exit_paths.py
 
 The runner writes the inputs the cases name into a temporary directory, runs
-each case in process through mmvib.cli.main, and prints one line per case
+each case in process through mmvib.cli.main, after making the directories
+the BLOCKED map puts in the way of its outputs, and prints one line per case
 whose exit status or stderr is not the table's, or that fails and leaves a
 file the LEFT_BEHIND map does not name; it exits 1 if any does. Malformed
 WAVs, configs and capture containers each have a table of their own, from
@@ -106,6 +107,10 @@ EXIT_PATHS = {
     "simulate_to_dev_null": (
         "simulate --audio {d}/tone.wav --out /dev/null", None, 1,
         "simulate failed: truncated capture file: /dev/null"),
+    # a sidecar that cannot be written takes the container with it
+    "simulate_sidecar_blocked": (
+        "simulate --audio {d}/tone.wav --out {t}/c.bin", None, 1,
+        "simulate failed: [Errno 21] Is a directory: '{t}/c.bin.artifacts.json'"),
     "simulate_zero_force_scale": (
         "simulate --config {d}/zero_force.ini --audio {d}/tone.wav --out {t}/c.bin", None, 2,
         "simulate failed: config: force_scale must be positive, got 0.0"),
@@ -129,6 +134,10 @@ EXIT_PATHS = {
     "extract_unwritable_wav": (
         "extract --capture {d}/cap.bin --out {t}/nodir/x.wav", None, 1,
         f"extract failed: {_NO_FILE}: '{{t}}/nodir/x.wav'"),
+    # and a JSON sidecar the WAV
+    "extract_sidecar_blocked": (
+        "extract --capture {d}/cap.bin --out {t}/x.wav", None, 1,
+        "extract failed: [Errno 21] Is a directory: '{t}/x.wav.json'"),
     "extract_nan_sample": (
         "extract --capture {d}/nan_sample.bin --out {t}/x.wav", None, 1,
         "extract failed: capture samples are not finite or too large: {d}/nan_sample.bin"),
@@ -375,6 +384,14 @@ EXIT_PATHS = {
     "sweep_unwritable_report": (
         "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/nodir/s.json", None,
         1, f"sweep failed: {_NO_FILE}: '{{t}}/nodir/s.json'"),
+    # a CSV table that cannot be written takes the report with it
+    "sweep_csv_blocked": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.json", None, 1,
+        "sweep failed: [Errno 21] Is a directory: '{t}/s.csv'"),
+    # its CSV table would overwrite it
+    "sweep_report_ends_in_csv": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.csv", None, 2,
+        "sweep failed: --report {t}/s.csv ends in .csv, where its CSV table is written"),
 }
 
 
@@ -508,6 +525,13 @@ LEFT_BEHIND = {
     "score_upsampled_float64_max": ["r.json"],
     "score_all_failed_names_the_line_of_a_non_object": ["r.json"],
 }
+# The directories made under {t} before a case runs, each in the way of an
+# output of that name.
+BLOCKED = {
+    "simulate_sidecar_blocked": ["c.bin.artifacts.json"],
+    "extract_sidecar_blocked": ["x.wav.json"],
+    "sweep_csv_blocked": ["s.csv"],
+}
 
 
 def run_main(argv: list[str]) -> tuple[int, str]:
@@ -638,10 +662,13 @@ def write_exit_inputs(d: Path) -> None:
 def check_case(case: str, row: tuple, d: Path, t: Path) -> str | None:
     """Run one row of the table, named case, with inputs in d and the empty directory t as {t}.
 
-    Returns the line naming how it differs, None if it does not: its exit
-    status and stderr, or, for a case that fails, the regular files it
-    leaves under t against the ones LEFT_BEHIND names.
+    The directories BLOCKED names for case are made under t first. Returns
+    the line naming how it differs, None if it does not: its exit status and
+    stderr, or, for a case that fails, the regular files it leaves under t
+    against the ones LEFT_BEHIND names.
     """
+    for name in BLOCKED.get(case, []):
+        (t / name).mkdir()
     argv, env_seed, status, message = row
     paths = {"d": d, "t": t}
     expected = (status, message.format(**paths) + "\n" if message else "")

@@ -945,7 +945,8 @@ class TestSweep:
         monkeypatch.setattr(io, "open", recording_open)
         assert main(["sweep", "--param", "range_m", "--values", "1.0,1.5",
                      "--audio", str(wav), "--report", str(report)]) == 0
-        assert opened == [report, report.with_suffix(".csv")]
+        # each is opened once before either is written, so that a failure removes both
+        assert opened == [report, report.with_suffix(".csv")] * 2
         assert written == []
         assert list(temp_root.iterdir()) == []
         # noise past complex64 fails in the bin search, after the capture is made

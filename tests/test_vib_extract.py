@@ -39,7 +39,7 @@ from mmvib import (
 import mmvib.vib_extract
 from mmvib.cli import MATERIAL_PRESETS, PipelineConfig
 from mmvib.radar_sim import DEFAULT_FRAME_PERIOD_S, MAX_BANDWIDTH_HZ
-from mmvib.vib_extract import BinSearch, _certificate_terms
+from mmvib.vib_extract import BinSearch, TargetTracker, _certificate_terms, column_phase
 from oracles import in_memory_capture, oracle_remove_periodic_outliers
 from speechgen import make_speech_clip
 
@@ -287,10 +287,11 @@ class TestBadFrameIsOneError:
         save_capture(cap, path)
         reader = CaptureFile(path)
         frame_bytes = cap.frames[0].nbytes
-        # the last frames end short; the search, not the demodulation after it, raises
+        # the last frames end short; the search pass raises, and the tracker's
+        # result, where a second pass would demodulate, is never reached
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - frame_bytes - frame_bytes // 2)
-        monkeypatch.setattr(mmvib.vib_extract, "demodulate_bin", None)
+        monkeypatch.setattr(TargetTracker, "result", None)
         before = threading.active_count()
         with pytest.raises(ValueError, match=f"^truncated capture file: {re.escape(str(path))}$"):
             locate_target(reader)
@@ -394,26 +395,44 @@ TRACKER_CASES = {
 }
 
 
+def tracker_capture(case, tmp_path):
+    """The capture of a TRACKER_CASES case and the name its errors give.
+
+    The truncated case's is a container cut short after it is opened.
+    """
+    capture, source = TRACKER_CASES[case][0](), "in-memory capture"
+    if case == "truncated":
+        source = tmp_path / "cut.bin"
+        save_capture(capture, source)
+        capture = CaptureFile(source)
+        with open(source, "r+b") as fh:
+            fh.truncate(source.stat().st_size - 100)
+    return capture, source
+
+
+def full_search(capture, source):
+    """The reference: the bin a BinSearch of every frame names, or its error, and the
+    unwrapped phase of each whole frame's one matmul at that bin, or None."""
+    search = BinSearch(capture.config)
+    try:
+        for frame in capture:
+            search.add(frame)
+        want = search.target(source)
+    except ValueError as exc:
+        return str(exc), None
+    adc = capture.config.adc_samples_per_chirp
+    kernel = np.exp(-2j * np.pi * want * np.arange(adc) / adc).astype(np.complex64)
+    column = np.stack([frame @ kernel for frame in capture])
+    return want, unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
+
+
 class TestTargetTracker:
     @pytest.mark.parametrize("case", TRACKER_CASES)
     def test_equals_a_full_search_and_whole_frame_demodulation(self, case, tmp_path,
                                                                 monkeypatch):
-        build, path = TRACKER_CASES[case]
-        capture, source = build(), "in-memory capture"
-        if case == "truncated":
-            source = tmp_path / "cut.bin"
-            save_capture(capture, source)
-            capture = CaptureFile(source)
-            with open(source, "r+b") as fh:
-                fh.truncate(source.stat().st_size - 100)
-        # the reference: a BinSearch of every frame, and each frame's one matmul
-        search = BinSearch(capture.config)
-        try:
-            for frame in capture:
-                search.add(frame)
-            want = search.target(source)
-        except ValueError as exc:
-            want = str(exc)
+        path = TRACKER_CASES[case][1]
+        capture, source = tracker_capture(case, tmp_path)
+        want, want_phase = full_search(capture, source)
         searched = []
         original_add = BinSearch.add
         monkeypatch.setattr(BinSearch, "add",
@@ -434,13 +453,39 @@ class TestTargetTracker:
             return
         assert len(searched) == (1 if path == "certified" else capture.n_frames)
         assert len(reads) == PASSES[path]
-        monkeypatch.undo()
-        adc = capture.config.adc_samples_per_chirp
-        kernel = np.exp(-2j * np.pi * want * np.arange(adc) / adc).astype(np.complex64)
-        column = np.stack([frame @ kernel for frame in capture])
-        want_phase = unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
         assert target == want
         assert phase.tobytes() == want_phase.tobytes()
+
+    @pytest.mark.parametrize("case", TRACKER_CASES)
+    def test_reads_again_from_a_frame_factory(self, case, tmp_path):
+        """A tracker fed by hand reads its second passes from a factory of new frames each
+        call, as sweep's frames are made again, and gives what locate_target gives."""
+        path = TRACKER_CASES[case][1]
+        capture, source = tracker_capture(case, tmp_path)
+        want, want_phase = full_search(capture, source)
+        made = []
+
+        def frames():
+            made.append(1)
+            return (frame.copy() for frame in capture)
+
+        def track():
+            tracker = TargetTracker(capture.config, capture.n_frames)
+            for frame in capture:
+                tracker.add(frame.copy())
+            return tracker.result(frames, source)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if path not in PASSES:
+                with pytest.raises(ValueError) as err:
+                    track()
+                assert str(err.value) == want == f"{path}: {source}"
+                return
+            target, column = track()
+        assert len(made) == PASSES[path] - 1
+        assert target == want
+        assert column_phase(column).tobytes() == want_phase.tobytes()
 
     def test_certificate_terms_dominate_the_ten_they_replace(self):
         """c, t and delta only ever certify where the ten terms before them did.
@@ -499,7 +544,7 @@ class TestTargetTracker:
     # that matmul's
     _BLOCKED_AGAINST_WHOLE = (
         "import numpy as np\n"
-        "from mmvib.vib_extract import _block_of, _demodulate\n"
+        "from mmvib.vib_extract import _demodulate, _layout\n"
         "rng = np.random.default_rng(0)\n"
         "differ = 0\n"
         "for chirps in (1, 2, 3, 8, 9, 17, 33, 256, 1024):\n"
@@ -512,10 +557,10 @@ class TestTargetTracker:
         "        out = np.empty(chirps, np.complex64)\n"
         "        _demodulate(frame, kernel, out)\n"
         "        differ += out.tobytes() != whole\n"
-        "        start, stop = _block_of(0, chirps, adc)\n"
-        "        block = np.zeros((stop - start, adc), np.complex64)\n"
+        "        step, _, last = _layout(chirps, adc)\n"
+        "        block = np.zeros((chirps if last == 0 else step, adc), np.complex64)\n"
         "        block[0] = frame[0]\n"
-        "        _demodulate(block, kernel, out[: stop - start])\n"
+        "        _demodulate(block, kernel, out[: len(block)])\n"
         "        differ += out[:1].tobytes() != whole[:8]\n"
         "print(differ)\n"
     )
