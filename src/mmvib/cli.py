@@ -630,6 +630,8 @@ def _command(args):
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
         raise ValueError("empty value list")
+    if not Path(args.report).name:
+        raise ValueError(f"--report '{args.report}' names no file")
     if Path(args.report).suffix == ".csv":
         raise ValueError(f"--report {args.report} ends in .csv, where its CSV table is written")
     return partial(cmd_sweep, config, args.param, values, args.audio, args.report)

@@ -392,6 +392,13 @@ EXIT_PATHS = {
     "sweep_report_ends_in_csv": (
         "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report {t}/s.csv", None, 2,
         "sweep failed: --report {t}/s.csv ends in .csv, where its CSV table is written"),
+    # a path with an empty name has no CSV table beside it
+    "sweep_report_empty": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report=", None, 2,
+        "sweep failed: --report '' names no file"),
+    "sweep_report_root": (
+        "sweep --param alpha --values 0.5 --audio {d}/tone.wav --report /", None, 2,
+        "sweep failed: --report '/' names no file"),
 }
 
 

@@ -50,14 +50,12 @@ from mmvib.cli import (
     REFERENCE_BAND_HZ,
     PipelineConfig,
     _SECTIONS,
-    _sweep_point,
     _sweep_variant,
-    cmd_simulate,
     load_config,
     main,
 )
 from mmvib.metrics import REQUIRED_METRICS
-from mmvib.vib_extract import BinSearch, column_phase
+from mmvib.vib_extract import BinSearch
 from oracles import in_memory_capture
 from speechgen import make_speech_clip
 
@@ -225,26 +223,6 @@ class TestSimulate:
                 _sweep_variant(PipelineConfig(), "chirps_per_frame", "8192")
 
         assert traced_peak(vary) < 1 << 20
-
-    @pytest.mark.parametrize("chirps_per_frame", [256, 512])
-    @pytest.mark.parametrize("sigmas", [(10.0, 6.0), (0.0, 0.0)])
-    def test_streamed_capture_equals_the_in_memory_one(self, tmp_path, chirps_per_frame, sigmas):
-        wav = tmp_path / "speech.wav"
-        write_wav(wav, make_speech_clip(11, duration=0.5))
-        config = replace(
-            _sweep_variant(PipelineConfig(seed=4), "chirps_per_frame", chirps_per_frame),
-            beginning_sigma=sigmas[0],
-            periodic_sigma=sigmas[1],
-        )
-        streamed, in_memory = tmp_path / "streamed.bin", tmp_path / "in_memory.bin"
-        cmd_simulate(config, wav, streamed)
-        capture = in_memory_capture(config, read_wav(wav), config.seed)
-        assert capture.config.chirps_per_frame == chirps_per_frame
-        assert len(capture.artifact_log) == (capture.n_frames + 1 if sigmas[0] else 0)
-        save_capture(capture, in_memory, seed=config.seed)
-        assert streamed.read_bytes() == in_memory.read_bytes()
-        sidecar = Path(f"{streamed}.artifacts.json").read_text()
-        assert sidecar == Path(f"{in_memory}.artifacts.json").read_text()
 
     def test_write_failing_mid_stream_stops_the_noise_thread(self, tmp_path, monkeypatch, capsys):
         def failing_write(path, config, frames):
@@ -457,7 +435,7 @@ class TestExtract:
             return [digest(frame) for frame in CaptureFile(path)]
 
         def run(*argv):
-            for calls in (searched, demodulated, stamped_blocks, made):
+            for calls in (searched, demodulated, stamped_blocks, made, located):
                 calls.clear()
             assert main(list(argv)) == 0
 
@@ -489,7 +467,7 @@ class TestExtract:
         assert sorted(demodulated) == sorted(f for _, digests in by_value for f in digests)
         assert sorted(searched) == sorted(digests[0] for _, digests in by_value)
         assert stamped_blocks == [8] * 32
-        assert located == ["locate_target"]
+        assert located == []
         # where noise swamps the target, a sweep value searches every frame as
         # it is made; here another bin wins, so the frames are made again, the
         # same ones, and demodulated at that bin
@@ -500,6 +478,7 @@ class TestExtract:
         assert sorted(searched) == sorted(made[0][1])
         assert sorted(demodulated) == sorted(made[0][1] * 2)
         assert stamped_blocks == [8] * 16
+        assert located == []
         # where noise swamps the target, frame 0 predicts that the bound
         # fails, and every frame is searched once, on its way to the file
         noisy = tmp_path / "noisy.ini"
@@ -509,9 +488,11 @@ class TestExtract:
         frames = frames_of(cap)
         assert sorted(searched) == sorted(frames)
         assert set(demodulated) == set(frames)
+        assert located == []
         run("extract", "--capture", str(cap), "--out", str(tmp_path / "y.wav"))
         assert sorted(searched) == sorted(frames)
         assert set(demodulated) == set(frames)
+        assert located == ["locate_target"]
         # the full range profile and the in-memory capture stay off the pipeline
         assert in_memory == []
         # the frames each sweep value made are those of its in-memory capture
@@ -883,38 +864,6 @@ class TestSweep:
                     assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
                 else:
                     assert row[key] == value, key
-
-    @pytest.mark.parametrize("parameter, value", [
-        ("chirps_per_frame", "256"),
-        ("chirps_per_frame", "512"),
-        ("chirps_per_frame", "1024"),
-        ("material", "tinfoil"),
-        ("range_m", "3.7"),
-        # noise swamps the target: the two strongest bins differ by about 0.2 %
-        ("noise_floor_db", "40"),
-    ])
-    def test_demodulated_bin_is_the_one_extract_finds(self, parameter, value, monkeypatch):
-        # the bin found before stamping, against a fresh search of the stamped
-        # capture, which simulate would write; stamping rounds chirp 0 of each
-        # frame, which could move a bin tied to rounding. The column, its
-        # stamped rows demodulated again, gives the phase of the stamped capture
-        found = []
-        original_restamp = mmvib.cli.restamp_column
-
-        def restamp(rows, target, column, log):
-            original_restamp(rows, target, column, log)
-            found.append((target, column_phase(column)))
-
-        monkeypatch.setattr(mmvib.cli, "restamp_column", restamp)
-        audio = make_speech_clip(15, duration=1.0, rate=8000.0)
-        _sweep_point(PipelineConfig(), parameter, value, audio, 0, "speech.wav")
-        assert len(found) == 1
-        target, phase = found[0]
-        variant = _sweep_variant(PipelineConfig(), parameter, value)
-        capture = in_memory_capture(variant, audio, (variant.seed, 0))
-        found_target, found_phase = locate_target(capture)
-        assert target == found_target
-        assert phase.tobytes() == found_phase.tobytes()
 
     def test_writes_no_file(self, tmp_path, monkeypatch, capsys):
         # nothing is opened for writing but the report and its CSV, and

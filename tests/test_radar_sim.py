@@ -31,8 +31,6 @@ from mmvib import (
     simulate_if_frames,
     unwrap_phase,
 )
-from mmvib.radar_sim import _artifact_log, stamp_capture_file
-from mmvib.vib_extract import column_phase, restamp_column
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -417,26 +415,6 @@ class TestArtifacts:
         for event in out.artifact_log:
             expected[event.frame, event.chirp] *= np.exp(1j * event.magnitude_rad).astype(np.complex64)
         assert np.array_equal(frames, expected)
-
-    @pytest.mark.parametrize("sigmas", [(10.0, 6.0), (10.0, 0.0), (0.0, 6.0), (0.0, 0.0)])
-    def test_file_stamping_equals_inject_artifacts(self, chirp_cfg, tmp_path, sigmas):
-        clean = make_tone_capture(chirp_cfg, 500.0, duration_s=0.096)
-        path = tmp_path / "cap.bin"
-        save_capture(clean, path)
-        target = locate_target(clean)[0]
-        adc = chirp_cfg.adc_samples_per_chirp
-        kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
-        # the whole-frame matvec of the clean capture, patched to the stamped one's
-        column = clean.frames @ kernel
-        log = _artifact_log(clean.n_frames, *sigmas, 3, column_phase(column))
-        rows = clean.frames[:, 0].copy()
-        restamp_column(rows, target, column, log)
-        stamp_capture_file(path, chirp_cfg, rows, log)
-        stamped = inject_artifacts(clean, *sigmas, seed=3)
-        save_capture(stamped, tmp_path / "ref.bin")
-        assert path.read_bytes() == (tmp_path / "ref.bin").read_bytes()
-        assert log == stamped.artifact_log
-        assert column.tobytes() == (stamped.frames @ kernel).tobytes()
 
     def test_peak_memory_below_a_tenth_of_the_capture(self, chirp_cfg):
         # stamping in place holds no second capture

@@ -1,11 +1,10 @@
 """Range profiling, target selection, phase recovery, and outlier cleanup."""
 
-import os
-import re
 import threading
 import warnings
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from mmvib import (
     ChirpConfig,
     IFCapture,
     VibrationTrace,
-    displacement_from_audio,
     extract_phase_series,
     extract_vibration,
     inject_artifacts,
@@ -29,15 +27,14 @@ from mmvib import (
     range_resolution,
     remove_beginning_outlier,
     remove_periodic_outliers,
-    resample,
     save_capture,
     select_target_bin,
     simulate_if_frames,
     unwrap_phase,
-    zscore_normalize,
 )
+import mmvib.cli
 import mmvib.vib_extract
-from mmvib.cli import MATERIAL_PRESETS, PipelineConfig
+from mmvib.cli import MATERIAL_PRESETS, PipelineConfig, _sweep_variant, _write_capture
 from mmvib.radar_sim import DEFAULT_FRAME_PERIOD_S, MAX_BANDWIDTH_HZ
 from mmvib.vib_extract import BinSearch, TargetTracker, _certificate_terms, column_phase
 from oracles import in_memory_capture, oracle_remove_periodic_outliers
@@ -153,15 +150,9 @@ class TestPhaseSeries:
             extract_phase_series(profile, 500)
 
 
-def frame_scaled_config(chirps_per_frame: int) -> ChirpConfig:
-    """Default waveform at another chirp count, duty cycle kept (as the sweep does)."""
-    base = ChirpConfig()
-    duty = base.chirps_per_frame * base.chirp_duration / base.frame_period
-    return replace(
-        base,
-        chirps_per_frame=chirps_per_frame,
-        chirp_duration=duty * base.frame_period / chirps_per_frame,
-    )
+def sweep_chirp(chirps_per_frame: int) -> ChirpConfig:
+    """The chirp a chirps_per_frame sweep runs at that chirp count."""
+    return _sweep_variant(PipelineConfig(), "chirps_per_frame", chirps_per_frame).chirp
 
 
 def reference_target(capture: IFCapture) -> tuple[int, np.ndarray]:
@@ -176,33 +167,9 @@ LOCATE_PHASE_ATOL = 1e-6
 
 
 class TestLocateTarget:
-    @pytest.mark.parametrize("chirps_per_frame", [256, 512, 1024])
-    def test_tone_matches_reference(self, chirps_per_frame):
-        cfg = frame_scaled_config(chirps_per_frame)
-        cap = make_tone_capture(cfg, 500.0, duration_s=0.192, noise_floor_db=-40.0)
-        target, phase = locate_target(cap)
-        want_bin, want_phase = reference_target(cap)
-        assert target == want_bin
-        assert phase.dtype == np.float64 and phase.shape == want_phase.shape
-        assert np.abs(phase - want_phase).max() <= LOCATE_PHASE_ATOL
-
-    def test_speech_capture_matches_reference(self):
-        # the simulate command's scene at defaults, without artifacts
-        config = PipelineConfig()
-        rate = config.chirp.effective_sampling_rate
-        forcing = zscore_normalize(resample(make_speech_clip(5, duration=3.0), rate))
-        vib = displacement_from_audio(forcing, config.material, config.force_scale)
-        cap = simulate_if_frames(
-            config.chirp, vib, config.range_m, reflectivity=config.material.reflectivity, seed=5
-        )
-        target, phase = locate_target(cap)
-        want_bin, want_phase = reference_target(cap)
-        assert target == want_bin
-        assert np.abs(phase - want_phase).max() <= LOCATE_PHASE_ATOL
-
     @pytest.mark.parametrize("chirps_per_frame", [256, 512])
     def test_frame_strengths_equal_the_complex64_fft(self, chirps_per_frame):
-        cfg = frame_scaled_config(chirps_per_frame)
+        cfg = sweep_chirp(chirps_per_frame)
         cap = make_tone_capture(cfg, 500.0, duration_s=0.192, noise_floor_db=-40.0)
         bins = cfg.adc_samples_per_chirp // 2 + 1
         total = np.zeros(bins)
@@ -218,32 +185,6 @@ class TestLocateTarget:
         for frame in cap:
             search.add(frame)
         assert search.strength.tobytes() == total.tobytes()
-
-    @pytest.mark.parametrize("chirps_per_frame", [256, 512, 1024])
-    def test_demodulation_equals_the_whole_capture_matvec(self, chirps_per_frame):
-        # frame by frame, the single-bin DFT gives the bytes of one matvec over the capture
-        cfg = frame_scaled_config(chirps_per_frame)
-        cap = make_tone_capture(cfg, 500.0, duration_s=0.192, noise_floor_db=-40.0)
-        target, phase = locate_target(cap)
-        adc = cfg.adc_samples_per_chirp
-        kernel = np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
-        column = (cap.frames @ kernel).reshape(-1).astype(np.complex128)
-        assert phase.tobytes() == unwrap_phase(np.angle(column)).tobytes()
-
-    def test_capture_file_equals_the_loaded_capture(self, tmp_path):
-        config = PipelineConfig()
-        rate = config.chirp.effective_sampling_rate
-        forcing = zscore_normalize(resample(make_speech_clip(6, duration=1.0), rate))
-        vib = displacement_from_audio(forcing, config.material, config.force_scale)
-        cap = simulate_if_frames(
-            config.chirp, vib, config.range_m, reflectivity=config.material.reflectivity, seed=6
-        )
-        path = tmp_path / "cap.bin"
-        save_capture(inject_artifacts(cap, 10.0, 6.0, seed=6), path)
-        target, phase = locate_target(CaptureFile(path))
-        want_bin, want_phase = locate_target(load_capture(path))
-        assert target == want_bin
-        assert phase.tobytes() == want_phase.tobytes()
 
     def test_empty_capture(self, chirp_cfg):
         cap = IFCapture(np.zeros((0, 256, 256), dtype=np.complex64), chirp_cfg)
@@ -262,55 +203,21 @@ class TestLocateTarget:
         assert traced_peak(lambda: locate_target(cap)) < 0.1 * cap.frames.nbytes
 
 
-class TestBadFrameIsOneError:
-    """A frame that is not finite or is cut short gives locate_target one error, on this thread."""
+def tracker_scene(noise=-60.0, range_m=1.5, preset="pet", sigmas=(0.0, 0.0), chirps=256, adc=256,
+                  chirp=None, seconds=0.1):
+    """The simulate command's scene on a speech clip, about three frames of it by default: its
+    PipelineConfig and its audio.
 
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
-    @pytest.mark.parametrize("source", ["memory", "file"])
-    def test_non_finite_frame_is_one_error(self, tmp_path, value, source):
-        cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.16, noise_floor_db=-40.0)
-        cap.frames[-1, -1, -1] = value
-        path = tmp_path / "bad.bin"
-        save_capture(cap, path)
-        capture, name = (cap, "in-memory capture") if source == "memory" else (CaptureFile(path), path)
-        before = threading.active_count()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as err:
-                locate_target(capture)
-        assert str(err.value) == f"capture samples are not finite or too large: {name}"
-        assert threading.active_count() == before
-
-    def test_file_truncated_after_opening(self, tmp_path, monkeypatch):
-        cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.16, noise_floor_db=-40.0)
-        path = tmp_path / "cap.bin"
-        save_capture(cap, path)
-        reader = CaptureFile(path)
-        frame_bytes = cap.frames[0].nbytes
-        # the last frames end short; the search pass raises, and the tracker's
-        # result, where a second pass would demodulate, is never reached
-        with open(path, "r+b") as fh:
-            fh.truncate(os.path.getsize(path) - frame_bytes - frame_bytes // 2)
-        monkeypatch.setattr(TargetTracker, "result", None)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match=f"^truncated capture file: {re.escape(str(path))}$"):
-            locate_target(reader)
-        assert threading.active_count() == before
-
-
-def tracker_scene(noise=-60.0, range_m=1.5, preset="pet", artifacts=False, chirps=256, adc=256):
-    """About three frames of the simulate command's scene on a speech clip, in memory.
-
-    The chirp is scaled to the frame's chirp count over the full bandwidth.
+    Unless chirp is given, the chirp is scaled to the frame's chirp count over the full bandwidth.
     """
-    duration = 0.9 * DEFAULT_FRAME_PERIOD_S / chirps
-    chirp = replace(ChirpConfig(), chirps_per_frame=chirps, adc_samples_per_chirp=adc,
-                    chirp_duration=duration, slope=MAX_BANDWIDTH_HZ / duration)
-    sigmas = (10.0, 6.0) if artifacts else (0.0, 0.0)
+    if chirp is None:
+        duration = 0.9 * DEFAULT_FRAME_PERIOD_S / chirps
+        chirp = replace(ChirpConfig(), chirps_per_frame=chirps, adc_samples_per_chirp=adc,
+                        chirp_duration=duration, slope=MAX_BANDWIDTH_HZ / duration)
     config = PipelineConfig(chirp=chirp, material=MATERIAL_PRESETS[preset], range_m=range_m,
                             noise_floor_db=noise, beginning_sigma=sigmas[0],
                             periodic_sigma=sigmas[1])
-    return in_memory_capture(config, make_speech_clip(3, duration=0.1), 5)
+    return config, make_speech_clip(3, duration=seconds)
 
 
 def two_tones(first: float, rest: float) -> IFCapture:
@@ -355,8 +262,9 @@ def noisy_after_frame_0() -> IFCapture:
 # demodulate it.
 PASSES = {"certified": 1, "streamed": 1, "streamed, moved": 2, "fallback": 2,
           "fallback, moved": 3}
-# The capture of each case, and its path in PASSES or the error it raises,
-# before the capture's name
+# Each case's capture, or its scene, and its path in PASSES or the error it
+# raises, before the capture's name. A scene's capture is in_memory_capture of
+# it with seed key SCENE_SEED.
 TRACKER_CASES = {
     **{f"noise{db}": (partial(tracker_scene, noise=db), path)
        for db, path in [(-60, "certified"), (-20, "certified"), (0, "certified"),
@@ -366,9 +274,23 @@ TRACKER_CASES = {
     "range3.7-noise10": (partial(tracker_scene, range_m=3.7, noise=10.0), "streamed"),
     "tinfoil": (partial(tracker_scene, preset="tinfoil"), "certified"),
     "tinfoil-noise10": (partial(tracker_scene, preset="tinfoil", noise=10.0), "streamed"),
-    "artifacts": (partial(tracker_scene, artifacts=True), "certified"),
+    **{f"artifacts{b:g}-{p:g}": (partial(tracker_scene, sigmas=(b, p)), "certified")
+       for b, p in [(10.0, 6.0), (10.0, 0.0), (0.0, 6.0)]},
     "tinfoil-artifacts-noise40": (
-        partial(tracker_scene, preset="tinfoil", artifacts=True, noise=40.0), "streamed, moved"),
+        partial(tracker_scene, preset="tinfoil", sigmas=(10.0, 6.0), noise=40.0),
+        "streamed, moved"),
+    # the sweep's default artifacts on scenes its axes move to
+    **{f"{name}-artifacts": (partial(tracker_scene, sigmas=(10.0, 6.0), **scene), path)
+       for name, scene, path in [("range3.7", {"range_m": 3.7}, "certified"),
+                                 ("tinfoil", {"preset": "tinfoil"}, "certified"),
+                                 ("noise40", {"noise": 40.0}, "streamed, moved")]},
+    # the simulate command's defaults, without artifacts, on 3 s of speech: 93 frames
+    "speech-3s": (partial(tracker_scene, chirp=ChirpConfig(), seconds=3.0), "certified"),
+    # the chirp sweep's waveform at 512 and 1024 chirps
+    **{f"{chirps}x256{tag}": (partial(tracker_scene, chirp=sweep_chirp(chirps), noise=-40.0,
+                                      sigmas=sigmas), "certified")
+       for chirps in (512, 1024)
+       for tag, sigmas in [("", (0.0, 0.0)), ("-artifacts", (10.0, 6.0))]},
     **{f"{chirps}x{adc}": (partial(tracker_scene, chirps=chirps, adc=adc,
                                    range_m=1.5 if adc >= 256 else 0.2), "certified")
        for chirps, adc in [(1, 256), (1, 16), (2, 16), (9, 256), (9, 16), (256, 16),
@@ -391,101 +313,178 @@ TRACKER_CASES = {
     **{f"{name}-frame{frame}": (partial(tone_capture, frame, value),
                                 "capture samples are not finite or too large")
        for name, value in [("nan", np.nan), ("inf", np.inf)] for frame in (0, 1, 2)},
+    # its container is cut short after it is opened
     "truncated": (tone_capture, "truncated capture file"),
 }
+SCENE_SEED = 5
+# The cases where noise swamps the target, and the bound on their phase's
+# distance from reference_target's; every other case keeps LOCATE_PHASE_ATOL
+SWAMPED = {"noise40", "noise40-artifacts", "tinfoil-artifacts-noise40"}
+SWAMPED_PHASE_ATOL = 1e-5
 
 
-def tracker_capture(case, tmp_path):
-    """The capture of a TRACKER_CASES case and the name its errors give.
+def is_scene(case):
+    """Whether a TRACKER_CASES case is a tracker_scene scene rather than a capture."""
+    return getattr(TRACKER_CASES[case][0], "func", None) is tracker_scene
 
-    The truncated case's is a container cut short after it is opened.
-    """
-    capture, source = TRACKER_CASES[case][0](), "in-memory capture"
-    if case == "truncated":
-        source = tmp_path / "cut.bin"
-        save_capture(capture, source)
-        capture = CaptureFile(source)
-        with open(source, "r+b") as fh:
-            fh.truncate(source.stat().st_size - 100)
-    return capture, source
+
+def by_memory(capture, scene, tmp_path):
+    return partial(locate_target, capture), "in-memory capture"
+
+
+def by_file(capture, scene, tmp_path):
+    """locate_target on a container of the capture, or on the capture if it is one."""
+    if not isinstance(capture, CaptureFile):
+        save_capture(capture, tmp_path / "cap.bin")
+        capture = CaptureFile(tmp_path / "cap.bin")
+    return partial(locate_target, capture), capture.path
+
+
+def by_factory(capture, scene, tmp_path):
+    """A TargetTracker fed by hand, whose second passes read fresh copies of the frames from a
+    factory, as a sweep makes its frames again."""
+    def track():
+        tracker = TargetTracker(capture.config, capture.n_frames)
+        for frame in capture:
+            tracker.add(frame.copy())
+        return tracker.result(lambda: (frame.copy() for frame in capture), source)
+
+    source = getattr(capture, "path", "the frames")
+    return track, source
+
+
+def by_sweep(capture, scene, tmp_path):
+    name = "the capture of the clip"
+    return partial(_write_capture, *scene, "the clip", SCENE_SEED, None, name), name
+
+
+def by_simulate(capture, scene, tmp_path):
+    path = tmp_path / "simulated.bin"
+    return partial(_write_capture, *scene, "the clip", SCENE_SEED, path, path), path
+
+
+# Every entry point that finds a bin, each given the case's capture, its scene
+# or None, and a directory for files; each returns the call to make and the
+# name its errors give the capture. The two legs of _write_capture run scenes
+# only, and the truncated case runs on its container.
+TRACKER_LEGS = {"memory": by_memory, "file": by_file, "factory": by_factory, "sweep": by_sweep,
+                "simulate": by_simulate}
+
+
+def tracker_legs():
+    for case in TRACKER_CASES:
+        legs = list(TRACKER_LEGS)
+        if not is_scene(case):
+            legs = ["file", "factory"] if case == "truncated" else ["memory", "file", "factory"]
+        for leg in legs:
+            yield pytest.param(case, leg, id=f"{case}-{leg}")
+
+
+# tracker_legs yields a case's legs one after another, so the case last built is
+# the one the next leg needs; run in another order, a leg builds its case again.
+@lru_cache(maxsize=1)
+def tracker_case(case):
+    """A TRACKER_CASES case's capture in memory, its frames read-only so that no leg changes
+    them for the next, its scene or None, full_search's result on the capture, and
+    reference_target's, or None where the case raises."""
+    made = TRACKER_CASES[case][0]()
+    scene = made if is_scene(case) else None
+    capture = in_memory_capture(*scene, SCENE_SEED) if scene else made
+    capture.frames.flags.writeable = False
+    raises = TRACKER_CASES[case][1] not in PASSES
+    return (capture, scene, full_search(capture, "in-memory capture"),
+            None if raises else reference_target(capture))
 
 
 def full_search(capture, source):
-    """The reference: the bin a BinSearch of every frame names, or its error, and the
-    unwrapped phase of each whole frame's one matmul at that bin, or None."""
+    """The reference: the bin a BinSearch of every frame names, or its error; the
+    [n_frames, chirps] column of each whole frame's one matmul at that bin, and the
+    unwrapped phase of that column in float64, or None."""
     search = BinSearch(capture.config)
     try:
         for frame in capture:
             search.add(frame)
         want = search.target(source)
     except ValueError as exc:
-        return str(exc), None
+        return str(exc), None, None
     adc = capture.config.adc_samples_per_chirp
     kernel = np.exp(-2j * np.pi * want * np.arange(adc) / adc).astype(np.complex64)
     column = np.stack([frame @ kernel for frame in capture])
-    return want, unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
+    return want, column, unwrap_phase(np.angle(column.reshape(-1).astype(np.complex128)))
+
+
+def counting(calls, original):
+    return lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)
 
 
 class TestTargetTracker:
-    @pytest.mark.parametrize("case", TRACKER_CASES)
-    def test_equals_a_full_search_and_whole_frame_demodulation(self, case, tmp_path,
-                                                                monkeypatch):
+    @pytest.mark.parametrize("case, leg", tracker_legs())
+    def test_every_entry_point_equals_the_references(self, case, leg, tmp_path, monkeypatch):
+        """Each entry point, on each case, names the bin, demodulates the column and gives
+        the phase a search and whole-frame demodulation of every frame give, or raises
+        their error; picks the bin of the range profile and comes within a stated bound of
+        its phase; reads the capture PASSES times; and leaves no warning and no thread
+        behind. A simulated container and its sidecar are those of the in-memory capture."""
         path = TRACKER_CASES[case][1]
-        capture, source = tracker_capture(case, tmp_path)
-        want, want_phase = full_search(capture, source)
-        searched = []
-        original_add = BinSearch.add
-        monkeypatch.setattr(BinSearch, "add",
-                            lambda search, frame: searched.append(1) or original_add(search, frame))
-        reads = []
-        original_iter = type(capture).__iter__
-        monkeypatch.setattr(type(capture), "__iter__",
-                            lambda capture: reads.append(1) or original_iter(capture))
+        capture, scene, (want, want_column, want_phase), reference = tracker_case(case)
+        if case == "truncated":
+            save_capture(capture, tmp_path / "cap.bin")
+            capture = CaptureFile(tmp_path / "cap.bin")
+            with open(capture.path, "r+b") as fh:
+                fh.truncate(capture.path.stat().st_size - 100)
+        call, source = TRACKER_LEGS[leg](capture, scene, tmp_path)
+        if leg == "simulate":
+            saved = tmp_path / "saved.bin"
+            save_capture(capture, saved, seed=scene[0].seed)
+        searched, reads, results = [], [], []
+        monkeypatch.setattr(BinSearch, "add", counting(searched, BinSearch.add))
+        for owner, name in [(IFCapture, "__iter__"), (CaptureFile, "__iter__"),
+                            (mmvib.cli, "iter_if_frames")]:
+            monkeypatch.setattr(owner, name, counting(reads, getattr(owner, name)))
+        original_result = TargetTracker.result
+        monkeypatch.setattr(TargetTracker, "result",
+                            lambda *args: results.append(original_result(*args)) or results[-1])
+        if case == "truncated":
+            # the first pass raises, and result, where a second would begin, is never reached
+            monkeypatch.setattr(TargetTracker, "result", None)
+        before = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if path in PASSES:
-                target, phase = locate_target(capture)
+                returned = call()
             else:
                 with pytest.raises(ValueError) as err:
-                    locate_target(capture)
+                    call()
+        assert threading.active_count() == before
         if path not in PASSES:
-            assert str(err.value) == want == f"{path}: {source}"
+            assert str(err.value) == f"{path}: {source}"
+            if case != "truncated":
+                assert want == f"{path}: in-memory capture"
+            if leg == "simulate":
+                assert not source.exists() and not Path(f"{source}.artifacts.json").exists()
             return
+        [(target, column)] = results
         assert len(searched) == (1 if path == "certified" else capture.n_frames)
         assert len(reads) == PASSES[path]
         assert target == want
+        assert column.tobytes() == want_column.tobytes()
+        phase = column_phase(column)
         assert phase.tobytes() == want_phase.tobytes()
-
-    @pytest.mark.parametrize("case", TRACKER_CASES)
-    def test_reads_again_from_a_frame_factory(self, case, tmp_path):
-        """A tracker fed by hand reads its second passes from a factory of new frames each
-        call, as sweep's frames are made again, and gives what locate_target gives."""
-        path = TRACKER_CASES[case][1]
-        capture, source = tracker_capture(case, tmp_path)
-        want, want_phase = full_search(capture, source)
-        made = []
-
-        def frames():
-            made.append(1)
-            return (frame.copy() for frame in capture)
-
-        def track():
-            tracker = TargetTracker(capture.config, capture.n_frames)
-            for frame in capture:
-                tracker.add(frame.copy())
-            return tracker.result(frames, source)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if path not in PASSES:
-                with pytest.raises(ValueError) as err:
-                    track()
-                assert str(err.value) == want == f"{path}: {source}"
-                return
-            target, column = track()
-        assert len(made) == PASSES[path] - 1
-        assert target == want
-        assert column_phase(column).tobytes() == want_phase.tobytes()
+        if leg in ("memory", "file"):
+            assert returned[0] == target and returned[1].tobytes() == want_phase.tobytes()
+        elif leg != "factory":
+            assert returned[1] is column
+        reference_bin, reference_phase = reference
+        assert target == reference_bin
+        assert phase.dtype == np.float64 and phase.shape == reference_phase.shape
+        atol = SWAMPED_PHASE_ATOL if case in SWAMPED else LOCATE_PHASE_ATOL
+        assert np.abs(phase - reference_phase).max() <= atol
+        if leg == "simulate":
+            sigmas = scene[0].beginning_sigma, scene[0].periodic_sigma
+            assert len(capture.artifact_log) == (sigmas[0] > 0) + capture.n_frames * (sigmas[1] > 0)
+            for suffix in ("", ".artifacts.json"):
+                assert (Path(f"{source}{suffix}").read_bytes()
+                        == Path(f"{saved}{suffix}").read_bytes())
 
     def test_certificate_terms_dominate_the_ten_they_replace(self):
         """c, t and delta only ever certify where the ten terms before them did.
