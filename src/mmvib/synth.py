@@ -167,11 +167,13 @@ def map_rows(work: Callable, rows: list, size: Callable | None = None) -> list:
     size(row) first when size is given, equal sizes in row order, so the
     largest row does not run alone at the end. work is meant to stay out of
     BLAS: a threaded OpenBLAS product wakes BLAS threads that spin on the
-    CPUs the pool needs. Radar sweep rows scored above 10 kHz do call one:
-    STOI's resample to 10 kHz runs a BLAS gemv. When work raises, the rows
-    after that one that have not started are dropped; once the running rows
-    finish, the exception of the first row in row order that raised one is
-    raised here.
+    CPUs the pool needs. STOI's resample to 10 kHz reaches BLAS only where
+    its window rows do not overlap, as from 44.1 kHz (441 samples apart, 89
+    taps); from sweep's 16 and 32 kHz radar rows they overlap (8 and 16
+    apart, 33 and 65 taps), so numpy runs its own loop. When work raises,
+    the rows after that one that have not started are dropped; once the
+    running rows finish, the exception of the first row in row order that
+    raised one is raised here.
     """
     # imported here: concurrent.futures loads logging, which would add to
     # the start-up of every command, not only the ones with manifests

@@ -215,30 +215,23 @@ def _bin_kernel(target: int, adc: int) -> np.ndarray:
     return np.exp(-2j * np.pi * target * np.arange(adc) / adc).astype(np.complex64)
 
 
-def _layout(n: int, adc: int) -> tuple[int, int, int]:
-    """How _demodulate splits n rows of adc samples: the rows of a whole block,
-    the most in multiples of 8 (at least 8) that stay under the BLAS
-    threading size; the rows the whole blocks cover; the first row of the
-    last call, 0 when no whole block runs."""
-    step = 8 * max(1, (_BLAS_THREAD_ELEMENTS - 1) // (8 * adc))
-    body = n - n % step
-    # a one-row matmul is a dot product with other bits than gemv's
-    last = n - 2 if n - body == 1 and n > 1 else body
-    return step, body, last
-
-
 def _demodulate(rows: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
     """out = rows @ kernel, bit for bit, in blocks that keep BLAS on this thread.
 
     With a _bin_kernel, this demodulates one bin of a frame's chirps, a
     single-bin DFT. Whole-frame calls would wake a BLAS worker that spins
-    beside the caller. The whole blocks run in one batched matmul and the
-    rest in one more; a gemv gives each row the same bits whichever rows
-    share its call. A last block of one row is run as the last two rows.
-    Samples that are not finite give what they give, without numpy warnings.
+    beside the caller. The whole blocks, of the most rows in multiples of 8
+    (at least 8) that stay under the BLAS threading size, run in one batched
+    matmul and the rest in one more; a gemv gives each row the same bits
+    whichever rows share its call. A last block of one row is run as the
+    last two rows, and a frame of one row as a dot product. Samples that are
+    not finite give what they give, without numpy warnings.
     """
     n, adc = rows.shape
-    step, body, last = _layout(n, adc)
+    step = 8 * max(1, (_BLAS_THREAD_ELEMENTS - 1) // (8 * adc))
+    body = n - n % step
+    # a one-row matmul is a dot product with other bits than gemv's
+    last = n - 2 if n - body == 1 and n > 1 else body
     with np.errstate(all="ignore"):
         if body:
             np.matmul(rows[:body].reshape(-1, step, adc), kernel, out=out[:body].reshape(-1, step))
@@ -260,15 +253,14 @@ def restamp_column(rows: np.ndarray, target: int, column: np.ndarray, log) -> No
     event rotates its row in place, in log order, as inject_artifacts rotates
     the capture, so rows end as the stamped capture's chirp 0, which
     stamp_capture_file writes into a container. The row is demodulated again
-    as row 0 of a zero-filled block of as many rows as the _demodulate call
-    chirp 0 runs in, per _layout; a gemv gives a row the same bits whatever
-    rows share its call, so column ends equal bit for bit to the stamped
-    capture's demodulation, and no capture is read.
+    as row 0 of a zero-filled block of two rows, a gemv, which gives it the
+    bits of its frame's _demodulate call whichever rows share that call; a
+    capture of one chirp per frame has a one-row block, a dot product, as
+    its frames do. So column ends equal bit for bit to the stamped capture's
+    demodulation, and no capture is read.
     """
-    n, adc = column.shape[1], rows.shape[1]
-    kernel = _bin_kernel(target, adc)
-    step, _, last = _layout(n, adc)
-    block = np.zeros((n if last == 0 else step, adc), dtype=np.complex64)
+    kernel = _bin_kernel(target, rows.shape[1])
+    block = np.zeros((min(column.shape[1], 2), rows.shape[1]), dtype=np.complex64)
     demodulated = np.empty(len(block), dtype=np.complex64)
     for event in log:
         rows[event.frame] *= _rotation(event)

@@ -374,7 +374,7 @@ class TestExtract:
     def test_every_frame_searched_once_per_command(self, tmp_path, monkeypatch):
         searched = []  # a digest of each frame a bin search sums, as it sums it
         demodulated = []  # a digest of each whole frame demodulated, as it is
-        stamped_blocks = []  # the rows of each part-frame demodulation
+        restamped = []  # one entry per part-frame demodulation, whatever its rows
         made = []  # the digests of the frames of each capture a sweep makes, by value, in turn
         located = []
         in_memory = []
@@ -408,7 +408,7 @@ class TestExtract:
             if len(rows) == 256:
                 demodulated.append(digest(rows))
             else:
-                stamped_blocks.append(len(rows))
+                restamped.append(1)
             return original_demodulate(rows, kernel, out)
 
         original_frames = mmvib.cli.iter_if_frames
@@ -435,7 +435,7 @@ class TestExtract:
             return [digest(frame) for frame in CaptureFile(path)]
 
         def run(*argv):
-            for calls in (searched, demodulated, stamped_blocks, made, located):
+            for calls in (searched, demodulated, restamped, made, located):
                 calls.clear()
             assert main(list(argv)) == 0
 
@@ -446,17 +446,17 @@ class TestExtract:
         assert len(frames) == 15
         assert sorted(demodulated) == sorted(frames)
         assert searched == frames[:1]
-        # simulate stamps the chirp-0 rows it kept, as sweep does: one block per logged chirp,
-        # 15 periodic spikes and the beginning one
-        assert stamped_blocks == [8] * 16
+        # simulate stamps the chirp-0 rows it kept, as sweep does: one demodulation per
+        # logged chirp, 15 periodic spikes and the beginning one
+        assert len(restamped) == 16
         assert located == []
         run("extract", "--capture", str(cap), "--out", str(tmp_path / "x.wav"))
         assert sorted(demodulated) == sorted(frames)
         assert searched == frames[:1]
-        assert stamped_blocks == []
+        assert restamped == []
         assert located == ["locate_target"]
         # sweep makes each radar value's frames once and demodulates them as
-        # they go by, then only one block per row it stamps; the values may
+        # they go by, then only one demodulation per row it stamps; the values may
         # run side by side, so each value's frames are told apart by their
         # digests, which are those of the in-memory capture of that value
         run("sweep", "--param", "range_m", "--values", "1.0,1.5", "--audio", str(wav),
@@ -466,7 +466,7 @@ class TestExtract:
         assert [len(digests) for _, digests in by_value] == [15, 15]
         assert sorted(demodulated) == sorted(f for _, digests in by_value for f in digests)
         assert sorted(searched) == sorted(digests[0] for _, digests in by_value)
-        assert stamped_blocks == [8] * 32
+        assert len(restamped) == 32
         assert located == []
         # where noise swamps the target, a sweep value searches every frame as
         # it is made; here another bin wins, so the frames are made again, the
@@ -477,7 +477,7 @@ class TestExtract:
         assert made[0] == made[1]
         assert sorted(searched) == sorted(made[0][1])
         assert sorted(demodulated) == sorted(made[0][1] * 2)
-        assert stamped_blocks == [8] * 16
+        assert len(restamped) == 16
         assert located == []
         # where noise swamps the target, frame 0 predicts that the bound
         # fails, and every frame is searched once, on its way to the file

@@ -1,5 +1,6 @@
 """Range profiling, target selection, phase recovery, and outlier cleanup."""
 
+import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -414,7 +415,23 @@ def full_search(capture, source):
 
 
 def counting(calls, original):
-    return lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)
+    return lambda *args, **kwargs: calls.append(original.__name__) or original(*args, **kwargs)
+
+
+def names_a_bin(capture):
+    """Whether a BinSearch of frame 0 alone names a bin, so that the tracker demodulates."""
+    search = BinSearch(capture.config)
+    search.add(capture.frames[0])
+    try:
+        search.target(None)
+    except ValueError:
+        return False
+    return True
+
+
+# The whole-capture path, which no entry point that finds a bin takes
+IN_MEMORY_PATH = ("range_fft", "select_target_bin", "extract_phase_series", "simulate_if_frames",
+                  "inject_artifacts", "save_capture", "load_capture")
 
 
 class TestTargetTracker:
@@ -423,10 +440,14 @@ class TestTargetTracker:
         """Each entry point, on each case, names the bin, demodulates the column and gives
         the phase a search and whole-frame demodulation of every frame give, or raises
         their error; picks the bin of the range profile and comes within a stated bound of
-        its phase; reads the capture PASSES times; and leaves no warning and no thread
-        behind. A simulated container and its sidecar are those of the in-memory capture."""
+        its phase; reads the capture PASSES times; demodulates every frame it reads once per
+        pass that demodulates, one more pass where the bin moves from the one frame 0 named,
+        and each stamped row once, in restamp_column; takes no step of IN_MEMORY_PATH; and
+        leaves no warning and no thread behind. A simulated container and its sidecar are
+        those of the in-memory capture."""
         path = TRACKER_CASES[case][1]
         capture, scene, (want, want_column, want_phase), reference = tracker_case(case)
+        passes = names_a_bin(capture) + ("moved" in path)
         if case == "truncated":
             save_capture(capture, tmp_path / "cap.bin")
             capture = CaptureFile(tmp_path / "cap.bin")
@@ -447,6 +468,15 @@ class TestTargetTracker:
         if case == "truncated":
             # the first pass raises, and result, where a second would begin, is never reached
             monkeypatch.setattr(TargetTracker, "result", None)
+        sites = []  # the function each _demodulate call is made in
+        in_memory = []
+        demodulate = mmvib.vib_extract._demodulate
+        monkeypatch.setattr(mmvib.vib_extract, "_demodulate", lambda *args: sites.append(
+            sys._getframe(1).f_code.co_name) or demodulate(*args))
+        # every module-level reference, so that a second import of one is counted too
+        for module in [module for key, module in sys.modules.items() if key.startswith("mmvib")]:
+            for name in set(IN_MEMORY_PATH) & set(vars(module)):
+                monkeypatch.setattr(module, name, counting(in_memory, vars(module)[name]))
         before = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -456,6 +486,12 @@ class TestTargetTracker:
                 with pytest.raises(ValueError) as err:
                     call()
         assert threading.active_count() == before
+        assert in_memory == []
+        stamped = sites.count("restamp_column")
+        # the truncated container's last frame is cut short
+        assert len(sites) - stamped == (capture.n_frames - (case == "truncated")) * passes
+        stamps = leg in ("sweep", "simulate") and path in PASSES  # raising legs stamp nothing
+        assert stamped == (len(capture.artifact_log) if stamps else 0)
         if path not in PASSES:
             assert str(err.value) == f"{path}: {source}"
             if case != "truncated":
@@ -538,29 +574,27 @@ class TestTargetTracker:
 
     # In a fresh interpreter, the count of random frames of each shape whose
     # blocked demodulation differs in any bit from one matmul of the frame,
-    # and whose chirp 0, demodulated again as restamp_column does it, as row 0
-    # of a zero-filled block of the rows _demodulate ran it in, differs from
-    # that matmul's
+    # plus the count of its rows that, each restamped by a zero spike as the
+    # chirp 0 of a frame of that shape, differ from that matmul's
     _BLOCKED_AGAINST_WHOLE = (
         "import numpy as np\n"
-        "from mmvib.vib_extract import _demodulate, _layout\n"
+        "from mmvib.radar_sim import ArtifactEvent\n"
+        "from mmvib.vib_extract import _bin_kernel, _demodulate, restamp_column\n"
         "rng = np.random.default_rng(0)\n"
         "differ = 0\n"
         "for chirps in (1, 2, 3, 8, 9, 17, 33, 256, 1024):\n"
         "    for adc in (1, 2, 3, 16, 255, 256, 512):\n"
         "        parts = rng.standard_normal((2, chirps, adc))\n"
         "        frame = (parts[0] + 1j * parts[1]).astype(np.complex64)\n"
-        "        kernel = np.exp(-2j * np.pi * (adc // 3) * np.arange(adc) / adc)\n"
-        "        kernel = kernel.astype(np.complex64)\n"
-        "        whole = (frame @ kernel).tobytes()\n"
+        "        kernel = _bin_kernel(adc // 3, adc)\n"
+        "        whole = frame @ kernel\n"
         "        out = np.empty(chirps, np.complex64)\n"
         "        _demodulate(frame, kernel, out)\n"
-        "        differ += out.tobytes() != whole\n"
-        "        step, _, last = _layout(chirps, adc)\n"
-        "        block = np.zeros((chirps if last == 0 else step, adc), np.complex64)\n"
-        "        block[0] = frame[0]\n"
-        "        _demodulate(block, kernel, out[: len(block)])\n"
-        "        differ += out[:1].tobytes() != whole[:8]\n"
+        "        differ += out.tobytes() != whole.tobytes()\n"
+        "        column = np.empty((chirps, chirps), np.complex64)\n"
+        "        log = [ArtifactEvent('periodic', row, 0, 0.0) for row in range(chirps)]\n"
+        "        restamp_column(frame.copy(), adc // 3, column, log)\n"
+        "        differ += int((column[:, 0].view(np.uint64) != whole.view(np.uint64)).sum())\n"
         "print(differ)\n"
     )
 
