@@ -158,17 +158,16 @@ class BinSearch:
     frame only when its bound cannot prove that this bin wins the search of
     every frame.
 
-    add sums each range bin's magnitude over one frame's chirps in float32,
-    equal bit for bit to np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0,
-    dtype=np.float32): numpy's complex64 FFT is its complex128 FFT rounded to
-    complex64, which is the path taken here. The frame sums are added into
-    the float64 strength, DC to Nyquist, and add returns the frame, so
-    map(search.add, frames) searches a stream on its way. Every step writes
-    into buffers made once, since the FFT's own scratch would otherwise be
-    mapped and unmapped on every frame. The chirps are transformed
-    _SEARCH_ROWS at a time. Frames too large or not finite leave a strength
-    that is not finite, which target reports as one error, without numpy
-    warnings.
+    add sums each range bin's float64 magnitude over one frame's chirps,
+    equal bit for bit to np.abs(np.fft.fft(frame.astype(np.complex128),
+    axis=1)[:, :bins]).sum(axis=0), and adds that frame sum into the float64
+    strength, DC to Nyquist. It returns the frame, so map(search.add, frames)
+    searches a stream on its way. Every step writes into buffers made once,
+    since the FFT's own scratch would otherwise be mapped and unmapped on
+    every frame. The chirps are transformed _SEARCH_ROWS at a time. A frame
+    that is not finite leaves a strength that is not finite, which target
+    reports as one error, without numpy warnings; a finite complex64 frame
+    cannot overflow these float64 sums at ChirpConfig's cap.
     """
 
     def __init__(self, config: ChirpConfig) -> None:
@@ -177,22 +176,18 @@ class BinSearch:
         self._bins = adc // 2 + 1
         self._wide = np.empty((rows, adc), dtype=np.complex128)
         self._spectrum = np.empty_like(self._wide)
-        self._half = np.empty((rows, self._bins), dtype=np.complex64)
-        self._magnitude = np.empty((chirps, self._bins), dtype=np.float32)
-        self._frame_strength = np.empty(self._bins, dtype=np.float32)
+        self._magnitude = np.empty((chirps, self._bins))
         self.strength = np.zeros(self._bins)
 
     def add(self, frame: np.ndarray) -> np.ndarray:
         rows = len(self._wide)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             for start in range(0, len(frame), rows):
                 n = min(rows, len(frame) - start)
                 np.copyto(self._wide[:n], frame[start : start + n])
                 np.fft.fft(self._wide[:n], axis=1, out=self._spectrum[:n])
-                np.copyto(self._half[:n], self._spectrum[:n, : self._bins])
-                np.abs(self._half[:n], out=self._magnitude[start : start + n])
-            self._magnitude.sum(axis=0, dtype=np.float32, out=self._frame_strength)
-        self.strength += self._frame_strength
+                np.abs(self._spectrum[:n, : self._bins], out=self._magnitude[start : start + n])
+        self.strength += self._magnitude.sum(axis=0)
         return frame
 
     def target(self, source) -> int:
@@ -270,8 +265,6 @@ def restamp_column(rows: np.ndarray, target: int, column: np.ndarray, log) -> No
 
 
 _U32 = float(np.finfo(np.float32).eps) / 2  # float32 unit roundoff, 2^-24
-# A frame whose bins could sum past this may overflow the float32 search.
-_SEARCH_LIMIT = 2.0**126
 
 
 def _gamma(n: int) -> float:
@@ -281,34 +274,32 @@ def _gamma(n: int) -> float:
 
 # The proof. For a chirp x of frame 1 on, let X be its exact DFT and
 # r = sqrt(adc * sum|x|^2), so sum_k |X_k|^2 = r^2 (Parseval) and
-# |X_k|^2 <= r^2 - |X_g|^2 for k != g. A search of every frame adds to bin k
-# the float32 magnitude of the float64 FFT rounded to complex64: within
-# 2^-30 r of |X_k| (far above pocketfft's error), then off by a factor of
-# 1 +- 4u, u = 2^-24. It sums those over the frame in float32 (1 +-
-# gamma(chirps)) and the frame sums in float64 (1 +- gamma64(n_frames)). Here
+# |X_k|^2 <= r^2 - |X_g|^2 for k != g. Only two values keep float32 bits:
 # y, the float32 matmul at g, is within 2 gamma(2 adc + 4) r of X_g, and E,
-# the float32 energy, is at least (1 - gamma(2 adc)) sum|x|^2. As gamma(a) +
-# gamma(b) <= gamma(a + b) and (1 + gamma(a))(1 + gamma(b)) <= 1 + gamma(a + b):
-# - c = 2 gamma(2 adc + 2 chirps + 8), relative, per chirp, holds the matmul's
-#   term and gamma(chirps + 4). So for any norm >= r, each chirp adds at least
-#   low - 2^-30 norm to g's frame sum, where low = |y| - c norm - t <= |X_g|.
-#   And as (1 + gamma(m)) / (1 - gamma(n)) <= 1 / (1 - gamma(n + m)) for
-#   n = 2 adc, m = 2 chirps + 8 (ChirpConfig's cap keeps 2 (n + m) u below 1),
-#   norm = sqrt(adc E / (1 - c/2)) + t is at least (1 + gamma(chirps + 4)) r
-#   + t/2. So each chirp adds at most rest + 2^-30 norm to any other bin's
-#   frame sum, where rest = sqrt(norm^2 - max(low, 0)^2).
+# the float32 energy, is at least (1 - gamma(2 adc)) sum|x|^2.
+# - c = 2 gamma(2 adc + 4), relative, per chirp, is the matmul's term, and
+#   c/2 covers E's. So norm = sqrt(adc E / (1 - c/2)) + t is at least
+#   r + t/2, low = |y| - c norm - t is at most |X_g|, and
+#   rest = sqrt(norm^2 - max(low, 0)^2) is at least |X_k| for k != g.
 # - t = adc 2^-60, absolute, for underflow: a float32 step's is at most
 #   2^-126, and the energy's moves the norm by under adc 2^-61.
-# - delta = 2^-28 + n_frames 2^-50, relative, once, to norms + strengths: the
-#   FFT's 2^-30 of the norms on each side, the float64 strength sums (a chirp
-#   adds about norm at most), and the float64 sums here.
+# - delta = 2^-28 + n_frames 2^-50, relative, once, to norms + strengths,
+#   for the float64 steps. A search of every frame adds to bin k the float64
+#   magnitude of the float64 FFT, within 2^-30 r of |X_k| (far above
+#   pocketfft's error and the magnitude's rounding; 2^-30 t/2 holds their
+#   underflow). So each chirp adds at least low - 2^-30 norm to g's frame
+#   sum and at most rest + 2^-30 norm to any other bin's. The search's sums
+#   of g's and another bin's magnitudes, over a frame and then over the
+#   frames, and the sums of low, rest and norm here, are each off by at most
+#   gamma64(chirps + n_frames + 16) of norms + strengths, where chirps <=
+#   2^20 at ChirpConfig's cap. So 2^-28 holds the 2^-30 on each side and
+#   the five sums' chirp terms, and n_frames 2^-50 their frame terms.
 # So g wins the search of every frame when its frame-0 strength plus the
 # summed low beats the best other frame-0 strength plus the summed rest by
-# more than delta (norms + strengths). Summed norms under _SEARCH_LIMIT
-# bound each frame's, so no float32 sum overflows.
-def _certificate_terms(chirps: int, adc: int, n_frames: int) -> tuple[float, float, float]:
-    """The certificate's c, t and delta for frames of chirps x adc samples."""
-    return 2 * _gamma(2 * adc + 2 * chirps + 8), adc * 2.0**-60, 2.0**-28 + n_frames * 2.0**-50
+# more than delta (norms + strengths).
+def _certificate_terms(adc: int, n_frames: int) -> tuple[float, float, float]:
+    """The certificate's c, t and delta for n_frames frames of chirps of adc samples."""
+    return 2 * _gamma(2 * adc + 4), adc * 2.0**-60, 2.0**-28 + n_frames * 2.0**-50
 
 
 class TargetTracker:
@@ -320,7 +311,7 @@ class TargetTracker:
     into the column. Each later chirp x also bounds every other bin: by
     Parseval, |X_k| <= sqrt(adc * sum|x|^2 - |X_g|^2) for k != g. Three error
     terms make that a proof (the comment above _certificate_terms): c,
-    relative to each chirp's norm, for the float32 and complex64 steps; t,
+    relative to each chirp's norm, for the float32 matmul and energy; t,
     absolute, for underflow; and delta, relative to the summed norms and
     strengths, once, for the float64 ones. When g's frame-0 strength plus
     the summed lower bounds on |X_g| beats the best other frame-0 strength
@@ -335,7 +326,8 @@ class TargetTracker:
     one sample per chirp) are searched that way too. When the prediction is
     wrong and the bound fails, result reads frames 1 on again for that
     search. Either way the capture is demodulated again only if the search
-    picks another bin, and each error is the search's own.
+    picks another bin. Each error is the search's own, or result's, with
+    the search's message, for a column that is not finite.
     """
 
     def __init__(self, config: ChirpConfig, n_frames: int) -> None:
@@ -347,7 +339,7 @@ class TargetTracker:
         self._frames = 0
         self._lead = None  # g, found from frame 0
         self._kernel = None
-        self._c, self._t, self._delta = _certificate_terms(chirps, adc, n_frames)
+        self._c, self._t, self._delta = _certificate_terms(adc, n_frames)
         self._scale = adc / (1 - self._c / 2)
         # the summed lower bounds on |X_g|, bounds on the other bins, and
         # norms over frames 1 on
@@ -401,7 +393,7 @@ class TargetTracker:
         others = np.delete(strength[1:], self._lead - 1)
         ours, theirs = float(strength[self._lead]), float(others.max(initial=0.0))
         margin = ours + won - theirs - lost - self._delta * (norms + ours + theirs)
-        return norms < _SEARCH_LIMIT and margin > 0
+        return margin > 0
 
     def result(self, frames, source) -> tuple[int, np.ndarray]:
         """The target bin and its [n_frames, chirps] complex64 column, once every frame is added.
@@ -409,18 +401,21 @@ class TargetTracker:
         frames() returns a fresh iterator over the same frames. It is called
         only to search frames 1 on when the bound fails, and to demodulate
         the column again, in place, when the search picks another bin.
-        source names the frames in errors.
+        source names the frames in errors. Finite samples whose float32
+        demodulation overflows leave a column that is not finite, which is
+        refused as samples too large.
         """
-        if not self._streamed:
-            if self._wins(*self._sums):
-                return self._lead, self._column
+        certified = not self._streamed and self._wins(*self._sums)
+        if not (self._streamed or certified):
             for frame in islice(frames(), 1, None):
                 self._search.add(frame)
-        target = self._search.target(source)
+        target = self._lead if certified else self._search.target(source)
         if target != self._lead:
             kernel = _bin_kernel(target, self._adc)
             for frame, row in zip(frames(), self._column):
                 _demodulate(frame, kernel, row)
+        if not np.isfinite(self._column).all():
+            raise ValueError(f"capture samples are not finite or too large: {source}")
         return target, self._column
 
 

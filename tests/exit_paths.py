@@ -102,6 +102,13 @@ EXIT_PATHS = {
     "simulate_noise_floor_765": (
         "simulate --config {d}/noise_765.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
         "simulate failed: capture samples are not finite or too large: {t}/c.bin"),
+    # a finite capture whose float32 demodulation overflows: refused the same way
+    "simulate_noise_floor_740": (
+        "simulate --config {d}/noise_740.ini --audio {d}/tone.wav --out {t}/c.bin", None, 1,
+        "simulate failed: capture samples are not finite or too large: {t}/c.bin"),
+    # a finite capture whose float32 energies overflow, searched in float64
+    "simulate_noise_floor_700": (
+        "simulate --config {d}/noise_700.ini --audio {d}/tone.wav --out {t}/c.bin", None, 0, ""),
     # the frames go to the device, but the container is opened for the search's
     # second pass before the search knows it needs none, and reads back empty
     "simulate_to_dev_null": (
@@ -362,6 +369,13 @@ EXIT_PATHS = {
         "sweep --param noise_floor_db --values=-60,765 --audio {d}/tone.wav --report {t}/s.json",
         None, 1, "sweep failed: noise_floor_db=765: capture samples are not finite or too large: "
         "the capture of {d}/tone.wav"),
+    "sweep_noise_floor_740": (
+        "sweep --param noise_floor_db --values 740 --audio {d}/tone.wav --report {t}/s.json",
+        None, 1, "sweep failed: noise_floor_db=740: capture samples are not finite or too large: "
+        "the capture of {d}/tone.wav"),
+    "sweep_noise_floor_700": (
+        "sweep --param noise_floor_db --values 700 --audio {d}/tone.wav --report {t}/s.json",
+        None, 0, ""),
     # a source too short to score against itself is named, on either kind of axis
     "sweep_400_samples_synthesis_axis": (
         "sweep --param alpha --values 0.5 --audio {d}/tone400.wav --report {t}/s.json", None, 1,
@@ -658,7 +672,7 @@ def write_exit_inputs(d: Path) -> None:
     (d / "nan_noise.ini").write_text("[scene]\nnoise_floor_db = nan\n")
     (d / "zero_force.ini").write_text("[scene]\nforce_scale = 0\n")
     (d / "heavy.ini").write_text("[material]\nmass = 1e300\n")
-    for db in (765, 1000, 10000):
+    for db in (700, 740, 765, 1000, 10000):
         (d / f"noise_{db}.ini").write_text(f"[scene]\nnoise_floor_db = {db}\n")
     (d / "nan_alpha.ini").write_text("[synthesis]\nalpha = nan\n")
     (d / "infinite_beta.ini").write_text("[synthesis]\nbeta = inf\n")

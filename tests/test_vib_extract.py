@@ -163,24 +163,24 @@ def reference_target(capture: IFCapture) -> tuple[int, np.ndarray]:
     return target, extract_phase_series(profile, target)
 
 
-# float32 sums and a complex64 dot product against the complex128 profile
+# a complex64 dot product against the complex128 profile
 LOCATE_PHASE_ATOL = 1e-6
 
 
 class TestLocateTarget:
     @pytest.mark.parametrize("chirps_per_frame", [256, 512])
-    def test_frame_strengths_equal_the_complex64_fft(self, chirps_per_frame):
+    def test_frame_strengths_equal_the_complex128_fft(self, chirps_per_frame):
         cfg = sweep_chirp(chirps_per_frame)
         cap = make_tone_capture(cfg, 500.0, duration_s=0.192, noise_floor_db=-40.0)
         bins = cfg.adc_samples_per_chirp // 2 + 1
         total = np.zeros(bins)
         for frame in cap.frames:
-            # a fresh search holds one frame's float32 sums, exactly, in float64
+            # a fresh search holds one frame's float64 sums, exactly
             search = BinSearch(cfg)
             search.add(frame)
-            want = np.abs(np.fft.fft(frame, axis=1)[:, :bins]).sum(axis=0, dtype=np.float32)
+            want = np.abs(np.fft.fft(frame.astype(np.complex128), axis=1)[:, :bins]).sum(axis=0)
             assert search.strength.dtype == np.float64
-            assert search.strength.astype(np.float32).tobytes() == want.tobytes()
+            assert search.strength.tobytes() == want.tobytes()
             total += want
         search = BinSearch(cfg)
         for frame in cap:
@@ -237,6 +237,13 @@ def tone_capture(frame: int | None = None, value: float = 0.0) -> IFCapture:
     cap = make_tone_capture(ChirpConfig(), 500.0, duration_s=0.096, noise_floor_db=-40.0)
     if frame is not None:
         cap.frames[frame, -1, -1] = value
+    return cap
+
+
+def loud_tone() -> IFCapture:
+    """tone_capture at 1e34 times its amplitude."""
+    cap = tone_capture()
+    cap.frames *= np.float32(1e34)
     return cap
 
 
@@ -311,6 +318,8 @@ TRACKER_CASES = {
                  "no target"),
     # frame 0 names no bin, so the stream is searched whole
     "zero-frame-0": (zero_first_frame, "streamed, moved"),
+    # finite samples whose float32 energies overflow, so the bound cannot decide
+    "loud": (loud_tone, "streamed"),
     **{f"{name}-frame{frame}": (partial(tone_capture, frame, value),
                                 "capture samples are not finite or too large")
        for name, value in [("nan", np.nan), ("inf", np.inf)] for frame in (0, 1, 2)},
@@ -522,55 +531,49 @@ class TestTargetTracker:
                 assert (Path(f"{source}{suffix}").read_bytes()
                         == Path(f"{saved}{suffix}").read_bytes())
 
-    def test_certificate_terms_dominate_the_ten_they_replace(self):
-        """c, t and delta only ever certify where the ten terms before them did.
+    def test_certificate_terms_dominate_the_float64_search_terms(self):
+        """c, t and delta hold each error term of the float32 column and energy and of the
+        float64 search, as the comment above vib_extract._certificate_terms adds them up.
 
-        The ten, as the tracker sized them, are below. Per chirp, its norm
-        was n = sqrt((E + energy_tiny) energy_scale), l = |y| - matmul_error n
-        - matmul_tiny and r = sqrt(n^2 - max(l, 0)^2); the margin was
-        (1 - a)(S_g + (1 - k)(sum l - fft_error sum n) - tiny)
-        - (1 + a)(S_o + K (sum r + fft_error sum n) + tiny)
-        - slack (sum n + S_g + S_o), with 1 - k = (1 - frame_sum)(1 -
-        magnitude), K = (1 + frame_sum)(1 + magnitude) and a = accumulate.
-        The tracker's norm, low and rest are those of the comment above
-        vib_extract._certificate_terms. For any E, and |y| <= (1 +
-        matmul_error) n + matmul_tiny as the matmul bound allows, the
-        inequalities checked give norm >= K n and low <= l, so rest >= K r,
-        and (1 - k)(l - fft_error n) >= low - fft_error norm. As low and
-        rest are at most norm and norm >= t, delta (norms + strengths) then
-        covers all the old margin took besides, so the new margin is at most
-        the old one. The summed norms, under the search limit, bound each
-        frame's norms, as the old check did.
+        Per chirp x, with exact DFT X and r = sqrt(adc sum|x|^2), the terms
+        are below. The float32 energy E gives n = sqrt((E + energy_tiny)
+        energy_scale) >= r, and the float32 matmul y gives l = |y| -
+        matmul_error n - matmul_tiny <= |X_g|. The float64 FFT and magnitude
+        of bin k are within fft_error r + search_tiny of |X_k|. Each of the
+        five float64 sums the margin rests on (the search's of g and of
+        another bin, over a frame and then over the frames, and the
+        tracker's of low, rest and norm) is off by at most float64 (norms +
+        strengths). The inequalities checked give norm >= n + t/2 and
+        low <= l, so rest >= sqrt(n^2 - max(l, 0)^2); fft_error t/2 holds
+        search_tiny; and delta holds fft_error on both sides and the five
+        sums.
         """
         u32, u64 = float(np.finfo(np.float32).eps) / 2, float(np.finfo(np.float64).eps) / 2
-        tiny32 = float(np.finfo(np.float32).tiny)
+        tiny32, tiny64 = float(np.finfo(np.float32).tiny), float(np.finfo(np.float64).tiny)
 
         def gamma(n, u=u32):
             return n * u / (1 - n * u)
 
+        # every power-of-two frame up to ChirpConfig's cap of 2^20 samples
         shapes = [(2**i, 2**j) for i in range(21) for j in range(21 - i)]
         for n_frames in (2, 10**3, 10**6):
             for chirps, adc in shapes:
-                c, t, delta = _certificate_terms(chirps, adc, n_frames)
+                c, t, delta = _certificate_terms(adc, n_frames)
                 matmul_error = 2 * gamma(2 * adc + 4)
                 matmul_tiny = 16 * adc * tiny32
                 energy_tiny = 8 * adc * tiny32
                 energy_scale = adc / (1 - gamma(2 * adc))
                 fft_error = 2.0**-30
-                magnitude = 4 * u32
-                frame_sum = gamma(chirps)
-                tiny = 8 * chirps * tiny32  # per frame after frame 0
-                accumulate = gamma(n_frames, u64)
-                slack = 1e-9
-                k = 1 - (1 - frame_sum) * (1 - magnitude)
-                big_k = (1 + frame_sum) * (1 + magnitude)
+                search_tiny = 8 * adc * tiny64
+                # each of the five sums: at most 16 roundings a chirp, then a sum
+                # over the chirps and one over the frames
+                float64 = gamma(chirps + n_frames + 16, u64)
                 shape = (chirps, adc, n_frames)
-                assert adc / (1 - c / 2) >= big_k**2 * energy_scale, shape
-                assert t >= big_k * np.sqrt(energy_scale * energy_tiny), shape
-                assert c >= matmul_error + k * (1 + matmul_error), shape
-                assert t >= (1 + k) * matmul_tiny, shape
-                assert delta >= (2 * fft_error + accumulate * (2 + fft_error) + slack
-                                 + (2 + accumulate) * tiny / (chirps * t)), shape
+                assert adc / (1 - c / 2) >= energy_scale, shape
+                assert t / 2 >= np.sqrt(energy_scale * energy_tiny), shape
+                assert c >= matmul_error and t >= matmul_tiny, shape
+                assert fft_error * t / 2 >= search_tiny, shape
+                assert delta >= 2 * fft_error + 5 * float64 * (1 + fft_error), shape
 
     # In a fresh interpreter, the count of random frames of each shape whose
     # blocked demodulation differs in any bit from one matmul of the frame,
