@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .signal_core import AudioBuffer
+from .synth import usable_cpus
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -225,6 +227,12 @@ def displacement_from_audio(
     return VibrationTrace(displacement, audio.sample_rate)
 
 
+def _frame_rng(root: np.random.SeedSequence, f: int) -> np.random.Generator:
+    """Frame f's PCG64 generator: root's child f, keyed without spawn, which counts children."""
+    return np.random.default_rng(np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + (f,), pool_size=root.pool_size))
+
+
 def iter_if_frames(
     cfg: ChirpConfig,
     vibration: AudioBuffer,
@@ -242,19 +250,22 @@ def iter_if_frames(
     range_m : nominal radar-to-surface distance in meters.
     reflectivity : echo amplitude per unit transmit amplitude, in [0, 1].
     noise_floor_db : complex Gaussian noise power relative to unit echo amplitude.
-    seed : anything accepted by numpy.random.default_rng.
+    seed : an int, a sequence of ints or a numpy.random.SeedSequence; a
+        Generator or BitGenerator is one stream, which cannot be keyed per
+        frame, and is refused.
 
     The per-chirp beat tone sits at f = 2 * slope * range / c and carries phase
     4 * pi * (range + displacement) / wavelength. Trailing samples that do not
-    fill a whole frame are dropped. The scene is checked on the call; each
-    [chirps_per_frame, adc_samples_per_chirp] frame is made only when the
-    iterator reaches it. From the first frame on, one background thread
-    draws each frame's noise in one call to the one seeded generator, in
-    frame order and at most two frames ahead; numpy lets it draw while the
-    caller works on the frames before. An error in a draw is raised here,
-    and closing or dropping the iterator stops the thread, so the frames
-    equal those of a single thread. The draws and the chirps are built in
-    buffers made once; each frame yielded is a new array.
+    fill a whole frame are dropped. The scene and the seed are checked on the
+    call. Frame f depends on the scene, the seed and f alone: its noise is
+    its own PCG64 stream's float32 normals, real and imaginary parts
+    interleaved, scaled in place, and the echo is made in float64 and rounded
+    once to complex64 before it is added. From the first frame on, min(CPUs
+    this process may run on, 4) threads build the frames, at most two per
+    thread ahead of the caller, and each is yielded in order as a new array,
+    so no frame depends on the thread count. A frame's error is raised when
+    it is reached; closing or dropping the iterator cancels the frames not
+    started and waits for the threads to end.
     """
     n_frames = len(vibration) // cfg.chirps_per_frame
     if n_frames == 0:
@@ -285,43 +296,46 @@ def iter_if_frames(
             f"peak displacement {peak:.3e} m leaves the small-vibration regime "
             f"(quarter wavelength {quarter_wave:.3e} m)"
         )
+    try:
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    except TypeError:  # numpy raises a TypeError whose message leaves SeedSequence out
+        raise ValueError(f"seed must be an int, a sequence of ints or a numpy.random.SeedSequence, "
+                         f"got {type(seed).__name__}") from None
 
-    rng = np.random.default_rng(seed)
     beat_freq = 2.0 * cfg.slope * range_m / SPEED_OF_LIGHT
     fast_time = np.arange(cfg.adc_samples_per_chirp) / cfg.adc_sample_rate
     beat = np.exp(2j * np.pi * beat_freq * fast_time)
-    noise_scale = 10.0 ** (noise_floor_db / 20.0) / np.sqrt(2.0)
+    noise_scale = np.float32(10.0 ** (noise_floor_db / 20.0) / np.sqrt(2.0))
     cpf = cfg.chirps_per_frame
     adc = cfg.adc_samples_per_chirp
-    # frame f's noise, real parts then imaginary, is drawn into slot f % 3,
-    # which frame f + 3 reuses once frame f is built
-    slots = [np.empty((2, cpf, adc)) for _ in range(min(3, n_frames))]
-    chirps = np.empty((cpf, adc), dtype=np.complex128)
+
+    def build(f: int) -> np.ndarray:
+        noise = _frame_rng(root, f).standard_normal((cpf, 2 * adc), dtype=np.float32)
+        # a noise tail past complex64 becomes inf, which the bin search reports
+        with np.errstate(over="ignore"):
+            noise *= noise_scale
+        frame = noise.view(np.complex64)
+        d = vibration.samples[f * cpf : (f + 1) * cpf]
+        phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
+        echo = np.empty_like(frame)
+        np.multiply((reflectivity * np.exp(1j * phase))[:, None], beat, out=echo,
+                    casting="same_kind")
+        return np.add(frame, echo, out=frame)
 
     def frames() -> Iterator[np.ndarray]:
         # imported here: concurrent.futures loads logging, which would add to
         # the start-up of every command, not only the ones that simulate
         from concurrent.futures import ThreadPoolExecutor
 
-        # one worker runs the draws in the order they are submitted
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mmvib-noise")
+        # capped, so that the frames in flight, two per thread, do not grow with the machine
+        workers = min(usable_cpus(), 4)
+        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mmvib-noise")
         try:
-            draws = [pool.submit(rng.standard_normal, out=slot) for slot in slots[:2]]
+            pending = deque()  # the futures of frames f, f + 1, ...
             for f in range(n_frames):
-                noise = draws[f].result()
-                if f + 2 < n_frames:
-                    draws.append(pool.submit(rng.standard_normal, out=slots[(f + 2) % 3]))
-                d = vibration.samples[f * cpf : (f + 1) * cpf]
-                phase = 4.0 * np.pi * (range_m + d) / cfg.wavelength
-                np.multiply((reflectivity * np.exp(1j * phase))[:, None], beat, out=chirps)
-                # the parts of the complex sum chirps + noise_scale * (noise[0] + 1j * noise[1])
-                noise *= noise_scale
-                chirps.real += noise[0]
-                chirps.imag += noise[1]
-                # a noise tail past complex64 becomes inf, which the bin search reports
-                with np.errstate(over="ignore"):
-                    frame = chirps.astype(np.complex64)
-                yield frame
+                for ahead in range(f + len(pending), min(f + 2 * workers, n_frames)):
+                    pending.append(pool.submit(build, ahead))
+                yield pending.popleft().result()
         finally:
             pool.shutdown(cancel_futures=True)
 

@@ -159,6 +159,14 @@ def build_dataset(
 _FAILURES = (OSError, ValueError, OverflowError, RuntimeError, MemoryError)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on, or os.cpu_count() where that is not known."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def map_rows(work: Callable, rows: list, size: Callable | None = None) -> list:
     """work(row) for every row, results in row order, a thread per CPU this process may use.
 
@@ -173,16 +181,13 @@ def map_rows(work: Callable, rows: list, size: Callable | None = None) -> list:
     apart, 33 and 65 taps), so numpy runs its own loop. When work raises,
     the rows after that one that have not started are dropped; once the
     running rows finish, the exception of the first row in row order that
-    raised one is raised here.
+    raised one is raised here. A sweep value's row builds its frames on
+    iter_if_frames' own pool of min(usable_cpus(), 4) threads besides.
     """
     # imported here: concurrent.futures loads logging, which would add to
     # the start-up of every command, not only the ones with manifests
     from concurrent.futures import ThreadPoolExecutor
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
     failed = []  # the indices of the rows whose work raised
 
     def run(index: int):
@@ -199,7 +204,7 @@ def map_rows(work: Callable, rows: list, size: Callable | None = None) -> list:
     order = range(len(rows))
     if size is not None:
         order = sorted(order, key=lambda index: size(rows[index]), reverse=True)
-    workers = max(1, min(cpus, len(rows)))
+    workers = max(1, min(usable_cpus(), len(rows)))
     with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mmvib-row") as pool:
         futures = {index: pool.submit(run, index) for index in order}
     return [futures[index].result() for index in range(len(rows))]

@@ -824,30 +824,32 @@ class TestSweep:
             expected = report.to_dict()
             assert {k: row[k] for k in REQUIRED_METRICS} == {k: expected[k] for k in REQUIRED_METRICS}
 
-    # a chirps_per_frame 256,512 sweep's rows when filterbanks were dense
-    # matrix products; TestOutputBytes pins the bytes of such a sweep
+    # a chirps_per_frame 256,512 sweep's rows with every filterbank applied as
+    # the dense product bank_of(*args) @ mag, derived by running the same sweep
+    # with metrics.band_sums and signal_core.band_sums replaced by that
+    # product; TestOutputBytes pins the bytes of such a sweep
     DENSE_SWEEP_ROWS = [
         {
             "parameter": "chirps_per_frame",
             "value": "256",
             "range_resolution_m": 0.03747405725,
             "sampling_rate_hz": 8000.0,
-            "fwsegsnr": 31.07814781784813,
-            "stoi": 0.993812214550558,
-            "mcd": 4.0416619820087885,
-            "mel_loss": 0.5020734390785585,
-            "mag_l1": 0.052866446441182206,
+            "fwsegsnr": 31.32498479033853,
+            "stoi": 0.9936559168302928,
+            "mcd": 4.051299326934645,
+            "mel_loss": 0.4907868394635055,
+            "mag_l1": 0.052473311569146364,
         },
         {
             "parameter": "chirps_per_frame",
             "value": "512",
             "range_resolution_m": 0.0749481145,
             "sampling_rate_hz": 16000.0,
-            "fwsegsnr": 30.749017151564544,
-            "stoi": 0.9994052482630357,
-            "mcd": 229.8227049367045,
-            "mel_loss": 11.434885132375657,
-            "mag_l1": 0.043168704262931686,
+            "fwsegsnr": 30.417878683923423,
+            "stoi": 0.9990712426089055,
+            "mcd": 230.0364655741379,
+            "mel_loss": 11.437079258491448,
+            "mag_l1": 0.04350529713517094,
         },
     ]
 
@@ -1103,6 +1105,43 @@ class TestRowPool:
                              "--audio", str(wav), "--report", str(tmp_path / "s.json")]) == (0, "")
         assert pool_sizes == [3, 2]
 
+    def test_simulate_and_sweep_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, cpus,
+                                                                      pool_sizes):
+        wav = tmp_path / "speech.wav"
+        write_wav(wav, make_speech_clip(6, duration=1.0))
+        trees = {}
+        for n in (1, 2, 4):
+            cpus(n)
+            out = tmp_path / f"cpus{n}"
+            out.mkdir()
+            assert run_main(["simulate", "--audio", str(wav), "--out", str(out / "cap.bin")]) == (
+                0, "")
+            assert run_main(["sweep", "--param", "chirps_per_frame", "--values", "256,512",
+                             "--audio", str(wav), "--report", str(out / "sweep.json")]) == (0, "")
+            trees[n] = _tree(out)
+        assert sorted(trees[1]) == ["cap.bin", "cap.bin.artifacts.json", "sweep.csv", "sweep.json"]
+        assert trees[1] == trees[2] == trees[4]
+        # per CPU count: simulate's frame pool, then sweep's row pool and a frame pool per row
+        assert pool_sizes == [1, 1, 1, 1, 2, 2, 2, 2, 4, 2, 4, 4]
+
+    def test_sixteen_cpus_run_at_most_four_frame_threads(self, tmp_path, cpus, pool_sizes,
+                                                         monkeypatch):
+        cpus(16)
+        running = []  # the frame threads alive as each frame reaches the tracker
+        add = mmvib.vib_extract.TargetTracker.add
+
+        def counted(tracker, frame):
+            running.append(sum(t.name.startswith("mmvib-noise") for t in threading.enumerate()))
+            return add(tracker, frame)
+
+        monkeypatch.setattr(mmvib.vib_extract.TargetTracker, "add", counted)
+        wav = make_tone_wav(tmp_path / "tone.wav", duration=1.0)
+        assert run_main(["simulate", "--audio", str(wav), "--out", str(tmp_path / "c.bin")]) == (
+            0, "")
+        assert pool_sizes == [4]
+        assert len(running) == 31 and 1 <= max(running) <= 4
+        assert not any(t.name.startswith("mmvib-noise") for t in threading.enumerate())
+
 
 @pytest.fixture(scope="module")
 def identity_run(tmp_path_factory):
@@ -1142,17 +1181,18 @@ class TestOutputBytes:
     `python tests/identity.py REV` names the files that differ from a revision's.
     """
 
-    DIGEST = "b7b0f22510f2e1817aa28aa637a2da53bb6ee567ed1427325c4c69d19ef7a566"
+    DIGEST = "72baf3792fb6869e1e2d5d47f79621d5733884d04ea159b7f1515ef9622472b8"
     # the entries that sweep one axis, at 8 kHz and at any other rate the list sweeps it
     SWEEP_DIGESTS = {
         "beta": "2a4e95b4f0e00485386d04dc02066158d230ceee9ef42bdb5e0fc4280d5f777f",
-        "chirps_per_frame": "9fb3e16e1ce7118756fe55de3274f01f3a5e9f993a98cedbd8823a9bbc70d0bf",
-        "material": "cc26575cf4f9a10bb88f3f71808d95140b6956ccc0726f97e739ff5d5ec80d10",
-        "noise_floor_db": "7ed5edf78364ab33a7c2e20897d65e0897e6c97bc74d004a1a68d913a921d4f1",
-        "range_m": "d105ea8723bf6ff93551eda27fbd6d12c370cbbaf3442904087f23cb8bacd7bb",
+        "chirps_per_frame": "05da0a4c2456f6d51b108e468caded83ea28ace3bd3158dd4bb81d63d108bdd8",
+        "material": "b423a6cb979c7742261a3ae0c77bac8d2cc2946075a5d2e5aba6f90f2b362127",
+        "noise_floor_db": "c9b999d6823b1e5531f9586d92546208b34b2fd2fe4e29f537b7818732193afe",
+        "range_m": "541c31eab0bc554d4b43ac985ba22deaf0fac4ffbfde8ef5342fc0d21e496bc2",
     }
     # every synth entry, each over the 8, 16 and 44.1 kHz clips, and score on what they wrote
-    SYNTH_SCORE_DIGEST = "82938b8c27128897cb23afd5167f5cad91b43a1da57ea4e0105ce3c23aeb0a2e"
+    # and on extract's trace, whose row and the report's aggregate follow the radar noise
+    SYNTH_SCORE_DIGEST = "3037a982e05fc5b60fed5b9581b92fbf6a613600415aedb0cc4543445836e8bb"
 
     @staticmethod
     def _assert_pinned(digests, names, expected):

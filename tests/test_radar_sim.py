@@ -4,11 +4,14 @@ import hashlib
 import json
 import re
 import threading
+from contextlib import closing
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmvib.radar_sim
 from conftest import make_tone_capture, make_tone_trace, traced_peak
 from exit_paths import MALFORMED_CAPTURES
 from mmvib import (
@@ -31,6 +34,7 @@ from mmvib import (
     simulate_if_frames,
     unwrap_phase,
 )
+from mmvib.radar_sim import write_capture_frames
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -259,13 +263,13 @@ class TestSimulate:
         assert all(frame.dtype == np.complex64 for frame in frames)
         assert np.stack(frames).tobytes() == cap.frames.tobytes()
 
-    # SHA-256 of the frames iter_if_frames yielded when it drew its noise on
-    # the calling thread: a 500 Hz tone for 0.096 s, three frames, range 1.5 m
+    # SHA-256 of the frames iter_if_frames yields, each frame's noise drawn from
+    # its own stream: a 500 Hz tone for 0.096 s, three frames, range 1.5 m
     FRAME_DIGESTS = {
-        (256, 0): "2533753db9a6397400b3ee21f6f5b812492c290ebde501206cb2fd7765ae8079",
-        (256, 7): "aa08488fa0631cc2cd91756c3778be3629c38275ee9087f39068dd4d52c09062",
-        (512, 0): "9086c5b36b87e9dff80eef754eb4c08e9359527ebedc10d22ae2b67fc266bf0d",
-        (512, 7): "926c37bc174d8670bab7a68a2df48efb58b5ac1c98edc1bdb781a173481aaed0",
+        (256, 0): "64eea8ca766457eed0f581e5f14f85f6f1f59d1ad78806f71bb8e8b85dfb8d6b",
+        (256, 7): "ef6128f4f9d6aabdb8e9349c5003ed07206899e6dd0eeffaa2a2873120b07819",
+        (512, 0): "23bfc34632f318c20bdf65043a0d0437cae97b0a5ea19fede5926e6e4d17cfb2",
+        (512, 7): "8d9ed32a90b958a642a891ba306967ab9295d7a3429553f48020e55b3df0f6d8",
     }
 
     @pytest.mark.parametrize("chirps_per_frame, seed", sorted(FRAME_DIGESTS))
@@ -284,36 +288,76 @@ class TestSimulate:
         assert n_frames == 3
         assert digest.hexdigest() == self.FRAME_DIGESTS[chirps_per_frame, seed]
 
-    @pytest.mark.parametrize("stop", ["close", "drop"])
+    def test_one_seed_sequence_read_twice_gives_the_same_frames(self, chirp_cfg):
+        # SeedSequence.spawn would count its children and key other streams the second time
+        vib = make_tone_trace(chirp_cfg, 500.0, duration_s=0.1)
+        seed = np.random.SeedSequence(7)
+        first = b"".join(frame.tobytes() for frame in iter_if_frames(chirp_cfg, vib, 1.5, seed=seed))
+        again = simulate_if_frames(chirp_cfg, vib, 1.5, seed=seed).frames.tobytes()
+        assert again == first
+        assert seed.n_children_spawned == 0
+        assert simulate_if_frames(chirp_cfg, vib, 1.5, seed=7).frames.tobytes() == first
+        keyed = simulate_if_frames(chirp_cfg, vib, 1.5, seed=np.random.SeedSequence((7, 1)))
+        assert simulate_if_frames(chirp_cfg, vib, 1.5, seed=(7, 1)).frames.tobytes() == (
+            keyed.frames.tobytes())
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(0), np.random.PCG64(0)],
+                             ids=["Generator", "PCG64"])
+    @pytest.mark.parametrize("simulate", [iter_if_frames, simulate_if_frames])
+    def test_a_seed_that_is_one_stream_is_refused(self, chirp_cfg, simulate, seed):
+        vib = VibrationTrace(np.zeros(256), chirp_cfg.effective_sampling_rate)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as err:
+            simulate(chirp_cfg, vib, 1.5, seed=seed)
+        assert str(err.value) == (f"seed must be an int, a sequence of ints or a "
+                                  f"numpy.random.SeedSequence, got {type(seed).__name__}")
+        assert threading.active_count() == before
+
+    @staticmethod
+    def _noise_threads() -> list[threading.Thread]:
+        return [t for t in threading.enumerate() if t.name.startswith("mmvib-noise")]
+
+    @pytest.mark.parametrize("stop", [
+        "close",
+        "drop",
+        pytest.param("failed_write", marks=pytest.mark.skipif(
+            not Path("/dev/full").exists(), reason="needs /dev/full, whose writes fail")),
+    ])
     def test_frame_stream_stops_its_noise_thread(self, chirp_cfg, stop):
         vib = make_tone_trace(chirp_cfg, 500.0, duration_s=0.32)
         before = threading.active_count()
         frames = iter_if_frames(chirp_cfg, vib, 1.5, seed=0)
-        # the thread starts with the first frame, not on the call
-        assert threading.active_count() == before
-        next(frames)
-        assert threading.active_count() == before + 1
-        if stop == "close":
-            frames.close()
+        # the threads start with the first frame, not on the call
+        assert self._noise_threads() == []
+        if stop == "failed_write":
+            with pytest.raises(OSError), closing(frames):
+                write_capture_frames("/dev/full", chirp_cfg, frames)
         else:
-            del frames
+            next(frames)
+            assert 1 <= len(self._noise_threads()) <= 4
+            if stop == "close":
+                frames.close()
+            else:
+                del frames
+        assert self._noise_threads() == []
         assert threading.active_count() == before
 
-    def test_frame_stream_raises_a_draw_error(self, chirp_cfg):
+    def test_frame_stream_raises_a_draw_error(self, chirp_cfg, monkeypatch):
         class FailingGenerator(np.random.Generator):
-            """Fails on its second draw: the second frame's noise."""
-
-            draws = 0
-
             def standard_normal(self, *args, **kwargs):
-                self.draws += 1
-                if self.draws == 2:
-                    raise RuntimeError("draw failed")
-                return super().standard_normal(*args, **kwargs)
+                raise RuntimeError("draw failed")
 
+        frame_rng = mmvib.radar_sim._frame_rng
+
+        def failing_second_frame(root, f):
+            if f == 1:
+                return FailingGenerator(np.random.PCG64(root))
+            return frame_rng(root, f)
+
+        monkeypatch.setattr(mmvib.radar_sim, "_frame_rng", failing_second_frame)
         vib = make_tone_trace(chirp_cfg, 500.0, duration_s=0.32)
         before = threading.active_count()
-        frames = iter_if_frames(chirp_cfg, vib, 1.5, seed=FailingGenerator(np.random.PCG64(0)))
+        frames = iter_if_frames(chirp_cfg, vib, 1.5, seed=0)
         next(frames)
         with pytest.raises(RuntimeError, match="draw failed"):
             next(frames)

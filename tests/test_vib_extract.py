@@ -303,8 +303,11 @@ TRACKER_CASES = {
                                    range_m=1.5 if adc >= 256 else 0.2), "certified")
        for chirps, adc in [(1, 256), (1, 16), (2, 16), (9, 256), (9, 16), (256, 16),
                            (1, 65536), (16, 65536), (1, 1048576)]},
+    # these two stream, and whether they move depends on the noise: over seed keys 0-11 the
+    # search moves from frame 0's bin on 7 keys at 2 chirps and 9 at 9 chirps, key 5 among them
     **{f"{chirps}x16-noise40": (partial(tracker_scene, chirps=chirps, adc=16, range_m=0.2,
-                                        noise=40.0), "streamed") for chirps in (2, 9)},
+                                        noise=40.0), "streamed, moved") for chirps in (2, 9)},
+    "9x16-noise5": (partial(tracker_scene, chirps=9, adc=16, range_m=0.2, noise=5.0), "streamed"),
     **{f"{chirps}x1": (partial(tracker_scene, chirps=chirps, adc=1, range_m=0.01), "no target")
        for chirps in (1, 2, 256)},
     # bin 50 leads in frame 0 and loses to bin 30 over the capture, leads by
@@ -328,9 +331,35 @@ TRACKER_CASES = {
 }
 SCENE_SEED = 5
 # The cases where noise swamps the target, and the bound on their phase's
-# distance from reference_target's; every other case keeps LOCATE_PHASE_ATOL
+# distance from reference_target's; every other case keeps LOCATE_PHASE_ATOL,
+# but for the NOISY ones.
 SWAMPED = {"noise40", "noise40-artifacts", "tinfoil-artifacts-noise40"}
 SWAMPED_PHASE_ATOL = 1e-5
+# The cases where a chirp's target bin can be small beside its noise. The
+# float32 demodulation of a chirp x adds adc roundings, each of order u |x_n|,
+# which grow as a random walk to about u sqrt(adc) |x| = u r, where
+# r = sqrt(adc sum|x|^2); so the phase moves by up to about u r / |X_g|,
+# and each chirp is bound by that. Over seed keys 0-11, noise20 came within
+# 0.59 of it, and its largest distance was 4.7e-7 to 3.4e-6.
+NOISY = {"noise20"}
+# The cases whose path and phase bound are checked on every seed key 0-11,
+# not only on SCENE_SEED: at noise20 the distance to the bound, and at
+# 9x16-noise5 a small frame that streams without moving.
+EVERY_SEED_KEY = ("noise20", "9x16-noise5")
+
+
+def phase_bound(case, capture, target):
+    """A passing case's bound on its phase's distance from reference_target's: one number,
+    or one per chirp."""
+    if case in SWAMPED:
+        return SWAMPED_PHASE_ATOL
+    if case not in NOISY:
+        return LOCATE_PHASE_ATOL
+    adc = capture.config.adc_samples_per_chirp
+    chirps = capture.frames.reshape(-1, adc).astype(np.complex128)
+    norms = np.sqrt(adc * (np.abs(chirps) ** 2).sum(axis=1))
+    u32 = float(np.finfo(np.float32).eps) / 2
+    return u32 * norms / np.abs(np.fft.fft(chirps, axis=1)[:, target])
 
 
 def is_scene(case):
@@ -522,14 +551,30 @@ class TestTargetTracker:
         reference_bin, reference_phase = reference
         assert target == reference_bin
         assert phase.dtype == np.float64 and phase.shape == reference_phase.shape
-        atol = SWAMPED_PHASE_ATOL if case in SWAMPED else LOCATE_PHASE_ATOL
-        assert np.abs(phase - reference_phase).max() <= atol
+        assert np.all(np.abs(phase - reference_phase) <= phase_bound(case, capture, target))
         if leg == "simulate":
             sigmas = scene[0].beginning_sigma, scene[0].periodic_sigma
             assert len(capture.artifact_log) == (sigmas[0] > 0) + capture.n_frames * (sigmas[1] > 0)
             for suffix in ("", ".artifacts.json"):
                 assert (Path(f"{source}{suffix}").read_bytes()
                         == Path(f"{saved}{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("key", range(12))
+    @pytest.mark.parametrize("case", EVERY_SEED_KEY)
+    def test_path_and_phase_bound_hold_on_every_seed_key(self, case, key, monkeypatch):
+        """The case's path and phase bound hold on its capture at each seed key, not only at
+        SCENE_SEED."""
+        path = TRACKER_CASES[case][1]
+        capture = in_memory_capture(*TRACKER_CASES[case][0](), key)
+        reference_bin, reference_phase = reference_target(capture)
+        searched, reads = [], []
+        monkeypatch.setattr(BinSearch, "add", counting(searched, BinSearch.add))
+        monkeypatch.setattr(IFCapture, "__iter__", counting(reads, IFCapture.__iter__))
+        target, phase = locate_target(capture)
+        assert len(searched) == (1 if path == "certified" else capture.n_frames)
+        assert len(reads) == PASSES[path]
+        assert target == reference_bin
+        assert np.all(np.abs(phase - reference_phase) <= phase_bound(case, capture, target))
 
     def test_certificate_terms_dominate_the_float64_search_terms(self):
         """c, t and delta hold each error term of the float32 column and energy and of the
