@@ -24,10 +24,10 @@ from .radar_sim import (
     CaptureFile,
     ChirpConfig,
     SurfaceMaterial,
-    _artifact_log,
     displacement_from_audio,
     iter_if_frames,
     range_resolution,
+    stamp_artifacts,
     stamp_capture_file,
     write_artifact_sidecar,
     write_capture_frames,
@@ -227,9 +227,10 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
     refused naming source. Each frame passes a TargetTracker, which finds the
     target bin and demodulates it as the frames go by, and its chirp 0, the
     only chirp the artifacts stamp, is kept; a capture the tracker refuses is
-    named name. The artifacts' sigma comes from the column's phase, both
-    seeds from seed_key, and restamp_column stamps the kept rows and the
-    column as the artifacts stamp the capture.
+    named name. Both seeds come from seed_key. stamp_artifacts stamps the
+    kept rows, with the artifacts' sigma taken from the column's phase, and
+    restamp_column demodulates the stamped rows again into the column, so
+    rows and column end as the stamped capture's.
 
     With a path, the frames go to that container, a second pass of the
     tracker reads it before any row is stamped, stamp_capture_file writes
@@ -275,8 +276,8 @@ def _write_capture(config: PipelineConfig, audio: AudioBuffer, source, seed_key,
                 write_capture_frames(path, config.chirp, kept(stream))
         target, column = tracker.result(frames if path is None else CaptureFile(path).__iter__,
                                         name)
-        log = _artifact_log(n_frames, config.beginning_sigma, config.periodic_sigma,
-                            artifact_seed, column_phase(column))
+        log = stamp_artifacts(rows, config.beginning_sigma, config.periodic_sigma, artifact_seed,
+                              column_phase(column))
         restamp_column(rows, target, column, log)
         if path is not None:
             stamp_capture_file(path, config.chirp, rows, log)

@@ -359,17 +359,19 @@ def simulate_if_frames(
     return IFCapture(np.fromiter(frames, frame, count=len(vibration) // cfg.chirps_per_frame), cfg)
 
 
-def _artifact_log(
-    n_frames: int,
+def stamp_artifacts(
+    rows: np.ndarray,
     beginning_magnitude_sigma: float,
     periodic_magnitude_sigma: float,
     seed,
     phase: np.ndarray | None,
 ) -> list[ArtifactEvent]:
-    """The spikes to stamp on a clean capture of n_frames frames: which chirp rows, by what angle.
+    """Stamp capture-start and frame-start phase spikes on rows in place; returns the log.
 
-    phase is the clean capture's unwrapped target-bin phase, whose standard
-    deviation the magnitudes multiply; with both magnitudes zero it is not read.
+    rows is chirp 0 of every frame, [n_frames, adc_samples_per_chirp]
+    complex64, the one chirp a spike rotates, such as a view into a capture.
+    Magnitudes multiply the standard deviation of phase, the clean capture's
+    unwrapped target-bin phase; with both zero, neither phase nor rows is read.
     """
     magnitudes = (beginning_magnitude_sigma, periodic_magnitude_sigma)
     if not all(np.isfinite(m) and m >= 0 for m in magnitudes):
@@ -380,16 +382,15 @@ def _artifact_log(
     rng = np.random.default_rng(seed)
     plan = [("beginning", 0, beginning_magnitude_sigma)] if beginning_magnitude_sigma > 0 else []
     if periodic_magnitude_sigma > 0:
-        plan += [("periodic", f, periodic_magnitude_sigma) for f in range(n_frames)]
+        plan += [("periodic", f, periodic_magnitude_sigma) for f in range(len(rows))]
     # one jitter draw per spike, in log order
-    return [
+    log = [
         ArtifactEvent(kind, frame, 0, float(multiple * sigma * rng.uniform(0.75, 1.25)))
         for kind, frame, multiple in plan
     ]
-
-
-def _rotation(event: ArtifactEvent) -> np.complex64:
-    return np.exp(1j * event.magnitude_rad).astype(np.complex64)
+    for event in log:
+        rows[event.frame] *= np.exp(1j * event.magnitude_rad).astype(np.complex64)
+    return log
 
 
 def inject_artifacts(
@@ -398,27 +399,21 @@ def inject_artifacts(
     periodic_magnitude_sigma: float,
     seed=0,
 ) -> IFCapture:
-    """Stamp capture-start and frame-start phase spikes onto the capture, in place.
+    """stamp_artifacts on the capture's chirp 0 rows, with the phase locate_target finds.
 
-    Magnitudes are multiples of the standard deviation of the clean capture's
-    target-bin phase, as locate_target finds it before any stamping. A spike
-    rotates every sample of chirp 0 of the affected frame, so it lands
-    directly on the extracted phase series; no other sample changes. Each
-    spike gets a small seeded magnitude jitter and is recorded in the artifact
-    log, which replaces the capture's log. Returns the same capture object, so
-    a caller that needs the clean capture afterwards passes a copy. With both
-    magnitudes zero no target is looked for, no sample changes and the log is
-    emptied.
+    The phase is read from the clean capture, before any stamping, and only
+    when a magnitude is non-zero, so zero magnitudes leave even a capture
+    with no target as it was. A spike lands directly on the extracted phase
+    series; no other chirp changes. The log replaces the capture's, and the
+    same capture object is returned, so a caller that needs the clean
+    capture afterwards passes a copy.
     """
     # vib_extract imports this module, so the extraction core is imported here
     from .vib_extract import locate_target
 
     magnitudes = (beginning_magnitude_sigma, periodic_magnitude_sigma)
     phase = locate_target(capture)[1] if any(magnitudes) else None
-    log = _artifact_log(capture.n_frames, *magnitudes, seed, phase)
-    for event in log:
-        capture.frames[event.frame, event.chirp, :] *= _rotation(event)
-    capture.artifact_log = log
+    capture.artifact_log = stamp_artifacts(capture.frames[:, 0], *magnitudes, seed, phase)
     return capture
 
 
@@ -426,7 +421,7 @@ def stamp_capture_file(path, config: ChirpConfig, rows: np.ndarray, log) -> None
     """Write the stamped chirp 0 of each frame an artifact log names into a capture container.
 
     rows is chirp 0 of every frame, [n_frames, adc_samples_per_chirp]
-    complex64, already rotated as the log stamps it (restamp_column does
+    complex64, already rotated as the log stamps it (stamp_artifacts does
     that). Each logged frame's row is written over its chirp 0, so a
     container write_capture_frames wrote clean ends up byte for byte as
     save_capture writes the stamped capture. Nothing is read from the file,

@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 
-from .radar_sim import ChirpConfig, IFCapture, VibrationTrace, _rotation
+from .radar_sim import ChirpConfig, IFCapture, VibrationTrace
 from .signal_core import AudioBuffer, unwrap_phase
 
 OUTLIER_SIGMA_THRESHOLD = 3.0
@@ -62,7 +62,7 @@ def extract_phase_series(profile: np.ndarray, bin_index: int) -> np.ndarray:
     """Unwrapped per-chirp phase of one range bin, radians at the chirp rate."""
     if not 0 <= bin_index < profile.shape[0]:
         raise ValueError(f"bin index {bin_index} outside [0, {profile.shape[0]})")
-    return unwrap_phase(np.angle(profile[bin_index]))
+    return column_phase(profile[bin_index])
 
 
 def phase_to_displacement(delta_phi: np.ndarray, wavelength: float) -> np.ndarray:
@@ -242,23 +242,20 @@ def column_phase(column: np.ndarray) -> np.ndarray:
 def restamp_column(rows: np.ndarray, target: int, column: np.ndarray, log) -> None:
     """Demodulate again, in place in column, the chirps an artifact log stamped.
 
-    rows is chirp 0 of every frame of the clean capture, [n_frames, adc]
-    complex64, the one chirp an artifact stamps, and column the clean
+    rows is chirp 0 of every frame, [n_frames, adc] complex64, as
+    stamp_artifacts left it after stamping log, and column the clean
     capture's demodulation at target, as a TargetTracker gives it. Each
-    event rotates its row in place, in log order, as inject_artifacts rotates
-    the capture, so rows end as the stamped capture's chirp 0, which
-    stamp_capture_file writes into a container. The row is demodulated again
-    as row 0 of a zero-filled block of two rows, a gemv, which gives it the
-    bits of its frame's _demodulate call whichever rows share that call; a
-    capture of one chirp per frame has a one-row block, a dot product, as
-    its frames do. So column ends equal bit for bit to the stamped capture's
+    event's row is demodulated again, one call per event, as row 0 of a
+    zero-filled block of two rows, a gemv, which gives it the bits of its
+    frame's _demodulate call whichever rows share that call; a capture of
+    one chirp per frame has a one-row block, a dot product, as its frames
+    do. So column ends equal bit for bit to the stamped capture's
     demodulation, and no capture is read.
     """
     kernel = _bin_kernel(target, rows.shape[1])
     block = np.zeros((min(column.shape[1], 2), rows.shape[1]), dtype=np.complex64)
     demodulated = np.empty(len(block), dtype=np.complex64)
     for event in log:
-        rows[event.frame] *= _rotation(event)
         block[0] = rows[event.frame]
         _demodulate(block, kernel, demodulated)
         column[event.frame, 0] = demodulated[0]

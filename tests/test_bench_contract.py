@@ -5,13 +5,15 @@ rename in src/ would otherwise show only when a traced benchmark run fails.
 These tests import bench/'s modules and leave its files as they are.
 """
 
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import mmvib.cli
 from conftest import make_tone_capture
-from mmvib import ChirpConfig, inject_artifacts, save_capture
+from mmvib import ChirpConfig, inject_artifacts, read_wav, save_capture, write_wav
+from speechgen import make_speech_clip
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -50,3 +52,19 @@ def test_clean_phase_series_counts_both_stages(tmp_path):
         "vib_extract.remove_periodic_outliers.replaced",
     }
     assert counts["vib_extract.remove_periodic_outliers.replaced"] > 0
+
+
+def test_sweep_row_equals_the_bench_recomputation(tmp_path, monkeypatch):
+    """sweep_chirps checks each sweep row against _sweep_row_scores, which recomputes it
+    through simulate_if_frames, inject_artifacts and extract_vibration."""
+    import workloads
+
+    monkeypatch.delenv(mmvib.cli.SEED_ENV_VAR, raising=False)
+    seed, audio, config = 3, tmp_path / "source.wav", tmp_path / "run.ini"
+    write_wav(audio, make_speech_clip(seed, duration=1.0, rate=8000.0))
+    workloads._write_run_config(config, seed)
+    report = tmp_path / "report.json"
+    assert mmvib.cli.main(["sweep", "--config", str(config), "--param", "chirps_per_frame",
+                           "--values", "256", "--audio", str(audio), "--report", str(report)]) == 0
+    [row] = json.loads(report.read_text())["rows"]
+    assert workloads._same_scores(row, workloads._sweep_row_scores(read_wav(audio), seed, 0, 256))

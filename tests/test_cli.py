@@ -23,14 +23,12 @@ from hypothesis import strategies as st
 
 import exit_paths
 import mmvib.cli
-import mmvib.radar_sim
 import mmvib.vib_extract
 from conftest import run_fresh, traced_peak
 from exit_paths import EXIT_PATHS, MALFORMED_WAVS, make_tone_wav, run_main
 from identity import COMMANDS, ROOT, _contents, run_commands, write_inputs
 from mmvib import (
     AudioBuffer,
-    CaptureFile,
     ChirpConfig,
     VibrationTrace,
     extract_vibration,
@@ -55,9 +53,9 @@ from mmvib.cli import (
     main,
 )
 from mmvib.metrics import REQUIRED_METRICS
-from mmvib.vib_extract import BinSearch
 from oracles import in_memory_capture
 from speechgen import make_speech_clip
+from test_vib_extract import IN_MEMORY_PATH, counting
 
 
 # Run main on each argv of the JSON list in argv[1], each to exit 0, and
@@ -371,136 +369,26 @@ class TestExtract:
         assert "Traceback" not in err
         assert err.count("\n") <= 1
 
-    def test_every_frame_searched_once_per_command(self, tmp_path, monkeypatch):
-        searched = []  # a digest of each frame a bin search sums, as it sums it
-        demodulated = []  # a digest of each whole frame demodulated, as it is
-        restamped = []  # one entry per part-frame demodulation, whatever its rows
-        made = []  # the digests of the frames of each capture a sweep makes, by value, in turn
-        located = []
-        in_memory = []
-        originals = {
-            "locate_target": (mmvib.vib_extract.locate_target, located),
-            "range_fft": (mmvib.vib_extract.range_fft, in_memory),
-            "simulate_if_frames": (mmvib.radar_sim.simulate_if_frames, in_memory),
-            "inject_artifacts": (mmvib.radar_sim.inject_artifacts, in_memory),
-        }
-
-        def digest(frame):
-            # the artifacts rotate chirp 0 only, so the other chirps name the frame
-            return hashlib.sha256(frame[1:].tobytes()).hexdigest()
-
-        def counting(original, calls):
-            def counted(*args, **kwargs):
-                calls.append(original.__name__)
-                return original(*args, **kwargs)
-
-            return counted
-
-        original_add = BinSearch.add
-
-        def add(search, frame):
-            searched.append(digest(frame))
-            return original_add(search, frame)
-
-        original_demodulate = mmvib.vib_extract._demodulate
-
-        def demodulate(rows, kernel, out):
-            if len(rows) == 256:
-                demodulated.append(digest(rows))
-            else:
-                restamped.append(1)
-            return original_demodulate(rows, kernel, out)
-
-        original_frames = mmvib.cli.iter_if_frames
-
-        def frames_made(config, vibration, range_m, **kwargs):
-            mine = []
-            made.append((range_m, mine))
-            return (mine.append(digest(f)) or f for f in original_frames(config, vibration,
-                                                                         range_m, **kwargs))
-
-        monkeypatch.setattr(BinSearch, "add", add)
-        monkeypatch.setattr(mmvib.vib_extract, "_demodulate", demodulate)
-        monkeypatch.setattr(mmvib.cli, "iter_if_frames", frames_made)
-        # rebind every module-level reference, so a second import of one is counted too
-        for name, module in list(sys.modules.items()):
-            if not name.startswith("mmvib"):
-                continue
-            for attr, (original, calls) in originals.items():
-                if vars(module).get(attr) is original:
-                    monkeypatch.setattr(module, attr, counting(original, calls))
-        wav = make_tone_wav(tmp_path / "tone.wav", duration=0.5)
-
-        def frames_of(path):
-            return [digest(frame) for frame in CaptureFile(path)]
-
-        def run(*argv):
-            for calls in (searched, demodulated, restamped, made, located):
-                calls.clear()
-            assert main(list(argv)) == 0
-
-        # each command demodulates every frame once and transforms only frame 0
-        cap = tmp_path / "cap.bin"
-        run("simulate", "--audio", str(wav), "--out", str(cap))
-        frames = frames_of(cap)
-        assert len(frames) == 15
-        assert sorted(demodulated) == sorted(frames)
-        assert searched == frames[:1]
-        # simulate stamps the chirp-0 rows it kept, as sweep does: one demodulation per
-        # logged chirp, 15 periodic spikes and the beginning one
-        assert len(restamped) == 16
-        assert located == []
-        run("extract", "--capture", str(cap), "--out", str(tmp_path / "x.wav"))
-        assert sorted(demodulated) == sorted(frames)
-        assert searched == frames[:1]
-        assert restamped == []
-        assert located == ["locate_target"]
-        # sweep makes each radar value's frames once and demodulates them as
-        # they go by, then only one demodulation per row it stamps; the values may
-        # run side by side, so each value's frames are told apart by their
-        # digests, which are those of the in-memory capture of that value
-        run("sweep", "--param", "range_m", "--values", "1.0,1.5", "--audio", str(wav),
-            "--report", str(tmp_path / "sweep.json"))
-        by_value = sorted(made)
-        assert [range_m for range_m, _ in by_value] == [1.0, 1.5]
-        assert [len(digests) for _, digests in by_value] == [15, 15]
-        assert sorted(demodulated) == sorted(f for _, digests in by_value for f in digests)
-        assert sorted(searched) == sorted(digests[0] for _, digests in by_value)
-        assert len(restamped) == 32
-        assert located == []
-        # where noise swamps the target, a sweep value searches every frame as
-        # it is made; here another bin wins, so the frames are made again, the
-        # same ones, and demodulated at that bin
-        run("sweep", "--param", "noise_floor_db", "--values", "40", "--audio", str(wav),
-            "--report", str(tmp_path / "sweep.json"))
-        assert [len(digests) for _, digests in made] == [15, 15]
-        assert made[0] == made[1]
-        assert sorted(searched) == sorted(made[0][1])
-        assert sorted(demodulated) == sorted(made[0][1] * 2)
-        assert len(restamped) == 16
-        assert located == []
-        # where noise swamps the target, frame 0 predicts that the bound
-        # fails, and every frame is searched once, on its way to the file
-        noisy = tmp_path / "noisy.ini"
-        noisy.write_text("[scene]\nnoise_floor_db = 40\n")
-        cap = tmp_path / "noisy.bin"
-        run("simulate", "--config", str(noisy), "--audio", str(wav), "--out", str(cap))
-        frames = frames_of(cap)
-        assert sorted(searched) == sorted(frames)
-        assert set(demodulated) == set(frames)
-        assert located == []
-        run("extract", "--capture", str(cap), "--out", str(tmp_path / "y.wav"))
-        assert sorted(searched) == sorted(frames)
-        assert set(demodulated) == set(frames)
-        assert located == ["locate_target"]
-        # the full range profile and the in-memory capture stay off the pipeline
-        assert in_memory == []
-        # the frames each sweep value made are those of its in-memory capture
-        monkeypatch.undo()
-        for index, (range_m, digests) in enumerate(by_value):
-            variant = replace(PipelineConfig(), range_m=range_m)
-            capture = in_memory_capture(variant, read_wav(wav), (variant.seed, index))
-            assert digests == [digest(frame) for frame in capture]
+    def test_each_command_finds_the_bin_once_per_capture(self, tmp_path, monkeypatch):
+        """simulate, extract and sweep, run through main, reach _write_capture or locate_target
+        once per capture and no step of IN_MEMORY_PATH; TRACKER_CASES' simulate, file and
+        sweep legs check what those calls read, search and demodulate."""
+        calls = []
+        # every module-level reference, so that a second import of one is counted too
+        for module in [module for key, module in sys.modules.items() if key.startswith("mmvib")]:
+            for name in set(IN_MEMORY_PATH + ("_write_capture", "locate_target")) & set(vars(module)):
+                monkeypatch.setattr(module, name, counting(calls, vars(module)[name]))
+        wav = str(make_tone_wav(tmp_path / "tone.wav", duration=0.5))
+        cap = str(tmp_path / "cap.bin")
+        for argv, reached in [
+            (["simulate", "--audio", wav, "--out", cap], ["_write_capture"]),
+            (["extract", "--capture", cap, "--out", str(tmp_path / "x.wav")], ["locate_target"]),
+            (["sweep", "--param", "range_m", "--values", "1.0,1.5", "--audio", wav,
+              "--report", str(tmp_path / "sweep.json")], ["_write_capture"] * 2),
+        ]:
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == reached
 
 
 class TestSynth:
@@ -1190,9 +1078,9 @@ class TestOutputBytes:
         "noise_floor_db": "c9b999d6823b1e5531f9586d92546208b34b2fd2fe4e29f537b7818732193afe",
         "range_m": "541c31eab0bc554d4b43ac985ba22deaf0fac4ffbfde8ef5342fc0d21e496bc2",
     }
-    # every synth entry, each over the 8, 16 and 44.1 kHz clips, and score on what they wrote
-    # and on extract's trace, whose row and the report's aggregate follow the radar noise
-    SYNTH_SCORE_DIGEST = "3037a982e05fc5b60fed5b9581b92fbf6a613600415aedb0cc4543445836e8bb"
+    # the three synth entries, each over the 8, 16 and 44.1 kHz clips; no radar step reaches
+    # them, and score, which also scores extract's trace, is left to DIGEST
+    SYNTH_DIGEST = "9d511ef06416b0a181d58209ef270f05c5832e2aa07841dfdb127967d1df1c51"
 
     @staticmethod
     def _assert_pinned(digests, names, expected):
@@ -1209,9 +1097,9 @@ class TestOutputBytes:
                                lambda argv: argv[:3] == ["sweep", "--param", parameter])
         self._assert_pinned(identity_run, names, self.SWEEP_DIGESTS[parameter])
 
-    def test_a_44k_clip_through_synth_and_score_is_pinned(self, identity_run):
-        names = _command_files(identity_run, lambda argv: argv[0] in ("synth", "score"))
-        self._assert_pinned(identity_run, names, self.SYNTH_SCORE_DIGEST)
+    def test_every_synth_entry_output_is_pinned(self, identity_run):
+        names = _command_files(identity_run, lambda argv: argv[0] == "synth")
+        self._assert_pinned(identity_run, names, self.SYNTH_DIGEST)
 
 
 class TestMainDispatch:
